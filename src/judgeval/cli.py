@@ -10,25 +10,34 @@ Exit codes: 0 success, 1 fatal stage error, 2 configuration error.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
-import json
 import sys
 from dataclasses import replace
 from pathlib import Path
 
-from . import __version__
-from .agreement import agreement_report
+from . import __version__, reports
 from .config import ExperimentConfig, load_config
-from .cost import DEFAULT_PRICES, extrapolate, load_price_table, price_for, tally_observed
-from .effectiveness import average_precision, ndcg_at_k
+from .cost import (
+    DEFAULT_PRICES,
+    extrapolate,
+    load_price_table,
+    price_for,
+    tally_observed,
+    usage_entries,
+)
 from .errors import ConfigError, JudgevalError
 from .gateway import ResponseCache
-from .judge import JudgingTask, binarize, judge_pool, load_judge_template, load_topics
-from .pipeline import make_gateway, run_pipeline
+from .judge import judge_pool, load_judge_template, load_topics
+from .pipeline import build_tasks, effectiveness_by_metric, make_gateway, pool_pairs, run_pipeline
 from .stability import SystemScores, stability_report
 from .summarizer import load_summary_template, read_summaries, summarize_corpus, write_summaries
-from .trec_io import Modality, load_corpus, load_runs_dir, parse_qrels, write_judgments
+from .trec_io import (
+    Modality,
+    atomic_write_text,
+    load_corpus,
+    load_runs_dir,
+    parse_qrels,
+    write_judgments,
+)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -51,37 +60,38 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"judgeval {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
+    configured = argparse.ArgumentParser(add_help=False)
+    configured.add_argument("--config", required=True)
+    configured.add_argument("--seed", type=int, help="override the configured seed")
+    configured.add_argument("--mock", action="store_true", help="force the mock backend")
 
-    run = sub.add_parser("run", help="run the full pipeline from a config file")
-    run.add_argument("--config", required=True)
-    run.add_argument("--seed", type=int, help="override the configured seed")
+    run = sub.add_parser(
+        "run", parents=[configured], help="run the full pipeline from a config file"
+    )
     run.add_argument("--model", help="restrict to one configured model")
     run.add_argument(
         "--modality", help="restrict to one modality (full | summ:80 | summ:120)"
     )
-    run.add_argument("--mock", action="store_true", help="force the mock backend")
     run.add_argument("--out", help="override the configured output directory")
     run.add_argument("--force", action="store_true", help="rerun all stages")
     run.set_defaults(handler=_cmd_run)
 
-    summ = sub.add_parser("summarize", help="summarize a corpus at one budget")
-    summ.add_argument("--config", required=True)
+    summ = sub.add_parser(
+        "summarize", parents=[configured], help="summarize a corpus at one budget"
+    )
     summ.add_argument("--budget", type=int, required=True)
     summ.add_argument("--out", required=True)
-    summ.add_argument("--seed", type=int)
-    summ.add_argument("--mock", action="store_true")
     summ.set_defaults(handler=_cmd_summarize)
 
-    judge = sub.add_parser("judge", help="judge one model x modality cell")
-    judge.add_argument("--config", required=True)
+    judge = sub.add_parser(
+        "judge", parents=[configured], help="judge one model x modality cell"
+    )
     judge.add_argument("--model", required=True)
     judge.add_argument("--modality", required=True)
     judge.add_argument(
         "--summaries", help="summaries JSONL (required for summary modalities)"
     )
     judge.add_argument("--out", required=True)
-    judge.add_argument("--seed", type=int)
-    judge.add_argument("--mock", action="store_true")
     judge.set_defaults(handler=_cmd_judge)
 
     agree = sub.add_parser("agreement", help="agreement between two qrels files")
@@ -159,9 +169,7 @@ def _load_config_with_overrides(args) -> ExperimentConfig:
 
 def _emit(text: str, out: str | None) -> None:
     if out:
-        path = Path(out)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(text, encoding="utf-8")
+        atomic_write_text(Path(out), text)
     else:
         sys.stdout.write(text)
 
@@ -215,26 +223,10 @@ def _cmd_judge(args) -> int:
             raise ConfigError(
                 f"summaries budget {summaries.budget_tokens} does not match {modality}"
             )
-    tasks = []
-    skipped = 0
-    for topic_id, doc_id in sorted(human.grades.keys()):
-        topic = topics.get(topic_id)
-        if topic is None:
-            skipped += 1
-            continue
-        if modality.kind == "full":
-            entry = corpus.entries.get(doc_id)
-            if entry is None:
-                skipped += 1
-                continue
-            evidence = entry.text
-        else:
-            record = summaries.records.get(doc_id)
-            if record is None:
-                skipped += 1
-                continue
-            evidence = record.text
-        tasks.append(JudgingTask(topic, doc_id, evidence, modality))
+    runs = load_runs_dir(config.runs_dir) if config.pool == "runs" else []
+    tasks, skipped = build_tasks(
+        pool_pairs(config, human, runs), topics, corpus, modality, summaries
+    )
     result = judge_pool(
         tasks,
         gateway,
@@ -245,7 +237,7 @@ def _cmd_judge(args) -> int:
     write_judgments(result.judgments, args.out, created_at=gateway.now())
     print(
         f"{len(result.judgments)} judgments -> {args.out} "
-        f"({len(result.failures)} failed, {skipped} pairs skipped)"
+        f"({len(result.failures)} failed, {len(skipped)} pairs skipped)"
     )
     return 0
 
@@ -253,144 +245,50 @@ def _cmd_judge(args) -> int:
 def _cmd_agreement(args) -> int:
     a = parse_qrels(args.qrels_a)
     b = parse_qrels(args.qrels_b)
-    graded = agreement_report(a, b, graded=True)
-    binary = agreement_report(
-        binarize(a, args.threshold), binarize(b, args.threshold), graded=False
-    )
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(
-        ["model", "modality", "dataset", "metric", "value", "n_items", "n_missing", "flags"]
-    )
-    label = b.source.label()
-    modality = str(b.modality)
-    rows = [
-        ("kappa_graded", graded.kappa, graded),
-        ("weighted_kappa_quadratic", graded.weighted_kappa, graded),
-        ("alpha_ordinal", graded.alpha, graded),
-        (f"kappa_binary_t{args.threshold}", binary.kappa, binary),
-        (f"alpha_nominal_binary_t{args.threshold}", binary.alpha, binary),
-    ]
-    for metric_name, stat, report in rows:
-        writer.writerow(
-            [
-                label,
-                modality,
-                args.dataset,
-                metric_name,
-                f"{stat.value:.6f}",
-                report.n_items,
-                report.n_missing,
-                "degenerate" if stat.degenerate else "",
-            ]
-        )
-    _emit(buffer.getvalue(), args.out)
+    cell = (b.source.label(), str(b.modality), b)
+    _emit(reports.agreement_csv(args.dataset, args.threshold, a, [cell]), args.out)
     return 0
 
 
 def _cmd_effectiveness(args) -> int:
     qrels = parse_qrels(args.qrels)
     runs = load_runs_dir(args.runs_dir)
-    binary = binarize(qrels, args.threshold)
-    rows = []
-    for run in runs:
-        rows.append(ndcg_at_k(run, qrels, k=args.k, gain=args.gain))
-        rows.append(average_precision(run, binary))
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(
-        ["run_tag", "metric", "qrels_source", "modality", "mean", "topics_evaluated"]
+    by_metric = effectiveness_by_metric(
+        runs, qrels, k=args.k, gain=args.gain, threshold=args.threshold
     )
-    for row in rows:
-        writer.writerow(
-            [
-                row.run_tag,
-                row.metric,
-                row.qrels_source,
-                row.modality,
-                f"{row.mean:.6f}",
-                row.topics_evaluated,
-            ]
-        )
-    _emit(buffer.getvalue(), args.out)
+    means, per_topic, _ = reports.effectiveness_csvs(
+        [row for metric in sorted(by_metric) for row in by_metric[metric]]
+    )
+    _emit(means, args.out)
     if args.per_topic_out:
-        topic_buf = io.StringIO()
-        topic_writer = csv.writer(topic_buf, lineterminator="\n")
-        topic_writer.writerow(
-            ["run_tag", "metric", "qrels_source", "modality", "topic_id", "value"]
-        )
-        for row in rows:
-            for topic_id in sorted(row.per_topic):
-                topic_writer.writerow(
-                    [
-                        row.run_tag,
-                        row.metric,
-                        row.qrels_source,
-                        row.modality,
-                        topic_id,
-                        f"{row.per_topic[topic_id]:.6f}",
-                    ]
-                )
-        _emit(topic_buf.getvalue(), args.per_topic_out)
+        _emit(per_topic, args.per_topic_out)
     return 0
 
 
-def _read_per_topic_csv(path: str, metric: str) -> SystemScores:
-    per_topic: dict[str, dict[str, float]] = {}
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        for row in csv.DictReader(fh):
-            if row["metric"] != metric:
-                continue
-            per_topic.setdefault(row["run_tag"], {})[row["topic_id"]] = float(row["value"])
-    if not per_topic:
+def _system_scores(path: str, metric: str) -> SystemScores:
+    try:
+        rows = reports.read_per_topic(path, metric)
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
+    if not rows:
         raise ConfigError(f"no rows for metric {metric!r} in {path}")
-    shared = set.intersection(*(set(t) for t in per_topic.values()))
-    topics = tuple(sorted(shared))
-    per_system = {
-        tag: (sum(scores[t] for t in topics) / len(topics)) if topics else 0.0
-        for tag, scores in per_topic.items()
-    }
-    return SystemScores(
-        metric=metric, per_topic=per_topic, topics=topics, per_system=per_system
-    )
+    try:
+        return SystemScores.from_rows(rows)
+    except ValueError as exc:
+        sources = sorted({f"{row.qrels_source}:{row.modality}" for row in rows})
+        raise ConfigError(f"{path} mixes qrels sources for {metric}: {sources}") from exc
 
 
 def _cmd_stability(args) -> int:
-    scores_h = _read_per_topic_csv(args.per_topic_h, args.metric)
-    scores_l = _read_per_topic_csv(args.per_topic_l, args.metric)
     report = stability_report(
-        scores_h,
-        scores_l,
+        _system_scores(args.per_topic_h, args.metric),
+        _system_scores(args.per_topic_l, args.metric),
         rbo_p=args.rbo_p,
         n_resamples=args.resamples,
         seed=args.seed,
     )
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(
-        [
-            "dataset", "model", "modality", "metric",
-            "tau", "tau_lo", "tau_hi", "spearman", "pearson", "rbo", "p", "B", "seed",
-        ]
-    )
-    writer.writerow(
-        [
-            args.dataset,
-            args.model,
-            args.modality,
-            report.metric,
-            f"{report.kendall_tau.value:.6f}",
-            f"{report.tau_ci_low:.6f}",
-            f"{report.tau_ci_high:.6f}",
-            f"{report.spearman_rho.value:.6f}",
-            f"{report.pearson_rho.value:.6f}",
-            f"{report.rbo:.6f}",
-            f"{report.rbo_p}",
-            report.n_resamples,
-            report.seed,
-        ]
-    )
-    _emit(buffer.getvalue(), args.out)
+    cell = (args.model, args.modality, report)
+    _emit(reports.stability_csv(args.dataset, [cell]), args.out)
     return 0
 
 
@@ -411,27 +309,11 @@ def _cmd_cost(args) -> int:
         if not args.cache:
             raise ConfigError("either --cache or --extrapolate is required")
         cache = ResponseCache(args.cache)
-        entries = list(cache.entries())
-        if args.usage:
-            usage = json.loads(Path(args.usage).read_text(encoding="utf-8"))
-            wanted = set(usage["request_hashes"])
-            entries = [e for e in entries if e.request_hash in wanted]
+        entries = usage_entries(args.usage, cache) if args.usage else list(cache.entries())
         report = tally_observed(
             entries, prices, stage=args.stage, modality=args.modality
         )
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(["stage", "modality", "dataset", "input_tokens_millions", "cost_usd"])
-    writer.writerow(
-        [
-            report.stage,
-            report.modality,
-            args.dataset,
-            f"{report.input_tokens / 1e6:.6f}",
-            f"{report.usd:.6f}",
-        ]
-    )
-    _emit(buffer.getvalue(), args.out)
+    _emit(reports.cost_csv(args.dataset, [report]), args.out)
     return 0
 
 

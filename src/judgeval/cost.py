@@ -15,7 +15,7 @@ from pathlib import Path
 from typing import Iterable
 
 from .errors import ParseError, PricingError
-from .gateway import CacheEntry
+from .gateway import CacheEntry, ResponseCache
 
 
 @dataclass(frozen=True)
@@ -71,6 +71,13 @@ class CostReport:
     output_tokens: int
     usd: float
     extrapolated: bool
+
+
+def usage_entries(usage_path: str | Path, cache: ResponseCache) -> list[CacheEntry]:
+    """Cache entries of the request hashes a stage's usage file records."""
+    usage = json.loads(Path(usage_path).read_text(encoding="utf-8"))
+    entries = (cache.get(request_hash) for request_hash in usage["request_hashes"])
+    return [entry for entry in entries if entry is not None]
 
 
 def tally_observed(

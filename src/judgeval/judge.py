@@ -26,6 +26,7 @@ DEFAULT_MAX_OUTPUT_TOKENS = 64
 # A standalone 0-3: not glued to other digits and not part of a decimal
 # number on either side.
 _GRADE_RE = re.compile(r"(?<!\d)(?<!\d\.)([0-3])(?!\.?\d)")
+_MARKER_RE = re.compile("<QUERY>|<PASSAGE>")
 
 
 @dataclass(frozen=True)
@@ -104,9 +105,9 @@ def build_judge_prompt(
 ) -> ChatRequest:
     if template is None:
         template = load_judge_template()
-    user_text = template.replace("<QUERY>", task.topic.query_text).replace(
-        "<PASSAGE>", task.evidence_text
-    )
+    # one pass, so a marker inside the query or evidence stays literal text
+    values = {"<QUERY>": task.topic.query_text, "<PASSAGE>": task.evidence_text}
+    user_text = _MARKER_RE.sub(lambda match: values[match.group()], template)
     return ChatRequest(
         model=model,
         user_text=user_text,

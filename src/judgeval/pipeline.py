@@ -14,9 +14,7 @@ under the mock backend.
 
 from __future__ import annotations
 
-import csv
 import hashlib
-import io
 import json
 import re
 import time
@@ -24,14 +22,13 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
 
-from . import __version__
-from .agreement import agreement_report, format_percentages, label_distribution
+from . import __version__, reports
 from .config import ExperimentConfig
-from .cost import DEFAULT_PRICES, load_price_table, tally_observed
+from .cost import DEFAULT_PRICES, load_price_table, tally_observed, usage_entries
 from .effectiveness import EffectivenessRow, average_precision, ndcg_at_k, scatter_data
 from .errors import ConfigError, JudgevalError
 from .gateway import Gateway, HttpBackend, MockBackend
-from .judge import JudgingTask, binarize, judge_pool, load_judge_template, load_topics
+from .judge import JudgingTask, Topic, binarize, judge_pool, load_judge_template, load_topics
 from .stability import SystemScores, stability_report
 from .summarizer import (
     SummarySet,
@@ -42,8 +39,10 @@ from .summarizer import (
 )
 from .templates import template_sha256
 from .trec_io import (
+    DocCorpus,
     JudgmentSet,
     Modality,
+    Run,
     atomic_write_text,
     load_corpus,
     load_runs_dir,
@@ -113,9 +112,6 @@ class _RecordingGateway:
         self.token_sources[source] = self.token_sources.get(source, 0) + 1
         return response
 
-    def now(self) -> float:
-        return self._inner.now()
-
 
 def make_gateway(config: ExperimentConfig) -> Gateway:
     if config.backend == "mock":
@@ -131,6 +127,63 @@ def make_gateway(config: ExperimentConfig) -> Gateway:
         max_in_flight=config.max_in_flight,
         clock=clock,
     )
+
+
+def pool_pairs(
+    config: ExperimentConfig, human: JudgmentSet, runs: list[Run]
+) -> list[tuple[str, str]]:
+    """The (topic, doc) pairs to judge: every human-judged pair, or with
+    ``pool = runs`` the union of each run's top ``pool_depth`` documents."""
+    if config.pool == "qrels":
+        return sorted(human.grades.keys())
+    pairs = {
+        (topic_id, record.doc_id)
+        for run in runs
+        for topic_id, records in run.topics.items()
+        for record in records[: config.pool_depth]
+    }
+    return sorted(pairs)
+
+
+def build_tasks(
+    pairs: list[tuple[str, str]],
+    topics: dict[str, Topic],
+    corpus: DocCorpus,
+    modality: Modality,
+    summaries: SummarySet | None,
+) -> tuple[list[JudgingTask], list[dict]]:
+    """One judging task per pair with a topic and evidence for ``modality``;
+    every other pair becomes a skip-ledger entry with its reason."""
+    if modality.kind == "full":
+        evidence, missing = corpus.entries, "doc not in corpus"
+    else:
+        evidence, missing = (summaries.records if summaries else {}), "no summary available"
+    tasks: list[JudgingTask] = []
+    skipped: list[dict] = []
+    for topic_id, doc_id in pairs:
+        topic = topics.get(topic_id)
+        record = evidence.get(doc_id)
+        if topic is None or record is None:
+            reason = "topic not in topics file" if topic is None else missing
+            skipped.append({"topic_id": topic_id, "doc_id": doc_id, "reason": reason})
+            continue
+        tasks.append(
+            JudgingTask(
+                topic=topic, doc_id=doc_id, evidence_text=record.text, modality=modality
+            )
+        )
+    return tasks, skipped
+
+
+def effectiveness_by_metric(
+    runs: list[Run], judgments: JudgmentSet, *, k: int, gain: str, threshold: int
+) -> dict[str, list[EffectivenessRow]]:
+    """NDCG@k (graded) and AP (binarized at ``threshold``) of every run under
+    one judgment set, keyed by metric name."""
+    ndcg_rows = [ndcg_at_k(run, judgments, k=k, gain=gain) for run in runs]
+    binary = binarize(judgments, threshold)
+    map_rows = [average_precision(run, binary) for run in runs]
+    return {f"ndcg@{k}": ndcg_rows, "map": map_rows}
 
 
 def run_pipeline(config: ExperimentConfig, *, force: bool = False) -> PipelineResult:
@@ -175,6 +228,9 @@ class _Pipeline:
         if not self.runs:
             raise ConfigError(f"no run files found in {runs_dir}")
 
+        self.summary_budgets = sorted(
+            m.budget_tokens for m in config.modalities if m.kind == "summary"
+        )
         self.summaries: dict[int, SummarySet] = {}
         self.judgments: dict[tuple[str, str], JudgmentSet] = {}
         self.stage_fingerprints: dict[str, str] = {}
@@ -257,9 +313,7 @@ class _Pipeline:
         self._save_manifest()
 
     def _write(self, rel: str, text: str) -> None:
-        path = self.out / rel
-        path.parent.mkdir(parents=True, exist_ok=True)
-        atomic_write_text(path, text)
+        atomic_write_text(self.out / rel, text)
 
     def _write_usage(self, rel: str, recorder: _RecordingGateway) -> None:
         input_tokens = 0
@@ -280,14 +334,10 @@ class _Pipeline:
     # -- stages ---------------------------------------------------------------
 
     def run(self) -> PipelineResult:
-        summary_budgets = sorted(
-            m.budget_tokens for m in self.config.modalities if m.kind == "summary"
-        )
-        for budget in summary_budgets:
+        for budget in self.summary_budgets:
             self._summarize_stage(budget)
-        for model in self.config.models:
-            for modality in self.config.modalities:
-                self._judge_stage(model, modality)
+        for model, modality in self._cells():
+            self._judge_stage(model, modality)
         self._distribution_stage()
         self._agreement_stage()
         effectiveness_rows = self._effectiveness_stage()
@@ -334,55 +384,6 @@ class _Pipeline:
         if budget not in self.summaries:
             self.summaries[budget] = read_summaries(self.out / rel)
 
-    def _pool_pairs(self) -> list[tuple[str, str]]:
-        if self.config.pool == "qrels":
-            return sorted(self.human.grades.keys())
-        pairs = {
-            (topic_id, record.doc_id)
-            for run in self.runs
-            for topic_id, records in run.topics.items()
-            for record in records[: self.config.pool_depth]
-        }
-        return sorted(pairs)
-
-    def _build_tasks(
-        self, modality: Modality
-    ) -> tuple[list[JudgingTask], list[dict]]:
-        tasks: list[JudgingTask] = []
-        skipped: list[dict] = []
-        summaries = (
-            self.summaries[modality.budget_tokens] if modality.kind == "summary" else None
-        )
-        for topic_id, doc_id in self._pool_pairs():
-            topic = self.topics.get(topic_id)
-            if topic is None:
-                skipped.append(
-                    {"topic_id": topic_id, "doc_id": doc_id, "reason": "topic not in topics file"}
-                )
-                continue
-            if modality.kind == "full":
-                entry = self.corpus.entries.get(doc_id)
-                if entry is None:
-                    skipped.append(
-                        {"topic_id": topic_id, "doc_id": doc_id, "reason": "doc not in corpus"}
-                    )
-                    continue
-                evidence = entry.text
-            else:
-                record = summaries.records.get(doc_id) if summaries else None
-                if record is None:
-                    skipped.append(
-                        {"topic_id": topic_id, "doc_id": doc_id, "reason": "no summary available"}
-                    )
-                    continue
-                evidence = record.text
-            tasks.append(
-                JudgingTask(
-                    topic=topic, doc_id=doc_id, evidence_text=evidence, modality=modality
-                )
-            )
-        return tasks, skipped
-
     def _judge_stage(self, model: str, modality: Modality) -> None:
         cell = f"{_slug(model)}__{_slug(str(modality))}"
         name = f"judge:{model}:{modality}"
@@ -412,7 +413,13 @@ class _Pipeline:
 
         def produce() -> None:
             recorder = _RecordingGateway(self.gateway)
-            tasks, skipped = self._build_tasks(modality)
+            tasks, skipped = build_tasks(
+                pool_pairs(self.config, self.human, self.runs),
+                self.topics,
+                self.corpus,
+                modality,
+                self.summaries.get(modality.budget_tokens),
+            )
             result = judge_pool(
                 tasks,
                 recorder,
@@ -442,36 +449,28 @@ class _Pipeline:
             for modality in self.config.modalities
         ]
 
+    def _judged_cells(self) -> list[tuple[str, str, JudgmentSet]]:
+        return [
+            (model, str(modality), self.judgments[(model, str(modality))])
+            for model, modality in self._cells()
+        ]
+
+    def _judge_fingerprints(self) -> dict[str, str]:
+        return {
+            f"{m}:{mod}": self.stage_fingerprints[f"judge:{m}:{mod}"]
+            for m, mod in self._cells()
+        }
+
     def _distribution_stage(self) -> None:
         rel = "reports/label_distribution.csv"
         inputs = {
             "qrels": self.input_digests["qrels"],
-            "judges": {
-                f"{m}:{mod}": self.stage_fingerprints[f"judge:{m}:{mod}"]
-                for m, mod in self._cells()
-            },
+            "judges": self._judge_fingerprints(),
         }
 
         def produce() -> None:
-            buffer = io.StringIO()
-            writer = csv.writer(buffer, lineterminator="\n")
-            writer.writerow(
-                ["annotator", "modality", "dataset"]
-                + [f"grade_{g}" for g in (0, 1, 2, 3)]
-                + ["n_judgments"]
-            )
-            rows = [("human", "full", self.human)] + [
-                (model, str(modality), self.judgments[(model, str(modality))])
-                for model, modality in self._cells()
-            ]
-            for annotator, modality_str, judgments in rows:
-                shares = format_percentages(label_distribution(judgments))
-                writer.writerow(
-                    [annotator, modality_str, self.config.dataset]
-                    + [shares[g] for g in (0, 1, 2, 3)]
-                    + [len(judgments)]
-                )
-            self._write(rel, buffer.getvalue())
+            annotators = [("human", "full", self.human)] + self._judged_cells()
+            self._write(rel, reports.distribution_csv(self.config.dataset, annotators))
 
         self._stage("distribution", inputs, [rel], produce)
 
@@ -481,74 +480,42 @@ class _Pipeline:
         inputs = {
             "qrels": self.input_digests["qrels"],
             "threshold": threshold,
-            "judges": {
-                f"{m}:{mod}": self.stage_fingerprints[f"judge:{m}:{mod}"]
-                for m, mod in self._cells()
-            },
+            "judges": self._judge_fingerprints(),
         }
 
         def produce() -> None:
-            buffer = io.StringIO()
-            writer = csv.writer(buffer, lineterminator="\n")
-            writer.writerow(
-                ["model", "modality", "dataset", "metric", "value", "n_items", "n_missing", "flags"]
+            text = reports.agreement_csv(
+                self.config.dataset, threshold, self.human, self._judged_cells()
             )
-            human_binary = binarize(self.human, threshold)
-            for model, modality in self._cells():
-                judged = self.judgments[(model, str(modality))]
-                graded = agreement_report(self.human, judged, graded=True)
-                binary = agreement_report(
-                    human_binary, binarize(judged, threshold), graded=False
-                )
-                rows = [
-                    ("weighted_kappa_quadratic", graded.weighted_kappa, graded),
-                    ("alpha_ordinal", graded.alpha, graded),
-                    (f"kappa_binary_t{threshold}", binary.kappa, binary),
-                    (f"alpha_nominal_binary_t{threshold}", binary.alpha, binary),
-                ]
-                for metric_name, stat, report in rows:
-                    writer.writerow(
-                        [
-                            model,
-                            str(modality),
-                            self.config.dataset,
-                            metric_name,
-                            f"{stat.value:.6f}",
-                            report.n_items,
-                            report.n_missing,
-                            "degenerate" if stat.degenerate else "",
-                        ]
-                    )
-            self._write(rel, buffer.getvalue())
+            self._write(rel, text)
 
         self._stage("agreement", inputs, [rel], produce)
 
     def _effectiveness_rows(self) -> dict[tuple[str, str], list[EffectivenessRow]]:
         """(qrels label, metric) -> per-run rows; label 'human' or 'model:modality'."""
-        threshold = self.config.binarize_threshold
-        k = self.config.ndcg_k
-        sources: list[tuple[str, JudgmentSet]] = [("human", self.human)]
-        sources += [
-            (f"{model}:{modality}", self.judgments[(model, str(modality))])
-            for model, modality in self._cells()
+        sources = [("human", self.human)] + [
+            (f"{model}:{modality}", judged) for model, modality, judged in self._judged_cells()
         ]
         table: dict[tuple[str, str], list[EffectivenessRow]] = {}
         for label, judgments in sources:
-            ndcg_rows = [
-                ndcg_at_k(run, judgments, k=k, gain=self.config.gain)
-                for run in self.runs
-            ]
-            binary = binarize(judgments, threshold)
-            map_rows = [average_precision(run, binary) for run in self.runs]
-            table[(label, f"ndcg@{k}")] = ndcg_rows
-            table[(label, "map")] = map_rows
+            by_metric = effectiveness_by_metric(
+                self.runs,
+                judgments,
+                k=self.config.ndcg_k,
+                gain=self.config.gain,
+                threshold=self.config.binarize_threshold,
+            )
+            for metric, rows in by_metric.items():
+                table[(label, metric)] = rows
         return table
 
     def _effectiveness_stage(self) -> dict[tuple[str, str], list[EffectivenessRow]]:
         k = self.config.ndcg_k
-        rel_mean = "reports/effectiveness.csv"
-        rel_topic = "reports/effectiveness_per_topic.csv"
-        rel_coverage = "reports/effectiveness_coverage.csv"
+        rel_tables = [
+            "reports/effectiveness.csv",
+            "reports/effectiveness_per_topic.csv",
+            "reports/effectiveness_coverage.csv",
+        ]
         rel_scatter = {
             f"ndcg@{k}": f"reports/scatter_ndcg{k}.csv",
             "map": "reports/scatter_map.csv",
@@ -559,98 +526,29 @@ class _Pipeline:
             "threshold": self.config.binarize_threshold,
             "gain": self.config.gain,
             "ndcg_k": k,
-            "judges": {
-                f"{m}:{mod}": self.stage_fingerprints[f"judge:{m}:{mod}"]
-                for m, mod in self._cells()
-            },
+            "judges": self._judge_fingerprints(),
         }
         table: dict[tuple[str, str], list[EffectivenessRow]] = {}
 
         def produce() -> None:
             table.update(self._effectiveness_rows())
-            mean_buf = io.StringIO()
-            mean_writer = csv.writer(mean_buf, lineterminator="\n")
-            mean_writer.writerow(
-                ["run_tag", "metric", "qrels_source", "modality", "mean", "topics_evaluated"]
-            )
-            topic_buf = io.StringIO()
-            topic_writer = csv.writer(topic_buf, lineterminator="\n")
-            topic_writer.writerow(
-                ["run_tag", "metric", "qrels_source", "modality", "topic_id", "value"]
-            )
-            coverage_buf = io.StringIO()
-            coverage_writer = csv.writer(coverage_buf, lineterminator="\n")
-            coverage_writer.writerow(
-                [
-                    "run_tag", "metric", "qrels_source", "modality",
-                    "topics_evaluated", "topics_skipped_unjudged",
-                    "topics_skipped_no_relevant", "unjudged_at_cutoff",
-                ]
-            )
-            for (label, metric) in sorted(table):
-                for row in table[(label, metric)]:
-                    mean_writer.writerow(
-                        [
-                            row.run_tag,
-                            row.metric,
-                            row.qrels_source,
-                            row.modality,
-                            f"{row.mean:.6f}",
-                            row.topics_evaluated,
-                        ]
-                    )
-                    coverage_writer.writerow(
-                        [
-                            row.run_tag,
-                            row.metric,
-                            row.qrels_source,
-                            row.modality,
-                            row.topics_evaluated,
-                            row.topics_skipped_unjudged,
-                            row.topics_skipped_no_relevant,
-                            row.unjudged_at_cutoff,
-                        ]
-                    )
-                    for topic_id in sorted(row.per_topic):
-                        topic_writer.writerow(
-                            [
-                                row.run_tag,
-                                row.metric,
-                                row.qrels_source,
-                                row.modality,
-                                topic_id,
-                                f"{row.per_topic[topic_id]:.6f}",
-                            ]
-                        )
-            self._write(rel_mean, mean_buf.getvalue())
-            self._write(rel_topic, topic_buf.getvalue())
-            self._write(rel_coverage, coverage_buf.getvalue())
-
+            rows = [row for key in sorted(table) for row in table[key]]
+            for rel, text in zip(rel_tables, reports.effectiveness_csvs(rows)):
+                self._write(rel, text)
             for metric, rel in rel_scatter.items():
-                buffer = io.StringIO()
-                writer = csv.writer(buffer, lineterminator="\n")
-                writer.writerow(
-                    ["model", "modality", "metric", "run_tag", "human", "llm"]
-                )
-                for model, modality in self._cells():
-                    points = scatter_data(
-                        table[("human", metric)],
-                        table[(f"{model}:{modality}", metric)],
+                cells = [
+                    (
+                        model,
+                        str(modality),
+                        scatter_data(
+                            table[("human", metric)], table[(f"{model}:{modality}", metric)]
+                        ),
                     )
-                    for point in points:
-                        writer.writerow(
-                            [
-                                model,
-                                str(modality),
-                                point.metric,
-                                point.run_tag,
-                                f"{point.human_score:.6f}",
-                                f"{point.llm_score:.6f}",
-                            ]
-                        )
-                self._write(rel, buffer.getvalue())
+                    for model, modality in self._cells()
+                ]
+                self._write(rel, reports.scatter_csv(cells))
 
-        outputs = [rel_mean, rel_topic, rel_coverage] + sorted(rel_scatter.values())
+        outputs = rel_tables + sorted(rel_scatter.values())
         self._stage("effectiveness", inputs, outputs, produce)
         if not table:
             table.update(self._effectiveness_rows())
@@ -668,47 +566,18 @@ class _Pipeline:
         }
 
         def produce() -> None:
-            buffer = io.StringIO()
-            writer = csv.writer(buffer, lineterminator="\n")
-            writer.writerow(
-                [
-                    "dataset", "model", "modality", "metric",
-                    "tau", "tau_lo", "tau_hi", "spearman", "pearson", "rbo",
-                    "p", "B", "seed",
-                ]
-            )
-            metrics = [f"ndcg@{self.config.ndcg_k}", "map"]
+            cells = []
             for model, modality in self._cells():
-                for metric in metrics:
-                    scores_h = SystemScores.from_rows(table[("human", metric)])
-                    scores_l = SystemScores.from_rows(
-                        table[(f"{model}:{modality}", metric)]
-                    )
+                for metric in (f"ndcg@{self.config.ndcg_k}", "map"):
                     report = stability_report(
-                        scores_h,
-                        scores_l,
+                        SystemScores.from_rows(table[("human", metric)]),
+                        SystemScores.from_rows(table[(f"{model}:{modality}", metric)]),
                         rbo_p=self.config.rbo_p,
                         n_resamples=self.config.bootstrap_samples,
                         seed=self.config.seed,
                     )
-                    writer.writerow(
-                        [
-                            self.config.dataset,
-                            model,
-                            str(modality),
-                            metric,
-                            f"{report.kendall_tau.value:.6f}",
-                            f"{report.tau_ci_low:.6f}",
-                            f"{report.tau_ci_high:.6f}",
-                            f"{report.spearman_rho.value:.6f}",
-                            f"{report.pearson_rho.value:.6f}",
-                            f"{report.rbo:.6f}",
-                            f"{report.rbo_p}",
-                            report.n_resamples,
-                            report.seed,
-                        ]
-                    )
-            self._write(rel, buffer.getvalue())
+                    cells.append((model, str(modality), report))
+            self._write(rel, reports.stability_csv(self.config.dataset, cells))
 
         self._stage("stability", inputs, [rel], produce)
 
@@ -716,9 +585,7 @@ class _Pipeline:
         rel = "reports/cost.csv"
         usage_files = {
             f"summ:{b}": f"summaries/summ{b}.usage.json"
-            for b in sorted(
-                m.budget_tokens for m in self.config.modalities if m.kind == "summary"
-            )
+            for b in self.summary_budgets
         }
         judge_usage = {
             str(modality): [
@@ -732,59 +599,33 @@ class _Pipeline:
                 name: self.stage_fingerprints[f"summarize:{name.split(':')[1]}"]
                 for name in usage_files
             },
-            "judges": {
-                f"{m}:{mod}": self.stage_fingerprints[f"judge:{m}:{mod}"]
-                for m, mod in self._cells()
-            },
+            "judges": self._judge_fingerprints(),
             "prices": {
                 model: [price.input_usd_per_1m, price.output_usd_per_1m]
                 for model, price in sorted(self.prices.items())
             },
         }
 
-        def entries_for(usage_rel: str):
-            usage = json.loads((self.out / usage_rel).read_text(encoding="utf-8"))
-            for request_hash in usage["request_hashes"]:
-                entry = self.gateway.cache.get(request_hash)
-                if entry is not None:
-                    yield entry
-
         def produce() -> None:
-            buffer = io.StringIO()
-            writer = csv.writer(buffer, lineterminator="\n")
-            writer.writerow(
-                ["stage", "modality", "dataset", "input_tokens_millions", "cost_usd"]
-            )
-            for modality_str, usage_rel in usage_files.items():
-                report = tally_observed(
-                    entries_for(usage_rel),
+            cache = self.gateway.cache
+            tallies = [
+                tally_observed(
+                    usage_entries(self.out / usage_rel, cache),
                     self.prices,
                     stage="summarization",
                     modality=modality_str,
                 )
-                writer.writerow(
-                    [
-                        report.stage,
-                        report.modality,
-                        self.config.dataset,
-                        f"{report.input_tokens / 1e6:.6f}",
-                        f"{report.usd:.6f}",
-                    ]
+                for modality_str, usage_rel in usage_files.items()
+            ]
+            tallies += [
+                tally_observed(
+                    [entry for usage in rels for entry in usage_entries(self.out / usage, cache)],
+                    self.prices,
+                    stage="judgment",
+                    modality=modality_str,
                 )
-            for modality_str, rels in judge_usage.items():
-                entries = [entry for rel_usage in rels for entry in entries_for(rel_usage)]
-                report = tally_observed(
-                    entries, self.prices, stage="judgment", modality=modality_str
-                )
-                writer.writerow(
-                    [
-                        report.stage,
-                        report.modality,
-                        self.config.dataset,
-                        f"{report.input_tokens / 1e6:.6f}",
-                        f"{report.usd:.6f}",
-                    ]
-                )
-            self._write(rel, buffer.getvalue())
+                for modality_str, rels in judge_usage.items()
+            ]
+            self._write(rel, reports.cost_csv(self.config.dataset, tallies))
 
         self._stage("cost", inputs, [rel], produce)

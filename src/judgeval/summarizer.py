@@ -18,7 +18,7 @@ from pathlib import Path
 
 from .errors import JudgevalError, ParseError
 from .gateway import ChatRequest, Gateway
-from .trec_io import DocCorpus, atomic_write_text
+from .trec_io import DocCorpus, atomic_write_text, nonblank_lines
 from .templates import load_template, template_sha256
 
 NO_CONTENT = "NO_CONTENT"
@@ -147,7 +147,6 @@ def summarize_corpus(
 def write_summaries(summaries: SummarySet, path: str | Path) -> None:
     """Write one summary record per line as JSON."""
     path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     lines = []
     for doc_id in sorted(summaries.records):
         rec = summaries.records[doc_id]
@@ -173,39 +172,35 @@ def read_summaries(path: str | Path) -> SummarySet:
     path = Path(path)
     records: dict[str, SummaryRecord] = {}
     budget: int | None = None
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-                rec = SummaryRecord(
-                    doc_id=obj["doc_id"],
-                    budget_tokens=int(obj["budget_tokens"]),
-                    text=obj["text"],
-                    output_token_count=int(obj["output_token_count"]),
-                    model=obj["model"],
-                    prompt_sha256=obj["prompt_sha256"],
-                    flags=tuple(obj.get("flags", [])),
-                )
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-                raise ParseError(
-                    f"bad summary record: {exc}", path=str(path), line=line_no
-                ) from exc
-            if rec.doc_id in records:
-                raise ParseError(
-                    f"duplicate summary for doc {rec.doc_id}",
-                    path=str(path),
-                    line=line_no,
-                )
-            if budget is None:
-                budget = rec.budget_tokens
-            elif budget != rec.budget_tokens:
-                raise ParseError(
-                    f"mixed budgets {budget} and {rec.budget_tokens} in one set",
-                    path=str(path),
-                    line=line_no,
-                )
-            records[rec.doc_id] = rec
+    for line_no, line in nonblank_lines(path):
+        try:
+            obj = json.loads(line)
+            rec = SummaryRecord(
+                doc_id=obj["doc_id"],
+                budget_tokens=int(obj["budget_tokens"]),
+                text=obj["text"],
+                output_token_count=int(obj["output_token_count"]),
+                model=obj["model"],
+                prompt_sha256=obj["prompt_sha256"],
+                flags=tuple(obj.get("flags", [])),
+            )
+        except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+            raise ParseError(
+                f"bad summary record: {exc}", path=str(path), line=line_no
+            ) from exc
+        if rec.doc_id in records:
+            raise ParseError(
+                f"duplicate summary for doc {rec.doc_id}",
+                path=str(path),
+                line=line_no,
+            )
+        if budget is None:
+            budget = rec.budget_tokens
+        elif budget != rec.budget_tokens:
+            raise ParseError(
+                f"mixed budgets {budget} and {rec.budget_tokens} in one set",
+                path=str(path),
+                line=line_no,
+            )
+        records[rec.doc_id] = rec
     return SummarySet(budget_tokens=budget if budget is not None else 0, records=records)

@@ -138,7 +138,7 @@ class JudgmentSet:
         return set(self.grades.values())
 
 
-def _nonblank_lines(path: Path) -> Iterator[tuple[int, str]]:
+def nonblank_lines(path: Path) -> Iterator[tuple[int, str]]:
     with open(path, "r", encoding="utf-8") as fh:
         for line_no, raw in enumerate(fh, start=1):
             line = raw.strip()
@@ -164,7 +164,7 @@ def parse_qrels(
     """
     path = Path(path)
     grades: dict[tuple[str, str], int] = {}
-    for line_no, line in _nonblank_lines(path):
+    for line_no, line in nonblank_lines(path):
         parts = line.split()
         if len(parts) != 4:
             raise ParseError(
@@ -226,7 +226,6 @@ def write_judgments(
     Round-trips losslessly through parse_qrels, including provenance.
     """
     path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     lines = [
         f"{rec.topic_id} 0 {rec.doc_id} {rec.grade}\n" for rec in judgments.records()
     ]
@@ -246,6 +245,8 @@ def write_judgments(
 
 
 def atomic_write_text(path: Path, text: str) -> None:
+    """Write through a temporary file and a rename, creating parent directories."""
+    path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(path.name + ".tmp")
     tmp.write_text(text, encoding="utf-8")
     tmp.replace(path)
@@ -279,7 +280,7 @@ def parse_run(path: str | Path) -> Run:
     path = Path(path)
     by_topic: dict[str, dict[str, float]] = {}
     tag: str | None = None
-    for line_no, line in _nonblank_lines(path):
+    for line_no, line in nonblank_lines(path):
         parts = line.split()
         if len(parts) != 6:
             raise ParseError(
@@ -359,7 +360,7 @@ def load_corpus(path: str | Path, *, tokenizer: Tokenizer = count_tokens) -> Doc
     """Load a line-oriented JSON corpus (fields ``docid``, ``text``)."""
     path = Path(path)
     entries: dict[str, CorpusEntry] = {}
-    for line_no, line in _nonblank_lines(path):
+    for line_no, line in nonblank_lines(path):
         try:
             obj = json.loads(line)
         except json.JSONDecodeError as exc:
@@ -381,13 +382,3 @@ def load_corpus(path: str | Path, *, tokenizer: Tokenizer = count_tokens) -> Doc
             )
         entries[doc_id] = CorpusEntry(text=text, token_count=tokenizer(text))
     return DocCorpus(entries=entries)
-
-
-def write_corpus(corpus: DocCorpus, path: str | Path) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    lines = [
-        json.dumps({"docid": doc_id, "text": corpus.entries[doc_id].text}, ensure_ascii=False)
-        for doc_id in corpus.doc_ids()
-    ]
-    atomic_write_text(path, "".join(line + "\n" for line in lines))

@@ -11,7 +11,7 @@ import pytest
 
 from conftest import build_toy_experiment
 from judgeval.cli import main
-from judgeval.trec_io import JudgmentSet, model_source, write_judgments
+from judgeval.trec_io import JudgmentSet, model_source, parse_qrels, write_judgments
 
 
 def _csv_rows(text: str) -> list[dict]:
@@ -118,7 +118,10 @@ def test_agreement_subcommand_identical_files_kappa_one(tmp_path, capsys):
     assert main(["agreement", "--qrels-a", str(qrels), "--qrels-b", str(qrels)]) == 0
     rows = _csv_rows(capsys.readouterr().out)
     by_metric = {row["metric"]: row for row in rows}
-    assert float(by_metric["kappa_graded"]["value"]) == pytest.approx(1.0)
+    # the same four metrics as reports/agreement.csv
+    assert list(by_metric) == [
+        "weighted_kappa_quadratic", "alpha_ordinal", "kappa_binary_t1", "alpha_nominal_binary_t1",
+    ]
     assert float(by_metric["weighted_kappa_quadratic"]["value"]) == pytest.approx(1.0)
     assert float(by_metric["alpha_ordinal"]["value"]) == pytest.approx(1.0)
     assert float(by_metric["kappa_binary_t1"]["value"]) == pytest.approx(1.0)
@@ -205,3 +208,123 @@ def test_judge_pricing_error_exit_code_1(toy_experiment, tmp_path):
     prices = toy_experiment.parent / "prices.json"
     prices.write_text(json.dumps({"other": {"input_usd_per_1m": 1, "output_usd_per_1m": 1}}))
     assert main(["run", "--config", str(toy_experiment)]) == 1
+
+
+def test_judge_subcommand_follows_pool_runs(toy_experiment, tmp_path):
+    config = toy_experiment.read_text().replace(
+        "[experiment]\n", "[experiment]\npool = runs\npool_depth = 10\n"
+    )
+    toy_experiment.write_text(config)
+    assert main(["run", "--config", str(toy_experiment), "--modality", "full"]) == 0
+    out = tmp_path / "full.qrels"
+    assert (
+        main(
+            [
+                "judge", "--config", str(toy_experiment),
+                "--model", "mock-judge", "--modality", "full", "--out", str(out),
+            ]
+        )
+        == 0
+    )
+    bundle = toy_experiment.parent / "out" / "judgments" / "mock-judge__full.qrels"
+    human = parse_qrels(toy_experiment.parent / "qrels.txt")
+    judged = parse_qrels(out).grades
+    assert judged == parse_qrels(bundle).grades
+    assert set(judged) != set(human.grades)  # the run pool, not the qrels pool
+
+
+@pytest.fixture(scope="module")
+def toy_bundle(tmp_path_factory) -> Path:
+    """Input directory of one completed toy ``run``; the bundle is under ``out/``."""
+    config = build_toy_experiment(tmp_path_factory.mktemp("toy"))
+    assert main(["run", "--config", str(config)]) == 0
+    return config.parent
+
+
+def _lines(path: Path) -> list[str]:
+    return path.read_text(encoding="utf-8").splitlines()
+
+
+def _bundle_lines(path: Path, keep) -> list[str]:
+    header, *rows = _lines(path)
+    return [header] + [row for row in rows if keep(row.split(","))]
+
+
+def test_stage_subcommands_match_bundle_reports(toy_bundle, tmp_path):
+    reports = toy_bundle / "out" / "reports"
+    means, per_topic = tmp_path / "eff.csv", tmp_path / "per_topic.csv"
+    assert (
+        main(
+            [
+                "effectiveness", "--qrels", str(toy_bundle / "qrels.txt"),
+                "--runs-dir", str(toy_bundle / "runs"),
+                "--out", str(means), "--per-topic-out", str(per_topic),
+            ]
+        )
+        == 0
+    )
+    for cli_out, bundle in [
+        (means, reports / "effectiveness.csv"),
+        (per_topic, reports / "effectiveness_per_topic.csv"),
+    ]:
+        expected = _bundle_lines(bundle, lambda row: row[2] == "human")
+        assert len(_lines(cli_out)) == len(expected)
+        assert set(_lines(cli_out)) == set(expected)
+
+    agreement = tmp_path / "agreement.csv"
+    judged = toy_bundle / "out" / "judgments" / "mock-judge__full.qrels"
+    assert (
+        main(
+            [
+                "agreement", "--qrels-a", str(toy_bundle / "qrels.txt"),
+                "--qrels-b", str(judged), "--dataset", "toy", "--out", str(agreement),
+            ]
+        )
+        == 0
+    )
+    expected = _bundle_lines(
+        reports / "agreement.csv", lambda row: row[:2] == ["mock-judge", "full"]
+    )
+    assert len(expected) == 5
+    assert set(_lines(agreement)) == set(expected)
+
+    cost = tmp_path / "cost.csv"
+    usage = toy_bundle / "out" / "judgments" / "mock-judge__full.usage.json"
+    assert (
+        main(
+            [
+                "cost", "--cache", str(toy_bundle / "out" / "cache.jsonl"),
+                "--usage", str(usage), "--prices", str(toy_bundle / "prices.json"),
+                "--stage", "judgment", "--modality", "full", "--dataset", "toy",
+                "--out", str(cost),
+            ]
+        )
+        == 0
+    )
+    expected = _bundle_lines(reports / "cost.csv", lambda row: row[:2] == ["judgment", "full"])
+    assert _lines(cost) == expected
+
+    stability = tmp_path / "stability.csv"
+    assert (
+        main(
+            [
+                "stability", "--per-topic-h", str(per_topic), "--per-topic-l", str(per_topic),
+                "--metric", "map", "--resamples", "50", "--out", str(stability),
+            ]
+        )
+        == 0
+    )
+    assert _lines(stability)[0] == _lines(reports / "stability.csv")[0]
+
+
+def test_stability_rejects_mixed_qrels_sources(toy_bundle, capsys):
+    # the bundle's per-topic table holds human and model rows for every run
+    per_topic = toy_bundle / "out" / "reports" / "effectiveness_per_topic.csv"
+    code = main(
+        [
+            "stability", "--per-topic-h", str(per_topic), "--per-topic-l", str(per_topic),
+            "--metric", "ndcg@10", "--resamples", "50",
+        ]
+    )
+    assert code == 2
+    assert "mixes qrels sources" in capsys.readouterr().err

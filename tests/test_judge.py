@@ -118,6 +118,21 @@ def test_judge_prompt_substitution():
     assert req.temperature == 0.0
 
 
+def test_judge_prompt_markers_inside_inputs_stay_literal():
+    task = JudgingTask(
+        Topic("t1", "what does <PASSAGE> mean"), "d1", "EVIDENCE <QUERY>", FULL_DOCUMENT
+    )
+    req = build_judge_prompt(task, "m", template="Q=<QUERY>|P=<PASSAGE>|Q=<QUERY>")
+    assert req.user_text == (
+        "Q=what does <PASSAGE> mean|P=EVIDENCE <QUERY>|Q=what does <PASSAGE> mean"
+    )
+    # inputs without markers render exactly as plain replacement would
+    plain = JudgingTask(Topic("t1", "the query"), "d1", "the passage", FULL_DOCUMENT)
+    template = load_judge_template()
+    expected = template.replace("<QUERY>", "the query").replace("<PASSAGE>", "the passage")
+    assert build_judge_prompt(plain, "m", template=template).user_text == expected
+
+
 def test_judge_template_requires_markers(tmp_path):
     bad = tmp_path / "bad.txt"
     bad.write_text("rate <QUERY> only")
