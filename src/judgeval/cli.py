@@ -158,13 +158,20 @@ def _load_config_with_overrides(args) -> ExperimentConfig:
                 raise ConfigError(f"model {args.model!r} is not configured")
             updates["models"] = [args.model]
         if args.modality:
-            modality = Modality.parse(args.modality)
+            modality = _parse_modality(args.modality)
             if str(modality) not in {str(m) for m in config.modalities}:
                 raise ConfigError(f"modality {args.modality!r} is not configured")
             updates["modalities"] = [modality]
         if args.out:
             updates["output_dir"] = Path(args.out)
     return replace(config, **updates) if updates else config
+
+
+def _parse_modality(text: str) -> Modality:
+    try:
+        return Modality.parse(text)
+    except ValueError as exc:
+        raise ConfigError(f"bad --modality {text!r}: {exc}") from exc
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -208,7 +215,7 @@ def _cmd_summarize(args) -> int:
 
 def _cmd_judge(args) -> int:
     config = _load_config_with_overrides(args)
-    modality = Modality.parse(args.modality)
+    modality = _parse_modality(args.modality)
     gateway = make_gateway(config)
     corpus = load_corpus(config.corpus)
     topics = load_topics(config.topics)

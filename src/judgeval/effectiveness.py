@@ -60,16 +60,15 @@ def ndcg_at_k(
     if k < 1:
         raise ValueError("k must be >= 1")
     g = _gain_fn(gain)
-    judged_topics = set(qrels.topics())
     per_topic: dict[str, float] = {}
     skipped_unjudged = 0
     skipped_no_relevant = 0
     unjudged_at_cutoff = 0
     for topic_id in sorted(run.topics):
-        if topic_id not in judged_topics:
+        topic_grades = qrels.by_topic.get(topic_id)
+        if topic_grades is None:
             skipped_unjudged += 1
             continue
-        topic_grades = qrels.grades_for_topic(topic_id)
         ideal = sorted(topic_grades.values(), reverse=True)[:k]
         idcg = sum(g(rel) / math.log2(i + 1) for i, rel in enumerate(ideal, start=1))
         if idcg == 0.0:
@@ -108,16 +107,15 @@ def average_precision(run: Run, qrels: JudgmentSet) -> EffectivenessRow:
         raise ValueError(
             f"average precision needs binarized qrels, found grades {sorted(bad)}"
         )
-    judged_topics = set(qrels.topics())
     per_topic: dict[str, float] = {}
     skipped_unjudged = 0
     skipped_no_relevant = 0
     unjudged = 0
     for topic_id in sorted(run.topics):
-        if topic_id not in judged_topics:
+        topic_grades = qrels.by_topic.get(topic_id)
+        if topic_grades is None:
             skipped_unjudged += 1
             continue
-        topic_grades = qrels.grades_for_topic(topic_id)
         total_relevant = sum(topic_grades.values())
         if total_relevant == 0:
             skipped_no_relevant += 1

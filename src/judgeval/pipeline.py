@@ -19,6 +19,7 @@ import json
 import re
 import time
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Callable
 
@@ -340,8 +341,8 @@ class _Pipeline:
             self._judge_stage(model, modality)
         self._distribution_stage()
         self._agreement_stage()
-        effectiveness_rows = self._effectiveness_stage()
-        self._stability_stage(effectiveness_rows)
+        self._effectiveness_stage()
+        self._stability_stage()
         self._cost_stage()
         self._save_manifest()
         return PipelineResult(
@@ -491,8 +492,10 @@ class _Pipeline:
 
         self._stage("agreement", inputs, [rel], produce)
 
-    def _effectiveness_rows(self) -> dict[tuple[str, str], list[EffectivenessRow]]:
-        """(qrels label, metric) -> per-run rows; label 'human' or 'model:modality'."""
+    @cached_property
+    def _effectiveness(self) -> dict[tuple[str, str], list[EffectivenessRow]]:
+        """(qrels label, metric) -> per-run rows; label 'human' or 'model:modality'.
+        Built on first use: a run that skips both report stages computes no NDCG/AP."""
         sources = [("human", self.human)] + [
             (f"{model}:{modality}", judged) for model, modality, judged in self._judged_cells()
         ]
@@ -509,7 +512,7 @@ class _Pipeline:
                 table[(label, metric)] = rows
         return table
 
-    def _effectiveness_stage(self) -> dict[tuple[str, str], list[EffectivenessRow]]:
+    def _effectiveness_stage(self) -> None:
         k = self.config.ndcg_k
         rel_tables = [
             "reports/effectiveness.csv",
@@ -528,10 +531,9 @@ class _Pipeline:
             "ndcg_k": k,
             "judges": self._judge_fingerprints(),
         }
-        table: dict[tuple[str, str], list[EffectivenessRow]] = {}
 
         def produce() -> None:
-            table.update(self._effectiveness_rows())
+            table = self._effectiveness
             rows = [row for key in sorted(table) for row in table[key]]
             for rel, text in zip(rel_tables, reports.effectiveness_csvs(rows)):
                 self._write(rel, text)
@@ -550,13 +552,8 @@ class _Pipeline:
 
         outputs = rel_tables + sorted(rel_scatter.values())
         self._stage("effectiveness", inputs, outputs, produce)
-        if not table:
-            table.update(self._effectiveness_rows())
-        return table
 
-    def _stability_stage(
-        self, table: dict[tuple[str, str], list[EffectivenessRow]]
-    ) -> None:
+    def _stability_stage(self) -> None:
         rel = "reports/stability.csv"
         inputs = {
             "effectiveness": self.stage_fingerprints["effectiveness"],
@@ -566,6 +563,7 @@ class _Pipeline:
         }
 
         def produce() -> None:
+            table = self._effectiveness
             cells = []
             for model, modality in self._cells():
                 for metric in (f"ndcg@{self.config.ndcg_k}", "map"):

@@ -1,10 +1,10 @@
 """Ranking stability between human-derived and model-derived system scores.
 
-Correlations are tie-aware (Kendall's tau-b, Spearman over average ranks,
-Pearson product-moment); rank-biased overlap uses the extrapolated form for
-two conjoint full-length rankings. The bootstrap resamples topics with
-replacement (topics are the exchangeable unit of a test collection) and
-is fully determined by its seed.
+Correlations are tie-aware numpy code (Kendall's tau-b from pairwise signs,
+Spearman over average ranks, Pearson product-moment); rank-biased overlap
+uses the extrapolated form for two conjoint full-length rankings. The
+bootstrap resamples topics with replacement (topics are the exchangeable unit
+of a test collection), is fully determined by its seed, and is vectorized.
 """
 
 from __future__ import annotations
@@ -13,10 +13,11 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
-from scipy import stats as scipy_stats
 
 from .agreement import StatValue
 from .effectiveness import EffectivenessRow
+
+BOOTSTRAP_BLOCK = 256  # resamples per tau-b batch; bounds working memory
 
 
 @dataclass(frozen=True)
@@ -76,35 +77,45 @@ def _aligned(x: dict[str, float], y: dict[str, float]) -> tuple[list[float], lis
     return [x[k] for k in keys], [y[k] for k in keys]
 
 
-def kendall_tau(x: Sequence[float], y: Sequence[float]) -> StatValue:
-    """Tie-aware Kendall's tau-b; 0 with the degenerate flag when either
-    vector is entirely tied."""
+def _tau_b(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Tau-b along the last axis from the signs of all pairwise differences:
+    (C - D) / sqrt(n_x) / sqrt(n_y) over the n_x, n_y pairs untied in x, y,
+    clipped to [-1, 1] as scipy does; 0 where either side is entirely tied."""
+    i, j = np.triu_indices(x.shape[-1], k=1)
+    sign_x, sign_y = np.sign(x[..., i] - x[..., j]), np.sign(y[..., i] - y[..., j])
+    untied_x, untied_y = np.count_nonzero(sign_x, -1), np.count_nonzero(sign_y, -1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        tau = (sign_x * sign_y).sum(axis=-1) / np.sqrt(untied_x) / np.sqrt(untied_y)
+    return np.where((untied_x == 0) | (untied_y == 0), 0.0, np.clip(tau, -1.0, 1.0))
+
+
+def _average_ranks(values: Sequence[float]) -> np.ndarray:
+    _, inverse, counts = np.unique(values, return_inverse=True, return_counts=True)
+    return (np.cumsum(counts) - (counts - 1) / 2.0)[inverse]
+
+
+def _correlation(x: Sequence[float], y: Sequence[float], fn) -> StatValue:
     if len(x) != len(y) or len(x) < 2:
         raise ValueError("vectors must share a length >= 2")
     if len(set(x)) == 1 or len(set(y)) == 1:
         return StatValue(0.0, degenerate=True)
-    tau = scipy_stats.kendalltau(x, y, variant="b").statistic
-    return StatValue(float(tau))
+    return StatValue(float(fn(np.asarray(x, dtype=float), np.asarray(y, dtype=float))))
+
+
+def kendall_tau(x: Sequence[float], y: Sequence[float]) -> StatValue:
+    """Tie-aware Kendall's tau-b; 0 with the degenerate flag when either
+    vector is entirely tied."""
+    return _correlation(x, y, _tau_b)
 
 
 def spearman_rho(x: Sequence[float], y: Sequence[float]) -> StatValue:
     """Pearson correlation over average-ranked values."""
-    if len(x) != len(y) or len(x) < 2:
-        raise ValueError("vectors must share a length >= 2")
-    if len(set(x)) == 1 or len(set(y)) == 1:
-        return StatValue(0.0, degenerate=True)
-    rho = scipy_stats.spearmanr(x, y).statistic
-    return StatValue(float(rho))
+    return pearson_rho(_average_ranks(x), _average_ranks(y))
 
 
 def pearson_rho(x: Sequence[float], y: Sequence[float]) -> StatValue:
     """Product-moment correlation; degenerate when either variance is zero."""
-    if len(x) != len(y) or len(x) < 2:
-        raise ValueError("vectors must share a length >= 2")
-    if len(set(x)) == 1 or len(set(y)) == 1:
-        return StatValue(0.0, degenerate=True)
-    rho = scipy_stats.pearsonr(x, y).statistic
-    return StatValue(float(rho))
+    return _correlation(x, y, lambda a, b: np.corrcoef(a, b)[0, 1])
 
 
 def rbo_ext(
@@ -165,26 +176,24 @@ def bootstrap_tau_ci(
     systems = scores_h.systems()
     if systems != scores_l.systems():
         raise ValueError("score sources cover different systems")
+    if len(systems) < 2:
+        raise ValueError("need at least two systems")
     topics = sorted(set(scores_h.topics) & set(scores_l.topics))
     if len(topics) < 2:
         raise ValueError("need at least two shared evaluated topics")
-    h_matrix = np.array(
-        [[scores_h.per_topic[s][t] for t in topics] for s in systems]
-    )
-    l_matrix = np.array(
-        [[scores_l.per_topic[s][t] for t in topics] for s in systems]
-    )
+    h_matrix = np.array([[scores_h.per_topic[s][t] for t in topics] for s in systems])
+    l_matrix = np.array([[scores_l.per_topic[s][t] for t in topics] for s in systems])
     rng = np.random.default_rng(seed)
     n_topics = len(topics)
-    taus = np.empty(n_resamples)
-    for b in range(n_resamples):
-        picks = rng.integers(0, n_topics, size=n_topics)
-        taus[b] = kendall_tau(
-            h_matrix[:, picks].mean(axis=1).tolist(),
-            l_matrix[:, picks].mean(axis=1).tolist(),
-        ).value
+    taus = []
+    for start in range(0, n_resamples, BOOTSTRAP_BLOCK):
+        # one draw per resample, in order, as the seed's resample sequence
+        block = range(start, min(start + BOOTSTRAP_BLOCK, n_resamples))
+        picks = np.array([rng.integers(0, n_topics, size=n_topics) for _ in block])
+        means_h, means_l = h_matrix[:, picks].mean(axis=2), l_matrix[:, picks].mean(axis=2)
+        taus.append(_tau_b(means_h.T, means_l.T))
     tail = 100.0 * (1.0 - level) / 2.0
-    low, high = np.percentile(taus, [tail, 100.0 - tail])
+    low, high = np.percentile(np.concatenate(taus), [tail, 100.0 - tail])
     return float(low), float(high)
 
 

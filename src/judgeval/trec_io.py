@@ -24,6 +24,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
+from functools import cached_property
 from pathlib import Path
 from typing import Iterator, NamedTuple
 
@@ -126,13 +127,19 @@ class JudgmentSet:
         for (topic_id, doc_id) in sorted(self.grades):
             yield QrelRecord(topic_id, doc_id, self.grades[(topic_id, doc_id)])
 
+    @cached_property
+    def by_topic(self) -> dict[str, dict[str, int]]:
+        """topic -> {doc: grade}, built on first use; ``grades`` is frozen after."""
+        index: dict[str, dict[str, int]] = {}
+        for (topic_id, doc_id), grade in self.grades.items():
+            index.setdefault(topic_id, {})[doc_id] = grade
+        return index
+
     def topics(self) -> list[str]:
-        return sorted({topic for topic, _ in self.grades})
+        return sorted(self.by_topic)
 
     def grades_for_topic(self, topic_id: str) -> dict[str, int]:
-        return {
-            doc: grade for (topic, doc), grade in self.grades.items() if topic == topic_id
-        }
+        return dict(self.by_topic.get(topic_id, {}))
 
     def label_values(self) -> set[int]:
         return set(self.grades.values())

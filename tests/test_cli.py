@@ -5,6 +5,9 @@ from __future__ import annotations
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -40,6 +43,34 @@ def test_run_modality_filter(toy_experiment, capsys):
     printed = capsys.readouterr().out
     assert "judge:mock-judge:full" in printed
     assert "summ:80" not in printed
+
+
+@pytest.mark.parametrize("modality", ["bogus", "summ:x", "summ:0"])
+def test_malformed_modality_is_config_error(toy_experiment, tmp_path, capsys, modality):
+    run = ["run", "--config", str(toy_experiment), "--modality", modality]
+    judge = [
+        "judge", "--config", str(toy_experiment), "--model", "mock-judge",
+        "--modality", modality, "--out", str(tmp_path / "x.qrels"),
+    ]
+    for argv in (run, judge):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and modality in err
+    assert not (tmp_path / "x.qrels").exists()
+
+
+def test_importing_cli_loads_no_scipy():
+    # scipy cost about a second of start-up on every command
+    code = (
+        "import sys, judgeval.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
 
 
 def test_summarize_subcommand(toy_experiment, tmp_path, capsys):

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from conftest import build_toy_experiment
+from judgeval import pipeline
 from judgeval.config import load_config
 from judgeval.errors import ConfigError
 from judgeval.pipeline import run_pipeline, sha256_file
@@ -105,6 +106,28 @@ def test_deleting_one_report_recomputes_only_that_stage(toy_experiment):
     again = run_pipeline(config)
     assert again.stages_run() == ["stability"]
     assert again.backend_calls == 0
+
+
+def test_effectiveness_table_is_computed_only_when_a_stage_runs(toy_experiment, monkeypatch):
+    config = load_config(toy_experiment)
+    first = run_pipeline(config)
+    sources = []
+    original = pipeline.effectiveness_by_metric
+
+    def counted(runs, judgments, **kwargs):
+        sources.append(judgments.source.label())
+        return original(runs, judgments, **kwargs)
+
+    monkeypatch.setattr(pipeline, "effectiveness_by_metric", counted)
+    assert run_pipeline(config).stages_run() == []
+    assert sources == []
+
+    stability = first.output_dir / "reports" / "stability.csv"
+    expected = stability.read_bytes()
+    stability.unlink()
+    assert run_pipeline(config).stages_run() == ["stability"]
+    assert sources == ["human"] + ["mock-judge"] * 3  # one table, four qrels sources
+    assert stability.read_bytes() == expected
 
 
 def test_deleting_judgments_recomputes_judge_stage_only(toy_experiment):

@@ -8,7 +8,9 @@ import numpy as np
 import pytest
 
 import oracles
+from judgeval import stability
 from judgeval.stability import (
+    BOOTSTRAP_BLOCK,
     SystemScores,
     bootstrap_tau_ci,
     kendall_tau,
@@ -291,10 +293,62 @@ def test_bootstrap_point_estimate_inside_ci_usually():
     assert inside / trials >= 0.95
 
 
+def _loop_bootstrap_ci(scores_h, scores_l, n_resamples, seed, level=0.95):
+    """Reference: one resample at a time through the pair-counting oracle."""
+    systems = scores_h.systems()
+    topics = sorted(set(scores_h.topics) & set(scores_l.topics))
+    h_matrix = np.array([[scores_h.per_topic[s][t] for t in topics] for s in systems])
+    l_matrix = np.array([[scores_l.per_topic[s][t] for t in topics] for s in systems])
+    rng = np.random.default_rng(seed)
+    taus = []
+    for _ in range(n_resamples):
+        picks = rng.integers(0, len(topics), size=len(topics))
+        taus.append(
+            oracles.kendall_tau_b(
+                h_matrix[:, picks].mean(axis=1).tolist(),
+                l_matrix[:, picks].mean(axis=1).tolist(),
+            )
+        )
+    tail = 100.0 * (1.0 - level) / 2.0
+    return np.percentile(taus, [tail, 100.0 - tail])
+
+
+@pytest.mark.parametrize(
+    "block, n_resamples", [(BOOTSTRAP_BLOCK, BOOTSTRAP_BLOCK + 17), (7, 100), (7, 5)]
+)
+def test_vectorized_bootstrap_matches_loop(monkeypatch, block, n_resamples):
+    monkeypatch.setattr(stability, "BOOTSTRAP_BLOCK", block)
+    rng = random.Random(131)
+    for trial in range(12):
+        topics = [f"t{i}" for i in range(rng.randint(2, 9))]
+        # few distinct scores, so system means tie often
+        h = {f"s{j}": {t: rng.choice([0.0, 0.5, 1.0]) for t in topics} for j in range(6)}
+        l = {
+            tag: {t: rng.choice([v, 0.25]) for t, v in scores.items()}
+            for tag, scores in h.items()
+        }
+        if trial % 3 == 0:
+            # every system equal but on one topic: resamples that miss it tie all
+            h = {tag: {t: (float(j) if t == "t0" else 0.5) for t in topics}
+                 for j, tag in enumerate(h)}
+        scores_h, scores_l = _scores("map", h), _scores("map", l)
+        seed = rng.randint(0, 9999)
+        low, high = bootstrap_tau_ci(scores_h, scores_l, n_resamples=n_resamples, seed=seed)
+        ref_low, ref_high = _loop_bootstrap_ci(scores_h, scores_l, n_resamples, seed)
+        assert low == pytest.approx(ref_low, abs=1e-12)
+        assert high == pytest.approx(ref_high, abs=1e-12)
+
+
 def test_bootstrap_needs_two_topics():
     h = {"s1": {"t1": 0.5}, "s2": {"t1": 0.2}}
     scores = _scores("map", h)
     with pytest.raises(ValueError):
+        bootstrap_tau_ci(scores, scores, n_resamples=10, seed=1)
+
+
+def test_bootstrap_needs_two_systems():
+    scores = _scores("map", {"s1": {"t1": 0.5, "t2": 0.2}})
+    with pytest.raises(ValueError, match="two systems"):
         bootstrap_tau_ci(scores, scores, n_resamples=10, seed=1)
 
 

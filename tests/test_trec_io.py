@@ -8,12 +8,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from judgeval.effectiveness import average_precision, ndcg_at_k
 from judgeval.errors import ConflictError, ParseError
+from judgeval.judge import binarize
 from judgeval.trec_io import (
     FULL_DOCUMENT,
     HUMAN,
     JudgmentSet,
     Modality,
+    Run,
+    RunRecord,
     Source,
     load_corpus,
     load_runs_dir,
@@ -284,3 +288,41 @@ def test_round_trip_property(tmp_path_factory, grades):
     assert parsed.grades == original.grades
     assert parsed.source == original.source
     assert parsed.modality == original.modality
+
+
+TOPIC_IDS = ["t1", "t2", "t3", "t4"]  # t4 never has qrels
+DOC_IDS = ["a", "b", "c", "d", "e"]
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.dictionaries(
+        st.tuples(st.sampled_from(TOPIC_IDS[:3]), st.sampled_from(DOC_IDS)),
+        st.integers(min_value=0, max_value=3),
+        max_size=15,
+    ),
+    st.permutations(DOC_IDS),
+)
+def test_by_topic_index_matches_brute_force_scan(grades, ranking):
+    judgments = JudgmentSet(grades=grades)
+    for topic_id in TOPIC_IDS:
+        expected = {doc: g for (topic, doc), g in grades.items() if topic == topic_id}
+        assert judgments.grades_for_topic(topic_id) == expected
+    assert judgments.grades_for_topic("t4") == {}
+    assert judgments.topics() == sorted({topic for topic, _ in grades})
+
+    run = Run(run_tag="r")
+    for topic_id in TOPIC_IDS:
+        run.topics[topic_id] = [
+            RunRecord(topic_id, doc_id, rank, float(-rank), "r")
+            for rank, doc_id in enumerate(ranking, start=1)
+        ]
+    binary = binarize(judgments, 1)
+    before = (ndcg_at_k(run, judgments), average_precision(run, binary))
+    # grades_for_topic hands out copies: editing them leaves the index intact
+    for judged in (judgments, binary):
+        for topic_id in TOPIC_IDS:
+            view = judged.grades_for_topic(topic_id)
+            view.update(dict.fromkeys(view, 0))
+            view["unjudged"] = 1
+    assert (ndcg_at_k(run, judgments), average_precision(run, binary)) == before
