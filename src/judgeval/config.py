@@ -42,7 +42,6 @@ class ExperimentConfig:
     backend: str = "mock"  # "mock" | "http"
     endpoint: str = ""
     api_key_env: str = ""
-    max_in_flight: int = 8
     max_attempts: int = 5
     summary_slack: float = 1.5
     judge_max_output_tokens: int = 64
@@ -161,7 +160,6 @@ def load_config(path: str | Path) -> ExperimentConfig:
             backend=opt("gateway", "backend", "mock"),
             endpoint=opt("gateway", "endpoint", ""),
             api_key_env=opt("gateway", "api_key_env", ""),
-            max_in_flight=int(opt("gateway", "max_in_flight", "8")),
             max_attempts=int(opt("gateway", "max_attempts", "5")),
             summary_slack=float(opt("experiment", "summary_slack", "1.5")),
             judge_max_output_tokens=int(

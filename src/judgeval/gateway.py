@@ -14,7 +14,7 @@ import json
 import os
 import random
 import re
-import threading
+import sys
 import time
 import urllib.error
 import urllib.request
@@ -24,15 +24,15 @@ from typing import Callable, Iterator
 
 from .errors import GatewayError, ProtocolError
 
-Tokenizer = Callable[[str], int]
+BACKOFF_BASE_S = 1.0  # first retry waits 0.5-1.0 s, doubling per attempt
 
 
 def count_tokens(text: str) -> int:
     """Approximate token count: whitespace word count x 4/3, rounded up.
 
-    Deterministic and monotone under text extension. An exact tokenizer can
-    be plugged in wherever a ``Tokenizer`` is accepted; this is the default
-    used for budget checks and for backends that do not report usage.
+    Deterministic and monotone under text extension. The one token count
+    used for corpus entries, summary budget checks, and the usage of
+    backends that report none.
     """
     words = len(text.split())
     return (4 * words + 2) // 3
@@ -74,6 +74,7 @@ class ChatResponse:
     input_tokens: int
     output_tokens: int
     cached: bool
+    request_hash: str
     token_source: str = "backend"  # "backend" | "approximate"
 
 
@@ -103,23 +104,33 @@ class TransportError(Exception):
 class ResponseCache:
     """Append-only JSONL store of responses, one live entry per request hash.
 
-    Appends are serialized through a single lock; lookups read an in-memory
-    dict rebuilt from the file at open time (last write wins on duplicate
-    hashes).
+    Lookups read an in-memory dict rebuilt from the file at open time (last
+    write wins on duplicate hashes); ``put`` appends one line per entry.
+    An unterminated last line, which is what an append cut short leaves, is
+    dropped and cut from the file; any other unreadable line is an error.
     """
 
     FIELDS = ("hash", "model", "text", "in_tok", "out_tok", "ts")
 
     def __init__(self, path: str | Path):
         self.path = Path(path)
-        self._lock = threading.Lock()
         self._entries: dict[str, CacheEntry] = {}
         if self.path.exists():
             self._load()
 
     def _load(self) -> None:
-        with open(self.path, "r", encoding="utf-8") as fh:
+        size = 0  # bytes up to the end of the last complete line
+        with open(self.path, "rb") as fh:
             for line_no, line in enumerate(fh, start=1):
+                if not line.endswith(b"\n"):  # only the last line can lack it
+                    print(
+                        f"warning: dropping the unterminated last line of {self.path} "
+                        f"(line {line_no}, {len(line)} bytes)",
+                        file=sys.stderr,
+                    )
+                    os.truncate(self.path, size)
+                    break
+                size += len(line)
                 line = line.strip()
                 if not line:
                     continue
@@ -133,7 +144,7 @@ class ResponseCache:
                         output_tokens=int(raw["out_tok"]),
                         timestamp=float(raw["ts"]),
                     )
-                except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+                except (KeyError, TypeError, ValueError) as exc:
                     raise GatewayError(
                         f"corrupt cache line {self.path}:{line_no}: {exc}"
                     ) from exc
@@ -152,14 +163,13 @@ class ResponseCache:
             "ts": entry.timestamp,
         }
         line = json.dumps(record, sort_keys=True, ensure_ascii=False)
-        with self._lock:
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            with open(self.path, "a", encoding="utf-8") as fh:
-                fh.write(line + "\n")
-            self._entries[entry.request_hash] = entry
+        self.path.parent.mkdir(parents=True, exist_ok=True)
+        with open(self.path, "a", encoding="utf-8") as fh:
+            fh.write(line + "\n")
+        self._entries[entry.request_hash] = entry
 
     def entries(self) -> Iterator[CacheEntry]:
-        return iter(list(self._entries.values()))
+        return iter(self._entries.values())
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -267,10 +277,11 @@ class HttpBackend:
 class Gateway:
     """Cached, retrying front door to a single chat backend.
 
-    ``complete`` is safe for concurrent callers: at most ``max_in_flight``
-    backend calls run at once, cache appends go through one writer lock,
-    and concurrent identical requests are deduplicated so each distinct
-    request digest hits the backend at most once.
+    ``complete`` serves one request at a time. A request whose digest is in
+    the cache is answered from it; any other goes to the backend, with
+    transport failures retried under jittered exponential backoff, and its
+    reply is appended to the cache, so each distinct request reaches the
+    backend at most once.
     """
 
     def __init__(
@@ -279,9 +290,6 @@ class Gateway:
         cache_path: str | Path,
         *,
         max_attempts: int = 5,
-        backoff_base: float = 1.0,
-        max_in_flight: int = 8,
-        tokenizer: Tokenizer = count_tokens,
         sleep: Callable[[float], None] = time.sleep,
         clock: Callable[[], float] = time.time,
     ):
@@ -290,15 +298,9 @@ class Gateway:
         self.backend = backend
         self.cache = ResponseCache(cache_path)
         self.max_attempts = max_attempts
-        self.backoff_base = backoff_base
-        self.tokenizer = tokenizer
         self._sleep = sleep
         self._clock = clock
-        self._inflight = threading.BoundedSemaphore(max_in_flight)
         self._jitter = random.Random(0)
-        self._hash_locks: dict[str, threading.Lock] = {}
-        self._locks_guard = threading.Lock()
-        self._stats_lock = threading.Lock()
         self.backend_calls = 0
         self.cache_hits = 0
 
@@ -309,62 +311,51 @@ class Gateway:
         request_hash = req.digest()
         entry = self.cache.get(request_hash)
         if entry is not None:
-            return self._from_cache(entry)
-        with self._locks_guard:
-            lock = self._hash_locks.setdefault(request_hash, threading.Lock())
-        with lock:
-            entry = self.cache.get(request_hash)
-            if entry is not None:
-                return self._from_cache(entry)
-            reply = self._call_with_retries(req)
-            token_source = "backend"
-            in_tok, out_tok = reply.input_tokens, reply.output_tokens
-            if in_tok is None or out_tok is None:
-                token_source = "approximate"
-                in_tok = self.tokenizer((req.system_text or "") + "\n" + req.user_text)
-                out_tok = self.tokenizer(reply.text)
-            self.cache.put(
-                CacheEntry(
-                    request_hash=request_hash,
-                    model=req.model,
-                    text=reply.text,
-                    input_tokens=in_tok,
-                    output_tokens=out_tok,
-                    timestamp=self._clock(),
-                )
-            )
+            self.cache_hits += 1
             return ChatResponse(
+                text=entry.text,
+                input_tokens=entry.input_tokens,
+                output_tokens=entry.output_tokens,
+                cached=True,
+                request_hash=request_hash,
+            )
+        reply = self._call_with_retries(req)
+        token_source = "backend"
+        in_tok, out_tok = reply.input_tokens, reply.output_tokens
+        if in_tok is None or out_tok is None:
+            token_source = "approximate"
+            in_tok = count_tokens((req.system_text or "") + "\n" + req.user_text)
+            out_tok = count_tokens(reply.text)
+        self.cache.put(
+            CacheEntry(
+                request_hash=request_hash,
+                model=req.model,
                 text=reply.text,
                 input_tokens=in_tok,
                 output_tokens=out_tok,
-                cached=False,
-                token_source=token_source,
+                timestamp=self._clock(),
             )
-
-    def _from_cache(self, entry: CacheEntry) -> ChatResponse:
-        with self._stats_lock:
-            self.cache_hits += 1
+        )
         return ChatResponse(
-            text=entry.text,
-            input_tokens=entry.input_tokens,
-            output_tokens=entry.output_tokens,
-            cached=True,
-            token_source="backend",
+            text=reply.text,
+            input_tokens=in_tok,
+            output_tokens=out_tok,
+            cached=False,
+            request_hash=request_hash,
+            token_source=token_source,
         )
 
     def _call_with_retries(self, req: ChatRequest) -> BackendReply:
         for attempt in range(1, self.max_attempts + 1):
             try:
-                with self._inflight:
-                    with self._stats_lock:
-                        self.backend_calls += 1
-                    return self.backend.send(req)
+                self.backend_calls += 1
+                return self.backend.send(req)
             except TransportError as exc:
                 if attempt == self.max_attempts:
                     raise GatewayError(
                         f"backend failed after {attempt} attempts: {exc}",
                         attempts=attempt,
                     ) from exc
-                delay = self.backoff_base * (2 ** (attempt - 1))
+                delay = BACKOFF_BASE_S * (2 ** (attempt - 1))
                 self._sleep(delay * (0.5 + self._jitter.random() / 2))
         raise AssertionError("unreachable")

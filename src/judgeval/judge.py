@@ -22,6 +22,7 @@ from .trec_io import JudgmentSet, Modality, model_source
 
 GRADE_NUDGE = "Answer with a single digit."
 DEFAULT_MAX_OUTPUT_TOKENS = 64
+MAX_PARSE_RETRIES = 3  # attempts per task; the last one carries GRADE_NUDGE
 
 # A standalone 0-3: not glued to other digits and not part of a decimal
 # number on either side.
@@ -130,7 +131,6 @@ def judge_pool(
     model: str,
     *,
     template: str | None = None,
-    max_parse_retries: int = 3,
     max_output_tokens: int = DEFAULT_MAX_OUTPUT_TOKENS,
 ) -> JudgePoolResult:
     """Judge a pool of tasks with one model.
@@ -163,7 +163,7 @@ def judge_pool(
             task, model, template=template, max_output_tokens=max_output_tokens
         )
         try:
-            grade = _judge_one(request, gateway, max_parse_retries)
+            grade = _judge_one(request, gateway)
         except JudgevalError as exc:
             failures.append(TaskFailure(key[0], key[1], str(exc)))
             continue
@@ -181,9 +181,9 @@ def judge_pool(
     return JudgePoolResult(judgments, failures)
 
 
-def _judge_one(request: ChatRequest, gateway: Gateway, attempts: int) -> int | None:
-    for attempt in range(1, attempts + 1):
-        if attempt == attempts and attempts > 1:
+def _judge_one(request: ChatRequest, gateway: Gateway) -> int | None:
+    for attempt in range(1, MAX_PARSE_RETRIES + 1):
+        if attempt == MAX_PARSE_RETRIES:
             nudged = ChatRequest(
                 model=request.model,
                 user_text=request.user_text + "\n\n" + GRADE_NUDGE,

@@ -108,7 +108,7 @@ class _RecordingGateway:
 
     def complete(self, request):
         response = self._inner.complete(request)
-        self.hashes.append(request.digest())
+        self.hashes.append(response.request_hash)
         source = "cache" if response.cached else response.token_source
         self.token_sources[source] = self.token_sources.get(source, 0) + 1
         return response
@@ -125,7 +125,6 @@ def make_gateway(config: ExperimentConfig) -> Gateway:
         backend,
         config.resolved_cache_path(),
         max_attempts=config.max_attempts,
-        max_in_flight=config.max_in_flight,
         clock=clock,
     )
 

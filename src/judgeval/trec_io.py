@@ -29,7 +29,7 @@ from pathlib import Path
 from typing import Iterator, NamedTuple
 
 from .errors import ConflictError, ParseError
-from .gateway import Tokenizer, count_tokens
+from .gateway import count_tokens
 
 VALID_GRADES = (0, 1, 2, 3)
 
@@ -363,7 +363,7 @@ class DocCorpus:
         return sorted(self.entries)
 
 
-def load_corpus(path: str | Path, *, tokenizer: Tokenizer = count_tokens) -> DocCorpus:
+def load_corpus(path: str | Path) -> DocCorpus:
     """Load a line-oriented JSON corpus (fields ``docid``, ``text``)."""
     path = Path(path)
     entries: dict[str, CorpusEntry] = {}
@@ -387,5 +387,5 @@ def load_corpus(path: str | Path, *, tokenizer: Tokenizer = count_tokens) -> Doc
             raise ConflictError(
                 f"duplicate docid {doc_id}", path=str(path), line=line_no
             )
-        entries[doc_id] = CorpusEntry(text=text, token_count=tokenizer(text))
+        entries[doc_id] = CorpusEntry(text=text, token_count=count_tokens(text))
     return DocCorpus(entries=entries)

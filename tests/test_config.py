@@ -74,6 +74,15 @@ def test_config_hash_ignores_output_dir_but_tracks_everything_else(toy_experimen
     assert replace(config, gain="exponential").config_hash() != base
 
 
+def test_old_max_in_flight_key_is_ignored(tmp_path):
+    config_path = build_toy_experiment(tmp_path)
+    base = load_config(config_path).config_hash()
+    text = config_path.read_text()
+    config_path.write_text(text.replace("backend = mock\n", "backend = mock\nmax_in_flight = 2\n"))
+    assert "max_in_flight = 2" in config_path.read_text()
+    assert load_config(config_path).config_hash() == base
+
+
 def test_duplicate_modalities_rejected(toy_experiment):
     config = load_config(toy_experiment)
     with pytest.raises(ConfigError):

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import json
 import random
-import threading
 
 import pytest
 from hypothesis import given, settings
@@ -13,10 +12,12 @@ from hypothesis import strategies as st
 from judgeval.errors import GatewayError, ProtocolError
 from judgeval.gateway import (
     BackendReply,
+    CacheEntry,
     ChatRequest,
     Gateway,
     HttpBackend,
     MockBackend,
+    ResponseCache,
     TransportError,
     count_tokens,
 )
@@ -99,8 +100,6 @@ def test_cache_file_uses_documented_fields(tmp_path):
 
 
 def test_cache_last_write_wins_on_duplicate_hash(tmp_path):
-    from judgeval.gateway import ResponseCache
-
     lines = [
         json.dumps({"hash": "h1", "model": "m", "text": "old", "in_tok": 1, "out_tok": 1, "ts": 0.0}),
         json.dumps({"hash": "h1", "model": "m", "text": "new", "in_tok": 2, "out_tok": 2, "ts": 1.0}),
@@ -117,65 +116,65 @@ def test_corrupt_cache_line_is_an_error(tmp_path):
         _gateway(MockBackend(seed=1), tmp_path)
 
 
+def _cache_line(i: int) -> bytes:
+    # non-ASCII text, written unescaped as ResponseCache.put does, so some
+    # cuts fall inside a multi-byte character
+    record = {"hash": f"h{i}", "model": "m", "text": f"réponse {i}", "in_tok": i, "out_tok": 1, "ts": 0.0}
+    return (json.dumps(record, sort_keys=True, ensure_ascii=False) + "\n").encode()
+
+
+def test_torn_last_cache_line_is_dropped_and_cut(tmp_path, capsys):
+    path = tmp_path / "cache.jsonl"
+    intact = _cache_line(0) + _cache_line(1)
+    last = _cache_line(2)
+    for cut in range(len(last)):  # every byte offset of the final record
+        path.write_bytes(intact + last[:cut])
+        cache = ResponseCache(path)
+        assert path.read_bytes() == intact
+        assert [e.request_hash for e in cache.entries()] == ["h0", "h1"]
+        warning = capsys.readouterr().err
+        assert warning.count("\n") == (1 if cut else 0)
+        assert ("unterminated" in warning) == bool(cut)
+
+        entry = CacheEntry("h9", "m", "late", 1, 1, 0.0)
+        cache.put(entry)
+        reloaded = ResponseCache(path)
+        assert [e.request_hash for e in reloaded.entries()] == ["h0", "h1", "h9"]
+        assert reloaded.get("h9") == entry
+        assert capsys.readouterr().err == ""
+
+
+def test_corrupt_line_before_the_last_stays_an_error(tmp_path):
+    path = tmp_path / "cache.jsonl"
+    data = _cache_line(0)[:10] + b"\n" + _cache_line(1)
+    path.write_bytes(data)
+    with pytest.raises(GatewayError, match=r"cache\.jsonl:1"):
+        ResponseCache(path)
+    assert path.read_bytes() == data
+
+
 class _CountingBackend:
-    """Thread-safe backend that records every request hash it serves."""
+    """Records every request hash it serves."""
 
     def __init__(self):
         self.calls = []
-        self._lock = threading.Lock()
 
     def send(self, req):
-        with self._lock:
-            self.calls.append(req.digest())
+        self.calls.append(req.digest())
         return BackendReply(text="ok", input_tokens=1, output_tokens=1)
 
 
-class _SlowBackend:
-    """Records the peak number of concurrent in-flight calls."""
-
-    def __init__(self):
-        self.active = 0
-        self.peak = 0
-        self._lock = threading.Lock()
-
-    def send(self, req):
-        import time as _time
-
-        with self._lock:
-            self.active += 1
-            self.peak = max(self.peak, self.active)
-        _time.sleep(0.01)
-        with self._lock:
-            self.active -= 1
-        return BackendReply(text="ok", input_tokens=1, output_tokens=1)
-
-
-def test_in_flight_limit_enforced(tmp_path):
-    backend = _SlowBackend()
-    gw = _gateway(backend, tmp_path, max_in_flight=3)
-    requests = [_req(f"distinct prompt {i}") for i in range(12)]
-    threads = [threading.Thread(target=gw.complete, args=(r,)) for r in requests]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    assert backend.peak <= 3
-    assert gw.backend_calls == 12
-
-
-def test_cache_idempotence_under_concurrency(tmp_path):
+def test_each_distinct_request_reaches_the_backend_once(tmp_path):
     backend = _CountingBackend()
-    gw = _gateway(backend, tmp_path, max_in_flight=4)
+    gw = _gateway(backend, tmp_path)
     requests = [_req(f"prompt {i % 7}") for i in range(60)]
-    threads = [threading.Thread(target=gw.complete, args=(r,)) for r in requests]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
+    responses = [gw.complete(r) for r in requests]
     distinct = {r.digest() for r in requests}
-    assert set(backend.calls) == distinct
-    assert len(backend.calls) == len(distinct)
-    assert len(gw.cache) == len(distinct)
+    assert len(distinct) == 7
+    assert sorted(backend.calls) == sorted(distinct)
+    assert len(gw.cache) == 7
+    assert (gw.backend_calls, gw.cache_hits) == (7, 53)
+    assert [resp.request_hash for resp in responses] == [r.digest() for r in requests]
 
 
 # -- mock determinism ----------------------------------------------------------

@@ -156,6 +156,40 @@ def test_two_fresh_runs_are_byte_identical(toy_experiment):
     assert _bundle_digests(out_a.output_dir) == _bundle_digests(out_b.output_dir)
 
 
+def test_run_resumes_after_a_cache_append_cut_short(toy_experiment, capsys):
+    config = load_config(toy_experiment)
+    reference = run_pipeline(replace(config, output_dir=config.output_dir.parent / "ref"))
+    out = run_pipeline(config).output_dir
+
+    # A kill during the last append leaves half a record, no outputs for the
+    # stage that was writing it and no reports.
+    cache = out / "cache.jsonl"
+    data = cache.read_bytes()
+    start = data.rstrip(b"\n").rfind(b"\n") + 1
+    torn_hash = json.loads(data[start:])["hash"]
+    cache.write_bytes(data[: start + (len(data) - start) // 2])
+    stages = [
+        usage
+        for usage in sorted(out.rglob("*.usage.json"))
+        if torn_hash in json.loads(usage.read_text())["request_hashes"]
+    ]
+    assert stages
+    for usage in stages:
+        stem = usage.name[: -len(".usage.json")]
+        for path in usage.parent.glob(stem + ".*"):
+            path.unlink()
+    for path in (out / "reports").iterdir():
+        path.unlink()
+    capsys.readouterr()
+
+    again = run_pipeline(config)
+    assert "unterminated" in capsys.readouterr().err
+    assert again.backend_calls == 1
+    assert cache.read_bytes() == (reference.output_dir / "cache.jsonl").read_bytes()
+    reports = _bundle_digests(out / "reports")
+    assert reports and reports == _bundle_digests(reference.output_dir / "reports")
+
+
 def test_distribution_rows_sum_to_about_hundred(toy_experiment):
     config = load_config(toy_experiment)
     result = run_pipeline(config)
