@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable
 
-from .errors import ParseError, PricingError
+from .errors import JudgevalError, ParseError, PricingError
 from .gateway import CacheEntry, ResponseCache
 
 
@@ -74,10 +74,19 @@ class CostReport:
 
 
 def usage_entries(usage_path: str | Path, cache: ResponseCache) -> list[CacheEntry]:
-    """Cache entries of the request hashes a stage's usage file records."""
+    """Cache entries of the distinct request hashes a stage's usage file
+    records, one per hash. A hash the cache lacks is an error: leaving it out
+    would understate the cost."""
     usage = json.loads(Path(usage_path).read_text(encoding="utf-8"))
-    entries = (cache.get(request_hash) for request_hash in usage["request_hashes"])
-    return [entry for entry in entries if entry is not None]
+    hashes = usage["request_hashes"]
+    entries = [cache.get(request_hash) for request_hash in hashes]
+    missing = entries.count(None)
+    if missing:
+        raise JudgevalError(
+            f"{usage_path}: {missing} of {len(hashes)} request hashes "
+            f"are not in the cache {cache.path}"
+        )
+    return entries
 
 
 def tally_observed(

@@ -2,8 +2,9 @@
 
 A Bing-style zero-shot prompt elicits a 0-3 label per pair; the grade is
 extracted as the last standalone integer in that range, which tolerates the
-decoration zero-shot models add around their answers. Responses that never
-yield a grade are recorded as missing rather than defaulted to 0, so
+decoration zero-shot models add around their answers. A task whose response
+has no grade is asked once more with a "single digit" nudge appended; one
+that still has none is recorded as missing rather than defaulted to 0, so
 downstream agreement statistics see true missing data instead of a biased
 pile of non-relevant labels.
 """
@@ -11,7 +12,7 @@ pile of non-relevant labels.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Iterable, NamedTuple
 
@@ -22,7 +23,6 @@ from .trec_io import JudgmentSet, Modality, model_source
 
 GRADE_NUDGE = "Answer with a single digit."
 DEFAULT_MAX_OUTPUT_TOKENS = 64
-MAX_PARSE_RETRIES = 3  # attempts per task; the last one carries GRADE_NUDGE
 
 # A standalone 0-3: not glued to other digits and not part of a decimal
 # number on either side.
@@ -135,9 +135,9 @@ def judge_pool(
 ) -> JudgePoolResult:
     """Judge a pool of tasks with one model.
 
-    Unparseable responses are retried with the identical request (a no-op
-    against the cache under deterministic decoding) and, on the final
-    attempt, with a "single digit" nudge appended; tasks still unparseable
+    Each task gets one plain attempt and, if its response has no grade, one
+    attempt with a "single digit" nudge appended. (Repeating the plain
+    request would only replay the cached response.) Tasks still unparseable
     after that, or failing at the gateway, land in the failure ledger. Every
     task ends up either as a judgment record or a ledger entry.
     """
@@ -182,22 +182,11 @@ def judge_pool(
 
 
 def _judge_one(request: ChatRequest, gateway: Gateway) -> int | None:
-    for attempt in range(1, MAX_PARSE_RETRIES + 1):
-        if attempt == MAX_PARSE_RETRIES:
-            nudged = ChatRequest(
-                model=request.model,
-                user_text=request.user_text + "\n\n" + GRADE_NUDGE,
-                system_text=request.system_text,
-                max_output_tokens=request.max_output_tokens,
-                temperature=request.temperature,
-            )
-            response = gateway.complete(nudged)
-        else:
-            response = gateway.complete(request)
-        grade = parse_grade(response.text)
-        if grade is not None:
-            return grade
-    return None
+    grade = parse_grade(gateway.complete(request).text)
+    if grade is None:
+        nudged = replace(request, user_text=request.user_text + "\n\n" + GRADE_NUDGE)
+        grade = parse_grade(gateway.complete(nudged).text)
+    return grade
 
 
 def binarize(judgments: JudgmentSet, threshold: int = 1) -> JudgmentSet:

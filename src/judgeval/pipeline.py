@@ -64,7 +64,6 @@ class StageError(JudgevalError):
 class StageOutcome:
     name: str
     status: str  # "ran" | "skipped"
-    outputs: list[str]
 
 
 @dataclass
@@ -98,19 +97,27 @@ def _slug(text: str) -> str:
     return re.sub(r"[^A-Za-z0-9._-]", "", text.replace(":", "-"))
 
 
+def _summary_stem(budget: int) -> str:
+    """Bundle path of one budget's summary files, without the suffix."""
+    return f"summaries/summ{budget}"
+
+
+def _cell_stem(model: str, modality: Modality) -> str:
+    """Bundle path of one judge cell's files, without the suffix."""
+    return f"judgments/{_slug(model)}__{_slug(str(modality))}"
+
+
 class _RecordingGateway:
-    """Per-stage wrapper that records which request hashes a stage used."""
+    """Per-stage wrapper that records the distinct request hashes a stage
+    used, whether the cache or the backend answered them."""
 
     def __init__(self, inner: Gateway):
         self._inner = inner
-        self.hashes: list[str] = []
-        self.token_sources: dict[str, int] = {}
+        self.hashes: set[str] = set()
 
     def complete(self, request):
         response = self._inner.complete(request)
-        self.hashes.append(response.request_hash)
-        source = "cache" if response.cached else response.token_source
-        self.token_sources[source] = self.token_sources.get(source, 0) + 1
+        self.hashes.add(response.request_hash)
         return response
 
 
@@ -231,7 +238,7 @@ class _Pipeline:
         self.summary_budgets = sorted(
             m.budget_tokens for m in config.modalities if m.kind == "summary"
         )
-        self.summaries: dict[int, SummarySet] = {}
+        # read back from the files each judge stage's manifest record digested
         self.judgments: dict[tuple[str, str], JudgmentSet] = {}
         self.stage_fingerprints: dict[str, str] = {}
 
@@ -298,7 +305,7 @@ class _Pipeline:
             )
             and set(record.get("outputs", {})) == set(outputs)
         ):
-            self.outcomes.append(StageOutcome(name, "skipped", outputs))
+            self.outcomes.append(StageOutcome(name, "skipped"))
             return
         try:
             producer()
@@ -309,25 +316,19 @@ class _Pipeline:
             "fingerprint": fingerprint,
             "outputs": digests,
         }
-        self.outcomes.append(StageOutcome(name, "ran", outputs))
+        self.outcomes.append(StageOutcome(name, "ran"))
         self._save_manifest()
 
     def _write(self, rel: str, text: str) -> None:
         atomic_write_text(self.out / rel, text)
 
     def _write_usage(self, rel: str, recorder: _RecordingGateway) -> None:
-        input_tokens = 0
-        output_tokens = 0
-        for request_hash in recorder.hashes:
-            entry = self.gateway.cache.get(request_hash)
-            if entry is not None:
-                input_tokens += entry.input_tokens
-                output_tokens += entry.output_tokens
+        hashes = sorted(recorder.hashes)
+        entries = [self.gateway.cache.get(request_hash) for request_hash in hashes]
         usage = {
-            "request_hashes": sorted(set(recorder.hashes)),
-            "input_tokens": input_tokens,
-            "output_tokens": output_tokens,
-            "token_sources": dict(sorted(recorder.token_sources.items())),
+            "request_hashes": hashes,
+            "input_tokens": sum(entry.input_tokens for entry in entries),
+            "output_tokens": sum(entry.output_tokens for entry in entries),
         }
         self._write(rel, json.dumps(usage, indent=2, sort_keys=True) + "\n")
 
@@ -354,8 +355,8 @@ class _Pipeline:
 
     def _summarize_stage(self, budget: int) -> None:
         name = f"summarize:{budget}"
-        rel = f"summaries/summ{budget}.jsonl"
-        rel_usage = f"summaries/summ{budget}.usage.json"
+        rel = f"{_summary_stem(budget)}.jsonl"
+        rel_usage = f"{_summary_stem(budget)}.usage.json"
         inputs = {
             "corpus": self.input_digests["corpus"],
             "budget": budget,
@@ -378,19 +379,16 @@ class _Pipeline:
             )
             write_summaries(summaries, self.out / rel)
             self._write_usage(rel_usage, recorder)
-            self.summaries[budget] = summaries
 
         self._stage(name, inputs, [rel, rel_usage], produce)
-        if budget not in self.summaries:
-            self.summaries[budget] = read_summaries(self.out / rel)
 
     def _judge_stage(self, model: str, modality: Modality) -> None:
-        cell = f"{_slug(model)}__{_slug(str(modality))}"
+        stem = _cell_stem(model, modality)
         name = f"judge:{model}:{modality}"
-        rel_qrels = f"judgments/{cell}.qrels"
-        rel_meta = f"judgments/{cell}.qrels.meta.json"
-        rel_errors = f"judgments/{cell}.errors.json"
-        rel_usage = f"judgments/{cell}.usage.json"
+        rel_qrels = f"{stem}.qrels"
+        rel_meta = f"{stem}.qrels.meta.json"
+        rel_errors = f"{stem}.errors.json"
+        rel_usage = f"{stem}.usage.json"
         inputs = {
             "qrels": self.input_digests["qrels"],
             "topics": self.input_digests["topics"],
@@ -413,12 +411,18 @@ class _Pipeline:
 
         def produce() -> None:
             recorder = _RecordingGateway(self.gateway)
+            summaries = None
+            if modality.kind == "summary":
+                # the file the summarize stage wrote or found intact
+                summaries = read_summaries(
+                    self.out / f"{_summary_stem(modality.budget_tokens)}.jsonl"
+                )
             tasks, skipped = build_tasks(
                 pool_pairs(self.config, self.human, self.runs),
                 self.topics,
                 self.corpus,
                 modality,
-                self.summaries.get(modality.budget_tokens),
+                summaries,
             )
             result = judge_pool(
                 tasks,
@@ -436,11 +440,9 @@ class _Pipeline:
             }
             self._write(rel_errors, json.dumps(ledger, indent=2, sort_keys=True) + "\n")
             self._write_usage(rel_usage, recorder)
-            self.judgments[(model, str(modality))] = result.judgments
 
         self._stage(name, inputs, [rel_qrels, rel_meta, rel_errors, rel_usage], produce)
-        if (model, str(modality)) not in self.judgments:
-            self.judgments[(model, str(modality))] = parse_qrels(self.out / rel_qrels)
+        self.judgments[(model, str(modality))] = parse_qrels(self.out / rel_qrels)
 
     def _cells(self) -> list[tuple[str, Modality]]:
         return [
@@ -580,21 +582,19 @@ class _Pipeline:
 
     def _cost_stage(self) -> None:
         rel = "reports/cost.csv"
-        usage_files = {
-            f"summ:{b}": f"summaries/summ{b}.usage.json"
-            for b in self.summary_budgets
+        summary_usage = {
+            f"summ:{b}": f"{_summary_stem(b)}.usage.json" for b in self.summary_budgets
         }
         judge_usage = {
             str(modality): [
-                f"judgments/{_slug(model)}__{_slug(str(modality))}.usage.json"
-                for model in self.config.models
+                f"{_cell_stem(model, modality)}.usage.json" for model in self.config.models
             ]
             for modality in self.config.modalities
         }
         inputs = {
             "summarize": {
-                name: self.stage_fingerprints[f"summarize:{name.split(':')[1]}"]
-                for name in usage_files
+                f"summ:{b}": self.stage_fingerprints[f"summarize:{b}"]
+                for b in self.summary_budgets
             },
             "judges": self._judge_fingerprints(),
             "prices": {
@@ -612,7 +612,7 @@ class _Pipeline:
                     stage="summarization",
                     modality=modality_str,
                 )
-                for modality_str, usage_rel in usage_files.items()
+                for modality_str, usage_rel in summary_usage.items()
             ]
             tallies += [
                 tally_observed(

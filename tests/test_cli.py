@@ -230,6 +230,29 @@ def test_cost_tally_subcommand(toy_experiment, tmp_path, capsys):
     )
 
 
+def test_cost_tally_rejects_usage_hashes_missing_from_cache(toy_bundle, tmp_path, capsys):
+    usage = toy_bundle / "out" / "judgments" / "mock-judge__full.usage.json"
+    empty = tmp_path / "empty.jsonl"
+    empty.write_text("")
+    argv = ["cost", "--cache", str(empty), "--usage", str(usage)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert str(usage) in err and str(empty) in err
+
+
+def test_run_fails_when_cache_lacks_usage_hashes(toy_experiment, capsys):
+    # without its cache a bundle cannot be costed; the cost stage must not
+    # report zero tokens
+    assert main(["run", "--config", str(toy_experiment)]) == 0
+    out_dir = toy_experiment.parent / "out"
+    (out_dir / "cache.jsonl").unlink()
+    (out_dir / "reports" / "cost.csv").unlink()
+    capsys.readouterr()
+    assert main(["run", "--config", str(toy_experiment)]) == 1
+    assert "stage 'cost' failed" in capsys.readouterr().err
+    assert not (out_dir / "reports" / "cost.csv").exists()
+
+
 def test_cost_requires_cache_or_extrapolate():
     assert main(["cost"]) == 2
 

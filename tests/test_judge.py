@@ -168,6 +168,14 @@ def test_judge_pool_parses_decorated_answer(tmp_path):
 def test_judge_pool_unparseable_goes_to_ledger(tmp_path):
     backend = _FixedBackend("maybe")
     gw = _gateway(tmp_path, backend)
+    requests = []
+    complete = gw.complete
+
+    def counted(req):
+        requests.append(req)
+        return complete(req)
+
+    gw.complete = counted
     tasks = _tasks(5)
     result = judge_pool(tasks, gw, "m")
     assert len(result.judgments) == 0
@@ -175,6 +183,11 @@ def test_judge_pool_unparseable_goes_to_ledger(tmp_path):
     assert all(f.reason == "no parseable grade" for f in result.failures)
     # pool coverage: every task is either a record or a ledger entry
     assert len(result.judgments) + len(result.failures) == len(tasks)
+    # one plain and one nudged attempt per task, none answered by the cache
+    assert len(requests) == 10
+    assert sum(req.user_text.endswith(GRADE_NUDGE) for req in requests) == 5
+    assert backend.calls == gw.backend_calls == 10
+    assert gw.cache_hits == 0
 
 
 def test_judge_pool_nudge_rescues_final_attempt(tmp_path):
