@@ -235,27 +235,18 @@ class AgreementReport:
         return tuple(out)
 
 
-def agreement_report(
-    a: JudgmentSet,
-    b: JudgmentSet,
-    *,
-    graded: bool,
-    weighted_scheme: str = "quadratic",
-    alpha_metric: str | None = None,
-) -> AgreementReport:
-    """Graded reports pair weighted kappa with ordinal alpha; binary reports
-    pair plain kappa with nominal alpha. Either default can be overridden."""
+def agreement_report(a: JudgmentSet, b: JudgmentSet, *, graded: bool) -> AgreementReport:
+    """Graded reports pair quadratic weighted kappa with ordinal alpha;
+    binary reports pair plain kappa with nominal alpha."""
     labels = GRADED_LABELS if graded else BINARY_LABELS
-    if alpha_metric is None:
-        alpha_metric = "ordinal" if graded else "nominal"
     n_items, n_missing = pair_coverage(a, b)
     if n_items < 2:
         raise ValueError("agreement needs at least two co-judged pairs")
     matrix = ConfusionMatrix.from_sets(a, b, labels=labels)
     return AgreementReport(
         kappa=cohen_kappa(matrix),
-        weighted_kappa=weighted_kappa(matrix, weighted_scheme) if graded else None,
-        alpha=krippendorff_alpha(a, b, alpha_metric),
+        weighted_kappa=weighted_kappa(matrix) if graded else None,
+        alpha=krippendorff_alpha(a, b, "ordinal" if graded else "nominal"),
         n_items=n_items,
         n_missing=n_missing,
     )

@@ -48,6 +48,9 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
+    except FileNotFoundError as exc:
+        print(f"config error: path does not exist: {exc.filename}", file=sys.stderr)
+        return 2
     except JudgevalError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -241,7 +244,7 @@ def _cmd_judge(args) -> int:
         template=template,
         max_output_tokens=config.judge_max_output_tokens,
     )
-    write_judgments(result.judgments, args.out, created_at=gateway.now())
+    write_judgments(result.judgments, args.out)
     print(
         f"{len(result.judgments)} judgments -> {args.out} "
         f"({len(result.failures)} failed, {len(skipped)} pairs skipped)"
@@ -287,6 +290,8 @@ def _system_scores(path: str, metric: str) -> SystemScores:
 
 
 def _cmd_stability(args) -> int:
+    if args.resamples < 1:
+        raise ConfigError("--resamples must be >= 1")
     report = stability_report(
         _system_scores(args.per_topic_h, args.metric),
         _system_scores(args.per_topic_l, args.metric),
@@ -315,6 +320,8 @@ def _cmd_cost(args) -> int:
     else:
         if not args.cache:
             raise ConfigError("either --cache or --extrapolate is required")
+        if not Path(args.cache).exists():
+            raise ConfigError(f"cache path does not exist: {args.cache}")
         cache = ResponseCache(args.cache)
         entries = usage_entries(args.usage, cache) if args.usage else list(cache.entries())
         report = tally_observed(

@@ -67,6 +67,11 @@ class ExperimentConfig:
             raise ConfigError("http backend requires an endpoint")
         if not 0.0 < self.rbo_p < 1.0:
             raise ConfigError("rbo_p must lie strictly between 0 and 1")
+        for name in (
+            "bootstrap_samples", "ndcg_k", "pool_depth", "max_attempts", "judge_max_output_tokens"
+        ):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
         if len(set(map(str, self.modalities))) != len(self.modalities):
             raise ConfigError("duplicate modalities configured")
         if len(set(self.models)) != len(self.models):

@@ -77,8 +77,10 @@ def usage_entries(usage_path: str | Path, cache: ResponseCache) -> list[CacheEnt
     """Cache entries of the distinct request hashes a stage's usage file
     records, one per hash. A hash the cache lacks is an error: leaving it out
     would understate the cost."""
-    usage = json.loads(Path(usage_path).read_text(encoding="utf-8"))
-    hashes = usage["request_hashes"]
+    try:
+        hashes = json.loads(Path(usage_path).read_text(encoding="utf-8"))["request_hashes"]
+    except (json.JSONDecodeError, KeyError, TypeError) as exc:
+        raise ParseError(f"bad usage file: {exc}", path=str(usage_path)) from exc
     entries = [cache.get(request_hash) for request_hash in hashes]
     missing = entries.count(None)
     if missing:

@@ -13,7 +13,7 @@ class ParseError(JudgevalError):
     def __init__(self, message: str, *, path: str | None = None, line: int | None = None):
         location = ""
         if path is not None:
-            location = f"{path}:" if line is None else f"{path}:{line}: "
+            location = f"{path}: " if line is None else f"{path}:{line}: "
         super().__init__(f"{location}{message}")
         self.path = path
         self.line = line

@@ -85,7 +85,6 @@ class CacheEntry:
     text: str
     input_tokens: int
     output_tokens: int
-    timestamp: float
 
 
 @dataclass(frozen=True)
@@ -108,9 +107,9 @@ class ResponseCache:
     write wins on duplicate hashes); ``put`` appends one line per entry.
     An unterminated last line, which is what an append cut short leaves, is
     dropped and cut from the file; any other unreadable line is an error.
+    Keys beyond the five that ``put`` writes, such as the time stamp that
+    older caches carry, are ignored.
     """
-
-    FIELDS = ("hash", "model", "text", "in_tok", "out_tok", "ts")
 
     def __init__(self, path: str | Path):
         self.path = Path(path)
@@ -142,7 +141,6 @@ class ResponseCache:
                         text=raw["text"],
                         input_tokens=int(raw["in_tok"]),
                         output_tokens=int(raw["out_tok"]),
-                        timestamp=float(raw["ts"]),
                     )
                 except (KeyError, TypeError, ValueError) as exc:
                     raise GatewayError(
@@ -160,7 +158,6 @@ class ResponseCache:
             "text": entry.text,
             "in_tok": entry.input_tokens,
             "out_tok": entry.output_tokens,
-            "ts": entry.timestamp,
         }
         line = json.dumps(record, sort_keys=True, ensure_ascii=False)
         self.path.parent.mkdir(parents=True, exist_ok=True)
@@ -291,7 +288,6 @@ class Gateway:
         *,
         max_attempts: int = 5,
         sleep: Callable[[float], None] = time.sleep,
-        clock: Callable[[], float] = time.time,
     ):
         if max_attempts < 1:
             raise ValueError("max_attempts must be >= 1")
@@ -299,13 +295,9 @@ class Gateway:
         self.cache = ResponseCache(cache_path)
         self.max_attempts = max_attempts
         self._sleep = sleep
-        self._clock = clock
         self._jitter = random.Random(0)
         self.backend_calls = 0
         self.cache_hits = 0
-
-    def now(self) -> float:
-        return self._clock()
 
     def complete(self, req: ChatRequest) -> ChatResponse:
         request_hash = req.digest()
@@ -333,7 +325,6 @@ class Gateway:
                 text=reply.text,
                 input_tokens=in_tok,
                 output_tokens=out_tok,
-                timestamp=self._clock(),
             )
         )
         return ChatResponse(

@@ -3,13 +3,14 @@
 Stage outputs are content-addressed: each stage records a fingerprint over
 its inputs (config slice, input-file digests, upstream fingerprints) plus
 digests of the files it wrote. A re-run skips every stage whose fingerprint
-and outputs are intact, so completed mock experiments replay with zero
-backend calls and deleted outputs trigger exactly the stages that produced
-them.
+and outputs are intact, so completed experiments replay with zero backend
+calls and deleted outputs trigger exactly the stages that produced them.
 
-All outputs are written atomically and all floats are formatted with fixed
-precision, so identical configs and seeds produce byte-identical bundles
-under the mock backend.
+All outputs are written atomically, all floats are formatted with fixed
+precision, and no file carries a time stamp, so a bundle's bytes depend
+only on the config, the seed, the inputs and the backend's replies. Under
+either backend, a fresh run and a ``--force`` re-run served from the cache
+give the same bytes.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ from __future__ import annotations
 import hashlib
 import json
 import re
-import time
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -124,16 +124,9 @@ class _RecordingGateway:
 def make_gateway(config: ExperimentConfig) -> Gateway:
     if config.backend == "mock":
         backend = MockBackend(seed=config.seed)
-        clock: Callable[[], float] = lambda: 0.0
     else:
         backend = HttpBackend(config.endpoint, config.api_key_env)
-        clock = time.time
-    return Gateway(
-        backend,
-        config.resolved_cache_path(),
-        max_attempts=config.max_attempts,
-        clock=clock,
-    )
+    return Gateway(backend, config.resolved_cache_path(), max_attempts=config.max_attempts)
 
 
 def pool_pairs(
@@ -431,9 +424,7 @@ class _Pipeline:
                 template=self.judge_template,
                 max_output_tokens=self.config.judge_max_output_tokens,
             )
-            write_judgments(
-                result.judgments, self.out / rel_qrels, created_at=self.gateway.now()
-            )
+            write_judgments(result.judgments, self.out / rel_qrels)
             ledger = {
                 "skipped_pairs": skipped,
                 "failed_tasks": [f._asdict() for f in result.failures],

@@ -18,6 +18,7 @@ from .agreement import StatValue
 from .effectiveness import EffectivenessRow
 
 BOOTSTRAP_BLOCK = 256  # resamples per tau-b batch; bounds working memory
+CI_LEVEL = 0.95  # coverage of the bootstrap tau interval
 
 
 @dataclass(frozen=True)
@@ -162,17 +163,14 @@ def bootstrap_tau_ci(
     scores_h: SystemScores,
     scores_l: SystemScores,
     n_resamples: int = 2000,
-    level: float = 0.95,
     seed: int = 0,
 ) -> tuple[float, float]:
-    """Percentile bootstrap CI for tau-b between two score sources.
+    """Percentile bootstrap CI (``CI_LEVEL``) for tau-b between two score sources.
 
     Resamples the shared evaluated-topic set with replacement, recomputes
     every system's mean over the sampled multiset for both sources, and
     takes percentile endpoints of the resulting tau distribution.
     """
-    if not 0.0 < level < 1.0:
-        raise ValueError("level must lie strictly between 0 and 1")
     systems = scores_h.systems()
     if systems != scores_l.systems():
         raise ValueError("score sources cover different systems")
@@ -192,7 +190,7 @@ def bootstrap_tau_ci(
         picks = np.array([rng.integers(0, n_topics, size=n_topics) for _ in block])
         means_h, means_l = h_matrix[:, picks].mean(axis=2), l_matrix[:, picks].mean(axis=2)
         taus.append(_tau_b(means_h.T, means_l.T))
-    tail = 100.0 * (1.0 - level) / 2.0
+    tail = 100.0 * (1.0 - CI_LEVEL) / 2.0
     low, high = np.percentile(np.concatenate(taus), [tail, 100.0 - tail])
     return float(low), float(high)
 
@@ -223,13 +221,10 @@ def stability_report(
     *,
     rbo_p: float = 0.9,
     n_resamples: int = 2000,
-    level: float = 0.95,
     seed: int = 0,
 ) -> StabilityReport:
     x, y = _aligned(scores_h.per_system, scores_l.per_system)
-    ci_low, ci_high = bootstrap_tau_ci(
-        scores_h, scores_l, n_resamples=n_resamples, level=level, seed=seed
-    )
+    ci_low, ci_high = bootstrap_tau_ci(scores_h, scores_l, n_resamples=n_resamples, seed=seed)
     return StabilityReport(
         metric=scores_h.metric,
         kendall_tau=kendall_tau(x, y),

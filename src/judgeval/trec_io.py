@@ -5,8 +5,8 @@ Formats handled here:
 - qrels: ``topic iter docid grade``, ASCII whitespace separated, LF or CRLF.
   Grades are the four-point scale 0-3; the ``iter`` column is read and
   discarded. A judgment sidecar (``<path>.meta.json``) records provenance:
-  ``source``, ``modality``, ``budget_tokens``, ``model``, ``prompt_sha256``,
-  ``created_at``.
+  ``source``, ``modality``, ``budget_tokens``, ``model``, ``prompt_sha256``.
+  It carries no time stamp, so it is a function of the judgments alone.
 - runs: ``topic Q0 docid rank score tag``. Records are regrouped by topic
   and re-sorted by descending score with ranks recomputed; score ties are
   broken by ascending docid so evaluation is deterministic across platforms.
@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from datetime import datetime, timezone
 from functools import cached_property
 from pathlib import Path
 from typing import Iterator, NamedTuple
@@ -157,16 +156,10 @@ def sidecar_path(path: str | Path) -> Path:
     return Path(str(path) + ".meta.json")
 
 
-def parse_qrels(
-    path: str | Path,
-    *,
-    source: Source | None = None,
-    modality: Modality | None = None,
-) -> JudgmentSet:
+def parse_qrels(path: str | Path) -> JudgmentSet:
     """Parse a qrels file into a JudgmentSet.
 
-    If a sidecar exists next to the file its provenance is used; explicit
-    ``source``/``modality`` arguments override it. Without either, records
+    Provenance comes from the sidecar next to the file; without one, records
     default to human full-document provenance.
     """
     path = Path(path)
@@ -202,8 +195,8 @@ def parse_qrels(
     meta_source, meta_modality, prompt_sha = _read_sidecar(sidecar_path(path))
     return JudgmentSet(
         grades=grades,
-        source=source or meta_source or HUMAN,
-        modality=modality or meta_modality or FULL_DOCUMENT,
+        source=meta_source or HUMAN,
+        modality=meta_modality or FULL_DOCUMENT,
         prompt_sha256=prompt_sha,
     )
 
@@ -225,9 +218,7 @@ def _read_sidecar(path: Path) -> tuple[Source | None, Modality | None, str | Non
         raise ParseError(f"bad judgment sidecar: {exc}", path=str(path)) from exc
 
 
-def write_judgments(
-    judgments: JudgmentSet, path: str | Path, *, created_at: float | None = None
-) -> None:
+def write_judgments(judgments: JudgmentSet, path: str | Path) -> None:
     """Write a qrels file plus its provenance sidecar.
 
     Round-trips losslessly through parse_qrels, including provenance.
@@ -237,14 +228,12 @@ def write_judgments(
         f"{rec.topic_id} 0 {rec.doc_id} {rec.grade}\n" for rec in judgments.records()
     ]
     atomic_write_text(path, "".join(lines))
-    stamp = 0.0 if created_at is None else created_at
     meta = {
         "source": judgments.source.kind,
         "modality": judgments.modality.kind,
         "budget_tokens": judgments.modality.budget_tokens,
         "model": judgments.source.model,
         "prompt_sha256": judgments.prompt_sha256,
-        "created_at": datetime.fromtimestamp(stamp, tz=timezone.utc).isoformat(),
     }
     atomic_write_text(
         sidecar_path(path), json.dumps(meta, indent=2, sort_keys=True) + "\n"

@@ -8,6 +8,8 @@ from pathlib import Path
 
 import pytest
 
+from judgeval.pipeline import sha256_file
+
 VOCAB = (
     "coral reef survey ocean temperature rise sensor data model forecast "
     "harbor tide chart vessel route cargo manifest port authority permit "
@@ -107,6 +109,11 @@ def build_toy_experiment(root: Path, *, seed: int = 42, out_name: str = "out") -
         encoding="utf-8",
     )
     return config_path
+
+
+def bundle_digests(out: Path) -> dict[str, str]:
+    """SHA-256 of every file of a bundle, keyed by its path inside ``out``."""
+    return {str(p.relative_to(out)): sha256_file(p) for p in sorted(out.rglob("*")) if p.is_file()}
 
 
 @pytest.fixture

@@ -257,6 +257,62 @@ def test_cost_requires_cache_or_extrapolate():
     assert main(["cost"]) == 2
 
 
+def test_cost_missing_cache_is_config_error(tmp_path, capsys):
+    missing = tmp_path / "missing.jsonl"
+    assert main(["cost", "--cache", str(missing)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""  # no all-zero cost table
+    assert captured.err.startswith("config error: ") and str(missing) in captured.err
+    assert not missing.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["cost", "--cache", "{cache}", "--usage", "{missing}"],
+        ["agreement", "--qrels-a", "{missing}", "--qrels-b", "{qrels}"],
+        ["agreement", "--qrels-a", "{qrels}", "--qrels-b", "{missing}"],
+        ["effectiveness", "--qrels", "{missing}", "--runs-dir", "{runs}"],
+        ["effectiveness", "--qrels", "{qrels}", "--runs-dir", "{missing}"],
+        ["stability", "--per-topic-h", "{missing}", "--per-topic-l", "{missing}",
+         "--metric", "map"],
+    ],
+    ids=["cost-usage", "agreement-a", "agreement-b", "eff-qrels", "eff-runs", "stability"],
+)
+def test_missing_input_file_is_config_error(toy_bundle, tmp_path, capsys, argv):
+    missing = tmp_path / "missing"
+    paths = {
+        "cache": toy_bundle / "out" / "cache.jsonl",
+        "qrels": toy_bundle / "qrels.txt",
+        "runs": toy_bundle / "runs",
+        "missing": missing,
+    }
+    assert main([arg.format(**paths) for arg in argv]) == 2
+    err = capsys.readouterr().err
+    assert err == f"config error: path does not exist: {missing}\n"
+
+
+@pytest.mark.parametrize("content", ["not json", "{}", "[]"])
+def test_bad_usage_file_is_parse_error(toy_bundle, tmp_path, capsys, content):
+    usage = tmp_path / "usage.json"
+    usage.write_text(content)
+    cache = toy_bundle / "out" / "cache.jsonl"
+    assert main(["cost", "--cache", str(cache), "--usage", str(usage)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {usage}: bad usage file")
+
+
+@pytest.mark.parametrize("resamples", ["0", "-5"])
+def test_stability_rejects_non_positive_resamples(toy_bundle, capsys, resamples):
+    per_topic = toy_bundle / "out" / "reports" / "effectiveness_per_topic.csv"
+    argv = [
+        "stability", "--per-topic-h", str(per_topic), "--per-topic-l", str(per_topic),
+        "--metric", "map", "--resamples", resamples,
+    ]
+    assert main(argv) == 2
+    assert "--resamples" in capsys.readouterr().err
+
+
 def test_judge_pricing_error_exit_code_1(toy_experiment, tmp_path):
     # a price table missing the mock model fails in the cost stage
     prices = toy_experiment.parent / "prices.json"

@@ -7,6 +7,7 @@ from dataclasses import replace
 import pytest
 
 from conftest import build_toy_experiment
+from judgeval.cli import main
 from judgeval.config import load_config
 from judgeval.errors import ConfigError
 from judgeval.trec_io import Modality
@@ -87,3 +88,24 @@ def test_duplicate_modalities_rejected(toy_experiment):
     config = load_config(toy_experiment)
     with pytest.raises(ConfigError):
         replace(config, modalities=[Modality.parse("full"), Modality.parse("full")])
+
+
+@pytest.mark.parametrize(
+    "section, option",
+    [
+        ("metrics", "bootstrap_samples"),
+        ("metrics", "ndcg_k"),
+        ("experiment", "pool_depth"),
+        ("gateway", "max_attempts"),
+        ("experiment", "judge_max_output_tokens"),
+    ],
+)
+def test_non_positive_counts_rejected_at_load(tmp_path, capsys, section, option):
+    config_path = build_toy_experiment(tmp_path)
+    text = config_path.read_text().replace("bootstrap_samples = 500\n", "")
+    config_path.write_text(text.replace(f"[{section}]\n", f"[{section}]\n{option} = 0\n"))
+    with pytest.raises(ConfigError, match=option):
+        load_config(config_path)
+    assert main(["run", "--config", str(config_path)]) == 2
+    assert option in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()  # rejected before any stage ran

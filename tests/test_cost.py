@@ -26,7 +26,6 @@ def _entry(model="gpt-4o", in_tok=100, out_tok=10, h="x"):
         text="...",
         input_tokens=in_tok,
         output_tokens=out_tok,
-        timestamp=0.0,
     )
 
 

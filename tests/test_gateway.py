@@ -96,7 +96,7 @@ def test_cache_file_uses_documented_fields(tmp_path):
     gw = _gateway(MockBackend(seed=1), tmp_path)
     gw.complete(_req())
     line = (tmp_path / "cache.jsonl").read_text().strip()
-    assert set(json.loads(line)) == {"hash", "model", "text", "in_tok", "out_tok", "ts"}
+    assert set(json.loads(line)) == {"hash", "model", "text", "in_tok", "out_tok"}
 
 
 def test_cache_last_write_wins_on_duplicate_hash(tmp_path):
@@ -118,7 +118,8 @@ def test_corrupt_cache_line_is_an_error(tmp_path):
 
 def _cache_line(i: int) -> bytes:
     # non-ASCII text, written unescaped as ResponseCache.put does, so some
-    # cuts fall inside a multi-byte character
+    # cuts fall inside a multi-byte character; the "ts" key is the format
+    # of older caches, which still load
     record = {"hash": f"h{i}", "model": "m", "text": f"réponse {i}", "in_tok": i, "out_tok": 1, "ts": 0.0}
     return (json.dumps(record, sort_keys=True, ensure_ascii=False) + "\n").encode()
 
@@ -136,7 +137,7 @@ def test_torn_last_cache_line_is_dropped_and_cut(tmp_path, capsys):
         assert warning.count("\n") == (1 if cut else 0)
         assert ("unterminated" in warning) == bool(cut)
 
-        entry = CacheEntry("h9", "m", "late", 1, 1, 0.0)
+        entry = CacheEntry("h9", "m", "late", 1, 1)
         cache.put(entry)
         reloaded = ResponseCache(path)
         assert [e.request_hash for e in reloaded.entries()] == ["h0", "h1", "h9"]

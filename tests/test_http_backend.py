@@ -5,11 +5,15 @@ from __future__ import annotations
 import http.server
 import json
 import threading
+from dataclasses import replace
 
 import pytest
 
+from conftest import build_toy_experiment, bundle_digests
+from judgeval.config import load_config
 from judgeval.errors import GatewayError, ProtocolError
-from judgeval.gateway import ChatRequest, Gateway, HttpBackend
+from judgeval.gateway import ChatRequest, Gateway, HttpBackend, MockBackend
+from judgeval.pipeline import run_pipeline
 
 
 class _StubHandler(http.server.BaseHTTPRequestHandler):
@@ -19,19 +23,16 @@ class _StubHandler(http.server.BaseHTTPRequestHandler):
 
     def do_POST(self):
         server = self.server
-        server.requests.append(
-            {
-                "headers": dict(self.headers),
-                "body": json.loads(self.rfile.read(int(self.headers["Content-Length"]))),
-            }
-        )
+        body = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
+        server.requests.append({"headers": dict(self.headers), "body": body})
         if server.remaining_failures > 0:
             server.remaining_failures -= 1
             self.send_response(server.status_on_fail)
             self.send_header("Content-Length", "0")
             self.end_headers()
             return
-        payload = json.dumps(server.reply).encode()
+        reply = server.reply(body) if callable(server.reply) else server.reply
+        payload = json.dumps(reply).encode()
         self.send_response(200)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(payload)))
@@ -132,3 +133,44 @@ def test_http_responses_cached_like_any_other(stub_server, tmp_path):
     assert second.cached is True
     assert second.text == first.text
     assert len(stub_server.requests) == 1
+
+
+def _mock_reply(body: dict) -> dict:
+    """The mock backend's reply to the request a chat-completion body encodes:
+    a function of the body alone, as a deterministic model would give."""
+    by_role = {message["role"]: message["content"] for message in body["messages"]}
+    request = ChatRequest(
+        model=body["model"],
+        user_text=by_role["user"],
+        system_text=by_role.get("system"),
+        max_output_tokens=body["max_tokens"],
+        temperature=body["temperature"],
+    )
+    reply = MockBackend(seed=7).send(request)
+    return {
+        "choices": [{"message": {"content": reply.text}}],
+        "usage": {"prompt_tokens": reply.input_tokens, "completion_tokens": reply.output_tokens},
+    }
+
+
+def test_http_bundles_are_byte_identical_across_fresh_and_forced_runs(stub_server, tmp_path):
+    stub_server.reply = _mock_reply
+    config_path = build_toy_experiment(tmp_path)
+    text = config_path.read_text().replace(
+        "backend = mock\n", f"backend = http\nendpoint = {_endpoint(stub_server)}\n"
+    )
+    config_path.write_text(text)
+    config = load_config(config_path)
+
+    first = run_pipeline(replace(config, output_dir=tmp_path / "out_a"))
+    assert first.backend_calls == len(stub_server.requests) > 0
+    second = run_pipeline(replace(config, output_dir=tmp_path / "out_b"))
+    fresh = bundle_digests(first.output_dir)
+    assert bundle_digests(second.output_dir) == fresh
+
+    sent = len(stub_server.requests)
+    forced = run_pipeline(replace(config, output_dir=tmp_path / "out_a"), force=True)
+    assert forced.stages_skipped() == []
+    assert forced.backend_calls == 0
+    assert len(stub_server.requests) == sent
+    assert bundle_digests(forced.output_dir) == fresh

@@ -5,24 +5,15 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import replace
-from pathlib import Path
 
 import pytest
 
-from conftest import EMPTY_DOC, build_toy_experiment
+from conftest import EMPTY_DOC, build_toy_experiment, bundle_digests
 from judgeval import pipeline
 from judgeval.config import load_config
 from judgeval.errors import ConfigError
-from judgeval.pipeline import run_pipeline, sha256_file
+from judgeval.pipeline import run_pipeline
 from judgeval.trec_io import parse_qrels, summary_modality
-
-
-def _bundle_digests(out: Path) -> dict[str, str]:
-    return {
-        str(p.relative_to(out)): sha256_file(p)
-        for p in sorted(out.rglob("*"))
-        if p.is_file()
-    }
 
 
 def test_full_run_produces_all_stage_outputs(toy_experiment):
@@ -71,7 +62,7 @@ def test_manifest_lists_every_emitted_file_with_correct_digest(toy_experiment):
     result = run_pipeline(config)
     out = result.output_dir
     manifest = json.loads((out / "manifest.json").read_text())
-    on_disk = _bundle_digests(out)
+    on_disk = bundle_digests(out)
     on_disk.pop("manifest.json")  # the manifest cannot contain its own digest
     assert manifest["files"] == on_disk
     assert manifest["config_hash"] == config.config_hash()
@@ -87,17 +78,17 @@ def test_rerun_skips_everything_with_zero_backend_calls(toy_experiment):
     assert second.stages_run() == []
     assert len(second.stages_skipped()) == 10
     assert second.backend_calls == 0
-    assert _bundle_digests(first.output_dir) == _bundle_digests(second.output_dir)
+    assert bundle_digests(first.output_dir) == bundle_digests(second.output_dir)
 
 
 def test_forced_rerun_is_fully_cache_served(toy_experiment):
     config = load_config(toy_experiment)
-    fresh = _bundle_digests(run_pipeline(config).output_dir)
+    fresh = bundle_digests(run_pipeline(config).output_dir)
     forced = run_pipeline(config, force=True)
     assert len(forced.stages_run()) == 10
     assert forced.backend_calls == 0
     assert forced.cache_hits > 0
-    assert _bundle_digests(forced.output_dir) == fresh
+    assert bundle_digests(forced.output_dir) == fresh
 
 
 def test_deleting_one_report_recomputes_only_that_stage(toy_experiment):
@@ -134,12 +125,12 @@ def test_effectiveness_table_is_computed_only_when_a_stage_runs(toy_experiment, 
 def test_deleting_judgments_recomputes_judge_stage_only(toy_experiment):
     config = load_config(toy_experiment)
     result = run_pipeline(config)
-    fresh = _bundle_digests(result.output_dir)
+    fresh = bundle_digests(result.output_dir)
     (result.output_dir / "judgments" / "mock-judge__summ-80.qrels").unlink()
     again = run_pipeline(config)
     assert again.stages_run() == ["judge:mock-judge:summ:80"]
     assert again.backend_calls == 0  # cached responses cover the recompute
-    assert _bundle_digests(again.output_dir) == fresh
+    assert bundle_digests(again.output_dir) == fresh
 
 
 def test_changing_metric_knob_recomputes_downstream_only(toy_experiment):
@@ -156,7 +147,7 @@ def test_two_fresh_runs_are_byte_identical(toy_experiment):
     config = load_config(toy_experiment)
     out_a = run_pipeline(replace(config, output_dir=config.output_dir.parent / "out_a"))
     out_b = run_pipeline(replace(config, output_dir=config.output_dir.parent / "out_b"))
-    assert _bundle_digests(out_a.output_dir) == _bundle_digests(out_b.output_dir)
+    assert bundle_digests(out_a.output_dir) == bundle_digests(out_b.output_dir)
 
 
 def test_run_resumes_after_a_cache_append_cut_short(toy_experiment, capsys):
@@ -188,7 +179,7 @@ def test_run_resumes_after_a_cache_append_cut_short(toy_experiment, capsys):
     again = run_pipeline(config)
     assert "unterminated" in capsys.readouterr().err
     assert again.backend_calls == 1
-    assert _bundle_digests(out) == _bundle_digests(reference.output_dir)
+    assert bundle_digests(out) == bundle_digests(reference.output_dir)
 
 
 def test_distribution_rows_sum_to_about_hundred(toy_experiment):

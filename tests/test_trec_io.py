@@ -131,7 +131,7 @@ def test_sidecar_records_summary_budget(tmp_path):
     assert meta["modality"] == "summary"
     assert meta["source"] == "model"
     assert set(meta) == {
-        "source", "modality", "budget_tokens", "model", "prompt_sha256", "created_at",
+        "source", "modality", "budget_tokens", "model", "prompt_sha256",
     }
 
 
