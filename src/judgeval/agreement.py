@@ -224,16 +224,6 @@ class AgreementReport:
     n_missing: int
     weighted_kappa: StatValue | None = None
 
-    def flags(self) -> tuple[str, ...]:
-        out = []
-        if self.kappa.degenerate:
-            out.append("kappa_degenerate")
-        if self.weighted_kappa is not None and self.weighted_kappa.degenerate:
-            out.append("weighted_kappa_degenerate")
-        if self.alpha.degenerate:
-            out.append("alpha_degenerate")
-        return tuple(out)
-
 
 def agreement_report(a: JudgmentSet, b: JudgmentSet, *, graded: bool) -> AgreementReport:
     """Graded reports pair quadratic weighted kappa with ordinal alpha;

@@ -26,18 +26,10 @@ from .cost import (
 )
 from .errors import ConfigError, JudgevalError
 from .gateway import ResponseCache
-from .judge import judge_pool, load_judge_template, load_topics
-from .pipeline import build_tasks, effectiveness_by_metric, make_gateway, pool_pairs, run_pipeline
+from .pipeline import Experiment, effectiveness_by_metric, run_pipeline
 from .stability import SystemScores, stability_report
-from .summarizer import load_summary_template, read_summaries, summarize_corpus, write_summaries
-from .trec_io import (
-    Modality,
-    atomic_write_text,
-    load_corpus,
-    load_runs_dir,
-    parse_qrels,
-    write_judgments,
-)
+from .summarizer import read_summaries, write_summaries
+from .trec_io import Modality, atomic_write_text, load_runs_dir, parse_qrels, write_judgments
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -50,6 +42,9 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except FileNotFoundError as exc:
         print(f"config error: path does not exist: {exc.filename}", file=sys.stderr)
+        return 2
+    except NotADirectoryError as exc:
+        print(f"config error: path is not a directory: {exc.filename}", file=sys.stderr)
         return 2
     except JudgevalError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -177,6 +172,11 @@ def _parse_modality(text: str) -> Modality:
         raise ConfigError(f"bad --modality {text!r}: {exc}") from exc
 
 
+def _check(ok: bool, message: str) -> None:
+    if not ok:
+        raise ConfigError(message)
+
+
 def _emit(text: str, out: str | None) -> None:
     if out:
         atomic_write_text(Path(out), text)
@@ -199,31 +199,17 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_summarize(args) -> int:
-    config = _load_config_with_overrides(args)
-    gateway = make_gateway(config)
-    corpus = load_corpus(config.corpus)
-    template = load_summary_template(config.summary_template)
-    summaries = summarize_corpus(
-        corpus,
-        args.budget,
-        gateway,
-        config.summarizer_model,
-        template=template,
-        slack=config.summary_slack,
-    )
+    _check(args.budget >= 1, "--budget must be >= 1")
+    experiment = Experiment(_load_config_with_overrides(args))
+    summaries = experiment.summarize(args.budget, experiment.gateway)
     write_summaries(summaries, args.out)
     print(f"{len(summaries)} summaries -> {args.out} ({len(summaries.errors)} errors)")
     return 0
 
 
 def _cmd_judge(args) -> int:
-    config = _load_config_with_overrides(args)
     modality = _parse_modality(args.modality)
-    gateway = make_gateway(config)
-    corpus = load_corpus(config.corpus)
-    topics = load_topics(config.topics)
-    human = parse_qrels(config.qrels)
-    template = load_judge_template(config.judge_template)
+    experiment = Experiment(_load_config_with_overrides(args))
     summaries = None
     if modality.kind == "summary":
         if not args.summaries:
@@ -233,17 +219,7 @@ def _cmd_judge(args) -> int:
             raise ConfigError(
                 f"summaries budget {summaries.budget_tokens} does not match {modality}"
             )
-    runs = load_runs_dir(config.runs_dir) if config.pool == "runs" else []
-    tasks, skipped = build_tasks(
-        pool_pairs(config, human, runs), topics, corpus, modality, summaries
-    )
-    result = judge_pool(
-        tasks,
-        gateway,
-        args.model,
-        template=template,
-        max_output_tokens=config.judge_max_output_tokens,
-    )
+    result, skipped = experiment.judge(args.model, modality, summaries, experiment.gateway)
     write_judgments(result.judgments, args.out)
     print(
         f"{len(result.judgments)} judgments -> {args.out} "
@@ -253,6 +229,7 @@ def _cmd_judge(args) -> int:
 
 
 def _cmd_agreement(args) -> int:
+    _check(args.threshold in (1, 2, 3), "--threshold must be 1, 2 or 3")
     a = parse_qrels(args.qrels_a)
     b = parse_qrels(args.qrels_b)
     cell = (b.source.label(), str(b.modality), b)
@@ -261,6 +238,8 @@ def _cmd_agreement(args) -> int:
 
 
 def _cmd_effectiveness(args) -> int:
+    _check(args.k >= 1, "--k must be >= 1")
+    _check(args.threshold in (1, 2, 3), "--threshold must be 1, 2 or 3")
     qrels = parse_qrels(args.qrels)
     runs = load_runs_dir(args.runs_dir)
     by_metric = effectiveness_by_metric(
@@ -290,8 +269,8 @@ def _system_scores(path: str, metric: str) -> SystemScores:
 
 
 def _cmd_stability(args) -> int:
-    if args.resamples < 1:
-        raise ConfigError("--resamples must be >= 1")
+    _check(args.resamples >= 1, "--resamples must be >= 1")
+    _check(0.0 < args.rbo_p < 1.0, "--rbo-p must lie strictly between 0 and 1")
     report = stability_report(
         _system_scores(args.per_topic_h, args.metric),
         _system_scores(args.per_topic_l, args.metric),
@@ -309,6 +288,10 @@ def _cmd_cost(args) -> int:
     if args.extrapolate:
         if args.pairs is None or args.avg_tokens is None:
             raise ConfigError("--extrapolate needs --pairs and --avg-tokens")
+        _check(
+            min(args.pairs, args.avg_tokens, args.overhead) >= 0,
+            "--pairs, --avg-tokens and --overhead must be >= 0",
+        )
         report = extrapolate(
             args.pairs,
             args.avg_tokens,

@@ -45,7 +45,6 @@ class JudgingTask:
     topic: Topic
     doc_id: str
     evidence_text: str
-    modality: Modality
 
 
 class TaskFailure(NamedTuple):
@@ -129,11 +128,12 @@ def judge_pool(
     tasks: Iterable[JudgingTask],
     gateway: Gateway,
     model: str,
+    modality: Modality,
     *,
     template: str | None = None,
     max_output_tokens: int = DEFAULT_MAX_OUTPUT_TOKENS,
 ) -> JudgePoolResult:
-    """Judge a pool of tasks with one model.
+    """Judge a pool of tasks with one model, all showing ``modality`` evidence.
 
     Each task gets one plain attempt and, if its response has no grade, one
     attempt with a "single digit" nudge appended. (Repeating the plain
@@ -141,14 +141,6 @@ def judge_pool(
     after that, or failing at the gateway, land in the failure ledger. Every
     task ends up either as a judgment record or a ledger entry.
     """
-    tasks = list(tasks)
-    if not tasks:
-        return JudgePoolResult(
-            JudgmentSet(grades={}, source=model_source(model)), []
-        )
-    modalities = {task.modality for task in tasks}
-    if len(modalities) > 1:
-        raise ValueError(f"tasks mix modalities: {sorted(map(str, modalities))}")
     if template is None:
         template = load_judge_template()
     prompt_hash = template_sha256(template)
@@ -175,7 +167,7 @@ def judge_pool(
     judgments = JudgmentSet(
         grades=grades,
         source=model_source(model),
-        modality=tasks[0].modality,
+        modality=modality,
         prompt_sha256=prompt_hash,
     )
     return JudgePoolResult(judgments, failures)

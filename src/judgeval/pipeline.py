@@ -6,6 +6,13 @@ digests of the files it wrote. A re-run skips every stage whose fingerprint
 and outputs are intact, so completed experiments replay with zero backend
 calls and deleted outputs trigger exactly the stages that produced them.
 
+An ``Experiment`` loads each input (corpus, topics, qrels, runs, response
+cache, judge-cell read-backs) the first time a stage that runs needs it, so
+a run that skips every stage reads only the input digests and the manifest.
+It is also the one wiring from a config to summarizer and judge calls: the
+``summarize`` and ``judge`` subcommands call the same two methods as the
+stages.
+
 All outputs are written atomically, all floats are formatted with fixed
 precision, and no file carries a time stamp, so a bundle's bytes depend
 only on the config, the seed, the inputs and the backend's replies. Under
@@ -29,7 +36,15 @@ from .cost import DEFAULT_PRICES, load_price_table, tally_observed, usage_entrie
 from .effectiveness import EffectivenessRow, average_precision, ndcg_at_k, scatter_data
 from .errors import ConfigError, JudgevalError
 from .gateway import Gateway, HttpBackend, MockBackend
-from .judge import JudgingTask, Topic, binarize, judge_pool, load_judge_template, load_topics
+from .judge import (
+    JudgePoolResult,
+    JudgingTask,
+    Topic,
+    binarize,
+    judge_pool,
+    load_judge_template,
+    load_topics,
+)
 from .stability import SystemScores, stability_report
 from .summarizer import (
     SummarySet,
@@ -121,60 +136,6 @@ class _RecordingGateway:
         return response
 
 
-def make_gateway(config: ExperimentConfig) -> Gateway:
-    if config.backend == "mock":
-        backend = MockBackend(seed=config.seed)
-    else:
-        backend = HttpBackend(config.endpoint, config.api_key_env)
-    return Gateway(backend, config.resolved_cache_path(), max_attempts=config.max_attempts)
-
-
-def pool_pairs(
-    config: ExperimentConfig, human: JudgmentSet, runs: list[Run]
-) -> list[tuple[str, str]]:
-    """The (topic, doc) pairs to judge: every human-judged pair, or with
-    ``pool = runs`` the union of each run's top ``pool_depth`` documents."""
-    if config.pool == "qrels":
-        return sorted(human.grades.keys())
-    pairs = {
-        (topic_id, record.doc_id)
-        for run in runs
-        for topic_id, records in run.topics.items()
-        for record in records[: config.pool_depth]
-    }
-    return sorted(pairs)
-
-
-def build_tasks(
-    pairs: list[tuple[str, str]],
-    topics: dict[str, Topic],
-    corpus: DocCorpus,
-    modality: Modality,
-    summaries: SummarySet | None,
-) -> tuple[list[JudgingTask], list[dict]]:
-    """One judging task per pair with a topic and evidence for ``modality``;
-    every other pair becomes a skip-ledger entry with its reason."""
-    if modality.kind == "full":
-        evidence, missing = corpus.entries, "doc not in corpus"
-    else:
-        evidence, missing = (summaries.records if summaries else {}), "no summary available"
-    tasks: list[JudgingTask] = []
-    skipped: list[dict] = []
-    for topic_id, doc_id in pairs:
-        topic = topics.get(topic_id)
-        record = evidence.get(doc_id)
-        if topic is None or record is None:
-            reason = "topic not in topics file" if topic is None else missing
-            skipped.append({"topic_id": topic_id, "doc_id": doc_id, "reason": reason})
-            continue
-        tasks.append(
-            JudgingTask(
-                topic=topic, doc_id=doc_id, evidence_text=record.text, modality=modality
-            )
-        )
-    return tasks, skipped
-
-
 def effectiveness_by_metric(
     runs: list[Run], judgments: JudgmentSet, *, k: int, gain: str, threshold: int
 ) -> dict[str, list[EffectivenessRow]]:
@@ -188,10 +149,14 @@ def effectiveness_by_metric(
 
 def run_pipeline(config: ExperimentConfig, *, force: bool = False) -> PipelineResult:
     """Run summarize -> judge -> report stages for one experiment config."""
-    return _Pipeline(config, force=force).run()
+    return Experiment(config, force=force).run()
 
 
-class _Pipeline:
+class Experiment:
+    """One experiment config: its inputs, loaded the first time a stage uses
+    them, and the one wiring from the config to summarizer and judge calls,
+    shared by ``judgeval run`` and the ``summarize``/``judge`` subcommands."""
+
     def __init__(self, config: ExperimentConfig, *, force: bool = False):
         self.config = config
         self.force = force
@@ -200,10 +165,7 @@ class _Pipeline:
             if not Path(path).exists():
                 raise ConfigError(f"{name} path does not exist: {path}")
         self.out = Path(config.output_dir)
-        self.out.mkdir(parents=True, exist_ok=True)
         self.manifest_path = self.out / "manifest.json"
-        self.manifest = self._load_manifest()
-        self.gateway = make_gateway(config)
         self.outcomes: list[StageOutcome] = []
 
         self.summary_template = load_summary_template(config.summary_template)
@@ -217,23 +179,103 @@ class _Pipeline:
             for name in ("corpus", "topics", "qrels")
         }
         runs_dir = Path(config.runs_dir)
-        self.input_digests["runs"] = _canonical(
-            {p.name: sha256_file(p) for p in sorted(runs_dir.iterdir()) if p.is_file()}
-        )
-
-        self.corpus = load_corpus(config.corpus)
-        self.topics = load_topics(config.topics)
-        self.human = parse_qrels(config.qrels)
-        self.runs = load_runs_dir(config.runs_dir)
-        if not self.runs:
+        run_files = [p for p in sorted(runs_dir.iterdir()) if p.is_file()]
+        if not run_files:
             raise ConfigError(f"no run files found in {runs_dir}")
+        self.input_digests["runs"] = _canonical({p.name: sha256_file(p) for p in run_files})
 
         self.summary_budgets = sorted(
             m.budget_tokens for m in config.modalities if m.kind == "summary"
         )
-        # read back from the files each judge stage's manifest record digested
-        self.judgments: dict[tuple[str, str], JudgmentSet] = {}
         self.stage_fingerprints: dict[str, str] = {}
+
+    # -- inputs, each loaded on first use --------------------------------------
+
+    @cached_property
+    def gateway(self) -> Gateway:
+        """The configured backend behind the response cache, which it loads."""
+        config = self.config
+        if config.backend == "mock":
+            backend = MockBackend(seed=config.seed)
+        else:
+            backend = HttpBackend(config.endpoint, config.api_key_env)
+        return Gateway(backend, config.resolved_cache_path(), max_attempts=config.max_attempts)
+
+    @cached_property
+    def corpus(self) -> DocCorpus:
+        return load_corpus(self.config.corpus)
+
+    @cached_property
+    def topics(self) -> dict[str, Topic]:
+        return load_topics(self.config.topics)
+
+    @cached_property
+    def human(self) -> JudgmentSet:
+        return parse_qrels(self.config.qrels)
+
+    @cached_property
+    def runs(self) -> list[Run]:
+        return load_runs_dir(self.config.runs_dir)
+
+    @cached_property
+    def pool(self) -> list[tuple[str, str]]:
+        """The (topic, doc) pairs to judge: every human-judged pair, or with
+        ``pool = runs`` the union of each run's top ``pool_depth`` documents."""
+        if self.config.pool == "qrels":
+            return sorted(self.human.grades)
+        depth = self.config.pool_depth
+        return sorted(
+            {
+                (topic_id, record.doc_id)
+                for run in self.runs
+                for topic_id, records in run.topics.items()
+                for record in records[:depth]
+            }
+        )
+
+    # -- summarizer and judge calls --------------------------------------------
+
+    def summarize(self, budget: int, gateway) -> SummarySet:
+        """Summarize the corpus at one budget through ``gateway``."""
+        return summarize_corpus(
+            self.corpus,
+            budget,
+            gateway,
+            self.config.summarizer_model,
+            template=self.summary_template,
+            slack=self.config.summary_slack,
+        )
+
+    def judge(
+        self, model: str, modality: Modality, summaries: SummarySet | None, gateway
+    ) -> tuple[JudgePoolResult, list[dict]]:
+        """Judge the pool for one cell through ``gateway``: one task per pair
+        with a topic and evidence for ``modality`` (the corpus, or
+        ``summaries``); every other pair becomes a skip-ledger entry with its
+        reason."""
+        if modality.kind == "full":
+            evidence, missing = self.corpus.entries, "doc not in corpus"
+        else:
+            evidence, missing = summaries.records, "no summary available"
+        tasks: list[JudgingTask] = []
+        skipped: list[dict] = []
+        for topic_id, doc_id in self.pool:
+            topic = self.topics.get(topic_id)
+            record = evidence.get(doc_id)
+            if topic is None or record is None:
+                reason = "topic not in topics file" if topic is None else missing
+                skipped.append({"topic_id": topic_id, "doc_id": doc_id, "reason": reason})
+                continue
+            tasks.append(JudgingTask(topic=topic, doc_id=doc_id, evidence_text=record.text))
+        result = judge_pool(
+            tasks,
+            gateway,
+            model,
+            modality,
+            template=self.judge_template,
+            max_output_tokens=self.config.judge_max_output_tokens,
+        )
+        return result, skipped
 
     # -- manifest bookkeeping ------------------------------------------------
 
@@ -302,7 +344,7 @@ class _Pipeline:
             return
         try:
             producer()
-        except JudgevalError as exc:
+        except (JudgevalError, ValueError) as exc:
             raise StageError(name, exc) from exc
         digests = {rel: sha256_file(self.out / rel) for rel in outputs}
         self.manifest["stages"][name] = {
@@ -328,6 +370,7 @@ class _Pipeline:
     # -- stages ---------------------------------------------------------------
 
     def run(self) -> PipelineResult:
+        self.manifest = self._load_manifest()
         for budget in self.summary_budgets:
             self._summarize_stage(budget)
         for model, modality in self._cells():
@@ -337,11 +380,13 @@ class _Pipeline:
         self._effectiveness_stage()
         self._stability_stage()
         self._cost_stage()
+        # config_hash covers fields no stage fingerprint does (max_attempts)
         self._save_manifest()
+        gateway = self.__dict__.get("gateway")  # None when no stage opened it
         return PipelineResult(
             outcomes=self.outcomes,
-            backend_calls=self.gateway.backend_calls,
-            cache_hits=self.gateway.cache_hits,
+            backend_calls=gateway.backend_calls if gateway else 0,
+            cache_hits=gateway.cache_hits if gateway else 0,
             output_dir=self.out,
             manifest_path=self.manifest_path,
         )
@@ -362,14 +407,7 @@ class _Pipeline:
 
         def produce() -> None:
             recorder = _RecordingGateway(self.gateway)
-            summaries = summarize_corpus(
-                self.corpus,
-                budget,
-                recorder,
-                self.config.summarizer_model,
-                template=self.summary_template,
-                slack=self.config.summary_slack,
-            )
+            summaries = self.summarize(budget, recorder)
             write_summaries(summaries, self.out / rel)
             self._write_usage(rel_usage, recorder)
 
@@ -410,20 +448,7 @@ class _Pipeline:
                 summaries = read_summaries(
                     self.out / f"{_summary_stem(modality.budget_tokens)}.jsonl"
                 )
-            tasks, skipped = build_tasks(
-                pool_pairs(self.config, self.human, self.runs),
-                self.topics,
-                self.corpus,
-                modality,
-                summaries,
-            )
-            result = judge_pool(
-                tasks,
-                recorder,
-                model,
-                template=self.judge_template,
-                max_output_tokens=self.config.judge_max_output_tokens,
-            )
+            result, skipped = self.judge(model, modality, summaries, recorder)
             write_judgments(result.judgments, self.out / rel_qrels)
             ledger = {
                 "skipped_pairs": skipped,
@@ -433,7 +458,6 @@ class _Pipeline:
             self._write_usage(rel_usage, recorder)
 
         self._stage(name, inputs, [rel_qrels, rel_meta, rel_errors, rel_usage], produce)
-        self.judgments[(model, str(modality))] = parse_qrels(self.out / rel_qrels)
 
     def _cells(self) -> list[tuple[str, Modality]]:
         return [
@@ -442,9 +466,12 @@ class _Pipeline:
             for modality in self.config.modalities
         ]
 
+    @cached_property
     def _judged_cells(self) -> list[tuple[str, str, JudgmentSet]]:
+        """Each cell's judgments, read on first use from the file its judge
+        stage wrote or found intact."""
         return [
-            (model, str(modality), self.judgments[(model, str(modality))])
+            (model, str(modality), parse_qrels(self.out / f"{_cell_stem(model, modality)}.qrels"))
             for model, modality in self._cells()
         ]
 
@@ -457,12 +484,13 @@ class _Pipeline:
     def _distribution_stage(self) -> None:
         rel = "reports/label_distribution.csv"
         inputs = {
+            "dataset": self.config.dataset,
             "qrels": self.input_digests["qrels"],
             "judges": self._judge_fingerprints(),
         }
 
         def produce() -> None:
-            annotators = [("human", "full", self.human)] + self._judged_cells()
+            annotators = [("human", "full", self.human)] + self._judged_cells
             self._write(rel, reports.distribution_csv(self.config.dataset, annotators))
 
         self._stage("distribution", inputs, [rel], produce)
@@ -471,6 +499,7 @@ class _Pipeline:
         rel = "reports/agreement.csv"
         threshold = self.config.binarize_threshold
         inputs = {
+            "dataset": self.config.dataset,
             "qrels": self.input_digests["qrels"],
             "threshold": threshold,
             "judges": self._judge_fingerprints(),
@@ -478,7 +507,7 @@ class _Pipeline:
 
         def produce() -> None:
             text = reports.agreement_csv(
-                self.config.dataset, threshold, self.human, self._judged_cells()
+                self.config.dataset, threshold, self.human, self._judged_cells
             )
             self._write(rel, text)
 
@@ -489,7 +518,7 @@ class _Pipeline:
         """(qrels label, metric) -> per-run rows; label 'human' or 'model:modality'.
         Built on first use: a run that skips both report stages computes no NDCG/AP."""
         sources = [("human", self.human)] + [
-            (f"{model}:{modality}", judged) for model, modality, judged in self._judged_cells()
+            (f"{model}:{modality}", judged) for model, modality, judged in self._judged_cells
         ]
         table: dict[tuple[str, str], list[EffectivenessRow]] = {}
         for label, judgments in sources:
@@ -548,6 +577,7 @@ class _Pipeline:
     def _stability_stage(self) -> None:
         rel = "reports/stability.csv"
         inputs = {
+            "dataset": self.config.dataset,
             "effectiveness": self.stage_fingerprints["effectiveness"],
             "rbo_p": self.config.rbo_p,
             "bootstrap_samples": self.config.bootstrap_samples,
@@ -583,6 +613,7 @@ class _Pipeline:
             for modality in self.config.modalities
         }
         inputs = {
+            "dataset": self.config.dataset,
             "summarize": {
                 f"summ:{b}": self.stage_fingerprints[f"summarize:{b}"]
                 for b in self.summary_budgets

@@ -134,9 +134,6 @@ class JudgmentSet:
             index.setdefault(topic_id, {})[doc_id] = grade
         return index
 
-    def topics(self) -> list[str]:
-        return sorted(self.by_topic)
-
     def grades_for_topic(self, topic_id: str) -> dict[str, int]:
         return dict(self.by_topic.get(topic_id, {}))
 
@@ -266,9 +263,6 @@ class Run:
 
     run_tag: str
     topics: dict[str, list[RunRecord]] = field(default_factory=dict)
-
-    def ranking(self, topic_id: str) -> list[str]:
-        return [rec.doc_id for rec in self.topics.get(topic_id, [])]
 
 
 def parse_run(path: str | Path) -> Run:

@@ -274,7 +274,8 @@ def test_agreement_report_graded_and_binary():
     graded = agreement_report(a, b, graded=True)
     assert graded.weighted_kappa is not None
     assert graded.n_items == 6
-    assert graded.flags() == ()
+    assert not (graded.kappa.degenerate or graded.weighted_kappa.degenerate)
+    assert not graded.alpha.degenerate
     binary_pairs = [(int(x >= 1), int(y >= 1)) for x, y in pairs]
     a2, b2 = _sets_from_pairs(binary_pairs)
     binary = agreement_report(a2, b2, graded=False)
@@ -286,8 +287,8 @@ def test_agreement_report_graded_and_binary():
 def test_agreement_report_flags_degenerate():
     a, b = _sets_from_pairs([(1, 1), (1, 1), (1, 1)])
     report = agreement_report(a, b, graded=True)
-    assert "kappa_degenerate" in report.flags()
-    assert "alpha_degenerate" in report.flags()
+    assert report.kappa.degenerate
+    assert report.alpha.degenerate
 
 
 def test_agreement_report_needs_overlap():

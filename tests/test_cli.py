@@ -14,7 +14,15 @@ import pytest
 
 from conftest import build_toy_experiment
 from judgeval.cli import main
-from judgeval.trec_io import JudgmentSet, model_source, parse_qrels, write_judgments
+from judgeval.judge import load_judge_template
+from judgeval.templates import template_sha256
+from judgeval.trec_io import (
+    JudgmentSet,
+    model_source,
+    parse_qrels,
+    summary_modality,
+    write_judgments,
+)
 
 
 def _csv_rows(text: str) -> list[dict]:
@@ -311,6 +319,71 @@ def test_stability_rejects_non_positive_resamples(toy_bundle, capsys, resamples)
     ]
     assert main(argv) == 2
     assert "--resamples" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["summarize", "--config", "{config}", "--budget", "0", "--out", "{out}"], "--budget"),
+        (["effectiveness", "--qrels", "{qrels}", "--runs-dir", "{runs}", "--k", "0"], "--k"),
+        (["effectiveness", "--qrels", "{qrels}", "--runs-dir", "{runs}", "--threshold", "4"],
+         "--threshold"),
+        (["agreement", "--qrels-a", "{qrels}", "--qrels-b", "{qrels}", "--threshold", "0"],
+         "--threshold"),
+        (["stability", "--per-topic-h", "{per_topic}", "--per-topic-l", "{per_topic}",
+          "--metric", "map", "--rbo-p", "1.5"], "--rbo-p"),
+        (["cost", "--extrapolate", "--pairs", "-1", "--avg-tokens", "3"], "--pairs"),
+        (["effectiveness", "--qrels", "{qrels}", "--runs-dir", "{qrels}"], "{qrels}"),
+    ],
+    ids=["budget", "k", "eff-threshold", "agreement-threshold", "rbo-p", "pairs", "runs-dir"],
+)
+def test_out_of_range_flags_are_config_errors(toy_bundle, tmp_path, capsys, argv, flag):
+    per_topic = tmp_path / "per_topic.csv"  # one qrels source, so only --rbo-p is wrong
+    eff = ["effectiveness", "--qrels", str(toy_bundle / "qrels.txt"),
+           "--runs-dir", str(toy_bundle / "runs"), "--per-topic-out", str(per_topic)]
+    assert main(eff) == 0
+    capsys.readouterr()
+    paths = {
+        "config": toy_bundle / "config.ini",
+        "out": tmp_path / "out.jsonl",
+        "qrels": toy_bundle / "qrels.txt",
+        "runs": toy_bundle / "runs",
+        "per_topic": per_topic,
+    }
+    assert main([arg.format(**paths) for arg in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("config error: ")
+    assert flag.format(**paths) in captured.err
+    assert not paths["out"].exists()
+
+
+def test_cells_without_tasks_keep_their_provenance(tmp_path, capsys):
+    config = build_toy_experiment(tmp_path)
+    (tmp_path / "topics.tsv").write_text("t99\ta topic the qrels never judged\n")
+    assert main(["run", "--config", str(config)]) == 1
+    assert "stage 'distribution' failed" in capsys.readouterr().err
+    judged = parse_qrels(tmp_path / "out" / "judgments" / "mock-judge__summ-80.qrels")
+    assert len(judged) == 0
+    assert judged.modality == summary_modality(80)
+    assert judged.prompt_sha256 == template_sha256(load_judge_template())
+
+
+def test_summarize_and_judge_subcommands_write_the_bundle_bytes(toy_bundle, tmp_path):
+    config, bundle = str(toy_bundle / "config.ini"), toy_bundle / "out"
+    summaries = tmp_path / "summ80.jsonl"
+    argv = ["summarize", "--config", config, "--budget", "80", "--out", str(summaries)]
+    assert main(argv) == 0
+    assert summaries.read_bytes() == (bundle / "summaries" / "summ80.jsonl").read_bytes()
+    judged = tmp_path / "judged.qrels"
+    argv = [
+        "judge", "--config", config, "--model", "mock-judge", "--modality", "summ:80",
+        "--summaries", str(summaries), "--out", str(judged),
+    ]
+    assert main(argv) == 0
+    for suffix in ("", ".meta.json"):
+        expected = bundle / "judgments" / f"mock-judge__summ-80.qrels{suffix}"
+        assert Path(f"{judged}{suffix}").read_bytes() == expected.read_bytes()
 
 
 def test_judge_pricing_error_exit_code_1(toy_experiment, tmp_path):

@@ -36,13 +36,13 @@ def _gateway(tmp_path, backend):
     return Gateway(backend, tmp_path / "cache.jsonl", sleep=lambda _s: None)
 
 
-def _tasks(n=6, modality=FULL_DOCUMENT):
+def _tasks(n=6):
     topics = [Topic(f"t{i}", f"query {i}") for i in range(1, 3)]
     tasks = []
     for i in range(n):
         topic = topics[i % len(topics)]
         tasks.append(
-            JudgingTask(topic, f"d{i:02d}", f"evidence text {i}", modality)
+            JudgingTask(topic, f"d{i:02d}", f"evidence text {i}")
         )
     return tasks
 
@@ -111,7 +111,7 @@ def test_parse_grade_never_out_of_domain():
 
 
 def test_judge_prompt_substitution():
-    task = JudgingTask(Topic("t1", "the query"), "d1", "the passage", FULL_DOCUMENT)
+    task = JudgingTask(Topic("t1", "the query"), "d1", "the passage")
     req = build_judge_prompt(task, "m")
     assert "Query: the query" in req.user_text
     assert "Passage: the passage" in req.user_text
@@ -119,15 +119,13 @@ def test_judge_prompt_substitution():
 
 
 def test_judge_prompt_markers_inside_inputs_stay_literal():
-    task = JudgingTask(
-        Topic("t1", "what does <PASSAGE> mean"), "d1", "EVIDENCE <QUERY>", FULL_DOCUMENT
-    )
+    task = JudgingTask(Topic("t1", "what does <PASSAGE> mean"), "d1", "EVIDENCE <QUERY>")
     req = build_judge_prompt(task, "m", template="Q=<QUERY>|P=<PASSAGE>|Q=<QUERY>")
     assert req.user_text == (
         "Q=what does <PASSAGE> mean|P=EVIDENCE <QUERY>|Q=what does <PASSAGE> mean"
     )
     # inputs without markers render exactly as plain replacement would
-    plain = JudgingTask(Topic("t1", "the query"), "d1", "the passage", FULL_DOCUMENT)
+    plain = JudgingTask(Topic("t1", "the query"), "d1", "the passage")
     template = load_judge_template()
     expected = template.replace("<QUERY>", "the query").replace("<PASSAGE>", "the passage")
     assert build_judge_prompt(plain, "m", template=template).user_text == expected
@@ -147,7 +145,7 @@ def test_judge_template_requires_markers(tmp_path):
 
 def test_judge_pool_all_twos(tmp_path):
     gw = _gateway(tmp_path, _FixedBackend("2"))
-    result = judge_pool(_tasks(8), gw, "m")
+    result = judge_pool(_tasks(8), gw, "m", FULL_DOCUMENT)
     assert len(result.judgments) == 8
     assert set(result.judgments.grades.values()) == {2}
     assert result.failures == []
@@ -161,7 +159,7 @@ def test_judge_pool_all_twos(tmp_path):
 
 def test_judge_pool_parses_decorated_answer(tmp_path):
     gw = _gateway(tmp_path, _FixedBackend("O: 3"))
-    result = judge_pool(_tasks(2), gw, "m")
+    result = judge_pool(_tasks(2), gw, "m", FULL_DOCUMENT)
     assert set(result.judgments.grades.values()) == {3}
 
 
@@ -177,7 +175,7 @@ def test_judge_pool_unparseable_goes_to_ledger(tmp_path):
 
     gw.complete = counted
     tasks = _tasks(5)
-    result = judge_pool(tasks, gw, "m")
+    result = judge_pool(tasks, gw, "m", FULL_DOCUMENT)
     assert len(result.judgments) == 0
     assert len(result.failures) == 5
     assert all(f.reason == "no parseable grade" for f in result.failures)
@@ -198,7 +196,7 @@ def test_judge_pool_nudge_rescues_final_attempt(tmp_path):
             return BackendReply(text="hmm", input_tokens=1, output_tokens=1)
 
     gw = _gateway(tmp_path, _NudgeOnly())
-    result = judge_pool(_tasks(3), gw, "m")
+    result = judge_pool(_tasks(3), gw, "m", FULL_DOCUMENT)
     assert len(result.judgments) == 3
     assert set(result.judgments.grades.values()) == {1}
     assert result.failures == []
@@ -206,28 +204,23 @@ def test_judge_pool_nudge_rescues_final_attempt(tmp_path):
 
 def test_judge_pool_respects_modality_and_rejects_mixtures(tmp_path):
     gw = _gateway(tmp_path, _FixedBackend("2"))
-    tasks = _tasks(4, modality=summary_modality(80))
-    result = judge_pool(tasks, gw, "m")
+    result = judge_pool(_tasks(4), gw, "m", summary_modality(80))
     assert result.judgments.modality == summary_modality(80)
-    mixed = tasks + _tasks(2, modality=FULL_DOCUMENT)
-    with pytest.raises(ValueError):
-        judge_pool(mixed, gw, "m")
 
 
 def test_modality_isolation_same_keys(tmp_path):
     gw = _gateway(tmp_path, MockBackend(seed=5))
-    full = judge_pool(_tasks(6, FULL_DOCUMENT), gw, "m")
+    full = judge_pool(_tasks(6), gw, "m", FULL_DOCUMENT)
     summ_tasks = [
-        JudgingTask(t.topic, t.doc_id, "summary: " + t.evidence_text, summary_modality(80))
-        for t in _tasks(6, FULL_DOCUMENT)
+        JudgingTask(t.topic, t.doc_id, "summary: " + t.evidence_text) for t in _tasks(6)
     ]
-    summ = judge_pool(summ_tasks, gw, "m")
+    summ = judge_pool(summ_tasks, gw, "m", summary_modality(80))
     assert set(full.judgments.grades) == set(summ.judgments.grades)
 
 
 def test_empty_pool(tmp_path):
     gw = _gateway(tmp_path, _FixedBackend("2"))
-    result = judge_pool([], gw, "m")
+    result = judge_pool([], gw, "m", FULL_DOCUMENT)
     assert len(result.judgments) == 0
     assert result.failures == []
 

@@ -12,6 +12,7 @@ from conftest import EMPTY_DOC, build_toy_experiment, bundle_digests
 from judgeval import pipeline
 from judgeval.config import load_config
 from judgeval.errors import ConfigError
+from judgeval.gateway import ResponseCache
 from judgeval.pipeline import run_pipeline
 from judgeval.trec_io import parse_qrels, summary_modality
 
@@ -120,6 +121,43 @@ def test_effectiveness_table_is_computed_only_when_a_stage_runs(toy_experiment, 
     assert run_pipeline(config).stages_run() == ["stability"]
     assert sources == ["human"] + ["mock-judge"] * 3  # one table, four qrels sources
     assert stability.read_bytes() == expected
+
+
+def test_warm_rerun_parses_only_what_a_running_stage_needs(toy_experiment, monkeypatch):
+    config = load_config(toy_experiment)
+    out = run_pipeline(config).output_dir
+    parsed = []
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            parsed.append((name, str(args[0])))
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for name in ("load_corpus", "load_topics", "load_runs_dir", "parse_qrels"):
+        monkeypatch.setattr(pipeline, name, counted(name, getattr(pipeline, name)))
+    monkeypatch.setattr(ResponseCache, "_load", counted("cache", ResponseCache._load))
+    assert run_pipeline(config).stages_run() == []
+    assert parsed == []
+
+    (out / "reports" / "agreement.csv").unlink()
+    assert run_pipeline(config).stages_run() == ["agreement"]
+    cells = [
+        out / "judgments" / f"mock-judge__{slug}.qrels" for slug in ("full", "summ-80", "summ-120")
+    ]
+    assert sorted(parsed) == sorted(("parse_qrels", str(path)) for path in [config.qrels, *cells])
+
+
+def test_renaming_dataset_reruns_the_reports_that_print_it(toy_experiment):
+    config = load_config(toy_experiment)
+    run_pipeline(config)
+    again = run_pipeline(replace(config, dataset="renamed"))
+    assert again.stages_run() == ["distribution", "agreement", "stability", "cost"]
+    assert again.backend_calls == 0
+    for name in ("label_distribution", "agreement", "stability", "cost"):
+        with open(again.output_dir / "reports" / f"{name}.csv", newline="") as fh:
+            assert {row["dataset"] for row in csv.DictReader(fh)} == {"renamed"}, name
 
 
 def test_deleting_judgments_recomputes_judge_stage_only(toy_experiment):

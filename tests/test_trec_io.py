@@ -151,7 +151,7 @@ def test_parse_run_ties_break_by_doc_id(tmp_path):
     path = tmp_path / "r.txt"
     path.write_text("t1 Q0 db 1 2.0 r\nt1 Q0 da 2 2.0 r\nt1 Q0 dc 3 5.0 r\n")
     run = parse_run(path)
-    assert run.ranking("t1") == ["dc", "da", "db"]
+    assert [rec.doc_id for rec in run.topics["t1"]] == ["dc", "da", "db"]
     assert [rec.rank for rec in run.topics["t1"]] == [1, 2, 3]
 
 
@@ -309,7 +309,7 @@ def test_by_topic_index_matches_brute_force_scan(grades, ranking):
         expected = {doc: g for (topic, doc), g in grades.items() if topic == topic_id}
         assert judgments.grades_for_topic(topic_id) == expected
     assert judgments.grades_for_topic("t4") == {}
-    assert judgments.topics() == sorted({topic for topic, _ in grades})
+    assert sorted(judgments.by_topic) == sorted({topic for topic, _ in grades})
 
     run = Run(run_tag="r")
     for topic_id in TOPIC_IDS:
