@@ -2,10 +2,12 @@
 
 Relative paths are resolved against the config file's directory. Secrets
 never live in the file: only the *name* of the API-key environment variable
-is configured. The config hash covers every field that can change outputs;
-output location (and the cache path derived from it) is deliberately
-excluded so the same experiment written to two directories produces
-identical bundles.
+is configured. The config hash covers every field that can change outputs
+except where files live: the input, template, price, output and cache
+paths are left out, so the same experiment copied to another directory, or
+written to two directories, produces identical bundles. The contents behind
+those paths are fingerprinted elsewhere in the manifest: input digests,
+template SHA-256s and price values.
 """
 
 from __future__ import annotations
@@ -18,6 +20,11 @@ from pathlib import Path
 
 from .errors import ConfigError
 from .trec_io import Modality
+
+LOCATION_FIELDS = (
+    "corpus", "topics", "qrels", "runs_dir", "output_dir",
+    "summary_template", "judge_template", "prices", "cache_path",
+)
 
 
 @dataclass
@@ -81,17 +88,11 @@ class ExperimentConfig:
         return self.cache_path or (self.output_dir / "cache.jsonl")
 
     def hashed_fields(self) -> dict:
-        """Every output-affecting field, in hash-stable form."""
-        out: dict = {}
-        for f in fields(self):
-            if f.name in ("output_dir", "cache_path"):
-                continue
-            value = getattr(self, f.name)
-            if isinstance(value, Path):
-                value = str(value)
-            elif f.name == "modalities":
-                value = [str(m) for m in value]
-            out[f.name] = value
+        """Every output-affecting field but the file locations, in hash-stable form."""
+        out = {
+            f.name: getattr(self, f.name) for f in fields(self) if f.name not in LOCATION_FIELDS
+        }
+        out["modalities"] = [str(m) for m in self.modalities]
         return out
 
     def config_hash(self) -> str:

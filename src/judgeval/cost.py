@@ -70,7 +70,6 @@ class CostReport:
     input_tokens: int
     output_tokens: int
     usd: float
-    extrapolated: bool
 
 
 def usage_entries(usage_path: str | Path, cache: ResponseCache) -> list[CacheEntry]:
@@ -113,7 +112,6 @@ def tally_observed(
         input_tokens=input_tokens,
         output_tokens=output_tokens,
         usd=usd,
-        extrapolated=False,
     )
 
 
@@ -136,5 +134,4 @@ def extrapolate(
         input_tokens=input_tokens,
         output_tokens=0,
         usd=price.usd(input_tokens, 0),
-        extrapolated=True,
     )

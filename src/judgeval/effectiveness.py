@@ -18,7 +18,6 @@ from .trec_io import JudgmentSet, Run
 class ScatterPoint(NamedTuple):
     run_tag: str
     metric: str
-    modality: str
     human_score: float
     llm_score: float
 
@@ -176,7 +175,6 @@ def scatter_data(
         ScatterPoint(
             run_tag=tag,
             metric=llm[tag].metric,
-            modality=llm[tag].modality,
             human_score=human[tag].mean,
             llm_score=llm[tag].mean,
         )

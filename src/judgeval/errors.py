@@ -26,10 +26,6 @@ class ConflictError(ParseError):
 class GatewayError(JudgevalError):
     """Backend unreachable after the configured number of attempts."""
 
-    def __init__(self, message: str, *, attempts: int = 0):
-        super().__init__(message)
-        self.attempts = attempts
-
 
 class ProtocolError(GatewayError):
     """Backend answered, but the payload did not follow the expected protocol."""

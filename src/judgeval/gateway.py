@@ -25,6 +25,7 @@ from typing import Callable, Iterator
 from .errors import GatewayError, ProtocolError
 
 BACKOFF_BASE_S = 1.0  # first retry waits 0.5-1.0 s, doubling per attempt
+HTTP_TIMEOUT_S = 60.0
 
 
 def count_tokens(text: str) -> int:
@@ -40,27 +41,30 @@ def count_tokens(text: str) -> int:
 
 @dataclass(frozen=True)
 class ChatRequest:
+    """One user message, sent without a system message at temperature 0."""
+
     model: str
     user_text: str
-    system_text: str | None = None
     max_output_tokens: int = 256
-    temperature: float = 0.0
 
     def __post_init__(self) -> None:
         if self.max_output_tokens <= 0:
             raise ValueError("max_output_tokens must be positive")
-        if self.temperature < 0:
-            raise ValueError("temperature must be >= 0")
 
     def digest(self) -> str:
-        """SHA-256 over every request field; equal requests hash equally."""
+        """SHA-256 over every request field; equal requests hash equally.
+
+        The payload also carries the constant ``system_text`` (null) and
+        ``temperature`` (0.0) keys: they are part of every cache key, and
+        dropping them would leave existing caches unable to replay.
+        """
         payload = json.dumps(
             {
                 "model": self.model,
-                "system_text": self.system_text,
+                "system_text": None,
                 "user_text": self.user_text,
                 "max_output_tokens": self.max_output_tokens,
-                "temperature": self.temperature,
+                "temperature": 0.0,
             },
             sort_keys=True,
             ensure_ascii=False,
@@ -75,7 +79,6 @@ class ChatResponse:
     output_tokens: int
     cached: bool
     request_hash: str
-    token_source: str = "backend"  # "backend" | "approximate"
 
 
 @dataclass(frozen=True)
@@ -183,57 +186,49 @@ class MockBackend:
     ``Passage:`` section) get a pseudo-random grade in 0-3; summary-style
     prompts (a trailing ``Document:`` section with a token budget) get an
     extractive prefix of the document that fits the stated budget under the
-    approximate tokenizer.
+    approximate tokenizer. It has no tokenizer of its own, so it reports no
+    usage and the gateway approximates the token counts.
     """
 
     def __init__(self, seed: int):
         self.seed = seed
 
     def send(self, req: ChatRequest) -> BackendReply:
-        text = self._reply_text(req)
-        in_tok = count_tokens((req.system_text or "") + "\n" + req.user_text)
-        return BackendReply(text=text, input_tokens=in_tok, output_tokens=count_tokens(text))
-
-    def _reply_text(self, req: ChatRequest) -> str:
         h = hashlib.sha256(f"{self.seed}:{req.digest()}".encode("utf-8")).digest()
         user = req.user_text
         if "Passage:" in user and "Query:" in user:
-            return str(h[0] % 4)
+            return BackendReply(str(h[0] % 4))
         if "Document:" in user:
             doc = user.rsplit("Document:", 1)[1].strip()
             if not doc:
-                return "NO_CONTENT"
+                return BackendReply("NO_CONTENT")
             match = _SUMMARY_BUDGET_RE.search(user)
             budget = int(match.group(1)) if match else req.max_output_tokens
             max_words = (3 * budget) // 4  # ceil(words * 4/3) <= budget
-            return " ".join(doc.split()[:max_words])
-        return f"ok {h.hex()[:12]}"
+            return BackendReply(" ".join(doc.split()[:max_words]))
+        return BackendReply(f"ok {h.hex()[:12]}")
 
 
 class HttpBackend:
     """JSON-over-HTTP chat-completion backend (OpenAI-style payloads).
 
     The API key is read from the environment variable named in the config;
-    the request body carries model, messages, temperature, and max_tokens.
+    the request body carries the model, one user message, temperature 0 and
+    max_tokens.
     Transport-level failures (including 429/5xx) raise TransportError and
     are retried by the gateway; unparseable payloads raise ProtocolError.
     """
 
-    def __init__(self, endpoint: str, api_key_env: str = "", timeout: float = 60.0):
+    def __init__(self, endpoint: str, api_key_env: str = ""):
         self.endpoint = endpoint
         self.api_key_env = api_key_env
-        self.timeout = timeout
 
     def send(self, req: ChatRequest) -> BackendReply:
-        messages = []
-        if req.system_text:
-            messages.append({"role": "system", "content": req.system_text})
-        messages.append({"role": "user", "content": req.user_text})
         body = json.dumps(
             {
                 "model": req.model,
-                "messages": messages,
-                "temperature": req.temperature,
+                "messages": [{"role": "user", "content": req.user_text}],
+                "temperature": 0.0,
                 "max_tokens": req.max_output_tokens,
             }
         ).encode("utf-8")
@@ -244,7 +239,7 @@ class HttpBackend:
                 headers["Authorization"] = f"Bearer {key}"
         request = urllib.request.Request(self.endpoint, data=body, headers=headers)
         try:
-            with urllib.request.urlopen(request, timeout=self.timeout) as resp:
+            with urllib.request.urlopen(request, timeout=HTTP_TIMEOUT_S) as resp:
                 payload = resp.read()
         except urllib.error.HTTPError as exc:
             if exc.code == 429 or exc.code >= 500:
@@ -278,7 +273,8 @@ class Gateway:
     the cache is answered from it; any other goes to the backend, with
     transport failures retried under jittered exponential backoff, and its
     reply is appended to the cache, so each distinct request reaches the
-    backend at most once.
+    backend at most once. Token counts a backend leaves out are approximated
+    here, with ``count_tokens``, before the reply is cached.
     """
 
     def __init__(
@@ -302,38 +298,22 @@ class Gateway:
     def complete(self, req: ChatRequest) -> ChatResponse:
         request_hash = req.digest()
         entry = self.cache.get(request_hash)
-        if entry is not None:
+        cached = entry is not None
+        if cached:
             self.cache_hits += 1
-            return ChatResponse(
-                text=entry.text,
-                input_tokens=entry.input_tokens,
-                output_tokens=entry.output_tokens,
-                cached=True,
-                request_hash=request_hash,
-            )
-        reply = self._call_with_retries(req)
-        token_source = "backend"
-        in_tok, out_tok = reply.input_tokens, reply.output_tokens
-        if in_tok is None or out_tok is None:
-            token_source = "approximate"
-            in_tok = count_tokens((req.system_text or "") + "\n" + req.user_text)
-            out_tok = count_tokens(reply.text)
-        self.cache.put(
-            CacheEntry(
-                request_hash=request_hash,
-                model=req.model,
-                text=reply.text,
-                input_tokens=in_tok,
-                output_tokens=out_tok,
-            )
-        )
+        else:
+            reply = self._call_with_retries(req)
+            in_tok, out_tok = reply.input_tokens, reply.output_tokens
+            if in_tok is None or out_tok is None:
+                in_tok, out_tok = count_tokens(req.user_text), count_tokens(reply.text)
+            entry = CacheEntry(request_hash, req.model, reply.text, in_tok, out_tok)
+            self.cache.put(entry)
         return ChatResponse(
-            text=reply.text,
-            input_tokens=in_tok,
-            output_tokens=out_tok,
-            cached=False,
+            text=entry.text,
+            input_tokens=entry.input_tokens,
+            output_tokens=entry.output_tokens,
+            cached=cached,
             request_hash=request_hash,
-            token_source=token_source,
         )
 
     def _call_with_retries(self, req: ChatRequest) -> BackendReply:
@@ -343,10 +323,7 @@ class Gateway:
                 return self.backend.send(req)
             except TransportError as exc:
                 if attempt == self.max_attempts:
-                    raise GatewayError(
-                        f"backend failed after {attempt} attempts: {exc}",
-                        attempts=attempt,
-                    ) from exc
+                    raise GatewayError(f"backend failed after {attempt} attempts: {exc}") from exc
                 delay = BACKOFF_BASE_S * (2 ** (attempt - 1))
                 self._sleep(delay * (0.5 + self._jitter.random() / 2))
         raise AssertionError("unreachable")

@@ -108,12 +108,7 @@ def build_judge_prompt(
     # one pass, so a marker inside the query or evidence stays literal text
     values = {"<QUERY>": task.topic.query_text, "<PASSAGE>": task.evidence_text}
     user_text = _MARKER_RE.sub(lambda match: values[match.group()], template)
-    return ChatRequest(
-        model=model,
-        user_text=user_text,
-        max_output_tokens=max_output_tokens,
-        temperature=0.0,
-    )
+    return ChatRequest(model=model, user_text=user_text, max_output_tokens=max_output_tokens)
 
 
 def parse_grade(text: str) -> int | None:

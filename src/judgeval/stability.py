@@ -205,7 +205,6 @@ class StabilityReport:
     rbo_p: float
     tau_ci_low: float
     tau_ci_high: float
-    n_systems: int
     n_resamples: int
     seed: int
 
@@ -238,7 +237,6 @@ def stability_report(
         rbo_p=rbo_p,
         tau_ci_low=ci_low,
         tau_ci_high=ci_high,
-        n_systems=len(x),
         n_resamples=n_resamples,
         seed=seed,
     )

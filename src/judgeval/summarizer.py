@@ -79,10 +79,7 @@ def build_summary_prompt(
         template = load_summary_template()
     user_text = template.replace("<N>", str(budget)).replace("<DOC>", doc_text)
     return ChatRequest(
-        model=model,
-        user_text=user_text,
-        max_output_tokens=OUTPUT_HEADROOM * budget,
-        temperature=0.0,
+        model=model, user_text=user_text, max_output_tokens=OUTPUT_HEADROOM * budget
     )
 
 
@@ -97,7 +94,8 @@ def summarize_corpus(
 ) -> SummarySet:
     """Summarize every corpus document at one budget.
 
-    Empty documents become NO_CONTENT records without touching the backend.
+    Empty and whitespace-only documents become NO_CONTENT records without
+    touching the backend.
     Gateway failures are recorded per document in the error ledger; the
     sweep never aborts mid-corpus. Rerunning over a populated response
     cache performs zero backend calls and reproduces the same set.
@@ -110,7 +108,7 @@ def summarize_corpus(
     result = SummarySet(budget_tokens=budget)
     for doc_id in corpus.doc_ids():
         entry = corpus.entries[doc_id]
-        if not entry.text:
+        if not entry.text.strip():
             result.records[doc_id] = SummaryRecord(
                 doc_id=doc_id,
                 budget_tokens=budget,

@@ -32,7 +32,6 @@ def _entry(model="gpt-4o", in_tok=100, out_tok=10, h="x"):
 def test_tally_empty_cache():
     report = tally_observed([], DEFAULT_PRICES, stage="judgment", modality="full")
     assert (report.input_tokens, report.output_tokens, report.usd) == (0, 0, 0.0)
-    assert report.extrapolated is False
 
 
 def test_tally_two_entries_exact_usd():
@@ -58,7 +57,6 @@ def test_extrapolate_full_collection_token_figure():
     report = extrapolate(108479, 363.0, 0.0, price_for("gpt-4o", DEFAULT_PRICES))
     assert 39.0e6 <= report.input_tokens <= 39.8e6
     assert 95.0 <= report.usd <= 105.0
-    assert report.extrapolated is True
 
 
 def test_extrapolate_zero_pairs():
@@ -111,5 +109,4 @@ def test_tally_reproducible_from_cache_entries_alone():
         input_tokens=100,
         output_tokens=10,
         usd=first.usd,
-        extrapolated=False,
     )

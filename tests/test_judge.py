@@ -115,7 +115,6 @@ def test_judge_prompt_substitution():
     req = build_judge_prompt(task, "m")
     assert "Query: the query" in req.user_text
     assert "Passage: the passage" in req.user_text
-    assert req.temperature == 0.0
 
 
 def test_judge_prompt_markers_inside_inputs_stay_literal():

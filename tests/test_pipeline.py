@@ -188,6 +188,16 @@ def test_two_fresh_runs_are_byte_identical(toy_experiment):
     assert bundle_digests(out_a.output_dir) == bundle_digests(out_b.output_dir)
 
 
+def test_a_copied_experiment_gives_a_byte_identical_bundle(tmp_path):
+    # inputs, prices and outputs all live somewhere else; only
+    # their contents may reach the bundle, manifest.json included
+    bundles = [
+        run_pipeline(load_config(build_toy_experiment(tmp_path / name))).output_dir
+        for name in ("a", "copy")
+    ]
+    assert bundle_digests(bundles[0]) == bundle_digests(bundles[1])
+
+
 def test_run_resumes_after_a_cache_append_cut_short(toy_experiment, capsys):
     config = load_config(toy_experiment)
     reference = run_pipeline(replace(config, output_dir=config.output_dir.parent / "ref"))

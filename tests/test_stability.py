@@ -363,7 +363,6 @@ def test_stability_report_identical_sources():
     assert report.pearson_rho.value == pytest.approx(1.0)
     assert report.rbo == pytest.approx(1.0)
     assert (report.tau_ci_low, report.tau_ci_high) == (1.0, 1.0)
-    assert report.n_systems == 3
 
 
 def test_stability_report_deterministic():

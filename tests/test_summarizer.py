@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from judgeval.errors import JudgevalError
@@ -50,7 +52,6 @@ def test_prompt_contains_budget_phrase(budget):
     assert f"maximum about {budget} tokens" in req.user_text
     assert "some document text" in req.user_text
     assert req.max_output_tokens == 2 * budget
-    assert req.temperature == 0.0
 
 
 def test_prompt_well_formed_for_empty_document():
@@ -66,11 +67,12 @@ def test_prompt_rejects_nonpositive_budget():
 
 def test_empty_document_short_circuits_backend(tmp_path):
     gw = _mock_gateway(tmp_path)
-    corpus = _corpus(d1="one doc " * 30, d2="", d3="other doc " * 30)
+    corpus = _corpus(d1="one doc " * 30, d2="", d3="other doc " * 30, d4=" \n\t ")
     summaries = summarize_corpus(corpus, 80, gw, "m")
-    assert len(summaries) == 3
+    assert len(summaries) == 4
     assert summaries.records["d2"].text == NO_CONTENT
     assert summaries.records["d2"].output_token_count == 0
+    assert summaries.records["d4"] == replace(summaries.records["d2"], doc_id="d4")
     assert gw.backend_calls == 2
 
 
