@@ -50,8 +50,6 @@ class ExperimentConfig:
     endpoint: str = ""
     api_key_env: str = ""
     max_attempts: int = 5
-    summary_slack: float = 1.5
-    judge_max_output_tokens: int = 64
     summary_template: Path | None = None
     judge_template: Path | None = None
     prices: Path | None = None
@@ -74,9 +72,7 @@ class ExperimentConfig:
             raise ConfigError("http backend requires an endpoint")
         if not 0.0 < self.rbo_p < 1.0:
             raise ConfigError("rbo_p must lie strictly between 0 and 1")
-        for name in (
-            "bootstrap_samples", "ndcg_k", "pool_depth", "max_attempts", "judge_max_output_tokens"
-        ):
+        for name in ("bootstrap_samples", "ndcg_k", "pool_depth", "max_attempts"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
         if len(set(map(str, self.modalities))) != len(self.modalities):
@@ -167,10 +163,6 @@ def load_config(path: str | Path) -> ExperimentConfig:
             endpoint=opt("gateway", "endpoint", ""),
             api_key_env=opt("gateway", "api_key_env", ""),
             max_attempts=int(opt("gateway", "max_attempts", "5")),
-            summary_slack=float(opt("experiment", "summary_slack", "1.5")),
-            judge_max_output_tokens=int(
-                opt("experiment", "judge_max_output_tokens", "64")
-            ),
             summary_template=_opt_path(opt("prompts", "summary_template", ""), resolve),
             judge_template=_opt_path(opt("prompts", "judge_template", ""), resolve),
             prices=_opt_path(opt("pricing", "prices", ""), resolve),

@@ -74,11 +74,11 @@ def ndcg_at_k(
             skipped_no_relevant += 1
             continue
         dcg = 0.0
-        for record in run.topics[topic_id][:k]:
-            if record.doc_id not in topic_grades:
+        for rank, doc_id in enumerate(run.topics[topic_id][:k], start=1):
+            if doc_id not in topic_grades:
                 unjudged_at_cutoff += 1
                 continue
-            dcg += g(topic_grades[record.doc_id]) / math.log2(record.rank + 1)
+            dcg += g(topic_grades[doc_id]) / math.log2(rank + 1)
         per_topic[topic_id] = dcg / idcg
     return EffectivenessRow(
         run_tag=run.run_tag,
@@ -121,13 +121,13 @@ def average_precision(run: Run, qrels: JudgmentSet) -> EffectivenessRow:
             continue
         hits = 0
         precision_sum = 0.0
-        for record in run.topics[topic_id]:
-            if record.doc_id not in topic_grades:
+        for rank, doc_id in enumerate(run.topics[topic_id], start=1):
+            if doc_id not in topic_grades:
                 unjudged += 1
                 continue
-            if topic_grades[record.doc_id] == 1:
+            if topic_grades[doc_id] == 1:
                 hits += 1
-                precision_sum += hits / record.rank
+                precision_sum += hits / rank
         per_topic[topic_id] = precision_sum / total_relevant
     return EffectivenessRow(
         run_tag=run.run_tag,

@@ -22,7 +22,7 @@ from .templates import load_template, template_sha256
 from .trec_io import JudgmentSet, Modality, model_source
 
 GRADE_NUDGE = "Answer with a single digit."
-DEFAULT_MAX_OUTPUT_TOKENS = 64
+MAX_OUTPUT_TOKENS = 64
 
 # A standalone 0-3: not glued to other digits and not part of a decimal
 # number on either side.
@@ -101,14 +101,13 @@ def build_judge_prompt(
     model: str,
     *,
     template: str | None = None,
-    max_output_tokens: int = DEFAULT_MAX_OUTPUT_TOKENS,
 ) -> ChatRequest:
     if template is None:
         template = load_judge_template()
     # one pass, so a marker inside the query or evidence stays literal text
     values = {"<QUERY>": task.topic.query_text, "<PASSAGE>": task.evidence_text}
     user_text = _MARKER_RE.sub(lambda match: values[match.group()], template)
-    return ChatRequest(model=model, user_text=user_text, max_output_tokens=max_output_tokens)
+    return ChatRequest(model=model, user_text=user_text, max_output_tokens=MAX_OUTPUT_TOKENS)
 
 
 def parse_grade(text: str) -> int | None:
@@ -126,7 +125,6 @@ def judge_pool(
     modality: Modality,
     *,
     template: str | None = None,
-    max_output_tokens: int = DEFAULT_MAX_OUTPUT_TOKENS,
 ) -> JudgePoolResult:
     """Judge a pool of tasks with one model, all showing ``modality`` evidence.
 
@@ -146,9 +144,7 @@ def judge_pool(
         key = (task.topic.topic_id, task.doc_id)
         if key in grades:
             raise ValueError(f"duplicate task for topic {key[0]} doc {key[1]}")
-        request = build_judge_prompt(
-            task, model, template=template, max_output_tokens=max_output_tokens
-        )
+        request = build_judge_prompt(task, model, template=template)
         try:
             grade = _judge_one(request, gateway)
         except JudgevalError as exc:

@@ -37,6 +37,7 @@ from .effectiveness import EffectivenessRow, average_precision, ndcg_at_k, scatt
 from .errors import ConfigError, JudgevalError
 from .gateway import Gateway, HttpBackend, MockBackend
 from .judge import (
+    MAX_OUTPUT_TOKENS,
     JudgePoolResult,
     JudgingTask,
     Topic,
@@ -47,6 +48,7 @@ from .judge import (
 )
 from .stability import SystemScores, stability_report
 from .summarizer import (
+    SUMMARY_SLACK,
     SummarySet,
     load_summary_template,
     read_summaries,
@@ -226,10 +228,10 @@ class Experiment:
         depth = self.config.pool_depth
         return sorted(
             {
-                (topic_id, record.doc_id)
+                (topic_id, doc_id)
                 for run in self.runs
-                for topic_id, records in run.topics.items()
-                for record in records[:depth]
+                for topic_id, ranking in run.topics.items()
+                for doc_id in ranking[:depth]
             }
         )
 
@@ -243,7 +245,6 @@ class Experiment:
             gateway,
             self.config.summarizer_model,
             template=self.summary_template,
-            slack=self.config.summary_slack,
         )
 
     def judge(
@@ -267,14 +268,7 @@ class Experiment:
                 skipped.append({"topic_id": topic_id, "doc_id": doc_id, "reason": reason})
                 continue
             tasks.append(JudgingTask(topic=topic, doc_id=doc_id, evidence_text=record.text))
-        result = judge_pool(
-            tasks,
-            gateway,
-            model,
-            modality,
-            template=self.judge_template,
-            max_output_tokens=self.config.judge_max_output_tokens,
-        )
+        result = judge_pool(tasks, gateway, model, modality, template=self.judge_template)
         return result, skipped
 
     # -- manifest bookkeeping ------------------------------------------------
@@ -293,13 +287,12 @@ class Experiment:
         files: dict[str, str] = {}
         for record in self.manifest["stages"].values():
             files.update(record["outputs"])
-        cache = self.config.resolved_cache_path()
-        if cache.exists():
-            try:
-                rel = str(cache.relative_to(self.out))
-            except ValueError:
-                rel = str(cache)
-            files[rel] = sha256_file(cache)
+        # a cache outside the output directory is shared across experiments,
+        # so it is not a bundle file
+        cache = self.config.resolved_cache_path().resolve()
+        out = self.out.resolve()
+        if cache.is_relative_to(out) and cache.exists():
+            files[str(cache.relative_to(out))] = sha256_file(cache)
         manifest = {
             "tool": "judgeval",
             "version": __version__,
@@ -400,7 +393,7 @@ class Experiment:
             "budget": budget,
             "model": self.config.summarizer_model,
             "template_sha256": template_sha256(self.summary_template),
-            "slack": self.config.summary_slack,
+            "slack": SUMMARY_SLACK,
             "backend": self.config.backend,
             "seed": self.config.seed,
         }
@@ -435,7 +428,7 @@ class Experiment:
             "model": model,
             "modality": str(modality),
             "template_sha256": template_sha256(self.judge_template),
-            "max_output_tokens": self.config.judge_max_output_tokens,
+            "max_output_tokens": MAX_OUTPUT_TOKENS,
             "backend": self.config.backend,
             "seed": self.config.seed,
         }

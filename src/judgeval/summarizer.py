@@ -17,16 +17,16 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .errors import JudgevalError, ParseError
-from .gateway import ChatRequest, Gateway
+from .gateway import ChatRequest, Gateway, count_tokens
 from .trec_io import DocCorpus, atomic_write_text, nonblank_lines
 from .templates import load_template, template_sha256
 
 NO_CONTENT = "NO_CONTENT"
 
-# Request headroom over the soft budget; generations beyond slack * budget
-# are flagged as over budget.
+# Request headroom over the soft budget; generations beyond
+# SUMMARY_SLACK * budget are flagged as over budget.
 OUTPUT_HEADROOM = 2
-DEFAULT_SLACK = 1.5
+SUMMARY_SLACK = 1.5
 
 
 @dataclass(frozen=True)
@@ -90,7 +90,6 @@ def summarize_corpus(
     model: str,
     *,
     template: str | None = None,
-    slack: float = DEFAULT_SLACK,
 ) -> SummarySet:
     """Summarize every corpus document at one budget.
 
@@ -126,9 +125,9 @@ def summarize_corpus(
             continue
         out_tokens = response.output_tokens
         flags = []
-        if out_tokens > slack * budget:
+        if out_tokens > SUMMARY_SLACK * budget:
             flags.append("over_budget")
-        if out_tokens > entry.token_count:
+        if out_tokens > count_tokens(entry.text):
             flags.append("longer_than_source")
         result.records[doc_id] = SummaryRecord(
             doc_id=doc_id,

@@ -7,9 +7,12 @@ Formats handled here:
   discarded. A judgment sidecar (``<path>.meta.json``) records provenance:
   ``source``, ``modality``, ``budget_tokens``, ``model``, ``prompt_sha256``.
   It carries no time stamp, so it is a function of the judgments alone.
-- runs: ``topic Q0 docid rank score tag``. Records are regrouped by topic
-  and re-sorted by descending score with ranks recomputed; score ties are
-  broken by ascending docid so evaluation is deterministic across platforms.
+- runs: ``topic Q0 docid rank score tag``. A parsed run keeps, per topic,
+  only its doc ids in descending score order, with score ties broken by
+  ascending docid so evaluation is deterministic across platforms; a doc's
+  rank is its position in that list. The rank column is checked to be an
+  integer and then ignored. NaN scores are rejected: they have no place in
+  the order, so the ranking would depend on line order.
 - corpus: UTF-8 line-oriented JSON, one object per line with string fields
   ``docid`` and ``text``.
 
@@ -22,13 +25,13 @@ silently dropped.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
-from typing import Iterator, NamedTuple
+from typing import Iterator
 
 from .errors import ConflictError, ParseError
-from .gateway import count_tokens
 
 VALID_GRADES = (0, 1, 2, 3)
 
@@ -100,12 +103,6 @@ def model_source(name: str) -> Source:
     return Source("model", name)
 
 
-class QrelRecord(NamedTuple):
-    topic_id: str
-    doc_id: str
-    grade: int
-
-
 @dataclass
 class JudgmentSet:
     """Graded labels for (topic, doc) pairs plus their provenance.
@@ -121,10 +118,6 @@ class JudgmentSet:
 
     def __len__(self) -> int:
         return len(self.grades)
-
-    def records(self) -> Iterator[QrelRecord]:
-        for (topic_id, doc_id) in sorted(self.grades):
-            yield QrelRecord(topic_id, doc_id, self.grades[(topic_id, doc_id)])
 
     @cached_property
     def by_topic(self) -> dict[str, dict[str, int]]:
@@ -222,7 +215,8 @@ def write_judgments(judgments: JudgmentSet, path: str | Path) -> None:
     """
     path = Path(path)
     lines = [
-        f"{rec.topic_id} 0 {rec.doc_id} {rec.grade}\n" for rec in judgments.records()
+        f"{topic_id} 0 {doc_id} {grade}\n"
+        for (topic_id, doc_id), grade in sorted(judgments.grades.items())
     ]
     atomic_write_text(path, "".join(lines))
     meta = {
@@ -245,24 +239,13 @@ def atomic_write_text(path: Path, text: str) -> None:
     tmp.replace(path)
 
 
-class RunRecord(NamedTuple):
-    topic_id: str
-    doc_id: str
-    rank: int
-    score: float
-    run_tag: str
-
-
 @dataclass
 class Run:
-    """One system's ranked retrieval output, grouped by topic.
-
-    Within each topic the list is sorted by descending score (docid breaks
-    ties) and ranks are the positions 1..n after sorting.
-    """
+    """One system's ranked retrieval output: each topic's doc ids sorted by
+    descending score (docid breaks ties); a doc's rank is its index plus one."""
 
     run_tag: str
-    topics: dict[str, list[RunRecord]] = field(default_factory=dict)
+    topics: dict[str, list[str]] = field(default_factory=dict)
 
 
 def parse_run(path: str | Path) -> Run:
@@ -291,6 +274,8 @@ def parse_run(path: str | Path) -> Run:
             raise ParseError(
                 f"score {score_str!r} is not numeric", path=str(path), line=line_no
             ) from exc
+        if math.isnan(score):
+            raise ParseError(f"score {score_str!r} is NaN", path=str(path), line=line_no)
         if tag is None:
             tag = line_tag
         elif tag != line_tag:
@@ -308,14 +293,13 @@ def parse_run(path: str | Path) -> Run:
             )
         docs[doc_id] = score
 
-    run = Run(run_tag=tag if tag is not None else path.stem)
-    for topic_id, docs in by_topic.items():
-        ordered = sorted(docs.items(), key=lambda item: (-item[1], item[0]))
-        run.topics[topic_id] = [
-            RunRecord(topic_id, doc_id, rank, score, run.run_tag)
-            for rank, (doc_id, score) in enumerate(ordered, start=1)
-        ]
-    return run
+    return Run(
+        run_tag=tag if tag is not None else path.stem,
+        topics={
+            topic_id: sorted(docs, key=lambda doc_id: (-docs[doc_id], doc_id))
+            for topic_id, docs in by_topic.items()
+        },
+    )
 
 
 def load_runs_dir(path: str | Path) -> list[Run]:
@@ -332,7 +316,6 @@ def load_runs_dir(path: str | Path) -> list[Run]:
 @dataclass(frozen=True)
 class CorpusEntry:
     text: str
-    token_count: int
 
 
 @dataclass
@@ -370,5 +353,5 @@ def load_corpus(path: str | Path) -> DocCorpus:
             raise ConflictError(
                 f"duplicate docid {doc_id}", path=str(path), line=line_no
             )
-        entries[doc_id] = CorpusEntry(text=text, token_count=count_tokens(text))
+        entries[doc_id] = CorpusEntry(text=text)
     return DocCorpus(entries=entries)

@@ -41,7 +41,7 @@ from judgeval.stability import (
     spearman_rho,
     stability_report,
 )
-from judgeval.trec_io import JudgmentSet, Run, RunRecord, parse_qrels, write_judgments
+from judgeval.trec_io import JudgmentSet, Run, parse_qrels, write_judgments
 
 N_INSTANCES = 1000
 TOL = 1e-10
@@ -64,13 +64,7 @@ def _pairs_to_matrix(pairs, labels):
 
 
 def _run_from_ranking(rankings: dict[str, list[str]]) -> Run:
-    run = Run(run_tag="r")
-    for topic_id, docs in rankings.items():
-        run.topics[topic_id] = [
-            RunRecord(topic_id, doc_id, rank, float(len(docs) - rank), "r")
-            for rank, doc_id in enumerate(docs, start=1)
-        ]
-    return run
+    return Run("r", rankings)
 
 
 def _vector(rng, n, tie_prob=0.35):

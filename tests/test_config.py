@@ -79,9 +79,14 @@ def test_old_max_in_flight_key_is_ignored(tmp_path):
     config_path = build_toy_experiment(tmp_path)
     base = load_config(config_path).config_hash()
     text = config_path.read_text()
-    config_path.write_text(text.replace("backend = mock\n", "backend = mock\nmax_in_flight = 2\n"))
-    assert "max_in_flight = 2" in config_path.read_text()
-    assert load_config(config_path).config_hash() == base
+    for section, line in (
+        ("gateway", "max_in_flight = 2"),
+        ("experiment", "summary_slack = 3.0"),
+        ("experiment", "judge_max_output_tokens = 8"),
+    ):
+        config_path.write_text(text.replace(f"[{section}]\n", f"[{section}]\n{line}\n"))
+        assert line in config_path.read_text()
+        assert load_config(config_path).config_hash() == base
 
 
 def test_duplicate_modalities_rejected(toy_experiment):
@@ -97,7 +102,6 @@ def test_duplicate_modalities_rejected(toy_experiment):
         ("metrics", "ndcg_k"),
         ("experiment", "pool_depth"),
         ("gateway", "max_attempts"),
-        ("experiment", "judge_max_output_tokens"),
     ],
 )
 def test_non_positive_counts_rejected_at_load(tmp_path, capsys, section, option):

@@ -8,17 +8,11 @@ import pytest
 
 import oracles
 from judgeval.effectiveness import average_precision, ndcg_at_k, scatter_data
-from judgeval.trec_io import JudgmentSet, Run, RunRecord
+from judgeval.trec_io import JudgmentSet, Run
 
 
 def _run(tag: str, rankings: dict[str, list[str]]) -> Run:
-    run = Run(run_tag=tag)
-    for topic_id, docs in rankings.items():
-        run.topics[topic_id] = [
-            RunRecord(topic_id, doc_id, rank, float(len(docs) - rank + 1), tag)
-            for rank, doc_id in enumerate(docs, start=1)
-        ]
-    return run
+    return Run(tag, rankings)
 
 
 def _qrels(by_topic: dict[str, dict[str, int]], **kwargs) -> JudgmentSet:

@@ -188,13 +188,18 @@ def test_two_fresh_runs_are_byte_identical(toy_experiment):
     assert bundle_digests(out_a.output_dir) == bundle_digests(out_b.output_dir)
 
 
-def test_a_copied_experiment_gives_a_byte_identical_bundle(tmp_path):
-    # inputs, prices and outputs all live somewhere else; only
-    # their contents may reach the bundle, manifest.json included
-    bundles = [
-        run_pipeline(load_config(build_toy_experiment(tmp_path / name))).output_dir
-        for name in ("a", "copy")
-    ]
+@pytest.mark.parametrize(
+    "cache_line", ["", "cache = shared/cache.jsonl\n"], ids=["cache-inside", "cache-outside"]
+)
+def test_a_copied_experiment_gives_a_byte_identical_bundle(tmp_path, cache_line):
+    # inputs, prices, outputs and an outside cache all live somewhere else;
+    # only their contents may reach the bundle, manifest.json included
+    bundles = []
+    for name in ("a", "copy"):
+        config_path = build_toy_experiment(tmp_path / name)
+        text = config_path.read_text().replace("backend = mock\n", "backend = mock\n" + cache_line)
+        config_path.write_text(text)
+        bundles.append(run_pipeline(load_config(config_path)).output_dir)
     assert bundle_digests(bundles[0]) == bundle_digests(bundles[1])
 
 
@@ -308,10 +313,10 @@ def test_run_pool_judges_retrieved_documents(tmp_path):
     from judgeval.trec_io import load_runs_dir
 
     expected_pairs = {
-        (topic_id, rec.doc_id)
+        (topic_id, doc_id)
         for run in load_runs_dir(config.runs_dir)
-        for topic_id, records in run.topics.items()
-        for rec in records[:5]
+        for topic_id, ranking in run.topics.items()
+        for doc_id in ranking[:5]
     }
     assert set(judged.grades) == expected_pairs
 

@@ -27,12 +27,7 @@ from judgeval.trec_io import CorpusEntry, DocCorpus
 
 
 def _corpus(**texts) -> DocCorpus:
-    return DocCorpus(
-        entries={
-            doc_id: CorpusEntry(text=text, token_count=count_tokens(text))
-            for doc_id, text in texts.items()
-        }
-    )
+    return DocCorpus(entries={doc_id: CorpusEntry(text) for doc_id, text in texts.items()})
 
 
 def _mock_gateway(tmp_path, seed=1, **kwargs):
