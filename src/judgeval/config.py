@@ -2,10 +2,11 @@
 
 Relative paths are resolved against the config file's directory. Secrets
 never live in the file: only the *name* of the API-key environment variable
-is configured. The config hash covers every field that can change outputs
-except where files live: the input, template, price, output and cache
-paths are left out, so the same experiment copied to another directory, or
-written to two directories, produces identical bundles. The contents behind
+is configured. The config hash covers every field that can change outputs:
+where files live is left out (the input, template, price, output and cache
+paths), so the same experiment copied to another directory, or written to
+two directories, produces identical bundles, and so is ``max_in_flight``,
+which changes how fast replies arrive but not which. The contents behind
 those paths are fingerprinted elsewhere in the manifest: input digests,
 template SHA-256s and price values.
 """
@@ -21,9 +22,10 @@ from pathlib import Path
 from .errors import ConfigError
 from .trec_io import Modality
 
-LOCATION_FIELDS = (
+UNHASHED_FIELDS = (
     "corpus", "topics", "qrels", "runs_dir", "output_dir",
     "summary_template", "judge_template", "prices", "cache_path",
+    "max_in_flight",
 )
 
 
@@ -50,6 +52,7 @@ class ExperimentConfig:
     endpoint: str = ""
     api_key_env: str = ""
     max_attempts: int = 5
+    max_in_flight: int = 1
     summary_template: Path | None = None
     judge_template: Path | None = None
     prices: Path | None = None
@@ -72,7 +75,8 @@ class ExperimentConfig:
             raise ConfigError("http backend requires an endpoint")
         if not 0.0 < self.rbo_p < 1.0:
             raise ConfigError("rbo_p must lie strictly between 0 and 1")
-        for name in ("bootstrap_samples", "ndcg_k", "pool_depth", "max_attempts"):
+        counts = ("bootstrap_samples", "ndcg_k", "pool_depth", "max_attempts", "max_in_flight")
+        for name in counts:
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
         if len(set(map(str, self.modalities))) != len(self.modalities):
@@ -84,9 +88,9 @@ class ExperimentConfig:
         return self.cache_path or (self.output_dir / "cache.jsonl")
 
     def hashed_fields(self) -> dict:
-        """Every output-affecting field but the file locations, in hash-stable form."""
+        """Every output-affecting field, in hash-stable form."""
         out = {
-            f.name: getattr(self, f.name) for f in fields(self) if f.name not in LOCATION_FIELDS
+            f.name: getattr(self, f.name) for f in fields(self) if f.name not in UNHASHED_FIELDS
         }
         out["modalities"] = [str(m) for m in self.modalities]
         return out
@@ -163,6 +167,7 @@ def load_config(path: str | Path) -> ExperimentConfig:
             endpoint=opt("gateway", "endpoint", ""),
             api_key_env=opt("gateway", "api_key_env", ""),
             max_attempts=int(opt("gateway", "max_attempts", "5")),
+            max_in_flight=int(opt("gateway", "max_in_flight", "1")),
             summary_template=_opt_path(opt("prompts", "summary_template", ""), resolve),
             judge_template=_opt_path(opt("prompts", "judge_template", ""), resolve),
             prices=_opt_path(opt("pricing", "prices", ""), resolve),

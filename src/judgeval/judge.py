@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Iterable, NamedTuple
 
-from .errors import JudgevalError, ParseError
+from .errors import GatewayError, JudgevalError, ParseError
 from .gateway import ChatRequest, Gateway
 from .templates import load_template, template_sha256
 from .trec_io import JudgmentSet, Modality, model_source
@@ -129,31 +129,38 @@ def judge_pool(
     """Judge a pool of tasks with one model, all showing ``modality`` evidence.
 
     Each task gets one plain attempt and, if its response has no grade, one
-    attempt with a "single digit" nudge appended. (Repeating the plain
-    request would only replay the cached response.) Tasks still unparseable
+    attempt with a "single digit" nudge appended; the nudged requests go out
+    as a second wave after the plain ones. (Repeating the plain request
+    would only replay the cached response.) Tasks still unparseable
     after that, or failing at the gateway, land in the failure ledger. Every
     task ends up either as a judgment record or a ledger entry.
     """
     if template is None:
         template = load_judge_template()
     prompt_hash = template_sha256(template)
+    ordered = sorted(tasks, key=_task_key)
+    for before, task in zip(ordered, ordered[1:]):
+        if _task_key(before) == _task_key(task):
+            raise ValueError(f"duplicate task for topic {task.topic.topic_id} doc {task.doc_id}")
+
+    def prompts(batch: list[JudgingTask], suffix: str):
+        for task in batch:
+            request = build_judge_prompt(task, model, template=template)
+            yield replace(request, user_text=request.user_text + suffix) if suffix else request
 
     grades: dict[tuple[str, str], int] = {}
-    failures: list[TaskFailure] = []
-    for task in sorted(tasks, key=lambda t: (t.topic.topic_id, t.doc_id)):
-        key = (task.topic.topic_id, task.doc_id)
-        if key in grades:
-            raise ValueError(f"duplicate task for topic {key[0]} doc {key[1]}")
-        request = build_judge_prompt(task, model, template=template)
-        try:
-            grade = _judge_one(request, gateway)
-        except JudgevalError as exc:
-            failures.append(TaskFailure(key[0], key[1], str(exc)))
-            continue
-        if grade is None:
-            failures.append(TaskFailure(key[0], key[1], "no parseable grade"))
-            continue
-        grades[key] = grade
+    reasons: dict[tuple[str, str], str] = {}
+    unparsed: list[JudgingTask] = []  # filled by the first wave, asked by the second
+    for batch, suffix in ((ordered, ""), (unparsed, "\n\n" + GRADE_NUDGE)):
+        for task, response in zip(batch, gateway.complete_many(prompts(batch, suffix))):
+            if isinstance(response, GatewayError):
+                reasons[_task_key(task)] = str(response)
+            elif (grade := parse_grade(response.text)) is not None:
+                grades[_task_key(task)] = grade
+            elif suffix:
+                reasons[_task_key(task)] = "no parseable grade"
+            else:
+                unparsed.append(task)
 
     judgments = JudgmentSet(
         grades=grades,
@@ -161,15 +168,12 @@ def judge_pool(
         modality=modality,
         prompt_sha256=prompt_hash,
     )
+    failures = [TaskFailure(*key, reasons[key]) for key in sorted(reasons)]
     return JudgePoolResult(judgments, failures)
 
 
-def _judge_one(request: ChatRequest, gateway: Gateway) -> int | None:
-    grade = parse_grade(gateway.complete(request).text)
-    if grade is None:
-        nudged = replace(request, user_text=request.user_text + "\n\n" + GRADE_NUDGE)
-        grade = parse_grade(gateway.complete(nudged).text)
-    return grade
+def _task_key(task: JudgingTask) -> tuple[str, str]:
+    return (task.topic.topic_id, task.doc_id)
 
 
 def binarize(judgments: JudgmentSet, threshold: int = 1) -> JudgmentSet:

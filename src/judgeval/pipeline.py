@@ -35,7 +35,7 @@ from .config import ExperimentConfig
 from .cost import DEFAULT_PRICES, load_price_table, tally_observed, usage_entries
 from .effectiveness import EffectivenessRow, average_precision, ndcg_at_k, scatter_data
 from .errors import ConfigError, JudgevalError
-from .gateway import Gateway, HttpBackend, MockBackend
+from .gateway import ChatResponse, Gateway, HttpBackend, MockBackend
 from .judge import (
     MAX_OUTPUT_TOKENS,
     JudgePoolResult,
@@ -132,10 +132,11 @@ class _RecordingGateway:
         self._inner = inner
         self.hashes: set[str] = set()
 
-    def complete(self, request):
-        response = self._inner.complete(request)
-        self.hashes.add(response.request_hash)
-        return response
+    def complete_many(self, requests):
+        for outcome in self._inner.complete_many(requests):
+            if isinstance(outcome, ChatResponse):
+                self.hashes.add(outcome.request_hash)
+            yield outcome
 
 
 def effectiveness_by_metric(
@@ -201,7 +202,12 @@ class Experiment:
             backend = MockBackend(seed=config.seed)
         else:
             backend = HttpBackend(config.endpoint, config.api_key_env)
-        return Gateway(backend, config.resolved_cache_path(), max_attempts=config.max_attempts)
+        return Gateway(
+            backend,
+            config.resolved_cache_path(),
+            max_attempts=config.max_attempts,
+            max_in_flight=config.max_in_flight,
+        )
 
     @cached_property
     def corpus(self) -> DocCorpus:

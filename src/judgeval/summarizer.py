@@ -16,7 +16,7 @@ import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .errors import JudgevalError, ParseError
+from .errors import GatewayError, JudgevalError, ParseError
 from .gateway import ChatRequest, Gateway, count_tokens
 from .trec_io import DocCorpus, atomic_write_text, nonblank_lines
 from .templates import load_template, template_sha256
@@ -105,29 +105,32 @@ def summarize_corpus(
         template = load_summary_template()
     prompt_hash = template_sha256(template)
     result = SummarySet(budget_tokens=budget)
+    asked = []
     for doc_id in corpus.doc_ids():
-        entry = corpus.entries[doc_id]
-        if not entry.text.strip():
-            result.records[doc_id] = SummaryRecord(
-                doc_id=doc_id,
-                budget_tokens=budget,
-                text=NO_CONTENT,
-                output_token_count=0,
-                model=model,
-                prompt_sha256=prompt_hash,
-            )
+        if corpus.entries[doc_id].text.strip():
+            asked.append(doc_id)
             continue
-        request = build_summary_prompt(entry.text, budget, model, template=template)
-        try:
-            response = gateway.complete(request)
-        except JudgevalError as exc:
-            result.errors[doc_id] = str(exc)
+        result.records[doc_id] = SummaryRecord(
+            doc_id=doc_id,
+            budget_tokens=budget,
+            text=NO_CONTENT,
+            output_token_count=0,
+            model=model,
+            prompt_sha256=prompt_hash,
+        )
+    requests = (
+        build_summary_prompt(corpus.entries[doc_id].text, budget, model, template=template)
+        for doc_id in asked
+    )
+    for doc_id, response in zip(asked, gateway.complete_many(requests)):
+        if isinstance(response, GatewayError):
+            result.errors[doc_id] = str(response)
             continue
         out_tokens = response.output_tokens
         flags = []
         if out_tokens > SUMMARY_SLACK * budget:
             flags.append("over_budget")
-        if out_tokens > count_tokens(entry.text):
+        if out_tokens > count_tokens(corpus.entries[doc_id].text):
             flags.append("longer_than_source")
         result.records[doc_id] = SummaryRecord(
             doc_id=doc_id,

@@ -10,6 +10,7 @@ from conftest import build_toy_experiment
 from judgeval.cli import main
 from judgeval.config import load_config
 from judgeval.errors import ConfigError
+from judgeval.pipeline import Experiment
 from judgeval.trec_io import Modality
 
 
@@ -75,18 +76,21 @@ def test_config_hash_ignores_output_dir_but_tracks_everything_else(toy_experimen
     assert replace(config, gain="exponential").config_hash() != base
 
 
-def test_old_max_in_flight_key_is_ignored(tmp_path):
+def test_max_in_flight_is_honoured_and_left_out_of_the_hash(tmp_path):
     config_path = build_toy_experiment(tmp_path)
     base = load_config(config_path).config_hash()
     text = config_path.read_text()
     for section, line in (
-        ("gateway", "max_in_flight = 2"),
+        ("gateway", "max_in_flight = 3"),
         ("experiment", "summary_slack = 3.0"),
         ("experiment", "judge_max_output_tokens = 8"),
     ):
         config_path.write_text(text.replace(f"[{section}]\n", f"[{section}]\n{line}\n"))
         assert line in config_path.read_text()
-        assert load_config(config_path).config_hash() == base
+        config = load_config(config_path)
+        assert config.config_hash() == base
+        in_flight = 3 if "max_in_flight" in line else 1
+        assert Experiment(config).gateway.max_in_flight == in_flight
 
 
 def test_duplicate_modalities_rejected(toy_experiment):
@@ -102,6 +106,7 @@ def test_duplicate_modalities_rejected(toy_experiment):
         ("metrics", "ndcg_k"),
         ("experiment", "pool_depth"),
         ("gateway", "max_attempts"),
+        ("gateway", "max_in_flight"),
     ],
 )
 def test_non_positive_counts_rejected_at_load(tmp_path, capsys, section, option):

@@ -4,6 +4,10 @@ from __future__ import annotations
 
 import json
 import random
+import sys
+import threading
+import time
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -179,6 +183,118 @@ def test_each_distinct_request_reaches_the_backend_once(tmp_path):
     assert len(gw.cache) == 7
     assert (gw.backend_calls, gw.cache_hits) == (7, 53)
     assert [resp.request_hash for resp in responses] == [r.digest() for r in requests]
+
+
+class _ThreadedBackend:
+    """Answers after a short hash-derived delay, so replies finish out of
+    order; fails every attempt at prompts starting with "down", and the
+    first two attempts at prompts starting with "flaky". Each sleep is
+    logged under the prompt whose retry it delays."""
+
+    def __init__(self):
+        self.lock = threading.Lock()
+        self.attempts = Counter()
+        self.in_flight = self.peak = 0
+        self.sleeps: dict[str, list[float]] = {}
+        self._current = threading.local()
+
+    def send(self, req):
+        with self.lock:
+            self.attempts[req.user_text] += 1
+            attempt = self.attempts[req.user_text]
+            self.in_flight += 1
+            self.peak = max(self.peak, self.in_flight)
+        try:
+            self._current.text = req.user_text
+            time.sleep(int(req.digest()[:2], 16) / 255 * 0.002)
+            if req.user_text.startswith("down") or (
+                req.user_text.startswith("flaky") and attempt <= 2
+            ):
+                raise TransportError("unavailable")
+            return BackendReply(text=f"re {req.user_text}", input_tokens=1, output_tokens=1)
+        finally:
+            with self.lock:
+                self.in_flight -= 1
+
+    def sleep(self, seconds):
+        self.sleeps.setdefault(self._current.text, []).append(seconds)
+
+
+def _run_many(tmp_path, name, requests, in_flight):
+    backend = _ThreadedBackend()
+    gw = Gateway(
+        backend, tmp_path / name / "cache.jsonl",
+        max_attempts=3, max_in_flight=in_flight, sleep=backend.sleep,
+    )
+    outcomes = list(gw.complete_many(requests))
+    return backend, gw, outcomes
+
+
+def test_complete_many_is_the_serial_result_at_any_in_flight(tmp_path):
+    texts = [f"prompt {i % 23}" for i in range(120)] + ["down once", "flaky twice", "down once"]
+    requests = [_req(text) for text in texts]
+    serial = _gateway(_ThreadedBackend(), tmp_path / "serial", max_attempts=3)
+    expected = []
+    for req in requests:
+        try:
+            expected.append(serial.complete(req))
+        except GatewayError as exc:
+            expected.append(str(exc))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads often, so a lost update would show
+    try:
+        for in_flight in (1, 2, 16):
+            backend, gw, outcomes = _run_many(tmp_path, f"n{in_flight}", requests, in_flight)
+            got = [str(o) if isinstance(o, GatewayError) else o for o in outcomes]
+            assert got == expected
+            cache = (tmp_path / f"n{in_flight}" / "cache.jsonl").read_bytes()
+            assert cache == (tmp_path / "serial" / "cache.jsonl").read_bytes()
+            assert gw.backend_calls == serial.backend_calls == sum(backend.attempts.values())
+            assert gw.cache_hits == serial.cache_hits
+            assert backend.peak <= in_flight
+    finally:
+        sys.setswitchinterval(interval)
+    assert backend.peak > 1
+
+
+def test_backoff_sleeps_depend_only_on_the_request(tmp_path):
+    requests = [_req("flaky a"), _req("down b"), _req("flaky c")]
+    alone, _, _ = _run_many(tmp_path, "alone", requests[2:], 1)
+    for in_flight in (1, 8):
+        backend, _, _ = _run_many(tmp_path, f"n{in_flight}", requests, in_flight)
+        assert [len(backend.sleeps[r.user_text]) for r in requests] == [2, 2, 2]
+        assert backend.sleeps["flaky c"] == alone.sleeps["flaky c"]
+        assert backend.sleeps["flaky a"] != backend.sleeps["flaky c"]
+
+
+def test_complete_many_stopped_early_leaves_no_thread(tmp_path):
+    before = set(threading.enumerate())
+    backend = _ThreadedBackend()
+    gw = Gateway(backend, tmp_path / "cache.jsonl", max_in_flight=4)
+    stream = gw.complete_many(_req(f"prompt {i}") for i in range(200))
+    first = [next(stream) for _ in range(3)]
+    assert [r.text for r in first] == ["re prompt 0", "re prompt 1", "re prompt 2"]
+    stream.close()
+    assert set(threading.enumerate()) <= before
+    assert sum(backend.attempts.values()) < 200  # queued requests were never sent
+    assert len(gw.cache) == 3
+
+
+def test_complete_many_stopped_early_makes_no_further_retry(tmp_path):
+    backend = _ThreadedBackend()
+    sleeping = threading.Event()
+
+    def sleep(seconds):
+        sleeping.set()
+        time.sleep(0.2)
+
+    gw = Gateway(backend, tmp_path / "cache.jsonl", max_in_flight=2, sleep=sleep)
+    stream = gw.complete_many([_req("prompt 0"), _req("down 1"), _req("prompt 2")])
+    assert next(stream).text == "re prompt 0"
+    assert sleeping.wait(5)
+    stream.close()  # "down 1" is in its first backoff sleep
+    assert backend.attempts["down 1"] == 1  # five without the stop
+    assert len(gw.cache) == 1
 
 
 # -- mock determinism ----------------------------------------------------------

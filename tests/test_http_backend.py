@@ -2,14 +2,17 @@
 
 from __future__ import annotations
 
+import hashlib
 import http.server
 import json
 import threading
+import time
 from dataclasses import replace
 
 import pytest
 
 from conftest import build_toy_experiment, bundle_digests
+from judgeval import gateway as gateway_module
 from judgeval.config import load_config
 from judgeval.errors import GatewayError, ProtocolError
 from judgeval.gateway import ChatRequest, Gateway, HttpBackend, MockBackend
@@ -24,9 +27,12 @@ class _StubHandler(http.server.BaseHTTPRequestHandler):
     def do_POST(self):
         server = self.server
         body = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
-        server.requests.append({"headers": dict(self.headers), "body": body})
-        if server.remaining_failures > 0:
-            server.remaining_failures -= 1
+        with server.lock:
+            record = {"headers": dict(self.headers), "body": body}
+            server.requests.append(record)
+            refuse = record["refused"] = server.remaining_failures > 0 or server.refuse(body)
+            server.remaining_failures -= refuse
+        if refuse:
             self.send_response(server.status_on_fail)
             self.send_header("Content-Length", "0")
             self.end_headers()
@@ -43,11 +49,19 @@ class _StubHandler(http.server.BaseHTTPRequestHandler):
         pass
 
 
+class _StubServer(http.server.ThreadingHTTPServer):
+    # socketserver's default backlog of 5 drops connections beyond it, which
+    # then wait a second for the SYN retry when 8 requests are in flight
+    request_queue_size = 64
+
+
 @pytest.fixture
 def stub_server():
-    server = http.server.ThreadingHTTPServer(("127.0.0.1", 0), _StubHandler)
+    server = _StubServer(("127.0.0.1", 0), _StubHandler)
     server.requests = []
+    server.lock = threading.Lock()
     server.remaining_failures = 0
+    server.refuse = lambda _body: False
     server.status_on_fail = 500
     server.reply = {
         "choices": [{"message": {"content": "grade: 2"}}],
@@ -165,3 +179,85 @@ def test_http_bundles_are_byte_identical_across_fresh_and_forced_runs(stub_serve
     assert forced.backend_calls == 0
     assert len(stub_server.requests) == sent
     assert bundle_digests(forced.output_dir) == fresh
+
+
+def _http_toy_config(tmp_path, server, in_flight: int, max_attempts: int = 5):
+    """The toy experiment against ``server`` with ``in_flight`` requests at once."""
+    config_path = build_toy_experiment(tmp_path)
+    text = config_path.read_text().replace(
+        "backend = mock\n", f"backend = http\nendpoint = {_endpoint(server)}\n"
+    )
+    config_path.write_text(text)
+    return replace(
+        load_config(config_path), max_in_flight=in_flight, max_attempts=max_attempts
+    )
+
+
+@pytest.fixture
+def counted_sends(monkeypatch):
+    """Counts HttpBackend.send calls at once, on the client side."""
+    counts = {"now": 0, "peak": 0}
+    lock = threading.Lock()
+    send = HttpBackend.send
+
+    def counted(self, req):
+        with lock:
+            counts["now"] += 1
+            counts["peak"] = max(counts["peak"], counts["now"])
+        try:
+            return send(self, req)
+        finally:
+            with lock:
+                counts["now"] -= 1
+
+    monkeypatch.setattr(HttpBackend, "send", counted)
+    return counts
+
+
+def test_http_bundles_do_not_depend_on_max_in_flight(stub_server, counted_sends, tmp_path):
+    def slow_reply(body):
+        time.sleep(0.002)
+        return _mock_reply(body)
+
+    stub_server.reply = slow_reply
+    bundles = {}
+    for in_flight in (1, 2, 8):
+        counted_sends["peak"] = 0
+        config = _http_toy_config(tmp_path, stub_server, in_flight)
+        sent = len(stub_server.requests)
+        result = run_pipeline(replace(config, output_dir=tmp_path / f"out{in_flight}"))
+        assert result.backend_calls == len(stub_server.requests) - sent > 0
+        assert counted_sends["peak"] <= in_flight
+        bundles[in_flight] = bundle_digests(result.output_dir)
+    assert counted_sends["peak"] > 1
+    assert "cache.jsonl" in bundles[1] and "manifest.json" in bundles[1]
+    assert bundles[2] == bundles[1]
+    assert bundles[8] == bundles[1]
+
+
+def test_429_storm_ends_in_retries_or_ledger_entries(stub_server, tmp_path, monkeypatch):
+    monkeypatch.setattr(gateway_module, "BACKOFF_BASE_S", 0.001)
+
+    def refuse(body):
+        digest = hashlib.sha256(json.dumps(body, sort_keys=True).encode()).digest()
+        if digest[0] % 7 == 0:
+            return True  # refused at every attempt
+        seen = sum(r["body"] == body for r in stub_server.requests)
+        return digest[0] % 2 == 0 and seen == 1  # refused at the first attempt only
+
+    stub_server.status_on_fail = 429
+    stub_server.refuse = refuse
+    stub_server.reply = _mock_reply
+    config = _http_toy_config(tmp_path, stub_server, in_flight=8, max_attempts=2)
+    result = run_pipeline(config)
+
+    answered = sum(not r["refused"] for r in stub_server.requests)
+    assert result.backend_calls == len(stub_server.requests) > answered
+    lines = (result.output_dir / "cache.jsonl").read_text().splitlines()
+    hashes = [json.loads(line)["hash"] for line in lines]
+    assert len(hashes) == len(set(hashes)) == answered
+    failed = 0
+    for ledger in result.output_dir.glob("judgments/*.errors.json"):
+        failed += len(json.loads(ledger.read_text())["failed_tasks"])
+    assert failed > 0
+    assert all(stage.status == "ran" for stage in result.outcomes)

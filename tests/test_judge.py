@@ -26,9 +26,11 @@ class _FixedBackend:
     def __init__(self, text):
         self.text = text
         self.calls = 0
+        self.requests = []
 
     def send(self, req):
         self.calls += 1
+        self.requests.append(req)
         return BackendReply(text=self.text, input_tokens=5, output_tokens=2)
 
 
@@ -165,14 +167,7 @@ def test_judge_pool_parses_decorated_answer(tmp_path):
 def test_judge_pool_unparseable_goes_to_ledger(tmp_path):
     backend = _FixedBackend("maybe")
     gw = _gateway(tmp_path, backend)
-    requests = []
-    complete = gw.complete
-
-    def counted(req):
-        requests.append(req)
-        return complete(req)
-
-    gw.complete = counted
+    requests = backend.requests
     tasks = _tasks(5)
     result = judge_pool(tasks, gw, "m", FULL_DOCUMENT)
     assert len(result.judgments) == 0
