@@ -3,11 +3,13 @@
 Agreement statistics are computed over the intersection of judged pairs;
 pairs judged by only one side are counted as missing, never defaulted.
 Degenerate inputs (a constant rater, a single pooled value) yield a flagged
-value instead of NaN so reports stay machine-readable.
+value instead of NaN so reports stay machine-readable; a statistic that too
+few items leave undefined is the flagged value None.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Sequence
@@ -21,10 +23,14 @@ BINARY_LABELS = (0, 1)
 
 
 class StatValue(NamedTuple):
-    """A statistic plus a flag marking degenerate inputs."""
+    """A statistic plus a flag marking degenerate inputs; the value is None
+    when too few items define the statistic."""
 
-    value: float
+    value: float | None
     degenerate: bool = False
+
+
+UNDEFINED = StatValue(None, degenerate=True)
 
 
 @dataclass(frozen=True)
@@ -37,14 +43,8 @@ class ConfusionMatrix:
 
     @classmethod
     def from_sets(
-        cls,
-        a: JudgmentSet,
-        b: JudgmentSet,
-        labels: Sequence[int] | None = None,
+        cls, a: JudgmentSet, b: JudgmentSet, labels: Sequence[int]
     ) -> "ConfusionMatrix":
-        if labels is None:
-            observed = a.label_values() | b.label_values()
-            labels = GRADED_LABELS if any(v > 1 for v in observed) else BINARY_LABELS
         labels = tuple(labels)
         index = {label: i for i, label in enumerate(labels)}
         counts = np.zeros((len(labels), len(labels)), dtype=np.int64)
@@ -56,29 +56,15 @@ class ConfusionMatrix:
         return cls(labels=labels, counts=counts, total=int(counts.sum()))
 
 
-def pair_coverage(a: JudgmentSet, b: JudgmentSet) -> tuple[int, int]:
-    """(pairs judged by both, pairs judged by exactly one)."""
-    keys_a, keys_b = set(a.grades), set(b.grades)
-    return len(keys_a & keys_b), len(keys_a ^ keys_b)
-
-
-def label_distribution(
-    judgments: JudgmentSet, labels: Sequence[int] | None = None
-) -> dict[int, Fraction]:
-    """Exact per-label shares; the returned fractions sum to exactly 1."""
+def label_distribution(judgments: JudgmentSet) -> dict[int, Fraction]:
+    """Exact share of each grade in GRADED_LABELS; the fractions sum to exactly 1."""
     if len(judgments) == 0:
         raise ValueError("cannot take the label distribution of an empty set")
-    if labels is None:
-        labels = GRADED_LABELS
-    labels = tuple(labels)
-    extra = judgments.label_values() - set(labels)
+    extra = judgments.label_values() - set(GRADED_LABELS)
     if extra:
-        raise ValueError(f"grades {sorted(extra)} outside label set {labels}")
-    total = len(judgments)
-    counts = {label: 0 for label in labels}
-    for grade in judgments.grades.values():
-        counts[grade] += 1
-    return {label: Fraction(counts[label], total) for label in labels}
+        raise ValueError(f"grades {sorted(extra)} outside label set {GRADED_LABELS}")
+    counts = Counter(judgments.grades.values())
+    return {label: Fraction(counts[label], len(judgments)) for label in GRADED_LABELS}
 
 
 def format_percentages(distribution: dict[int, Fraction]) -> dict[int, str]:
@@ -86,13 +72,6 @@ def format_percentages(distribution: dict[int, Fraction]) -> dict[int, str]:
     return {
         label: f"{float(share * 100):.1f}" for label, share in distribution.items()
     }
-
-
-def _both_constant(counts: np.ndarray) -> bool:
-    return (
-        int((counts.sum(axis=1) > 0).sum()) == 1
-        and int((counts.sum(axis=0) > 0).sum()) == 1
-    )
 
 
 def cohen_kappa(matrix: ConfusionMatrix) -> StatValue:
@@ -109,7 +88,7 @@ def cohen_kappa(matrix: ConfusionMatrix) -> StatValue:
     rows = proportions.sum(axis=1)
     cols = proportions.sum(axis=0)
     p_e = float(rows @ cols)
-    if _both_constant(matrix.counts):
+    if np.count_nonzero(matrix.counts) == 1:  # both raters constant
         return StatValue(1.0 if p_o == 1.0 else 0.0, degenerate=True)
     return StatValue((p_o - p_e) / (1.0 - p_e))
 
@@ -139,30 +118,14 @@ def weighted_kappa(matrix: ConfusionMatrix, scheme: str = "quadratic") -> StatVa
     cols = observed.sum(axis=0)
     expected = np.outer(rows, cols)
     expected_disagreement = float((weights * expected).sum())
-    if _both_constant(matrix.counts):
-        observed_disagreement = float((weights * observed).sum())
-        if expected_disagreement == 0.0:
-            return StatValue(1.0 if observed_disagreement == 0.0 else 0.0, degenerate=True)
-        return StatValue(
-            1.0 - observed_disagreement / expected_disagreement, degenerate=True
-        )
+    if np.count_nonzero(matrix.counts) == 1:
+        # both raters constant: observed and expected disagreement are the
+        # weight of the one filled cell, 0 on the diagonal
+        return StatValue(1.0 if expected_disagreement == 0.0 else 0.0, degenerate=True)
     return StatValue(1.0 - float((weights * observed).sum()) / expected_disagreement)
 
 
 ALPHA_METRICS = ("nominal", "ordinal", "interval")
-
-
-def krippendorff_alpha(
-    a: JudgmentSet, b: JudgmentSet, metric: str = "nominal"
-) -> StatValue:
-    """Krippendorff's alpha between two judgment sets.
-
-    Items judged by only one side carry no pairable values and are dropped
-    from the coincidence matrix (see pair_coverage for how many).
-    """
-    keys = a.grades.keys() | b.grades.keys()
-    pairs = [(a.grades.get(key), b.grades.get(key)) for key in sorted(keys)]
-    return alpha_from_pairs(pairs, metric)
 
 
 def alpha_from_pairs(
@@ -181,11 +144,22 @@ def alpha_from_pairs(
         raise ValueError("alpha needs at least one fully judged item")
     values = sorted({v for pair in paired for v in pair})
     index = {value: i for i, value in enumerate(values)}
-    size = len(values)
-    coincidence = np.zeros((size, size), dtype=float)
+    counts = np.zeros((len(values), len(values)), dtype=np.int64)
     for x, y in paired:
-        coincidence[index[x], index[y]] += 1.0
-        coincidence[index[y], index[x]] += 1.0
+        counts[index[x], index[y]] += 1
+    return _alpha(counts + counts.T, values, metric)
+
+
+def _alpha(coincidence: np.ndarray, values: Sequence[int], metric: str) -> StatValue:
+    """Alpha from an integer coincidence matrix whose rows follow ``values``.
+
+    Values with a zero marginal are dropped first, so a matrix over a fixed
+    label set becomes the very array built over the observed values alone,
+    and both give the same float result.
+    """
+    keep = coincidence.sum(axis=1) > 0
+    coincidence = coincidence[np.ix_(keep, keep)].astype(float)
+    values = [value for value, kept in zip(values, keep) if kept]
     marginals = coincidence.sum(axis=1)
     n = float(coincidence.sum())
     delta = _alpha_delta(values, marginals, metric)
@@ -218,25 +192,36 @@ def _alpha_delta(values: list[int], marginals: np.ndarray, metric: str) -> np.nd
 class AgreementReport:
     """Agreement between one model judgment set and the human reference."""
 
-    kappa: StatValue
-    alpha: StatValue
+    weighted_kappa: StatValue  # quadratic, on grades
+    alpha_ordinal: StatValue
+    kappa_binary: StatValue  # both sides relevant iff grade >= threshold
+    alpha_nominal_binary: StatValue
     n_items: int
     n_missing: int
-    weighted_kappa: StatValue | None = None
 
 
-def agreement_report(a: JudgmentSet, b: JudgmentSet, *, graded: bool) -> AgreementReport:
-    """Graded reports pair quadratic weighted kappa with ordinal alpha;
-    binary reports pair plain kappa with nominal alpha."""
-    labels = GRADED_LABELS if graded else BINARY_LABELS
-    n_items, n_missing = pair_coverage(a, b)
+def agreement_report(
+    reference: JudgmentSet, judged: JudgmentSet, threshold: int
+) -> AgreementReport:
+    """All four statistics from one count matrix C over GRADED_LABELS of the
+    co-judged pairs: weighted kappa and ordinal alpha (C + C^T) on grades,
+    kappa and nominal alpha on C collapsed to 2x2 at ``threshold``. Each
+    statistic is UNDEFINED with fewer than two co-judged pairs."""
+    if threshold not in GRADED_LABELS[1:]:
+        raise ValueError("threshold must be 1, 2, or 3")
+    graded = ConfusionMatrix.from_sets(reference, judged, GRADED_LABELS)
+    n_items = graded.total
+    n_missing = len(reference) + len(judged) - 2 * n_items
     if n_items < 2:
-        raise ValueError("agreement needs at least two co-judged pairs")
-    matrix = ConfusionMatrix.from_sets(a, b, labels=labels)
+        return AgreementReport(UNDEFINED, UNDEFINED, UNDEFINED, UNDEFINED, n_items, n_missing)
+    bounds = [0, threshold]
+    collapsed = np.add.reduceat(np.add.reduceat(graded.counts, bounds, axis=0), bounds, axis=1)
+    binary = ConfusionMatrix(labels=BINARY_LABELS, counts=collapsed, total=n_items)
     return AgreementReport(
-        kappa=cohen_kappa(matrix),
-        weighted_kappa=weighted_kappa(matrix) if graded else None,
-        alpha=krippendorff_alpha(a, b, "ordinal" if graded else "nominal"),
+        weighted_kappa=weighted_kappa(graded),
+        alpha_ordinal=_alpha(graded.counts + graded.counts.T, GRADED_LABELS, "ordinal"),
+        kappa_binary=cohen_kappa(binary),
+        alpha_nominal_binary=_alpha(collapsed + collapsed.T, BINARY_LABELS, "nominal"),
         n_items=n_items,
         n_missing=n_missing,
     )

@@ -15,11 +15,15 @@ from typing import Iterable
 from .agreement import GRADED_LABELS, agreement_report, format_percentages, label_distribution
 from .cost import CostReport
 from .effectiveness import EffectivenessRow, ScatterPoint
-from .judge import binarize
 from .stability import StabilityReport
 from .trec_io import JudgmentSet
 
 _ROW_KEY = ["run_tag", "metric", "qrels_source", "modality"]
+
+
+def _decimal(value: float | None) -> str:
+    """Six decimals; an empty field for a statistic too few items left undefined."""
+    return "" if value is None else f"{value:.6f}"
 
 
 def csv_text(header: list[str], rows: Iterable[list]) -> str:
@@ -40,23 +44,21 @@ def agreement_csv(
     """Agreement of each ``(model, modality, judgments)`` cell with
     ``reference``: quadratic-weighted kappa and ordinal alpha on grades, then
     kappa and nominal alpha with both sides binarized at ``threshold``."""
-    reference_binary = binarize(reference, threshold)
     rows = []
     for model, modality, judged in cells:
-        graded = agreement_report(reference, judged, graded=True)
-        binary = agreement_report(reference_binary, binarize(judged, threshold), graded=False)
-        stats = [
-            ("weighted_kappa_quadratic", graded.weighted_kappa, graded),
-            ("alpha_ordinal", graded.alpha, graded),
-            (f"kappa_binary_t{threshold}", binary.kappa, binary),
-            (f"alpha_nominal_binary_t{threshold}", binary.alpha, binary),
-        ]
+        report = agreement_report(reference, judged, threshold)
+        stats = {
+            "weighted_kappa_quadratic": report.weighted_kappa,
+            "alpha_ordinal": report.alpha_ordinal,
+            f"kappa_binary_t{threshold}": report.kappa_binary,
+            f"alpha_nominal_binary_t{threshold}": report.alpha_nominal_binary,
+        }
         rows += [
             [
-                model, modality, dataset, name, f"{stat.value:.6f}",
+                model, modality, dataset, name, _decimal(stat.value),
                 report.n_items, report.n_missing, "degenerate" if stat.degenerate else "",
             ]
-            for name, stat, report in stats
+            for name, stat in stats.items()
         ]
     header = ["model", "modality", "dataset", "metric", "value", "n_items", "n_missing", "flags"]
     return csv_text(header, rows)
@@ -147,9 +149,9 @@ def stability_csv(dataset: str, cells: Iterable[tuple[str, str, StabilityReport]
     rows = [
         [
             dataset, model, modality, report.metric,
-            f"{report.kendall_tau.value:.6f}", f"{report.tau_ci_low:.6f}",
-            f"{report.tau_ci_high:.6f}", f"{report.spearman_rho.value:.6f}",
-            f"{report.pearson_rho.value:.6f}", f"{report.rbo:.6f}",
+            _decimal(report.kendall_tau.value), _decimal(report.tau_ci_low),
+            _decimal(report.tau_ci_high), _decimal(report.spearman_rho.value),
+            _decimal(report.pearson_rho.value), _decimal(report.rbo),
             f"{report.rbo_p}", report.n_resamples, report.seed,
         ]
         for model, modality, report in cells
@@ -162,11 +164,12 @@ def stability_csv(dataset: str, cells: Iterable[tuple[str, str, StabilityReport]
 
 
 def distribution_csv(dataset: str, annotators: Iterable[tuple[str, str, JudgmentSet]]) -> str:
-    """Percentage of each grade per ``(annotator, modality, judgments)``."""
+    """Percentage of each grade per ``(annotator, modality, judgments)``;
+    empty grade fields for an annotator with no judgments."""
     rows = []
     for annotator, modality, judgments in annotators:
-        shares = format_percentages(label_distribution(judgments))
-        grades = [shares[g] for g in GRADED_LABELS]
+        shares = format_percentages(label_distribution(judgments)) if len(judgments) else {}
+        grades = [shares.get(g, "") for g in GRADED_LABELS]
         rows.append([annotator, modality, dataset] + grades + [len(judgments)])
     header = ["annotator", "modality", "dataset"] + [f"grade_{g}" for g in GRADED_LABELS]
     return csv_text(header + ["n_judgments"], rows)

@@ -14,7 +14,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .agreement import StatValue
+from .agreement import UNDEFINED, StatValue
 from .effectiveness import EffectivenessRow
 
 BOOTSTRAP_BLOCK = 256  # resamples per tau-b batch; bounds working memory
@@ -201,10 +201,10 @@ class StabilityReport:
     kendall_tau: StatValue
     spearman_rho: StatValue
     pearson_rho: StatValue
-    rbo: float
+    rbo: float | None
     rbo_p: float
-    tau_ci_low: float
-    tau_ci_high: float
+    tau_ci_low: float | None
+    tau_ci_high: float | None
     n_resamples: int
     seed: int
 
@@ -222,7 +222,14 @@ def stability_report(
     n_resamples: int = 2000,
     seed: int = 0,
 ) -> StabilityReport:
+    """Tau, rho, RBO and the tau CI between two score sources; with fewer
+    than two shared evaluated topics each is undefined (UNDEFINED or None)."""
     x, y = _aligned(scores_h.per_system, scores_l.per_system)
+    if len(set(scores_h.topics) & set(scores_l.topics)) < 2:
+        return StabilityReport(
+            scores_h.metric, UNDEFINED, UNDEFINED, UNDEFINED, rbo=None, rbo_p=rbo_p,
+            tau_ci_low=None, tau_ci_high=None, n_resamples=n_resamples, seed=seed,
+        )
     ci_low, ci_high = bootstrap_tau_ci(scores_h, scores_l, n_resamples=n_resamples, seed=seed)
     return StabilityReport(
         metric=scores_h.metric,

@@ -8,16 +8,16 @@ from fractions import Fraction
 import pytest
 
 import oracles
+from judgeval import reports
 from judgeval.agreement import (
-    AgreementReport,
+    GRADED_LABELS,
+    UNDEFINED,
     ConfusionMatrix,
     agreement_report,
     alpha_from_pairs,
     cohen_kappa,
     format_percentages,
-    krippendorff_alpha,
     label_distribution,
-    pair_coverage,
     weighted_kappa,
 )
 from judgeval.trec_io import JudgmentSet
@@ -205,16 +205,6 @@ def test_alpha_interval_worked_example():
     assert ours == pytest.approx(oracles.krippendorff_alpha(pairs, "interval"), abs=1e-10)
 
 
-def test_alpha_missing_pair_dropped_and_counted():
-    a = JudgmentSet(grades={("t", "d1"): 1, ("t", "d2"): 2, ("t", "d3"): 3})
-    b = JudgmentSet(grades={("t", "d1"): 1, ("t", "d2"): 2})
-    with_missing = krippendorff_alpha(a, b, "nominal")
-    without = alpha_from_pairs([(1, 1), (2, 2)], "nominal")
-    assert with_missing.value == pytest.approx(without.value)
-    n_items, n_missing = pair_coverage(a, b)
-    assert (n_items, n_missing) == (2, 1)
-
-
 @pytest.mark.parametrize("metric", ["nominal", "ordinal", "interval"])
 def test_alpha_matches_oracle_on_random_instances(metric):
     rng = random.Random(19)
@@ -271,28 +261,82 @@ def test_binary_alpha_vs_kappa_small_sample_gap():
 def test_agreement_report_graded_and_binary():
     pairs = [(0, 0), (1, 1), (2, 1), (3, 3), (0, 1), (2, 2)]
     a, b = _sets_from_pairs(pairs)
-    graded = agreement_report(a, b, graded=True)
-    assert graded.weighted_kappa is not None
-    assert graded.n_items == 6
-    assert not (graded.kappa.degenerate or graded.weighted_kappa.degenerate)
-    assert not graded.alpha.degenerate
-    binary_pairs = [(int(x >= 1), int(y >= 1)) for x, y in pairs]
-    a2, b2 = _sets_from_pairs(binary_pairs)
-    binary = agreement_report(a2, b2, graded=False)
-    assert binary.weighted_kappa is None
-    assert -1.0 <= binary.kappa.value <= 1.0
-    assert binary.alpha.value <= 1.0
+    report = agreement_report(a, b, 1)
+    assert (report.n_items, report.n_missing) == (6, 0)
+    assert not (report.weighted_kappa.degenerate or report.alpha_ordinal.degenerate)
+    assert -1.0 <= report.kappa_binary.value <= 1.0
+    assert report.alpha_nominal_binary.value <= 1.0
+    with pytest.raises(ValueError, match="threshold"):
+        agreement_report(a, b, 0)
+    # a grade outside 0-3 is an error, never counted in some other cell
+    for bad in (5, -1):
+        a.grades[("t", "d0")] = bad
+        with pytest.raises(ValueError, match=r"label set \(0, 1, 2, 3\)"):
+            agreement_report(a, b, 1)
 
 
 def test_agreement_report_flags_degenerate():
     a, b = _sets_from_pairs([(1, 1), (1, 1), (1, 1)])
-    report = agreement_report(a, b, graded=True)
-    assert report.kappa.degenerate
-    assert report.alpha.degenerate
+    report = agreement_report(a, b, 1)
+    assert report.weighted_kappa.degenerate
+    assert report.alpha_ordinal.degenerate
+    assert report.kappa_binary.degenerate
 
 
 def test_agreement_report_needs_overlap():
-    a = JudgmentSet(grades={("t", "d1"): 1})
-    b = JudgmentSet(grades={("t", "d2"): 1})
-    with pytest.raises(ValueError):
-        agreement_report(a, b, graded=True)
+    # one co-judged pair leaves every statistic undefined, not an error
+    a = JudgmentSet(grades={("t", "d1"): 1, ("t", "d3"): 2})
+    b = JudgmentSet(grades={("t", "d2"): 1, ("t", "d3"): 0})
+    report = agreement_report(a, b, 2)
+    assert (report.n_items, report.n_missing) == (1, 2)
+    stats = [report.weighted_kappa, report.alpha_ordinal]
+    stats += [report.kappa_binary, report.alpha_nominal_binary]
+    assert stats == [UNDEFINED] * 4 == [(None, True)] * 4
+    empty = agreement_report(a, JudgmentSet(), 1)
+    assert (empty.n_items, empty.n_missing, empty.weighted_kappa) == (0, 2, UNDEFINED)
+
+
+def test_agreement_csv_makes_one_report_per_cell(monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return agreement_report(*args)
+
+    monkeypatch.setattr(reports, "agreement_report", counted)
+    a, b = _sets_from_pairs([(0, 0), (1, 2), (3, 3)])
+    text = reports.agreement_csv("d", 2, a, [("m", "full", b), ("m", "summ:80", a)])
+    assert len(calls) == 2
+    assert len(text.splitlines()) == 1 + 2 * 4
+
+
+def _skewed_grades(rng, n):
+    weights = [rng.random() ** 3 * (rng.random() > 0.2) for _ in GRADED_LABELS]
+    weights[rng.randrange(4)] += 0.01
+    return rng.choices(GRADED_LABELS, weights=weights, k=n)
+
+
+def test_agreement_report_equals_the_public_functions_exactly():
+    """Every field equals (==, no tolerance) the public function on the
+    co-judged pairs, binarized at the threshold for the binary statistics."""
+    rng = random.Random(2011)
+    for _ in range(40):
+        n_shared = rng.choice([2, 3, rng.randint(2, 60), rng.randint(2, 3000)])
+        only_ref, only_cell = rng.randint(0, n_shared // 4), rng.randint(0, n_shared // 4)
+        keys = [(f"t{i % 7}", f"d{i}") for i in range(n_shared + only_ref + only_cell)]
+        ref_keys = keys[: n_shared + only_ref]
+        cell_keys = keys[:n_shared] + keys[n_shared + only_ref :]
+        ref = JudgmentSet(grades=dict(zip(ref_keys, _skewed_grades(rng, len(ref_keys)))))
+        cell = JudgmentSet(grades=dict(zip(cell_keys, _skewed_grades(rng, len(cell_keys)))))
+        shared = set(ref.grades) & set(cell.grades)
+        pairs = [(ref.grades[key], cell.grades[key]) for key in sorted(shared)]
+        graded = ConfusionMatrix.from_sets(ref, cell, GRADED_LABELS)
+        for threshold in (1, 2, 3):
+            report = agreement_report(ref, cell, threshold)
+            assert report.n_items == len(shared)
+            assert report.n_missing == len(set(ref.grades) ^ set(cell.grades))
+            assert report.weighted_kappa == weighted_kappa(graded)
+            assert report.alpha_ordinal == alpha_from_pairs(pairs, "ordinal")
+            binary = [(int(x >= threshold), int(y >= threshold)) for x, y in pairs]
+            assert report.kappa_binary == cohen_kappa(_matrix_from_pairs(binary, (0, 1)))
+            assert report.alpha_nominal_binary == alpha_from_pairs(binary, "nominal")

@@ -166,6 +166,19 @@ def test_agreement_subcommand_identical_files_kappa_one(tmp_path, capsys):
     assert float(by_metric["kappa_binary_t1"]["value"]) == pytest.approx(1.0)
 
 
+def test_agreement_subcommand_disjoint_files_flags_every_row(tmp_path, capsys):
+    a, b = tmp_path / "a.qrels", tmp_path / "b.qrels"
+    write_judgments(JudgmentSet(grades={("t1", "d1"): 1, ("t1", "d2"): 0}), a)
+    write_judgments(JudgmentSet(grades={("t1", "d3"): 2}, source=model_source("m")), b)
+    assert main(["agreement", "--qrels-a", str(a), "--qrels-b", str(b)]) == 0
+    rows = _csv_rows(capsys.readouterr().out)
+    assert len(rows) == 4
+    for row in rows:
+        assert (row["value"], row["n_items"], row["n_missing"], row["flags"]) == (
+            "", "0", "3", "degenerate"
+        )
+
+
 def test_effectiveness_and_stability_subcommands(toy_experiment, tmp_path, capsys):
     config_dir = toy_experiment.parent
     per_topic = tmp_path / "per_topic.csv"
@@ -361,12 +374,30 @@ def test_out_of_range_flags_are_config_errors(toy_bundle, tmp_path, capsys, argv
 def test_cells_without_tasks_keep_their_provenance(tmp_path, capsys):
     config = build_toy_experiment(tmp_path)
     (tmp_path / "topics.tsv").write_text("t99\ta topic the qrels never judged\n")
-    assert main(["run", "--config", str(config)]) == 1
-    assert "stage 'distribution' failed" in capsys.readouterr().err
+    assert main(["run", "--config", str(config)]) == 0
     judged = parse_qrels(tmp_path / "out" / "judgments" / "mock-judge__summ-80.qrels")
     assert len(judged) == 0
     assert judged.modality == summary_modality(80)
     assert judged.prompt_sha256 == template_sha256(load_judge_template())
+    # every statistic the empty cells leave undefined is an empty field
+    reports = tmp_path / "out" / "reports"
+    shares = _csv_rows((reports / "label_distribution.csv").read_text())
+    grades = [[row[f"grade_{g}"] for g in range(4)] for row in shares]
+    assert "" not in grades[0] and grades[1:] == [[""] * 4] * 3
+    assert [row["n_judgments"] for row in shares[1:]] == ["0"] * 3
+    agreement = _csv_rows((reports / "agreement.csv").read_text())
+    assert len(agreement) == 12
+    assert {(row["value"], row["n_items"], row["flags"]) for row in agreement} == {
+        ("", "0", "degenerate")
+    }
+    n_human = len(parse_qrels(tmp_path / "qrels.txt"))
+    assert {row["n_missing"] for row in agreement} == {str(n_human)}
+    stability = _csv_rows((reports / "stability.csv").read_text())
+    assert len(stability) == 6
+    for row in stability:
+        undefined = ("tau", "tau_lo", "tau_hi", "spearman", "pearson", "rbo")
+        assert [row[name] for name in undefined] == [""] * 6
+        assert "" not in (row["p"], row["B"], row["seed"])
 
 
 def test_summarize_and_judge_subcommands_write_the_bundle_bytes(toy_bundle, tmp_path):

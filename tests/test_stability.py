@@ -9,6 +9,7 @@ import pytest
 
 import oracles
 from judgeval import stability
+from judgeval.agreement import UNDEFINED
 from judgeval.stability import (
     BOOTSTRAP_BLOCK,
     SystemScores,
@@ -344,6 +345,12 @@ def test_bootstrap_needs_two_topics():
     scores = _scores("map", h)
     with pytest.raises(ValueError):
         bootstrap_tau_ci(scores, scores, n_resamples=10, seed=1)
+    # the report leaves every statistic undefined instead
+    report = stability_report(scores, scores, n_resamples=10, seed=1)
+    stats = (report.kendall_tau, report.spearman_rho, report.pearson_rho)
+    assert stats == (UNDEFINED,) * 3
+    assert (report.rbo, report.tau_ci_low, report.tau_ci_high) == (None, None, None)
+    assert (report.rbo_p, report.n_resamples, report.seed) == (0.9, 10, 1)
 
 
 def test_bootstrap_needs_two_systems():
