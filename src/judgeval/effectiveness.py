@@ -3,7 +3,7 @@
 Conventions follow the usual pooled-evaluation defaults: unjudged retrieved
 documents score 0 (their count at cutoff is reported so judging-pool gaps
 stay visible), and topics with no relevant documents are excluded from
-means rather than silently averaged in as zeros.
+means, not averaged in as zeros; with no topic left, the mean is None.
 """
 
 from __future__ import annotations
@@ -18,8 +18,8 @@ from .trec_io import JudgmentSet, Run
 class ScatterPoint(NamedTuple):
     run_tag: str
     metric: str
-    human_score: float
-    llm_score: float
+    human_score: float | None
+    llm_score: float | None
 
 
 @dataclass(frozen=True)
@@ -31,7 +31,7 @@ class EffectivenessRow:
     qrels_source: str
     modality: str
     per_topic: dict[str, float]
-    mean: float
+    mean: float | None  # None when no topic was evaluated
     topics_evaluated: int
     topics_skipped_unjudged: int
     topics_skipped_no_relevant: int
@@ -143,9 +143,9 @@ def average_precision(run: Run, qrels: JudgmentSet) -> EffectivenessRow:
     )
 
 
-def _mean(values: Iterable[float]) -> float:
+def _mean(values: Iterable[float]) -> float | None:
     values = list(values)
-    return sum(values) / len(values) if values else 0.0
+    return sum(values) / len(values) if values else None
 
 
 def scatter_data(

@@ -4,7 +4,9 @@ One configured backend per gateway: either a deterministic offline mock or
 a JSON-over-HTTP endpoint speaking the common chat-completion protocol.
 Responses are cached in a line-oriented JSON file keyed by a digest of the
 full request, so repeated runs never hit the backend twice for the same
-prompt.
+prompt. A backend is any object with ``send(req, request_hash)`` returning a
+``BackendReply``; ``request_hash`` is the digest the gateway computed once for
+the request (the mock seeds its reply from it, ``HttpBackend`` ignores it).
 """
 
 from __future__ import annotations
@@ -121,13 +123,15 @@ class ResponseCache:
     An unterminated last line, which is what an append cut short leaves, is
     dropped and cut from the file; any other unreadable line is an error.
     Keys beyond the five that ``put`` writes, such as the time stamp that
-    older caches carry, are ignored.
+    older caches carry, are ignored. The cache keeps the digest of its file,
+    ``file_sha256``, running over the bytes the load kept and each ``put`` wrote.
     """
 
     def __init__(self, path: str | Path):
         self.path = Path(path)
         self._entries: dict[str, CacheEntry] = {}
         self._append = None  # the one append handle, opened by the first put
+        self._sha256 = hashlib.sha256()
         if self.path.exists():
             self._load()
 
@@ -144,6 +148,7 @@ class ResponseCache:
                     os.truncate(self.path, size)
                     break
                 size += len(line)
+                self._sha256.update(line)
                 line = line.strip()
                 if not line:
                     continue
@@ -173,13 +178,17 @@ class ResponseCache:
             "in_tok": entry.input_tokens,
             "out_tok": entry.output_tokens,
         }
-        line = json.dumps(record, sort_keys=True, ensure_ascii=False)
+        line = (json.dumps(record, sort_keys=True, ensure_ascii=False) + "\n").encode("utf-8")
         if self._append is None:
             self.path.parent.mkdir(parents=True, exist_ok=True)
-            self._append = open(self.path, "a", encoding="utf-8")
-        self._append.write(line + "\n")
+            self._append = open(self.path, "ab")
+        self._append.write(line)
         self._append.flush()  # a crash loses at most the line being written
+        self._sha256.update(line)
         self._entries[entry.request_hash] = entry
+
+    def file_sha256(self) -> str:
+        return self._sha256.hexdigest()
 
     def entries(self) -> Iterator[CacheEntry]:
         return iter(self._entries.values())
@@ -194,7 +203,7 @@ _SUMMARY_BUDGET_RE = re.compile(r"about (\d+) tokens")
 class MockBackend:
     """Deterministic offline backend for dry runs and tests.
 
-    The reply depends only on (seed, request digest), so transcripts are
+    The reply depends only on (seed, ``request_hash``), so transcripts are
     reproducible across processes. Judge-style prompts (a ``Query:`` plus a
     ``Passage:`` section) get a pseudo-random grade in 0-3; summary-style
     prompts (a trailing ``Document:`` section with a token budget) get an
@@ -206,8 +215,8 @@ class MockBackend:
     def __init__(self, seed: int):
         self.seed = seed
 
-    def send(self, req: ChatRequest) -> BackendReply:
-        h = hashlib.sha256(f"{self.seed}:{req.digest()}".encode("utf-8")).digest()
+    def send(self, req: ChatRequest, request_hash: str) -> BackendReply:
+        h = hashlib.sha256(f"{self.seed}:{request_hash}".encode("utf-8")).digest()
         user = req.user_text
         if "Passage:" in user and "Query:" in user:
             return BackendReply(str(h[0] % 4))
@@ -236,7 +245,7 @@ class HttpBackend:
         self.endpoint = endpoint
         self.api_key_env = api_key_env
 
-    def send(self, req: ChatRequest) -> BackendReply:
+    def send(self, req: ChatRequest, request_hash: str) -> BackendReply:
         body = json.dumps(
             {
                 "model": req.model,
@@ -400,7 +409,7 @@ class Gateway:
         attempt = 1
         while True:
             try:
-                return self.backend.send(req), attempt
+                return self.backend.send(req, request_hash), attempt
             except GatewayError as exc:  # the backend answered; retrying will not help
                 return exc, attempt
             except TransportError as exc:

@@ -11,7 +11,8 @@ cache, judge-cell read-backs) the first time a stage that runs needs it, so
 a run that skips every stage reads only the input digests and the manifest.
 It is also the one wiring from a config to summarizer and judge calls: the
 ``summarize`` and ``judge`` subcommands call the same two methods as the
-stages.
+stages. A cold run never re-reads the cache or a summary file it wrote: the
+judge stages get the summaries in memory, the manifest the cache's digest.
 
 All outputs are written atomically, all floats are formatted with fixed
 precision, and no file carries a time stamp, so a bundle's bytes depend
@@ -191,6 +192,7 @@ class Experiment:
             m.budget_tokens for m in config.modalities if m.kind == "summary"
         )
         self.stage_fingerprints: dict[str, str] = {}
+        self._summaries: dict[int, SummarySet] = {}  # by budget, for the judge stages
 
     # -- inputs, each loaded on first use --------------------------------------
 
@@ -298,7 +300,9 @@ class Experiment:
         cache = self.config.resolved_cache_path().resolve()
         out = self.out.resolve()
         if cache.is_relative_to(out) and cache.exists():
-            files[str(cache.relative_to(out))] = sha256_file(cache)
+            gateway = self.__dict__.get("gateway")  # None when no stage opened it
+            digest = gateway.cache.file_sha256() if gateway else sha256_file(cache)
+            files[str(cache.relative_to(out))] = digest
         manifest = {
             "tool": "judgeval",
             "version": __version__,
@@ -372,8 +376,9 @@ class Experiment:
         self.manifest = self._load_manifest()
         for budget in self.summary_budgets:
             self._summarize_stage(budget)
-        for model, modality in self._cells():
+        for model, modality in self._cells():  # this order is cache.jsonl's line order
             self._judge_stage(model, modality)
+        self._summaries.clear()
         self._distribution_stage()
         self._agreement_stage()
         self._effectiveness_stage()
@@ -406,7 +411,7 @@ class Experiment:
 
         def produce() -> None:
             recorder = _RecordingGateway(self.gateway)
-            summaries = self.summarize(budget, recorder)
+            summaries = self._summaries[budget] = self.summarize(budget, recorder)
             write_summaries(summaries, self.out / rel)
             self._write_usage(rel_usage, recorder)
 
@@ -441,13 +446,12 @@ class Experiment:
 
         def produce() -> None:
             recorder = _RecordingGateway(self.gateway)
-            summaries = None
-            if modality.kind == "summary":
-                # the file the summarize stage wrote or found intact
-                summaries = read_summaries(
-                    self.out / f"{_summary_stem(modality.budget_tokens)}.jsonl"
-                )
-            result, skipped = self.judge(model, modality, summaries, recorder)
+            budget = modality.budget_tokens  # None for the full document
+            if modality.kind == "summary" and budget not in self._summaries:
+                # its summarize stage was skipped: read the file that stage found intact
+                path = self.out / f"{_summary_stem(budget)}.jsonl"
+                self._summaries[budget] = read_summaries(path)
+            result, skipped = self.judge(model, modality, self._summaries.get(budget), recorder)
             write_judgments(result.judgments, self.out / rel_qrels)
             ledger = {
                 "skipped_pairs": skipped,

@@ -71,7 +71,7 @@ def effectiveness_csvs(rows: list[EffectivenessRow]) -> tuple[str, str, str]:
         return [row.run_tag, row.metric, row.qrels_source, row.modality]
 
     # generators: the per-topic table is the largest report, so stream its rows
-    means = (key(row) + [f"{row.mean:.6f}", row.topics_evaluated] for row in rows)
+    means = (key(row) + [_decimal(row.mean), row.topics_evaluated] for row in rows)
     per_topic = (
         key(row) + [topic_id, f"{row.per_topic[topic_id]:.6f}"]
         for row in rows
@@ -136,7 +136,7 @@ def scatter_csv(cells: Iterable[tuple[str, str, list[ScatterPoint]]]) -> str:
     rows = [
         [
             model, modality, point.metric, point.run_tag,
-            f"{point.human_score:.6f}", f"{point.llm_score:.6f}",
+            _decimal(point.human_score), _decimal(point.llm_score),
         ]
         for model, modality, points in cells
         for point in points

@@ -398,6 +398,16 @@ def test_cells_without_tasks_keep_their_provenance(tmp_path, capsys):
         undefined = ("tau", "tau_lo", "tau_hi", "spearman", "pearson", "rbo")
         assert [row[name] for name in undefined] == [""] * 6
         assert "" not in (row["p"], row["B"], row["seed"])
+    effectiveness = _csv_rows((reports / "effectiveness.csv").read_text())
+    assert len(effectiveness) == 4 * 2 * 3  # (human + 3 cells) x 2 metrics x 3 runs
+    for row in effectiveness:
+        defined = row["qrels_source"] == "human"
+        assert (row["mean"] != "", row["topics_evaluated"] != "0") == (defined, defined)
+    for name in ("scatter_ndcg10.csv", "scatter_map.csv"):
+        scatter = _csv_rows((reports / name).read_text())
+        assert len(scatter) == 3 * 3
+        assert "" not in {row["human"] for row in scatter}
+        assert {row["llm"] for row in scatter} == {""}
 
 
 def test_summarize_and_judge_subcommands_write_the_bundle_bytes(toy_bundle, tmp_path):

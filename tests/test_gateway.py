@@ -25,6 +25,7 @@ from judgeval.gateway import (
     TransportError,
     count_tokens,
 )
+from judgeval.pipeline import sha256_file
 
 
 def _req(text="hello there", **kwargs):
@@ -161,13 +162,44 @@ def test_corrupt_line_before_the_last_stays_an_error(tmp_path):
     assert path.read_bytes() == data
 
 
+def test_cache_digest_is_the_file_digest(tmp_path, capsys):
+    path = tmp_path / "cache.jsonl"
+    cache = ResponseCache(path)  # a new file
+    for i in range(3):
+        cache.put(CacheEntry(f"n{i}", "m", f"réponse {i}", i, 1))
+    assert cache.file_sha256() == sha256_file(path)
+
+    cache = ResponseCache(path)  # an existing file, appended to
+    assert cache.file_sha256() == sha256_file(path)
+    cache.put(CacheEntry("n3", "m", "plus tard", 3, 1))
+    assert cache.file_sha256() == sha256_file(path)
+
+    last = _cache_line(2)
+    for cut in range(1, len(last)):  # a load that cuts an unterminated last line
+        path.write_bytes(_cache_line(0) + _cache_line(1) + last[:cut])
+        cache = ResponseCache(path)
+        assert "unterminated" in capsys.readouterr().err
+        assert cache.file_sha256() == sha256_file(path)
+        cache.put(CacheEntry("h9", "m", "après", 1, 1))
+        cache.put(CacheEntry("h10", "m", "encore", 1, 1))
+        assert cache.file_sha256() == sha256_file(path)
+
+    # an older cache: lines with a "ts" key, and a blank line the load skips
+    path.write_bytes(_cache_line(0) + b"\n" + _cache_line(1))
+    cache = ResponseCache(path)
+    assert len(cache) == 2
+    assert cache.file_sha256() == sha256_file(path)
+    cache.put(CacheEntry("h2", "m", "neu", 1, 1))
+    assert cache.file_sha256() == sha256_file(path)
+
+
 class _CountingBackend:
     """Records every request hash it serves."""
 
     def __init__(self):
         self.calls = []
 
-    def send(self, req):
+    def send(self, req, request_hash):
         self.calls.append(req.digest())
         return BackendReply(text="ok", input_tokens=1, output_tokens=1)
 
@@ -198,7 +230,7 @@ class _ThreadedBackend:
         self.sleeps: dict[str, list[float]] = {}
         self._current = threading.local()
 
-    def send(self, req):
+    def send(self, req, request_hash):
         with self.lock:
             self.attempts[req.user_text] += 1
             attempt = self.attempts[req.user_text]
@@ -302,23 +334,42 @@ def test_complete_many_stopped_early_makes_no_further_retry(tmp_path):
 
 def test_mock_backend_deterministic_across_instances():
     req = _req("some judging Query: q Passage: p")
-    a = MockBackend(seed=5).send(req)
-    b = MockBackend(seed=5).send(req)
+    a = MockBackend(seed=5).send(req, req.digest())
+    b = MockBackend(seed=5).send(req, req.digest())
     assert a == b
-    c = MockBackend(seed=6).send(req)
+    c = MockBackend(seed=6).send(req, req.digest())
     assert a.text != c.text or a == c  # different seed may change the grade
+
+
+def test_mock_backend_replies_are_pinned():
+    # the mock seeds its reply from the hash the gateway passes, which is
+    # the request digest: replies, and so mock bundles, must not move
+    requests = [
+        _req("Query: q\nPassage: p\nRate it."),
+        _req("hello there"),
+        _req("Summarize in about 8 tokens.\nDocument: " + " ".join(f"w{i}" for i in range(12))),
+    ]
+    expected = {
+        3: ["2", "ok cd4e85267259"],
+        5: ["1", "ok fb47e0ab9646"],
+        6: ["3", "ok 8cbb4618a2b5"],
+    }
+    for seed, texts in expected.items():
+        replies = [MockBackend(seed).send(req, req.digest()).text for req in requests]
+        assert replies == texts + ["w0 w1 w2 w3 w4 w5"]
 
 
 def test_mock_backend_grade_in_range():
     for i in range(20):
-        reply = MockBackend(seed=i).send(_req("Query: q\nPassage: p\nRate it."))
+        req = _req("Query: q\nPassage: p\nRate it.")
+        reply = MockBackend(seed=i).send(req, req.digest())
         assert reply.text in {"0", "1", "2", "3"}
 
 
 def test_mock_backend_summary_respects_budget():
     doc = " ".join(f"w{i}" for i in range(200))
     req = _req(f"Summarize at maximum about 80 tokens.\nDocument: {doc}", max_output_tokens=160)
-    reply = MockBackend(seed=3).send(req)
+    reply = MockBackend(seed=3).send(req, req.digest())
     assert count_tokens(reply.text) <= 80
 
 
@@ -330,7 +381,7 @@ class _FlakyBackend:
         self.failures = failures
         self.attempts = 0
 
-    def send(self, req):
+    def send(self, req, request_hash):
         self.attempts += 1
         if self.attempts <= self.failures:
             raise TransportError("boom")
@@ -362,7 +413,7 @@ def test_protocol_error_not_retried(tmp_path):
         def __init__(self):
             self.attempts = 0
 
-        def send(self, req):
+        def send(self, req, request_hash):
             self.attempts += 1
             raise ProtocolError("weird payload")
 
@@ -378,7 +429,7 @@ def test_protocol_error_not_retried(tmp_path):
 
 def test_tokens_approximated_when_backend_omits_usage(tmp_path):
     class _NoUsage:
-        def send(self, req):
+        def send(self, req, request_hash):
             return BackendReply(text="three words here")
 
     prompt = "five words in this prompt"

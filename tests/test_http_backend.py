@@ -88,7 +88,8 @@ def _request():
 def test_http_backend_round_trip_with_auth_and_usage(stub_server, monkeypatch):
     monkeypatch.setenv("STUB_KEY", "sekrit")
     backend = HttpBackend(_endpoint(stub_server), api_key_env="STUB_KEY")
-    reply = backend.send(_request())
+    request = _request()
+    reply = backend.send(request, request.digest())
     assert reply.text == "grade: 2"
     assert (reply.input_tokens, reply.output_tokens) == (40, 3)
     sent = stub_server.requests[0]
@@ -154,7 +155,7 @@ def _mock_reply(body: dict) -> dict:
     request = ChatRequest(
         model=body["model"], user_text=message["content"], max_output_tokens=body["max_tokens"]
     )
-    reply = MockBackend(seed=7).send(request)
+    reply = MockBackend(seed=7).send(request, request.digest())
     return {"choices": [{"message": {"content": reply.text}}]}
 
 
@@ -200,12 +201,12 @@ def counted_sends(monkeypatch):
     lock = threading.Lock()
     send = HttpBackend.send
 
-    def counted(self, req):
+    def counted(self, req, request_hash):
         with lock:
             counts["now"] += 1
             counts["peak"] = max(counts["peak"], counts["now"])
         try:
-            return send(self, req)
+            return send(self, req, request_hash)
         finally:
             with lock:
                 counts["now"] -= 1

@@ -28,7 +28,7 @@ class _FixedBackend:
         self.calls = 0
         self.requests = []
 
-    def send(self, req):
+    def send(self, req, request_hash):
         self.calls += 1
         self.requests.append(req)
         return BackendReply(text=self.text, input_tokens=5, output_tokens=2)
@@ -184,7 +184,7 @@ def test_judge_pool_unparseable_goes_to_ledger(tmp_path):
 
 def test_judge_pool_nudge_rescues_final_attempt(tmp_path):
     class _NudgeOnly:
-        def send(self, req):
+        def send(self, req, request_hash):
             if req.user_text.endswith(GRADE_NUDGE):
                 return BackendReply(text="1", input_tokens=1, output_tokens=1)
             return BackendReply(text="hmm", input_tokens=1, output_tokens=1)

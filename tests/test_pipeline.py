@@ -12,7 +12,7 @@ from conftest import EMPTY_DOC, build_toy_experiment, bundle_digests
 from judgeval import pipeline
 from judgeval.config import load_config
 from judgeval.errors import ConfigError
-from judgeval.gateway import ResponseCache
+from judgeval.gateway import ChatRequest, Gateway, ResponseCache
 from judgeval.pipeline import run_pipeline
 from judgeval.trec_io import parse_qrels, summary_modality
 
@@ -233,6 +233,51 @@ def test_run_resumes_after_a_cache_append_cut_short(toy_experiment, capsys):
     assert "unterminated" in capsys.readouterr().err
     assert again.backend_calls == 1
     assert bundle_digests(out) == bundle_digests(reference.output_dir)
+
+
+def test_a_cold_run_hashes_each_request_once(toy_experiment, monkeypatch):
+    calls = {"digest": 0, "complete": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(ChatRequest, "digest", counted("digest", ChatRequest.digest))
+    monkeypatch.setattr(Gateway, "complete", counted("complete", Gateway.complete))
+    result = run_pipeline(load_config(toy_experiment))
+    assert result.backend_calls > 0
+    assert calls["digest"] == calls["complete"] > result.backend_calls
+
+
+def test_summaries_are_read_at_most_once_per_budget(tmp_path, monkeypatch):
+    # two models, so a read per judge cell would show as two per budget
+    config_path = build_toy_experiment(tmp_path)
+    text = config_path.read_text().replace("models = mock-judge\n", "models = mock-judge, other\n")
+    config_path.write_text(text)
+    prices = json.loads((tmp_path / "prices.json").read_text())
+    prices["other"] = prices["mock-judge"]
+    (tmp_path / "prices.json").write_text(json.dumps(prices))
+    config = load_config(config_path)
+    fresh = bundle_digests(run_pipeline(replace(config, output_dir=tmp_path / "ref")).output_dir)
+
+    reads = []
+    original = pipeline.read_summaries
+    monkeypatch.setattr(pipeline, "read_summaries", lambda p: reads.append(p) or original(p))
+    out = run_pipeline(config).output_dir
+    assert reads == []  # the judge stages take the summaries their stage made
+    assert bundle_digests(out) == fresh
+
+    for path in (out / "judgments").iterdir():
+        path.unlink()
+    again = run_pipeline(config)
+    cells = [(m, mod) for m in ("mock-judge", "other") for mod in ("full", "summ:80", "summ:120")]
+    assert again.stages_run() == [f"judge:{m}:{mod}" for m, mod in cells]
+    assert sorted(reads) == [out / "summaries" / f"summ{b}.jsonl" for b in (120, 80)]
+    assert again.backend_calls == 0
+    assert bundle_digests(out) == fresh
 
 
 def test_distribution_rows_sum_to_about_hundred(toy_experiment):

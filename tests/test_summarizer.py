@@ -103,7 +103,7 @@ def test_rerun_over_cache_is_identical_with_zero_calls(tmp_path):
 
 def test_over_budget_and_longer_than_source_flags(tmp_path):
     class _Verbose:
-        def send(self, req):
+        def send(self, req, request_hash):
             text = "word " * 500
             return BackendReply(text=text, input_tokens=1, output_tokens=count_tokens(text))
 
@@ -115,7 +115,7 @@ def test_over_budget_and_longer_than_source_flags(tmp_path):
 
 def test_gateway_failures_go_to_ledger_not_abort(tmp_path):
     class _FailsOnMarker:
-        def send(self, req):
+        def send(self, req, request_hash):
             if "poison" in req.user_text:
                 raise TransportError("down")
             return BackendReply(text="fine", input_tokens=1, output_tokens=1)
