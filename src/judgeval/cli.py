@@ -201,7 +201,7 @@ def _cmd_run(args) -> int:
 def _cmd_summarize(args) -> int:
     _check(args.budget >= 1, "--budget must be >= 1")
     experiment = Experiment(_load_config_with_overrides(args))
-    summaries = experiment.summarize(args.budget, experiment.gateway)
+    summaries = experiment.summarize(args.budget)
     write_summaries(summaries, args.out)
     print(f"{len(summaries)} summaries -> {args.out} ({len(summaries.errors)} errors)")
     return 0
@@ -219,7 +219,7 @@ def _cmd_judge(args) -> int:
             raise ConfigError(
                 f"summaries budget {summaries.budget_tokens} does not match {modality}"
             )
-    result, skipped = experiment.judge(args.model, modality, summaries, experiment.gateway)
+    result, skipped = experiment.judge(args.model, modality, summaries)
     write_judgments(result.judgments, args.out)
     print(
         f"{len(result.judgments)} judgments -> {args.out} "
@@ -271,13 +271,14 @@ def _system_scores(path: str, metric: str) -> SystemScores:
 def _cmd_stability(args) -> int:
     _check(args.resamples >= 1, "--resamples must be >= 1")
     _check(0.0 < args.rbo_p < 1.0, "--rbo-p must lie strictly between 0 and 1")
-    report = stability_report(
-        _system_scores(args.per_topic_h, args.metric),
-        _system_scores(args.per_topic_l, args.metric),
-        rbo_p=args.rbo_p,
-        n_resamples=args.resamples,
-        seed=args.seed,
-    )
+    scores_h = _system_scores(args.per_topic_h, args.metric)
+    scores_l = _system_scores(args.per_topic_l, args.metric)
+    try:
+        report = stability_report(
+            scores_h, scores_l, rbo_p=args.rbo_p, n_resamples=args.resamples, seed=args.seed
+        )
+    except ValueError as exc:  # the tables differ in runs, or hold fewer than two
+        raise ConfigError(f"{args.per_topic_h} and {args.per_topic_l}: {exc}") from exc
     cell = (args.model, args.modality, report)
     _emit(reports.stability_csv(args.dataset, [cell]), args.out)
     return 0

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple
+from typing import Callable, Iterable, NamedTuple
 
 from .trec_io import JudgmentSet, Run
 
@@ -59,39 +59,19 @@ def ndcg_at_k(
     if k < 1:
         raise ValueError("k must be >= 1")
     g = _gain_fn(gain)
-    per_topic: dict[str, float] = {}
-    skipped_unjudged = 0
-    skipped_no_relevant = 0
-    unjudged_at_cutoff = 0
-    for topic_id in sorted(run.topics):
-        topic_grades = qrels.by_topic.get(topic_id)
-        if topic_grades is None:
-            skipped_unjudged += 1
-            continue
-        ideal = sorted(topic_grades.values(), reverse=True)[:k]
-        idcg = sum(g(rel) / math.log2(i + 1) for i, rel in enumerate(ideal, start=1))
-        if idcg == 0.0:
-            skipped_no_relevant += 1
-            continue
-        dcg = 0.0
-        for rank, doc_id in enumerate(run.topics[topic_id][:k], start=1):
-            if doc_id not in topic_grades:
-                unjudged_at_cutoff += 1
-                continue
-            dcg += g(topic_grades[doc_id]) / math.log2(rank + 1)
-        per_topic[topic_id] = dcg / idcg
-    return EffectivenessRow(
-        run_tag=run.run_tag,
-        metric=f"ndcg@{k}",
-        qrels_source=qrels.source.label(),
-        modality=str(qrels.modality),
-        per_topic=per_topic,
-        mean=_mean(per_topic.values()),
-        topics_evaluated=len(per_topic),
-        topics_skipped_unjudged=skipped_unjudged,
-        topics_skipped_no_relevant=skipped_no_relevant,
-        unjudged_at_cutoff=unjudged_at_cutoff,
-    )
+
+    def ideal(topic_grades: dict[str, int]) -> float:
+        ranked = sorted(topic_grades.values(), reverse=True)[:k]
+        return sum(g(rel) / math.log2(i + 1) for i, rel in enumerate(ranked, start=1))
+
+    def dcg(ranked: list[int | None]) -> float:
+        total = 0.0
+        for rank, rel in enumerate(ranked, start=1):
+            if rel is not None:
+                total += g(rel) / math.log2(rank + 1)
+        return total
+
+    return _evaluate(run, qrels, f"ndcg@{k}", k, ideal, dcg)
 
 
 def average_precision(run: Run, qrels: JudgmentSet) -> EffectivenessRow:
@@ -106,32 +86,43 @@ def average_precision(run: Run, qrels: JudgmentSet) -> EffectivenessRow:
         raise ValueError(
             f"average precision needs binarized qrels, found grades {sorted(bad)}"
         )
+
+    def precision_sum(ranked: list[int | None]) -> float:
+        hits = 0
+        total = 0.0
+        for rank, rel in enumerate(ranked, start=1):
+            if rel:  # 1; not 0 or None (unjudged)
+                hits += 1
+                total += hits / rank
+        return total
+
+    return _evaluate(run, qrels, "map", None, lambda grades: sum(grades.values()), precision_sum)
+
+
+def _evaluate(
+    run: Run, qrels: JudgmentSet, metric: str, depth: int | None, ideal: Callable, score: Callable
+) -> EffectivenessRow:
+    """The per-topic loop NDCG and AP share. A judged topic with a nonzero
+    ``ideal(grades)`` scores ``score(ranked) / ideal(grades)``, where
+    ``ranked`` lists the grade at each rank of the top ``depth`` (the whole
+    ranking when None), None for an unjudged document; those are counted."""
     per_topic: dict[str, float] = {}
-    skipped_unjudged = 0
-    skipped_no_relevant = 0
-    unjudged = 0
+    skipped_unjudged = skipped_no_relevant = unjudged = 0
     for topic_id in sorted(run.topics):
         topic_grades = qrels.by_topic.get(topic_id)
         if topic_grades is None:
             skipped_unjudged += 1
             continue
-        total_relevant = sum(topic_grades.values())
-        if total_relevant == 0:
+        norm = ideal(topic_grades)
+        if norm == 0:
             skipped_no_relevant += 1
             continue
-        hits = 0
-        precision_sum = 0.0
-        for rank, doc_id in enumerate(run.topics[topic_id], start=1):
-            if doc_id not in topic_grades:
-                unjudged += 1
-                continue
-            if topic_grades[doc_id] == 1:
-                hits += 1
-                precision_sum += hits / rank
-        per_topic[topic_id] = precision_sum / total_relevant
+        ranked = list(map(topic_grades.get, run.topics[topic_id][:depth]))
+        unjudged += ranked.count(None)
+        per_topic[topic_id] = score(ranked) / norm
     return EffectivenessRow(
         run_tag=run.run_tag,
-        metric="map",
+        metric=metric,
         qrels_source=qrels.source.label(),
         modality=str(qrels.modality),
         per_topic=per_topic,

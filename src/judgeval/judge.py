@@ -56,6 +56,7 @@ class TaskFailure(NamedTuple):
 class JudgePoolResult(NamedTuple):
     judgments: JudgmentSet
     failures: list[TaskFailure]
+    request_hashes: set[str]  # of every reply used, nudged ones included
 
 
 def load_topics(path: str | Path) -> dict[str, Topic]:
@@ -151,11 +152,14 @@ def judge_pool(
     grades: dict[tuple[str, str], int] = {}
     reasons: dict[tuple[str, str], str] = {}
     unparsed: list[JudgingTask] = []  # filled by the first wave, asked by the second
+    request_hashes: set[str] = set()
     for batch, suffix in ((ordered, ""), (unparsed, "\n\n" + GRADE_NUDGE)):
         for task, response in zip(batch, gateway.complete_many(prompts(batch, suffix))):
             if isinstance(response, GatewayError):
                 reasons[_task_key(task)] = str(response)
-            elif (grade := parse_grade(response.text)) is not None:
+                continue
+            request_hashes.add(response.request_hash)
+            if (grade := parse_grade(response.text)) is not None:
                 grades[_task_key(task)] = grade
             elif suffix:
                 reasons[_task_key(task)] = "no parseable grade"
@@ -169,7 +173,7 @@ def judge_pool(
         prompt_sha256=prompt_hash,
     )
     failures = [TaskFailure(*key, reasons[key]) for key in sorted(reasons)]
-    return JudgePoolResult(judgments, failures)
+    return JudgePoolResult(judgments, failures, request_hashes)
 
 
 def _task_key(task: JudgingTask) -> tuple[str, str]:

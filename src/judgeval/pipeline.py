@@ -7,12 +7,16 @@ and outputs are intact, so completed experiments replay with zero backend
 calls and deleted outputs trigger exactly the stages that produced them.
 
 An ``Experiment`` loads each input (corpus, topics, qrels, runs, response
-cache, judge-cell read-backs) the first time a stage that runs needs it, so
-a run that skips every stage reads only the input digests and the manifest.
-It is also the one wiring from a config to summarizer and judge calls: the
-``summarize`` and ``judge`` subcommands call the same two methods as the
-stages. A cold run never re-reads the cache or a summary file it wrote: the
-judge stages get the summaries in memory, the manifest the cache's digest.
+cache) the first time a stage that runs needs it, so a run that skips every
+stage reads only the input digests and the manifest. It is also the one
+wiring from a config to summarizer and judge calls: the ``summarize`` and
+``judge`` subcommands call the same two methods as the stages.
+
+A stage hands its result on in memory: whatever a stage produced in this
+run (summaries, judgments, the cache entries of its usage file) goes
+downstream as it is, and a bundle file is read back only when the stage
+that owns it was skipped, at most once per run. The cache's digest comes
+from the open gateway, or from one hash of the file while none is open.
 
 All outputs are written atomically, all floats are formatted with fixed
 precision, and no file carries a time stamp, so a bundle's bytes depend
@@ -36,7 +40,7 @@ from .config import ExperimentConfig
 from .cost import DEFAULT_PRICES, load_price_table, tally_observed, usage_entries
 from .effectiveness import EffectivenessRow, average_precision, ndcg_at_k, scatter_data
 from .errors import ConfigError, JudgevalError
-from .gateway import ChatResponse, Gateway, HttpBackend, MockBackend
+from .gateway import Gateway, HttpBackend, MockBackend
 from .judge import (
     MAX_OUTPUT_TOKENS,
     JudgePoolResult,
@@ -125,21 +129,6 @@ def _cell_stem(model: str, modality: Modality) -> str:
     return f"judgments/{_slug(model)}__{_slug(str(modality))}"
 
 
-class _RecordingGateway:
-    """Per-stage wrapper that records the distinct request hashes a stage
-    used, whether the cache or the backend answered them."""
-
-    def __init__(self, inner: Gateway):
-        self._inner = inner
-        self.hashes: set[str] = set()
-
-    def complete_many(self, requests):
-        for outcome in self._inner.complete_many(requests):
-            if isinstance(outcome, ChatResponse):
-                self.hashes.add(outcome.request_hash)
-            yield outcome
-
-
 def effectiveness_by_metric(
     runs: list[Run], judgments: JudgmentSet, *, k: int, gain: str, threshold: int
 ) -> dict[str, list[EffectivenessRow]]:
@@ -192,7 +181,7 @@ class Experiment:
             m.budget_tokens for m in config.modalities if m.kind == "summary"
         )
         self.stage_fingerprints: dict[str, str] = {}
-        self._summaries: dict[int, SummarySet] = {}  # by budget, for the judge stages
+        self._held: dict[str, object] = {}  # bundle path -> its content, see _recall
 
     # -- inputs, each loaded on first use --------------------------------------
 
@@ -245,23 +234,22 @@ class Experiment:
 
     # -- summarizer and judge calls --------------------------------------------
 
-    def summarize(self, budget: int, gateway) -> SummarySet:
-        """Summarize the corpus at one budget through ``gateway``."""
+    def summarize(self, budget: int) -> SummarySet:
+        """Summarize the corpus at one budget."""
         return summarize_corpus(
             self.corpus,
             budget,
-            gateway,
+            self.gateway,
             self.config.summarizer_model,
             template=self.summary_template,
         )
 
     def judge(
-        self, model: str, modality: Modality, summaries: SummarySet | None, gateway
+        self, model: str, modality: Modality, summaries: SummarySet | None
     ) -> tuple[JudgePoolResult, list[dict]]:
-        """Judge the pool for one cell through ``gateway``: one task per pair
-        with a topic and evidence for ``modality`` (the corpus, or
-        ``summaries``); every other pair becomes a skip-ledger entry with its
-        reason."""
+        """Judge the pool for one cell: one task per pair with a topic and
+        evidence for ``modality`` (the corpus, or ``summaries``); every other
+        pair becomes a skip-ledger entry with its reason."""
         if modality.kind == "full":
             evidence, missing = self.corpus.entries, "doc not in corpus"
         else:
@@ -276,7 +264,7 @@ class Experiment:
                 skipped.append({"topic_id": topic_id, "doc_id": doc_id, "reason": reason})
                 continue
             tasks.append(JudgingTask(topic=topic, doc_id=doc_id, evidence_text=record.text))
-        result = judge_pool(tasks, gateway, model, modality, template=self.judge_template)
+        result = judge_pool(tasks, self.gateway, model, modality, template=self.judge_template)
         return result, skipped
 
     # -- manifest bookkeeping ------------------------------------------------
@@ -300,9 +288,10 @@ class Experiment:
         cache = self.config.resolved_cache_path().resolve()
         out = self.out.resolve()
         if cache.is_relative_to(out) and cache.exists():
+            rel = str(cache.relative_to(out))
             gateway = self.__dict__.get("gateway")  # None when no stage opened it
-            digest = gateway.cache.file_sha256() if gateway else sha256_file(cache)
-            files[str(cache.relative_to(out))] = digest
+            # with no gateway open nothing writes the cache: hash the file once per run
+            files[rel] = gateway.cache.file_sha256() if gateway else self._recall(rel, sha256_file)
         manifest = {
             "tool": "judgeval",
             "version": __version__,
@@ -360,9 +349,16 @@ class Experiment:
     def _write(self, rel: str, text: str) -> None:
         atomic_write_text(self.out / rel, text)
 
-    def _write_usage(self, rel: str, recorder: _RecordingGateway) -> None:
-        hashes = sorted(recorder.hashes)
-        entries = [self.gateway.cache.get(request_hash) for request_hash in hashes]
+    def _recall(self, rel: str, read: Callable[[Path], object]):
+        """Bundle file ``rel`` as this run holds it: what the stage that wrote
+        it in this run produced, else ``read(path)``, called at most once."""
+        if rel not in self._held:
+            self._held[rel] = read(self.out / rel)
+        return self._held[rel]
+
+    def _write_usage(self, rel: str, request_hashes: set[str]) -> None:
+        hashes = sorted(request_hashes)
+        entries = self._held[rel] = [self.gateway.cache.get(h) for h in hashes]
         usage = {
             "request_hashes": hashes,
             "input_tokens": sum(entry.input_tokens for entry in entries),
@@ -378,7 +374,8 @@ class Experiment:
             self._summarize_stage(budget)
         for model, modality in self._cells():  # this order is cache.jsonl's line order
             self._judge_stage(model, modality)
-        self._summaries.clear()
+        for budget in self.summary_budgets:  # no report reads them; holding them raises the peak
+            self._held.pop(f"{_summary_stem(budget)}.jsonl", None)
         self._distribution_stage()
         self._agreement_stage()
         self._effectiveness_stage()
@@ -410,10 +407,9 @@ class Experiment:
         }
 
         def produce() -> None:
-            recorder = _RecordingGateway(self.gateway)
-            summaries = self._summaries[budget] = self.summarize(budget, recorder)
+            summaries = self._held[rel] = self.summarize(budget)
             write_summaries(summaries, self.out / rel)
-            self._write_usage(rel_usage, recorder)
+            self._write_usage(rel_usage, summaries.request_hashes)
 
         self._stage(name, inputs, [rel, rel_usage], produce)
 
@@ -445,20 +441,19 @@ class Experiment:
         }
 
         def produce() -> None:
-            recorder = _RecordingGateway(self.gateway)
-            budget = modality.budget_tokens  # None for the full document
-            if modality.kind == "summary" and budget not in self._summaries:
-                # its summarize stage was skipped: read the file that stage found intact
-                path = self.out / f"{_summary_stem(budget)}.jsonl"
-                self._summaries[budget] = read_summaries(path)
-            result, skipped = self.judge(model, modality, self._summaries.get(budget), recorder)
+            summaries = None
+            if modality.kind == "summary":
+                rel = f"{_summary_stem(modality.budget_tokens)}.jsonl"
+                summaries = self._recall(rel, read_summaries)
+            result, skipped = self.judge(model, modality, summaries)
             write_judgments(result.judgments, self.out / rel_qrels)
+            self._held[rel_qrels] = result.judgments
             ledger = {
                 "skipped_pairs": skipped,
                 "failed_tasks": [f._asdict() for f in result.failures],
             }
             self._write(rel_errors, json.dumps(ledger, indent=2, sort_keys=True) + "\n")
-            self._write_usage(rel_usage, recorder)
+            self._write_usage(rel_usage, result.request_hashes)
 
         self._stage(name, inputs, [rel_qrels, rel_meta, rel_errors, rel_usage], produce)
 
@@ -469,14 +464,14 @@ class Experiment:
             for modality in self.config.modalities
         ]
 
-    @cached_property
     def _judged_cells(self) -> list[tuple[str, str, JudgmentSet]]:
-        """Each cell's judgments, read on first use from the file its judge
-        stage wrote or found intact."""
-        return [
-            (model, str(modality), parse_qrels(self.out / f"{_cell_stem(model, modality)}.qrels"))
-            for model, modality in self._cells()
-        ]
+        """Each cell's judgments, as its judge stage made them or read from
+        the file a skipped judge stage found intact."""
+        cells = []
+        for model, modality in self._cells():
+            judged = self._recall(f"{_cell_stem(model, modality)}.qrels", parse_qrels)
+            cells.append((model, str(modality), judged))
+        return cells
 
     def _judge_fingerprints(self) -> dict[str, str]:
         return {
@@ -493,7 +488,7 @@ class Experiment:
         }
 
         def produce() -> None:
-            annotators = [("human", "full", self.human)] + self._judged_cells
+            annotators = [("human", "full", self.human)] + self._judged_cells()
             self._write(rel, reports.distribution_csv(self.config.dataset, annotators))
 
         self._stage("distribution", inputs, [rel], produce)
@@ -510,7 +505,7 @@ class Experiment:
 
         def produce() -> None:
             text = reports.agreement_csv(
-                self.config.dataset, threshold, self.human, self._judged_cells
+                self.config.dataset, threshold, self.human, self._judged_cells()
             )
             self._write(rel, text)
 
@@ -521,7 +516,7 @@ class Experiment:
         """(qrels label, metric) -> per-run rows; label 'human' or 'model:modality'.
         Built on first use: a run that skips both report stages computes no NDCG/AP."""
         sources = [("human", self.human)] + [
-            (f"{model}:{modality}", judged) for model, modality, judged in self._judged_cells
+            (f"{model}:{modality}", judged) for model, modality, judged in self._judged_cells()
         ]
         table: dict[tuple[str, str], list[EffectivenessRow]] = {}
         for label, judgments in sources:
@@ -629,10 +624,12 @@ class Experiment:
         }
 
         def produce() -> None:
-            cache = self.gateway.cache
+            def read(path: Path) -> list:  # a usage file that a skipped stage left
+                return usage_entries(path, self.gateway.cache)
+
             tallies = [
                 tally_observed(
-                    usage_entries(self.out / usage_rel, cache),
+                    self._recall(usage_rel, read),
                     self.prices,
                     stage="summarization",
                     modality=modality_str,
@@ -641,7 +638,7 @@ class Experiment:
             ]
             tallies += [
                 tally_observed(
-                    [entry for usage in rels for entry in usage_entries(self.out / usage, cache)],
+                    [entry for usage in rels for entry in self._recall(usage, read)],
                     self.prices,
                     stage="judgment",
                     modality=modality_str,

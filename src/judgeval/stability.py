@@ -25,8 +25,9 @@ CI_LEVEL = 0.95  # coverage of the bootstrap tau interval
 class SystemScores:
     """Per-system means plus the per-topic scores they were averaged from.
 
-    Means are taken over the shared evaluated-topic set so that two
-    SystemScores built for the same run pool are directly comparable.
+    ``topics`` and the means cover the topics every run of this source was
+    evaluated on; ``stability_report`` compares two sources over the topics
+    both cover.
     """
 
     metric: str
@@ -66,16 +67,17 @@ def _mean(values: Sequence[float]) -> float:
     return sum(values) / len(values) if values else 0.0
 
 
-def _aligned(x: dict[str, float], y: dict[str, float]) -> tuple[list[float], list[float]]:
-    if set(x) != set(y):
-        raise ValueError(
-            f"system sets differ: only-x {sorted(set(x) - set(y))}, "
-            f"only-y {sorted(set(y) - set(x))}"
-        )
-    keys = sorted(x)
-    if len(keys) < 2:
+def _shared(scores_h: SystemScores, scores_l: SystemScores) -> tuple[list[str], list[str]]:
+    """The systems of two score sources, which must agree, and the sorted
+    topics both evaluated: the one topic set every statistic compares over."""
+    only_h = sorted(set(scores_h.per_system) - set(scores_l.per_system))
+    only_l = sorted(set(scores_l.per_system) - set(scores_h.per_system))
+    if only_h or only_l:
+        raise ValueError(f"run sets differ: only human-side {only_h}, only LLM-side {only_l}")
+    systems = scores_h.systems()
+    if len(systems) < 2:
         raise ValueError("need at least two systems")
-    return [x[k] for k in keys], [y[k] for k in keys]
+    return systems, sorted(set(scores_h.topics) & set(scores_l.topics))
 
 
 def _tau_b(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -171,12 +173,7 @@ def bootstrap_tau_ci(
     every system's mean over the sampled multiset for both sources, and
     takes percentile endpoints of the resulting tau distribution.
     """
-    systems = scores_h.systems()
-    if systems != scores_l.systems():
-        raise ValueError("score sources cover different systems")
-    if len(systems) < 2:
-        raise ValueError("need at least two systems")
-    topics = sorted(set(scores_h.topics) & set(scores_l.topics))
+    systems, topics = _shared(scores_h, scores_l)
     if len(topics) < 2:
         raise ValueError("need at least two shared evaluated topics")
     h_matrix = np.array([[scores_h.per_topic[s][t] for t in topics] for s in systems])
@@ -222,14 +219,19 @@ def stability_report(
     n_resamples: int = 2000,
     seed: int = 0,
 ) -> StabilityReport:
-    """Tau, rho, RBO and the tau CI between two score sources; with fewer
-    than two shared evaluated topics each is undefined (UNDEFINED or None)."""
-    x, y = _aligned(scores_h.per_system, scores_l.per_system)
-    if len(set(scores_h.topics) & set(scores_l.topics)) < 2:
+    """Tau, rho, RBO and the tau CI between two score sources, all over the
+    topics both evaluated; with fewer than two such topics each is undefined
+    (UNDEFINED or None)."""
+    systems, topics = _shared(scores_h, scores_l)
+    if len(topics) < 2:
         return StabilityReport(
             scores_h.metric, UNDEFINED, UNDEFINED, UNDEFINED, rbo=None, rbo_p=rbo_p,
             tau_ci_low=None, tau_ci_high=None, n_resamples=n_resamples, seed=seed,
         )
+    x, y = (
+        [_mean([scores.per_topic[s][t] for t in topics]) for s in systems]
+        for scores in (scores_h, scores_l)
+    )
     ci_low, ci_high = bootstrap_tau_ci(scores_h, scores_l, n_resamples=n_resamples, seed=seed)
     return StabilityReport(
         metric=scores_h.metric,
@@ -237,8 +239,8 @@ def stability_report(
         spearman_rho=spearman_rho(x, y),
         pearson_rho=pearson_rho(x, y),
         rbo=rbo_ext(
-            ranking_from_scores(scores_h.per_system),
-            ranking_from_scores(scores_l.per_system),
+            ranking_from_scores(dict(zip(systems, x))),
+            ranking_from_scores(dict(zip(systems, y))),
             p=rbo_p,
         ),
         rbo_p=rbo_p,

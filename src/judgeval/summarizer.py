@@ -45,12 +45,15 @@ class SummarySet:
     """All summaries for one corpus at one token budget.
 
     ``errors`` maps doc ids to the failure that prevented their summary;
-    failed docs never appear in ``records``.
+    failed docs never appear in ``records``. ``request_hashes`` holds the
+    distinct requests whose replies became records; it is empty for a set
+    read back from a file.
     """
 
     budget_tokens: int
     records: dict[str, SummaryRecord] = field(default_factory=dict)
     errors: dict[str, str] = field(default_factory=dict)
+    request_hashes: set[str] = field(default_factory=set)
 
     def __len__(self) -> int:
         return len(self.records)
@@ -126,6 +129,7 @@ def summarize_corpus(
         if isinstance(response, GatewayError):
             result.errors[doc_id] = str(response)
             continue
+        result.request_hashes.add(response.request_hash)
         out_tokens = response.output_tokens
         flags = []
         if out_tokens > SUMMARY_SLACK * budget:

@@ -552,3 +552,18 @@ def test_stability_rejects_mixed_qrels_sources(toy_bundle, capsys):
     )
     assert code == 2
     assert "mixes qrels sources" in capsys.readouterr().err
+
+
+def test_stability_rejects_tables_over_different_runs(tmp_path, capsys):
+    header = "run_tag,metric,qrels_source,modality,topic_id,value\n"
+    paths = []
+    for name, tags in (("h", ("r1", "r2")), ("l", ("r1", "r3"))):
+        path = tmp_path / f"{name}.csv"
+        rows = [f"{tag},map,human,full,{t},0.5\n" for tag in tags for t in ("t1", "t2")]
+        path.write_text(header + "".join(rows))
+        paths.append(str(path))
+    argv = ["stability", "--per-topic-h", paths[0], "--per-topic-l", paths[1], "--metric", "map"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ")
+    assert "['r2']" in err and "['r3']" in err

@@ -3,11 +3,12 @@
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 
 import pytest
 
 from judgeval.errors import ParseError
-from judgeval.gateway import BackendReply, Gateway, MockBackend
+from judgeval.gateway import BackendReply, Gateway, MockBackend, TransportError
 from judgeval.judge import (
     GRADE_NUDGE,
     JudgingTask,
@@ -194,6 +195,28 @@ def test_judge_pool_nudge_rescues_final_attempt(tmp_path):
     assert len(result.judgments) == 3
     assert set(result.judgments.grades.values()) == {1}
     assert result.failures == []
+
+
+def test_judge_pool_returns_the_hashes_of_every_reply_it_used(tmp_path):
+    class _Mixed:
+        def send(self, req, request_hash):
+            if "poison" in req.user_text:
+                raise TransportError("down")
+            if "vague" in req.user_text and not req.user_text.endswith(GRADE_NUDGE):
+                return BackendReply(text="hmm", input_tokens=1, output_tokens=1)
+            return BackendReply(text="2", input_tokens=1, output_tokens=1)
+
+    gw = Gateway(_Mixed(), tmp_path / "cache.jsonl", max_attempts=2, sleep=lambda _s: None)
+    topic = Topic("t1", "query")
+    plain, vague, failed = (JudgingTask(topic, f"d{i}", f"{text} evidence")
+                            for i, text in enumerate(("plain", "vague", "poison")))
+    result = judge_pool([plain, vague, failed], gw, "m", FULL_DOCUMENT)
+    assert result.judgments.grades == {("t1", "d0"): 2, ("t1", "d1"): 2}
+    assert [f.doc_id for f in result.failures] == ["d2"]
+    nudged = build_judge_prompt(vague, "m")
+    nudged = replace(nudged, user_text=nudged.user_text + "\n\n" + GRADE_NUDGE)
+    expected = {build_judge_prompt(task, "m").digest() for task in (plain, vague)}
+    assert result.request_hashes == expected | {nudged.digest()}
 
 
 def test_judge_pool_respects_modality_and_rejects_mixtures(tmp_path):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import json
+import shutil
 from dataclasses import replace
 
 import pytest
@@ -278,6 +279,28 @@ def test_summaries_are_read_at_most_once_per_budget(tmp_path, monkeypatch):
     assert sorted(reads) == [out / "summaries" / f"summ{b}.jsonl" for b in (120, 80)]
     assert again.backend_calls == 0
     assert bundle_digests(out) == fresh
+
+
+def test_a_run_reads_back_only_what_skipped_stages_wrote(toy_experiment, monkeypatch):
+    config = load_config(toy_experiment)
+    calls = []
+    for name in ("parse_qrels", "read_summaries", "sha256_file"):
+        original = getattr(pipeline, name)
+        monkeypatch.setattr(
+            pipeline, name, lambda p, _n=name, _f=original: calls.append((_n, p)) or _f(p)
+        )
+    out = run_pipeline(config).output_dir
+    # a cold run hands summaries and judgments on in memory: only the human
+    # qrels are parsed
+    assert [call for call in calls if call[0] != "sha256_file"] == [("parse_qrels", config.qrels)]
+
+    calls.clear()
+    shutil.rmtree(out / "reports")
+    reports = ["distribution", "agreement", "effectiveness", "stability", "cost"]
+    assert run_pipeline(config).stages_run() == reports
+    # no gateway is open until the cost stage, and nothing writes the cache
+    # before then, so it is hashed once however many manifest saves come first
+    assert calls.count(("sha256_file", out / "cache.jsonl")) == 1
 
 
 def test_distribution_rows_sum_to_about_hundred(toy_experiment):

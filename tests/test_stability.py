@@ -372,6 +372,20 @@ def test_stability_report_identical_sources():
     assert (report.tau_ci_low, report.tau_ci_high) == (1.0, 1.0)
 
 
+def test_every_statistic_compares_over_the_shared_topics():
+    # identical scores on t1-t2; the human side also covers t3-t4, where s2
+    # overtakes s1, so its means over its own topics would rank differently
+    shared = {"s1": [0.9, 0.8], "s2": [0.5, 0.6], "s3": [0.2, 0.1]}
+    extra = {"s1": [0.0, 0.0], "s2": [0.55, 0.55], "s3": [0.15, 0.15]}
+    human = {s: dict(zip(("t1", "t2", "t3", "t4"), shared[s] + extra[s])) for s in shared}
+    llm = {s: dict(zip(("t1", "t2"), shared[s])) for s in shared}
+    report = stability_report(_scores("map", human), _scores("map", llm), n_resamples=200, seed=3)
+    assert report.kendall_tau.value == 1.0
+    assert report.tau_ci_low <= report.kendall_tau.value <= report.tau_ci_high
+    assert report.spearman_rho.value == pytest.approx(1.0)
+    assert report.rbo == pytest.approx(1.0)
+
+
 def test_stability_report_deterministic():
     scores_h, scores_l = _toy_pair(offset=0.01)
     a = stability_report(scores_h, scores_l, n_resamples=200, seed=9)

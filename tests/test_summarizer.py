@@ -123,11 +123,13 @@ def test_gateway_failures_go_to_ledger_not_abort(tmp_path):
     gw = Gateway(
         _FailsOnMarker(), tmp_path / "cache.jsonl", max_attempts=2, sleep=lambda _s: None
     )
-    corpus = _corpus(d1="good text", d2="poison text")
+    corpus = _corpus(d1="good text", d2="poison text", d3=" \n ")
     summaries = summarize_corpus(corpus, 80, gw, "m")
     assert "d1" in summaries.records
     assert "d2" in summaries.errors
     assert "d2" not in summaries.records
+    # only d1's reply was used: d2 failed and d3 never reached the gateway
+    assert summaries.request_hashes == {build_summary_prompt("good text", 80, "m").digest()}
 
 
 def test_write_read_round_trip(tmp_path):
