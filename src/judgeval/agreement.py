@@ -16,9 +16,9 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .trec_io import JudgmentSet
+from .trec_io import VALID_GRADES, JudgmentSet
 
-GRADED_LABELS = (0, 1, 2, 3)
+GRADED_LABELS = VALID_GRADES
 BINARY_LABELS = (0, 1)
 
 

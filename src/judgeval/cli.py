@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 from . import __version__, reports
@@ -29,7 +29,12 @@ from .gateway import ResponseCache
 from .pipeline import Experiment, effectiveness_by_metric, run_pipeline
 from .stability import SystemScores, stability_report
 from .summarizer import read_summaries, write_summaries
-from .trec_io import Modality, atomic_write_text, load_runs_dir, parse_qrels, write_judgments
+from .trec_io import (
+    VALID_GRADES, Modality, atomic_write_text, load_runs_dir, parse_qrels, write_judgments,
+)
+
+# Each config setting's default, which a subcommand flag that mirrors it takes.
+_DEFAULT = {f.name: f.default for f in fields(ExperimentConfig)}
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -95,7 +100,7 @@ def _build_parser() -> argparse.ArgumentParser:
     agree = sub.add_parser("agreement", help="agreement between two qrels files")
     agree.add_argument("--qrels-a", required=True, help="reference judgments")
     agree.add_argument("--qrels-b", required=True, help="candidate judgments")
-    agree.add_argument("--threshold", type=int, default=1)
+    agree.add_argument("--threshold", type=int, default=_DEFAULT["binarize_threshold"])
     agree.add_argument("--dataset", default="-")
     agree.add_argument("--out")
     agree.set_defaults(handler=_cmd_agreement)
@@ -103,9 +108,9 @@ def _build_parser() -> argparse.ArgumentParser:
     eff = sub.add_parser("effectiveness", help="evaluate runs under a qrels file")
     eff.add_argument("--qrels", required=True)
     eff.add_argument("--runs-dir", required=True)
-    eff.add_argument("--k", type=int, default=10)
-    eff.add_argument("--gain", choices=("linear", "exponential"), default="linear")
-    eff.add_argument("--threshold", type=int, default=1)
+    eff.add_argument("--k", type=int, default=_DEFAULT["ndcg_k"])
+    eff.add_argument("--gain", choices=("linear", "exponential"), default=_DEFAULT["gain"])
+    eff.add_argument("--threshold", type=int, default=_DEFAULT["binarize_threshold"])
     eff.add_argument("--out")
     eff.add_argument("--per-topic-out")
     eff.set_defaults(handler=_cmd_effectiveness)
@@ -114,8 +119,8 @@ def _build_parser() -> argparse.ArgumentParser:
     stab.add_argument("--per-topic-h", required=True, help="per-topic CSV, human side")
     stab.add_argument("--per-topic-l", required=True, help="per-topic CSV, LLM side")
     stab.add_argument("--metric", required=True)
-    stab.add_argument("--rbo-p", type=float, default=0.9)
-    stab.add_argument("--resamples", type=int, default=2000)
+    stab.add_argument("--rbo-p", type=float, default=_DEFAULT["rbo_p"])
+    stab.add_argument("--resamples", type=int, default=_DEFAULT["bootstrap_samples"])
     stab.add_argument("--seed", type=int, default=0)
     stab.add_argument("--dataset", default="-")
     stab.add_argument("--model", default="-")
@@ -144,9 +149,9 @@ def _build_parser() -> argparse.ArgumentParser:
 def _load_config_with_overrides(args) -> ExperimentConfig:
     config = load_config(args.config)
     updates = {}
-    if getattr(args, "seed", None) is not None:
+    if args.seed is not None:
         updates["seed"] = args.seed
-    if getattr(args, "mock", False):
+    if args.mock:
         updates["backend"] = "mock"
     if args.command == "run":
         # run executes the configured grid; filters narrow it, other
@@ -229,7 +234,7 @@ def _cmd_judge(args) -> int:
 
 
 def _cmd_agreement(args) -> int:
-    _check(args.threshold in (1, 2, 3), "--threshold must be 1, 2 or 3")
+    _check(args.threshold in VALID_GRADES[1:], "--threshold must be 1, 2 or 3")
     a = parse_qrels(args.qrels_a)
     b = parse_qrels(args.qrels_b)
     cell = (b.source.label(), str(b.modality), b)
@@ -239,7 +244,7 @@ def _cmd_agreement(args) -> int:
 
 def _cmd_effectiveness(args) -> int:
     _check(args.k >= 1, "--k must be >= 1")
-    _check(args.threshold in (1, 2, 3), "--threshold must be 1, 2 or 3")
+    _check(args.threshold in VALID_GRADES[1:], "--threshold must be 1, 2 or 3")
     qrels = parse_qrels(args.qrels)
     runs = load_runs_dir(args.runs_dir)
     by_metric = effectiveness_by_metric(

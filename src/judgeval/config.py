@@ -16,11 +16,11 @@ from __future__ import annotations
 import configparser
 import hashlib
 import json
-from dataclasses import dataclass, field, fields
+from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 
 from .errors import ConfigError
-from .trec_io import Modality
+from .trec_io import VALID_GRADES, Modality
 
 UNHASHED_FIELDS = (
     "corpus", "topics", "qrels", "runs_dir", "output_dir",
@@ -40,7 +40,7 @@ class ExperimentConfig:
     seed: int
     models: list[str]
     modalities: list[Modality]
-    summarizer_model: str
+    summarizer_model: str = ""  # "" is the first model
     binarize_threshold: int = 1
     gain: str = "linear"
     ndcg_k: int = 10
@@ -61,9 +61,10 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if not self.models:
             raise ConfigError("at least one model is required")
+        self.summarizer_model = self.summarizer_model or self.models[0]
         if not self.modalities:
             raise ConfigError("at least one modality is required")
-        if self.binarize_threshold not in (1, 2, 3):
+        if self.binarize_threshold not in VALID_GRADES[1:]:
             raise ConfigError("binarize_threshold must be 1, 2, or 3")
         if self.gain not in ("linear", "exponential"):
             raise ConfigError("gain must be 'linear' or 'exponential'")
@@ -100,85 +101,63 @@ class ExperimentConfig:
         return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
-def _require(parser: configparser.ConfigParser, section: str, option: str) -> str:
-    try:
-        return parser.get(section, option)
-    except (configparser.NoSectionError, configparser.NoOptionError) as exc:
-        raise ConfigError(f"missing [{section}] {option}") from exc
-
-
 def _split_list(raw: str) -> list[str]:
     return [item.strip() for item in raw.split(",") if item.strip()]
+
+
+# The options of each section; each sets the field of its name, but for
+# [gateway] cache, which sets cache_path.
+SECTIONS = {
+    "data": ("dataset", "corpus", "topics", "qrels", "runs_dir"),
+    "experiment": (
+        "models", "modalities", "seed", "output_dir", "summarizer_model",
+        "binarize_threshold", "pool", "pool_depth",
+    ),
+    "metrics": ("gain", "ndcg_k", "rbo_p", "bootstrap_samples"),
+    "gateway": ("backend", "endpoint", "api_key_env", "max_attempts", "max_in_flight", "cache"),
+    "prompts": ("summary_template", "judge_template"),
+    "pricing": ("prices",),
+}
+
+# An option's text as its field's declared type; a path resolves against
+# the config file's directory (an absolute one stays as it is).
+_CONVERT = {
+    "str": lambda raw, base: raw,
+    "int": lambda raw, base: int(raw),
+    "float": lambda raw, base: float(raw),
+    "Path": lambda raw, base: base / raw,
+    "Path | None": lambda raw, base: base / raw if raw else None,
+    "list[str]": lambda raw, base: _split_list(raw),
+    "list[Modality]": lambda raw, base: [Modality.parse(item) for item in _split_list(raw)],
+}
 
 
 def load_config(path: str | Path) -> ExperimentConfig:
     """Parse an experiment config file.
 
-    Expected sections: [data] (dataset, corpus, topics, qrels, runs_dir),
-    [experiment] (models, modalities, seed, output_dir, ...), and optional
-    [metrics], [gateway], [prompts], [pricing] overrides.
+    Each option of ``SECTIONS`` the file sets is converted to its field's
+    type; one it leaves out keeps the field's default, and is an error when
+    the field has none.
     """
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
     try:
-        parser.read(path, encoding="utf-8")
+        parser.read(path, encoding="utf-8-sig")
     except configparser.Error as exc:
         raise ConfigError(f"cannot parse config {path}: {exc}") from exc
 
-    base = path.parent
-
-    def resolve(raw: str) -> Path:
-        p = Path(raw)
-        return p if p.is_absolute() else (base / p)
-
-    def opt(section: str, option: str, fallback: str | None = None) -> str | None:
-        return parser.get(section, option, fallback=fallback)
-
+    declared = {f.name: f for f in fields(ExperimentConfig)}
+    values = {}
     try:
-        seed_raw = _require(parser, "experiment", "seed")
-        models = _split_list(_require(parser, "experiment", "models"))
-        if not models:
-            raise ConfigError("at least one model is required")
-        modalities = [
-            Modality.parse(item)
-            for item in _split_list(_require(parser, "experiment", "modalities"))
-        ]
-        config = ExperimentConfig(
-            dataset=_require(parser, "data", "dataset"),
-            corpus=resolve(_require(parser, "data", "corpus")),
-            topics=resolve(_require(parser, "data", "topics")),
-            qrels=resolve(_require(parser, "data", "qrels")),
-            runs_dir=resolve(_require(parser, "data", "runs_dir")),
-            output_dir=resolve(_require(parser, "experiment", "output_dir")),
-            seed=int(seed_raw),
-            models=models,
-            modalities=modalities,
-            summarizer_model=opt("experiment", "summarizer_model") or models[0],
-            binarize_threshold=int(opt("experiment", "binarize_threshold", "1")),
-            gain=opt("metrics", "gain", "linear"),
-            ndcg_k=int(opt("metrics", "ndcg_k", "10")),
-            rbo_p=float(opt("metrics", "rbo_p", "0.9")),
-            bootstrap_samples=int(opt("metrics", "bootstrap_samples", "2000")),
-            pool=opt("experiment", "pool", "qrels"),
-            pool_depth=int(opt("experiment", "pool_depth", "10")),
-            backend=opt("gateway", "backend", "mock"),
-            endpoint=opt("gateway", "endpoint", ""),
-            api_key_env=opt("gateway", "api_key_env", ""),
-            max_attempts=int(opt("gateway", "max_attempts", "5")),
-            max_in_flight=int(opt("gateway", "max_in_flight", "1")),
-            summary_template=_opt_path(opt("prompts", "summary_template", ""), resolve),
-            judge_template=_opt_path(opt("prompts", "judge_template", ""), resolve),
-            prices=_opt_path(opt("pricing", "prices", ""), resolve),
-            cache_path=_opt_path(opt("gateway", "cache", ""), resolve),
-        )
+        for section, options in SECTIONS.items():
+            for option in options:
+                f = declared["cache_path" if option == "cache" else option]
+                if parser.has_option(section, option):
+                    values[f.name] = _CONVERT[f.type](parser.get(section, option), path.parent)
+                elif f.default is MISSING:
+                    raise ConfigError(f"missing [{section}] {option}")
+        return ExperimentConfig(**values)
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"bad config value in {path}: {exc}") from exc
-    return config
-
-
-def _opt_path(raw: str | None, resolve) -> Path | None:
-    if not raw:
-        return None
-    return resolve(raw)

@@ -154,6 +154,8 @@ class ResponseCache:
                     continue
                 try:
                     raw = json.loads(line)
+                    if not isinstance(raw["text"], str):
+                        raise TypeError(f"text is {raw['text']!r}, not a string")
                     entry = CacheEntry(
                         request_hash=raw["hash"],
                         model=raw["model"],
@@ -276,16 +278,15 @@ class HttpBackend:
         try:
             data = json.loads(payload)
             text = data["choices"][0]["message"]["content"]
-        except (json.JSONDecodeError, KeyError, IndexError, TypeError) as exc:
+            usage = data.get("usage") or {}
+            counts = (usage.get("prompt_tokens"), usage.get("completion_tokens"))
+        except (json.JSONDecodeError, KeyError, IndexError, TypeError, AttributeError) as exc:
             raise ProtocolError(f"unexpected backend payload: {exc}") from exc
-        usage = data.get("usage") or {}
-        in_tok = usage.get("prompt_tokens")
-        out_tok = usage.get("completion_tokens")
-        return BackendReply(
-            text=text,
-            input_tokens=int(in_tok) if in_tok is not None else None,
-            output_tokens=int(out_tok) if out_tok is not None else None,
-        )
+        if not isinstance(text, str):  # a filtered reply can come back as null
+            raise ProtocolError(f"backend reply content is {text!r}, not a string")
+        if any(n is not None and type(n) is not int for n in counts):
+            raise ProtocolError(f"backend usage counts {counts} are not integers")
+        return BackendReply(text, *counts)
 
 
 class Gateway:

@@ -19,7 +19,7 @@ from typing import Iterable, NamedTuple
 from .errors import GatewayError, JudgevalError, ParseError
 from .gateway import ChatRequest, Gateway
 from .templates import load_template, template_sha256
-from .trec_io import JudgmentSet, Modality, model_source
+from .trec_io import VALID_GRADES, JudgmentSet, Modality, model_source
 
 GRADE_NUDGE = "Answer with a single digit."
 MAX_OUTPUT_TOKENS = 64
@@ -63,7 +63,7 @@ def load_topics(path: str | Path) -> dict[str, Topic]:
     """Load a tab-separated topics file (``topic_id<TAB>query_text``)."""
     path = Path(path)
     topics: dict[str, Topic] = {}
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:  # a leading BOM is dropped
         for line_no, raw in enumerate(fh, start=1):
             line = raw.strip("\n").strip("\r")
             if not line.strip():
@@ -182,7 +182,7 @@ def _task_key(task: JudgingTask) -> tuple[str, str]:
 
 def binarize(judgments: JudgmentSet, threshold: int = 1) -> JudgmentSet:
     """Collapse graded labels to {0,1}: relevant iff grade >= threshold."""
-    if threshold not in (1, 2, 3):
+    if threshold not in VALID_GRADES[1:]:
         raise ValueError("threshold must be 1, 2, or 3")
     return JudgmentSet(
         grades={

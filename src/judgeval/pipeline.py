@@ -153,6 +153,10 @@ class Experiment:
     def __init__(self, config: ExperimentConfig, *, force: bool = False):
         self.config = config
         self.force = force
+        stems: dict[str, str] = {}
+        for model in config.models:  # each model's judgments need their own files
+            if (other := stems.setdefault(_slug(model), model)) != model:
+                raise ConfigError(f"models {other!r} and {model!r} map to one judgment file name")
         for name in ("corpus", "topics", "qrels", "runs_dir"):
             path = getattr(config, name)
             if not Path(path).exists():

@@ -135,7 +135,7 @@ class JudgmentSet:
 
 
 def nonblank_lines(path: Path) -> Iterator[tuple[int, str]]:
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:  # a leading BOM is dropped
         for line_no, raw in enumerate(fh, start=1):
             line = raw.strip()
             if line:

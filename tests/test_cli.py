@@ -8,12 +8,14 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
 from conftest import build_toy_experiment
-from judgeval.cli import main
+from judgeval.cli import _build_parser, main
+from judgeval.config import ExperimentConfig
 from judgeval.judge import load_judge_template
 from judgeval.templates import template_sha256
 from judgeval.trec_io import (
@@ -42,6 +44,44 @@ def test_run_exit_code_2_on_config_error(tmp_path):
 
 def test_run_rejects_unconfigured_model(toy_experiment):
     assert main(["run", "--config", str(toy_experiment), "--model", "nope"]) == 2
+
+
+def test_models_sharing_a_judgment_file_name_are_config_errors(tmp_path, capsys):
+    config = build_toy_experiment(tmp_path)
+    text = config.read_text().replace("models = mock-judge", "models = mock/judge, mockjudge")
+    config.write_text(text)
+    assert main(["run", "--config", str(config)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ")
+    assert "'mock/judge'" in err and "'mockjudge'" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_cache_line_without_reply_text_is_an_error_naming_it(tmp_path, capsys):
+    config = build_toy_experiment(tmp_path)
+    cache = tmp_path / "out" / "cache.jsonl"
+    cache.parent.mkdir()
+    line = {"hash": "h1", "model": "mock-judge", "text": None, "in_tok": 1, "out_tok": 0}
+    cache.write_text(json.dumps(line) + "\n")
+    assert main(["run", "--config", str(config)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"{cache}:1" in err
+
+
+def test_flags_that_mirror_a_setting_default_to_it():
+    mirrored = {
+        ("agreement", "--threshold"): "binarize_threshold",
+        ("effectiveness", "--threshold"): "binarize_threshold",
+        ("effectiveness", "--k"): "ndcg_k",
+        ("effectiveness", "--gain"): "gain",
+        ("stability", "--rbo-p"): "rbo_p",
+        ("stability", "--resamples"): "bootstrap_samples",
+    }
+    settings = {f.name: f.default for f in fields(ExperimentConfig)}
+    (commands,) = [a.choices for a in _build_parser()._actions if a.choices and a.dest == "command"]
+    for (command, flag), setting in mirrored.items():
+        (action,) = [a for a in commands[command]._actions if flag in a.option_strings]
+        assert action.default == settings[setting], (command, flag)
 
 
 def test_run_modality_filter(toy_experiment, capsys):

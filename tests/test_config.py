@@ -2,13 +2,16 @@
 
 from __future__ import annotations
 
+import configparser
+import re
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
 from conftest import build_toy_experiment
 from judgeval.cli import main
-from judgeval.config import load_config
+from judgeval.config import SECTIONS, load_config
 from judgeval.errors import ConfigError
 from judgeval.pipeline import Experiment
 from judgeval.trec_io import Modality
@@ -118,3 +121,65 @@ def test_non_positive_counts_rejected_at_load(tmp_path, capsys, section, option)
     assert main(["run", "--config", str(config_path)]) == 2
     assert option in capsys.readouterr().err
     assert not (tmp_path / "out").exists()  # rejected before any stage ran
+
+
+# Each option the toy config leaves out, spelled out at its documented default.
+SPELLED_OUT_DEFAULTS = {
+    "experiment": {"summarizer_model": "", "pool": "qrels", "pool_depth": "10"},
+    "metrics": {"gain": "linear", "ndcg_k": "10", "rbo_p": "0.9"},
+    "gateway": {
+        "endpoint": "", "api_key_env": "", "max_attempts": "5", "max_in_flight": "1", "cache": "",
+    },
+    "prompts": {"summary_template": "", "judge_template": ""},
+}
+
+
+def test_options_spelled_out_at_their_defaults_load_as_when_left_out(tmp_path):
+    config_path = build_toy_experiment(tmp_path)
+    text = config_path.read_text() + "[prompts]\n"
+    for section, options in SPELLED_OUT_DEFAULTS.items():
+        lines = "".join(f"{option} = {value}\n" for option, value in options.items())
+        text = text.replace(f"[{section}]\n", f"[{section}]\n{lines}")
+    spelled = tmp_path / "spelled.ini"
+    spelled.write_text(text)
+    parser = configparser.ConfigParser()
+    parser.read_string(text)
+    named = {(section, option) for section in parser.sections() for option in parser[section]}
+    assert named == {(section, option) for section, options in SECTIONS.items() for option in options}
+    assert load_config(spelled) == load_config(config_path)
+    assert load_config(spelled).config_hash() == load_config(config_path).config_hash()
+
+
+def test_summarizer_model_left_out_or_empty_is_the_first_model(tmp_path):
+    config_path = build_toy_experiment(tmp_path)
+    text = config_path.read_text().replace("models = mock-judge", "models = judge-a, judge-b")
+    config_path.write_text(text)
+    config = load_config(config_path)
+    assert config.summarizer_model == "judge-a"
+    config_path.write_text(text.replace("[experiment]\n", "[experiment]\nsummarizer_model =\n"))
+    assert load_config(config_path) == config
+    # run --model narrows the models, and the summaries stay the first configured model's
+    assert replace(config, models=["judge-b"]).summarizer_model == "judge-a"
+    assert replace(config, models=["judge-b"], summarizer_model="").summarizer_model == "judge-b"
+
+
+def _readme_config_block() -> str:
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    quick_start = readme.split("## Quick start", 1)[1]
+    return quick_start.split("```ini\n", 1)[1].split("```", 1)[0]
+
+
+def test_readme_config_names_every_option_once_and_loads(tmp_path):
+    block = _readme_config_block()
+    named, section = [], None
+    for line in block.splitlines():
+        if header := re.fullmatch(r"\[(\w+)\]", line.strip()):
+            section = header.group(1)
+        elif option := re.match(r";?\s*(\w+)\s*=", line):  # commented-out options count
+            named.append((section, option.group(1)))
+    assert sorted(named) == sorted(
+        (section, option) for section, options in SECTIONS.items() for option in options
+    )
+    (tmp_path / "config.ini").write_text(block)
+    config = load_config(tmp_path / "config.ini")
+    assert config.corpus == tmp_path / "corpus.jsonl"

@@ -456,3 +456,21 @@ def test_http_payload_parsing():
         HttpBackend._parse(b"{}")
     with pytest.raises(ProtocolError):
         HttpBackend._parse(b"not json")
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        {"choices": [{"message": {"content": None}}], "usage": {"prompt_tokens": 1}},
+        {"choices": [{"message": {"content": None}}]},
+        {"choices": [{"message": {"content": ["a"]}}]},
+        {"choices": [{"message": {"content": "2"}}], "usage": {"prompt_tokens": "12"}},
+        {"choices": [{"message": {"content": "2"}}], "usage": {"completion_tokens": 1.5}},
+        {"choices": [{"message": {"content": "2"}}], "usage": ["not", "a", "mapping"]},
+    ],
+    ids=["null-content", "null-content-no-usage", "list-content", "string-count",
+         "float-count", "list-usage"],
+)
+def test_http_payload_off_protocol_is_protocol_error(payload):
+    with pytest.raises(ProtocolError):
+        HttpBackend._parse(json.dumps(payload).encode())

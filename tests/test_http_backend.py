@@ -13,6 +13,7 @@ import pytest
 
 from conftest import build_toy_experiment, bundle_digests
 from judgeval import gateway as gateway_module
+from judgeval.cli import main
 from judgeval.config import load_config
 from judgeval.errors import GatewayError, ProtocolError
 from judgeval.gateway import ChatRequest, Gateway, HttpBackend, MockBackend
@@ -262,3 +263,41 @@ def test_429_storm_ends_in_retries_or_ledger_entries(stub_server, tmp_path, monk
         failed += len(json.loads(ledger.read_text())["failed_tasks"])
     assert failed > 0
     assert all(stage.status == "ran" for stage in result.outcomes)
+
+
+def test_null_reply_content_is_a_ledger_entry_and_is_not_cached(stub_server, tmp_path, capsys):
+    def nulled(text: str) -> bool:
+        return "Passage:" in text and hashlib.sha256(text.encode()).digest()[0] % 3 == 0
+
+    def reply(body):
+        answer = _mock_reply(body)
+        if nulled(body["messages"][0]["content"]):
+            answer["choices"][0]["message"]["content"] = None  # as for a filtered reply
+        return answer
+
+    stub_server.reply = reply
+    config_path = build_toy_experiment(tmp_path)
+    text = config_path.read_text().replace(
+        "backend = mock\n", f"backend = http\nendpoint = {_endpoint(stub_server)}\n"
+    )
+    config_path.write_text(text)
+    assert main(["run", "--config", str(config_path)]) == 0
+    sent = [r["body"]["messages"][0]["content"] for r in stub_server.requests]
+    assert any(map(nulled, sent))
+
+    out = tmp_path / "out"
+    reasons = [
+        task["reason"]
+        for ledger in out.glob("judgments/*.errors.json")
+        for task in json.loads(ledger.read_text())["failed_tasks"]
+    ]
+    assert reasons
+    assert all(reason == "backend reply content is None, not a string" for reason in reasons)
+    texts = [json.loads(line)["text"] for line in (out / "cache.jsonl").read_text().splitlines()]
+    assert all(isinstance(t, str) for t in texts)
+    assert len(texts) == len(set(sent) - set(filter(nulled, sent)))
+    # a forced re-run asks the backend again for exactly the replies it did not cache
+    assert main(["run", "--config", str(config_path), "--force"]) == 0
+    resent = [r["body"]["messages"][0]["content"] for r in stub_server.requests[len(sent):]]
+    assert set(resent) == set(filter(nulled, sent))
+    capsys.readouterr()

@@ -8,9 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from judgeval.config import load_config
 from judgeval.effectiveness import average_precision, ndcg_at_k
 from judgeval.errors import ConflictError, ParseError
-from judgeval.judge import binarize
+from judgeval.judge import binarize, load_topics
 from judgeval.trec_io import (
     FULL_DOCUMENT,
     HUMAN,
@@ -211,6 +212,25 @@ def test_load_runs_dir_sorts_and_rejects_duplicate_tags(tmp_path):
     (runs / "c.txt").write_text("t1 Q0 d2 1 1.0 alpha\n")
     with pytest.raises(ConflictError):
         load_runs_dir(runs)
+
+
+@pytest.mark.parametrize(
+    "load, text",
+    [
+        (parse_qrels, "t1 0 d1 2\nt1 0 d2 0\nt2 0 d1 1\n"),
+        (parse_run, "t1 Q0 d1 1 2.5 r\nt1 Q0 d2 2 1.5 r\n"),
+        (load_topics, "t1\tfirst query\nt2\tsecond query\n"),
+        (load_corpus, '{"docid": "d1", "text": "one"}\n{"docid": "d2", "text": "two"}\n'),
+        (load_config, "[data]\ndataset = d\ncorpus = c\ntopics = t\nqrels = q\nruns_dir = r\n"
+                      "[experiment]\nmodels = m\nmodalities = full\nseed = 1\noutput_dir = o\n"),
+    ],
+    ids=["qrels", "run", "topics", "corpus", "config"],
+)
+def test_leading_byte_order_mark_is_dropped(tmp_path, load, text):
+    plain, marked = tmp_path / "plain", tmp_path / "marked"
+    plain.write_bytes(text.encode("utf-8"))
+    marked.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))  # as Notepad saves UTF-8
+    assert load(marked) == load(plain)
 
 
 # -- corpus ------------------------------------------------------------------
