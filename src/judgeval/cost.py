@@ -9,13 +9,13 @@ per-call prompt overhead kept as an explicit parameter.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable
 
 from .errors import JudgevalError, ParseError, PricingError
 from .gateway import CacheEntry, ResponseCache
+from .trec_io import read_json
 
 
 @dataclass(frozen=True)
@@ -43,16 +43,15 @@ DEFAULT_PRICES: PriceTable = {"gpt-4o": Price(2.50, 10.00)}
 
 def load_price_table(path: str | Path) -> PriceTable:
     """Load a JSON price table: model -> {input_usd_per_1m, output_usd_per_1m}."""
-    path = Path(path)
+    raw = read_json(path, "price table")
     try:
-        raw = json.loads(path.read_text(encoding="utf-8"))
         table = {
             model: Price(
                 float(entry["input_usd_per_1m"]), float(entry["output_usd_per_1m"])
             )
             for model, entry in raw.items()
         }
-    except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:  # not a dict of dicts
         raise ParseError(f"bad price table: {exc}", path=str(path)) from exc
     return table
 
@@ -76,10 +75,13 @@ def usage_entries(usage_path: str | Path, cache: ResponseCache) -> list[CacheEnt
     """Cache entries of the distinct request hashes a stage's usage file
     records, one per hash. A hash the cache lacks is an error: leaving it out
     would understate the cost."""
-    try:
-        hashes = json.loads(Path(usage_path).read_text(encoding="utf-8"))["request_hashes"]
-    except (json.JSONDecodeError, KeyError, TypeError) as exc:
-        raise ParseError(f"bad usage file: {exc}", path=str(usage_path)) from exc
+    usage = read_json(usage_path, "usage file")
+    hashes = usage.get("request_hashes") if isinstance(usage, dict) else None
+    if not isinstance(hashes, list) or not all(isinstance(h, str) for h in hashes):
+        raise ParseError(
+            f"bad usage file: 'request_hashes' is {hashes!r}, not a list of strings",
+            path=str(usage_path),
+        )
     entries = [cache.get(request_hash) for request_hash in hashes]
     missing = entries.count(None)
     if missing:

@@ -10,16 +10,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, NamedTuple
+from typing import Callable, Iterable
 
 from .trec_io import JudgmentSet, Run
-
-
-class ScatterPoint(NamedTuple):
-    run_tag: str
-    metric: str
-    human_score: float | None
-    llm_score: float | None
 
 
 @dataclass(frozen=True)
@@ -138,36 +131,3 @@ def _mean(values: Iterable[float]) -> float | None:
     values = list(values)
     return sum(values) / len(values) if values else None
 
-
-def scatter_data(
-    rows_human: Iterable[EffectivenessRow], rows_llm: Iterable[EffectivenessRow]
-) -> list[ScatterPoint]:
-    """Pair human and LLM means per run for scatter plotting.
-
-    Both row sets must cover the same runs and a single common metric;
-    mismatches are an error naming the missing tags.
-    """
-    human = {row.run_tag: row for row in rows_human}
-    llm = {row.run_tag: row for row in rows_llm}
-    missing_from_llm = sorted(human.keys() - llm.keys())
-    missing_from_human = sorted(llm.keys() - human.keys())
-    if missing_from_llm or missing_from_human:
-        raise ValueError(
-            "run sets differ: "
-            f"missing from LLM table {missing_from_llm}, "
-            f"missing from human table {missing_from_human}"
-        )
-    metrics = {row.metric for row in human.values()} | {
-        row.metric for row in llm.values()
-    }
-    if len(metrics) > 1:
-        raise ValueError(f"tables mix metrics: {sorted(metrics)}")
-    return [
-        ScatterPoint(
-            run_tag=tag,
-            metric=llm[tag].metric,
-            human_score=human[tag].mean,
-            llm_score=llm[tag].mean,
-        )
-        for tag in sorted(human)
-    ]

@@ -19,7 +19,7 @@ from typing import Iterable, NamedTuple
 from .errors import GatewayError, JudgevalError, ParseError
 from .gateway import ChatRequest, Gateway
 from .templates import load_template, template_sha256
-from .trec_io import VALID_GRADES, JudgmentSet, Modality, model_source
+from .trec_io import VALID_GRADES, JudgmentSet, Modality, model_source, nonblank_lines
 
 GRADE_NUDGE = "Answer with a single digit."
 MAX_OUTPUT_TOKENS = 64
@@ -63,29 +63,19 @@ def load_topics(path: str | Path) -> dict[str, Topic]:
     """Load a tab-separated topics file (``topic_id<TAB>query_text``)."""
     path = Path(path)
     topics: dict[str, Topic] = {}
-    with open(path, "r", encoding="utf-8-sig") as fh:  # a leading BOM is dropped
-        for line_no, raw in enumerate(fh, start=1):
-            line = raw.strip("\n").strip("\r")
-            if not line.strip():
-                continue
-            if "\t" not in line:
-                raise ParseError(
-                    "expected 'topic_id<TAB>query_text'", path=str(path), line=line_no
-                )
-            topic_id, query_text = line.split("\t", 1)
-            topic_id = topic_id.strip()
-            query_text = query_text.strip()
-            if not topic_id or not query_text:
-                raise ParseError(
-                    "topic id and query text must be non-empty",
-                    path=str(path),
-                    line=line_no,
-                )
-            if topic_id in topics:
-                raise ParseError(
-                    f"duplicate topic {topic_id}", path=str(path), line=line_no
-                )
-            topics[topic_id] = Topic(topic_id, query_text)
+    for line_no, line in nonblank_lines(path):
+        if "\t" not in line:
+            raise ParseError(
+                "expected 'topic_id<TAB>query_text'", path=str(path), line=line_no
+            )
+        topic_id, query_text = (part.strip() for part in line.split("\t", 1))
+        if not topic_id or not query_text:
+            raise ParseError(
+                "topic id and query text must be non-empty", path=str(path), line=line_no
+            )
+        if topic_id in topics:
+            raise ParseError(f"duplicate topic {topic_id}", path=str(path), line=line_no)
+        topics[topic_id] = Topic(topic_id, query_text)
     return topics
 
 

@@ -38,8 +38,8 @@ from typing import Callable
 from . import __version__, reports
 from .config import ExperimentConfig
 from .cost import DEFAULT_PRICES, load_price_table, tally_observed, usage_entries
-from .effectiveness import EffectivenessRow, average_precision, ndcg_at_k, scatter_data
-from .errors import ConfigError, JudgevalError
+from .effectiveness import EffectivenessRow, average_precision, ndcg_at_k
+from .errors import ConfigError, JudgevalError, ParseError
 from .gateway import Gateway, HttpBackend, MockBackend
 from .judge import (
     MAX_OUTPUT_TOKENS,
@@ -70,6 +70,8 @@ from .trec_io import (
     load_corpus,
     load_runs_dir,
     parse_qrels,
+    read_json,
+    write_json,
     write_judgments,
 )
 
@@ -274,14 +276,12 @@ class Experiment:
     # -- manifest bookkeeping ------------------------------------------------
 
     def _load_manifest(self) -> dict:
-        if self.manifest_path.exists():
-            try:
-                manifest = json.loads(self.manifest_path.read_text(encoding="utf-8"))
-                if isinstance(manifest, dict) and "stages" in manifest:
-                    return manifest
-            except json.JSONDecodeError:
-                pass
-        return {"stages": {}}
+        """The manifest of an earlier run; a missing or damaged one means a fresh start."""
+        try:
+            manifest = read_json(self.manifest_path, "manifest")
+        except (FileNotFoundError, ParseError):
+            return {"stages": {}}
+        return manifest if isinstance(manifest, dict) and "stages" in manifest else {"stages": {}}
 
     def _save_manifest(self) -> None:
         files: dict[str, str] = {}
@@ -309,9 +309,7 @@ class Experiment:
             "stages": self.manifest["stages"],
             "files": dict(sorted(files.items())),
         }
-        atomic_write_text(
-            self.manifest_path, json.dumps(manifest, indent=2, sort_keys=True) + "\n"
-        )
+        write_json(self.manifest_path, manifest)
 
     def _stage(
         self,
@@ -368,7 +366,7 @@ class Experiment:
             "input_tokens": sum(entry.input_tokens for entry in entries),
             "output_tokens": sum(entry.output_tokens for entry in entries),
         }
-        self._write(rel, json.dumps(usage, indent=2, sort_keys=True) + "\n")
+        write_json(self.out / rel, usage)
 
     # -- stages ---------------------------------------------------------------
 
@@ -456,7 +454,7 @@ class Experiment:
                 "skipped_pairs": skipped,
                 "failed_tasks": [f._asdict() for f in result.failures],
             }
-            self._write(rel_errors, json.dumps(ledger, indent=2, sort_keys=True) + "\n")
+            write_json(self.out / rel_errors, ledger)
             self._write_usage(rel_usage, result.request_hashes)
 
         self._stage(name, inputs, [rel_qrels, rel_meta, rel_errors, rel_usage], produce)
@@ -477,11 +475,13 @@ class Experiment:
             cells.append((model, str(modality), judged))
         return cells
 
-    def _judge_fingerprints(self) -> dict[str, str]:
-        return {
-            f"{m}:{mod}": self.stage_fingerprints[f"judge:{m}:{mod}"]
+    def _judge_fingerprints(self) -> list[list[str]]:
+        """``[cell, fingerprint]`` in the config's cell order, which the reports
+        list cells in: a list, so a reordered config is a changed input."""
+        return [
+            [f"{m}:{mod}", self.stage_fingerprints[f"judge:{m}:{mod}"]]
             for m, mod in self._cells()
-        }
+        ]
 
     def _distribution_stage(self) -> None:
         rel = "reports/label_distribution.csv"
@@ -565,9 +565,8 @@ class Experiment:
                     (
                         model,
                         str(modality),
-                        scatter_data(
-                            table[("human", metric)], table[(f"{model}:{modality}", metric)]
-                        ),
+                        table[("human", metric)],
+                        table[(f"{model}:{modality}", metric)],
                     )
                     for model, modality in self._cells()
                 ]

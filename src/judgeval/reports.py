@@ -9,16 +9,18 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from pathlib import Path
 from typing import Iterable
 
 from .agreement import GRADED_LABELS, agreement_report, format_percentages, label_distribution
 from .cost import CostReport
-from .effectiveness import EffectivenessRow, ScatterPoint
+from .effectiveness import EffectivenessRow
 from .stability import StabilityReport
 from .trec_io import JudgmentSet
 
 _ROW_KEY = ["run_tag", "metric", "qrels_source", "modality"]
+_PER_TOPIC_HEADER = _ROW_KEY + ["topic_id", "value"]
 
 
 def _decimal(value: float | None) -> str:
@@ -93,7 +95,7 @@ def effectiveness_csvs(rows: list[EffectivenessRow]) -> tuple[str, str, str]:
     ]
     return (
         csv_text(_ROW_KEY + ["mean", "topics_evaluated"], means),
-        csv_text(_ROW_KEY + ["topic_id", "value"], per_topic),
+        csv_text(_PER_TOPIC_HEADER, per_topic),
         csv_text(coverage_header, coverage),
     )
 
@@ -102,18 +104,28 @@ def read_per_topic(path: str | Path, metric: str) -> list[EffectivenessRow]:
     """Parse a per-topic CSV back into one row per (run, qrels source, modality)
     for ``metric``; only the per-topic scores and the mean are recovered.
 
-    Raises ``ValueError`` on a malformed value or a repeated topic.
+    Raises ``ValueError`` on a missing column, a short row, a value that is
+    not a finite number, or a repeated topic.
     """
     groups: dict[tuple[str, str, str], dict[str, float]] = {}
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        for line in csv.DictReader(fh):
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
+        reader = csv.DictReader(fh)
+        columns = reader.fieldnames or []
+        if missing := [name for name in _PER_TOPIC_HEADER if name not in columns]:
+            raise ValueError(f"missing column(s) {', '.join(missing)}")
+        for line in reader:
+            if None in line.values():
+                raise ValueError(f"line {reader.line_num} has fewer fields than the header")
             if line["metric"] != metric:
                 continue
             key = (line["run_tag"], line["qrels_source"], line["modality"])
             per_topic = groups.setdefault(key, {})
             if line["topic_id"] in per_topic:
                 raise ValueError(f"topic {line['topic_id']} repeated for {key}")
-            per_topic[line["topic_id"]] = float(line["value"])
+            value = float(line["value"])
+            if not math.isfinite(value):
+                raise ValueError(f"line {reader.line_num}: value {line['value']!r} is not finite")
+            per_topic[line["topic_id"]] = value
     return [
         EffectivenessRow(
             run_tag=tag,
@@ -131,15 +143,15 @@ def read_per_topic(path: str | Path, metric: str) -> list[EffectivenessRow]:
     ]
 
 
-def scatter_csv(cells: Iterable[tuple[str, str, list[ScatterPoint]]]) -> str:
-    """Human against LLM mean score per run, for each ``(model, modality, points)``."""
+def scatter_csv(
+    cells: Iterable[tuple[str, str, list[EffectivenessRow], list[EffectivenessRow]]],
+) -> str:
+    """Human against LLM mean score per run, for each ``(model, modality,
+    human_rows, llm_rows)``; both row lists hold the same runs in one order."""
     rows = [
-        [
-            model, modality, point.metric, point.run_tag,
-            _decimal(point.human_score), _decimal(point.llm_score),
-        ]
-        for model, modality, points in cells
-        for point in points
+        [model, modality, llm.metric, llm.run_tag, _decimal(human.mean), _decimal(llm.mean)]
+        for model, modality, human_rows, llm_rows in cells
+        for human, llm in zip(human_rows, llm_rows, strict=True)
     ]
     return csv_text(["model", "modality", "metric", "run_tag", "human", "llm"], rows)
 

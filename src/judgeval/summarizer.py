@@ -18,7 +18,7 @@ from pathlib import Path
 
 from .errors import GatewayError, JudgevalError, ParseError
 from .gateway import ChatRequest, Gateway, count_tokens
-from .trec_io import DocCorpus, atomic_write_text, nonblank_lines
+from .trec_io import DocCorpus, atomic_write_text, json_records
 from .templates import load_template, template_sha256
 
 NO_CONTENT = "NO_CONTENT"
@@ -38,6 +38,17 @@ class SummaryRecord:
     model: str
     prompt_sha256: str
     flags: tuple[str, ...] = ()
+
+
+# the fields every summary line holds, at these types; ``flags`` is optional
+_RECORD_FIELDS = {
+    "doc_id": str,
+    "budget_tokens": int,
+    "text": str,
+    "output_token_count": int,
+    "model": str,
+    "prompt_sha256": str,
+}
 
 
 @dataclass
@@ -176,22 +187,11 @@ def read_summaries(path: str | Path) -> SummarySet:
     path = Path(path)
     records: dict[str, SummaryRecord] = {}
     budget: int | None = None
-    for line_no, line in nonblank_lines(path):
-        try:
-            obj = json.loads(line)
-            rec = SummaryRecord(
-                doc_id=obj["doc_id"],
-                budget_tokens=int(obj["budget_tokens"]),
-                text=obj["text"],
-                output_token_count=int(obj["output_token_count"]),
-                model=obj["model"],
-                prompt_sha256=obj["prompt_sha256"],
-                flags=tuple(obj.get("flags", [])),
-            )
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-            raise ParseError(
-                f"bad summary record: {exc}", path=str(path), line=line_no
-            ) from exc
+    for line_no, obj in json_records(path, _RECORD_FIELDS):
+        flags = obj.get("flags", [])
+        if not isinstance(flags, list):
+            raise ParseError(f"'flags' must be a list, got {flags!r}", path=str(path), line=line_no)
+        rec = SummaryRecord(**{name: obj[name] for name in _RECORD_FIELDS}, flags=tuple(flags))
         if rec.doc_id in records:
             raise ParseError(
                 f"duplicate summary for doc {rec.doc_id}",

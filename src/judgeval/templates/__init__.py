@@ -13,11 +13,9 @@ from pathlib import Path
 
 
 def load_template(default_name: str, path: str | Path | None = None) -> str:
-    if path is not None:
-        return Path(path).read_text(encoding="utf-8")
-    return (
-        resources.files(__package__).joinpath(default_name).read_text(encoding="utf-8")
-    )
+    """A template's text, decoded as UTF-8 with a leading byte-order mark dropped."""
+    file = Path(path) if path is not None else resources.files(__package__) / default_name
+    return file.read_text(encoding="utf-8-sig")
 
 
 def template_sha256(template_text: str) -> str:

@@ -13,8 +13,17 @@ Formats handled here:
   rank is its position in that list. The rank column is checked to be an
   integer and then ignored. NaN scores are rejected: they have no place in
   the order, so the ranking would depend on line order.
-- corpus: UTF-8 line-oriented JSON, one object per line with string fields
-  ``docid`` and ``text``.
+- corpus: JSON lines, one object per line with string fields ``docid`` and
+  ``text``.
+
+Every file judgeval reads as text is decoded as UTF-8 with a leading
+byte-order mark dropped. Three shapes are read here: lines of text
+(``nonblank_lines``), JSON lines, each line one object holding declared
+fields at declared types (``json_records``: the corpus and summary
+files), and one JSON document (``read_json``: sidecars, usage files,
+price tables and the manifest), which ``write_json`` writes. The config,
+prompt templates and per-topic CSV tables have readers of their own, and
+the response cache is read as bytes, whose digest it keeps.
 
 Parsing is pure per-file and every returned structure is safe to share
 across threads once built. Malformed input raises ParseError with the
@@ -135,11 +144,47 @@ class JudgmentSet:
 
 
 def nonblank_lines(path: Path) -> Iterator[tuple[int, str]]:
-    with open(path, "r", encoding="utf-8-sig") as fh:  # a leading BOM is dropped
-        for line_no, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if line:
-                yield line_no, line
+    """Number and text, without the line ending, of each line that is not blank."""
+    try:
+        with open(path, "r", encoding="utf-8-sig") as fh:  # a leading BOM is dropped
+            for line_no, raw in enumerate(fh, start=1):
+                if not raw.isspace():
+                    yield line_no, raw.rstrip("\n")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"not UTF-8 text: {exc}", path=str(path)) from exc
+
+
+def json_records(path: Path, fields: dict[str, type]) -> Iterator[tuple[int, dict]]:
+    """Number and object of each nonblank line, which must be a JSON object
+    holding every one of ``fields`` at its declared type."""
+    for line_no, line in nonblank_lines(path):
+        try:
+            obj = json.loads(line.strip())
+        except json.JSONDecodeError as exc:
+            raise ParseError(f"invalid JSON: {exc}", path=str(path), line=line_no) from exc
+        if not isinstance(obj, dict):
+            raise ParseError("expected a JSON object", path=str(path), line=line_no)
+        for name, kind in fields.items():
+            if type(obj.get(name)) is not kind:  # exact: a bool is no int here
+                raise ParseError(
+                    f"{name!r} must be a {kind.__name__}, got {obj.get(name)!r}",
+                    path=str(path),
+                    line=line_no,
+                )
+        yield line_no, obj
+
+
+def read_json(path: str | Path, what: str):
+    """One JSON document; undecodable text or malformed JSON is a ParseError."""
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8-sig"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise ParseError(f"bad {what}: {exc}", path=str(path)) from exc
+
+
+def write_json(path: Path, obj) -> None:
+    """Indented JSON with sorted keys, written atomically."""
+    atomic_write_text(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
 def sidecar_path(path: str | Path) -> Path:
@@ -194,8 +239,8 @@ def parse_qrels(path: str | Path) -> JudgmentSet:
 def _read_sidecar(path: Path) -> tuple[Source | None, Modality | None, str | None]:
     if not path.exists():
         return None, None, None
+    meta = read_json(path, "judgment sidecar")
     try:
-        meta = json.loads(path.read_text(encoding="utf-8"))
         source = (
             HUMAN if meta["source"] == "human" else model_source(meta["model"])
         )
@@ -204,7 +249,7 @@ def _read_sidecar(path: Path) -> tuple[Source | None, Modality | None, str | Non
         else:
             modality = summary_modality(int(meta["budget_tokens"]))
         return source, modality, meta.get("prompt_sha256")
-    except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"bad judgment sidecar: {exc}", path=str(path)) from exc
 
 
@@ -226,9 +271,7 @@ def write_judgments(judgments: JudgmentSet, path: str | Path) -> None:
         "model": judgments.source.model,
         "prompt_sha256": judgments.prompt_sha256,
     }
-    atomic_write_text(
-        sidecar_path(path), json.dumps(meta, indent=2, sort_keys=True) + "\n"
-    )
+    write_json(sidecar_path(path), meta)
 
 
 def atomic_write_text(path: Path, text: str) -> None:
@@ -333,22 +376,8 @@ def load_corpus(path: str | Path) -> DocCorpus:
     """Load a line-oriented JSON corpus (fields ``docid``, ``text``)."""
     path = Path(path)
     entries: dict[str, CorpusEntry] = {}
-    for line_no, line in nonblank_lines(path):
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"invalid JSON: {exc}", path=str(path), line=line_no) from exc
-        if not isinstance(obj, dict) or "docid" not in obj or "text" not in obj:
-            raise ParseError(
-                "corpus line must be an object with 'docid' and 'text'",
-                path=str(path),
-                line=line_no,
-            )
+    for line_no, obj in json_records(path, {"docid": str, "text": str}):
         doc_id, text = obj["docid"], obj["text"]
-        if not isinstance(doc_id, str) or not isinstance(text, str):
-            raise ParseError(
-                "'docid' and 'text' must be strings", path=str(path), line=line_no
-            )
         if doc_id in entries:
             raise ConflictError(
                 f"duplicate docid {doc_id}", path=str(path), line=line_no

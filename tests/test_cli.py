@@ -353,7 +353,13 @@ def test_missing_input_file_is_config_error(toy_bundle, tmp_path, capsys, argv):
     assert err == f"config error: path does not exist: {missing}\n"
 
 
-@pytest.mark.parametrize("content", ["not json", "{}", "[]"])
+@pytest.mark.parametrize(
+    "content",
+    [
+        "not json", "{}", "[]", '{"request_hashes": null}', '{"request_hashes": 5}',
+        '{"request_hashes": "ab"}',
+    ],
+)
 def test_bad_usage_file_is_parse_error(toy_bundle, tmp_path, capsys, content):
     usage = tmp_path / "usage.json"
     usage.write_text(content)
@@ -465,6 +471,23 @@ def test_summarize_and_judge_subcommands_write_the_bundle_bytes(toy_bundle, tmp_
     for suffix in ("", ".meta.json"):
         expected = bundle / "judgments" / f"mock-judge__summ-80.qrels{suffix}"
         assert Path(f"{judged}{suffix}").read_bytes() == expected.read_bytes()
+
+
+@pytest.mark.parametrize("text", [None, 5])
+def test_judge_rejects_a_summary_whose_text_is_not_a_string(toy_experiment, tmp_path, capsys, text):
+    record = {
+        "doc_id": "d01", "budget_tokens": 80, "text": text, "output_token_count": 1,
+        "model": "mock-judge", "prompt_sha256": "ab", "flags": [],
+    }
+    summaries, out = tmp_path / "summ80.jsonl", tmp_path / "judged.qrels"
+    summaries.write_text(json.dumps(record) + "\n")
+    argv = [
+        "judge", "--config", str(toy_experiment), "--model", "mock-judge",
+        "--modality", "summ:80", "--summaries", str(summaries), "--out", str(out),
+    ]
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith(f"error: {summaries}:1: 'text' must be a str")
+    assert not out.exists()
 
 
 def test_judge_pricing_error_exit_code_1(toy_experiment, tmp_path):
@@ -607,3 +630,29 @@ def test_stability_rejects_tables_over_different_runs(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("config error: ")
     assert "['r2']" in err and "['r3']" in err
+
+
+_PER_TOPIC_HEADER = "run_tag,metric,qrels_source,modality,topic_id,value\n"
+
+
+@pytest.mark.parametrize(
+    "table, problem",
+    [
+        ("metric,qrels_source,modality,topic_id,value\nmap,human,full,t1,0.5\n",
+         "missing column(s) run_tag"),
+        (_PER_TOPIC_HEADER + "r1,map,human,full,t1,0.5\nr2,map,human,full,t1,nan\n",
+         "line 3: value 'nan' is not finite"),
+        (_PER_TOPIC_HEADER + "r1,map,human,full,t1,0.5\nr2,map,human,full,t1,inf\n",
+         "line 3: value 'inf' is not finite"),
+        (_PER_TOPIC_HEADER + "r1,map,human,full,t1,0.5\nr2,map\n",
+         "line 3 has fewer fields than the header"),
+    ],
+    ids=["no-run_tag", "nan", "inf", "short-row"],
+)
+def test_stability_rejects_a_malformed_table(tmp_path, capsys, table, problem):
+    good, bad = tmp_path / "good.csv", tmp_path / "bad.csv"
+    good.write_text(_PER_TOPIC_HEADER + "r1,map,human,full,t1,0.5\nr2,map,human,full,t1,0.25\n")
+    bad.write_text(table)
+    argv = ["stability", "--per-topic-h", str(good), "--per-topic-l", str(bad), "--metric", "map"]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"config error: {bad}: {problem}\n"

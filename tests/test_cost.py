@@ -94,9 +94,10 @@ def test_price_validation_and_table_io(tmp_path):
     )
     table = load_price_table(table_path)
     assert table["m1"] == Price(1.5, 6.0)
-    table_path.write_text(json.dumps({"m1": {"input_usd_per_1m": 1.5}}))
-    with pytest.raises(ParseError):
-        load_price_table(table_path)
+    for bad in ({"m1": {"input_usd_per_1m": 1.5}}, []):
+        table_path.write_text(json.dumps(bad))
+        with pytest.raises(ParseError):
+            load_price_table(table_path)
 
 
 def test_tally_reproducible_from_cache_entries_alone():

@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import csv
+import io
 import random
 
 import pytest
 
 import oracles
-from judgeval.effectiveness import average_precision, ndcg_at_k, scatter_data
+from judgeval.effectiveness import average_precision, ndcg_at_k
+from judgeval.reports import scatter_csv
 from judgeval.trec_io import JudgmentSet, Run
 
 
@@ -217,17 +220,9 @@ def _row(tag, mean, metric="map"):
 
 def test_scatter_identical_tables_on_diagonal():
     rows = [_row("r1", 0.3), _row("r2", 0.6), _row("r3", 0.9)]
-    points = scatter_data(rows, rows)
-    assert len(points) == 3
-    assert all(p.human_score == p.llm_score for p in points)
-
-
-def test_scatter_missing_run_is_an_error_naming_it():
-    rows = [_row("r1", 0.3), _row("r2", 0.6)]
-    with pytest.raises(ValueError, match="r2"):
-        scatter_data(rows, rows[:1])
-
-
-def test_scatter_rejects_mixed_metrics():
-    with pytest.raises(ValueError):
-        scatter_data([_row("r1", 0.3)], [_row("r1", 0.3, metric="ndcg@10")])
+    lines = csv.DictReader(io.StringIO(scatter_csv([("m", "full", rows, rows)])))
+    assert [(line["run_tag"], line["human"], line["llm"]) for line in lines] == [
+        ("r1", "0.300000", "0.300000"),
+        ("r2", "0.600000", "0.600000"),
+        ("r3", "0.900000", "0.900000"),
+    ]

@@ -182,6 +182,23 @@ def test_changing_metric_knob_recomputes_downstream_only(toy_experiment):
     assert manifest["config_hash"] == changed.config_hash() != config.config_hash()
 
 
+def test_reordering_modalities_reruns_the_reports_that_list_cells(toy_experiment):
+    config = load_config(toy_experiment)
+    run_pipeline(config)
+    full, summ80, summ120 = config.modalities
+    reordered = replace(config, modalities=[summ120, full, summ80])
+    again = run_pipeline(reordered)
+    assert again.stages_run() == ["distribution", "agreement", "effectiveness", "stability", "cost"]
+    assert again.backend_calls == 0
+    fresh = run_pipeline(replace(reordered, output_dir=config.output_dir.parent / "fresh"))
+    # cache.jsonl keeps the order of first requests, so it and the manifest
+    # that lists its digest depend on the run history
+    def kept(out):
+        return {k: v for k, v in bundle_digests(out).items() if k not in {"cache.jsonl", "manifest.json"}}
+
+    assert kept(again.output_dir) == kept(fresh.output_dir)
+
+
 def test_two_fresh_runs_are_byte_identical(toy_experiment):
     config = load_config(toy_experiment)
     out_a = run_pipeline(replace(config, output_dir=config.output_dir.parent / "out_a"))

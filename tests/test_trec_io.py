@@ -2,16 +2,22 @@
 
 from __future__ import annotations
 
+import ast
+import json
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from judgeval.config import load_config
+from judgeval.cost import load_price_table
 from judgeval.effectiveness import average_precision, ndcg_at_k
 from judgeval.errors import ConflictError, ParseError
-from judgeval.judge import binarize, load_topics
+from judgeval.judge import binarize, load_judge_template, load_topics
+from judgeval.reports import read_per_topic
+from judgeval.summarizer import load_summary_template, read_summaries
 from judgeval.trec_io import (
     FULL_DOCUMENT,
     HUMAN,
@@ -214,6 +220,19 @@ def test_load_runs_dir_sorts_and_rejects_duplicate_tags(tmp_path):
         load_runs_dir(runs)
 
 
+def _parse_qrels_with_sidecar(sidecar):
+    qrels = sidecar.with_name(sidecar.name + ".qrels")
+    qrels.write_text("t1 0 d1 2\n")
+    sidecar.replace(sidecar_path(qrels))
+    return parse_qrels(qrels)
+
+
+SUMMARY_LINE = {
+    "doc_id": "d1", "budget_tokens": 80, "text": "one", "output_token_count": 1,
+    "model": "m", "prompt_sha256": "ab", "flags": [],
+}
+
+
 @pytest.mark.parametrize(
     "load, text",
     [
@@ -223,14 +242,91 @@ def test_load_runs_dir_sorts_and_rejects_duplicate_tags(tmp_path):
         (load_corpus, '{"docid": "d1", "text": "one"}\n{"docid": "d2", "text": "two"}\n'),
         (load_config, "[data]\ndataset = d\ncorpus = c\ntopics = t\nqrels = q\nruns_dir = r\n"
                       "[experiment]\nmodels = m\nmodalities = full\nseed = 1\noutput_dir = o\n"),
+        (load_price_table, '{"m": {"input_usd_per_1m": 1.5, "output_usd_per_1m": 6.0}}'),
+        (load_summary_template, "Summarize in about <N> tokens:\n<DOC>\n"),
+        (load_judge_template, "Query: <QUERY>\nPassage: <PASSAGE>\nGrade 0-3:\n"),
+        (_parse_qrels_with_sidecar, '{"source": "model", "model": "m", "modality": "summary", '
+                                    '"budget_tokens": 80, "prompt_sha256": "ab"}'),
+        (read_summaries, json.dumps(SUMMARY_LINE) + "\n"),
+        (lambda path: read_per_topic(path, "map"),
+         "run_tag,metric,qrels_source,modality,topic_id,value\nr1,map,human,full,t1,0.5\n"),
     ],
-    ids=["qrels", "run", "topics", "corpus", "config"],
+    ids=[
+        "qrels", "run", "topics", "corpus", "config", "prices", "summary-template",
+        "judge-template", "sidecar", "summaries", "per-topic",
+    ],
 )
 def test_leading_byte_order_mark_is_dropped(tmp_path, load, text):
     plain, marked = tmp_path / "plain", tmp_path / "marked"
     plain.write_bytes(text.encode("utf-8"))
     marked.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))  # as Notepad saves UTF-8
     assert load(marked) == load(plain)
+
+
+@pytest.mark.parametrize("load", [parse_qrels, load_topics])
+def test_text_that_is_not_utf8_is_a_parse_error_naming_the_file(tmp_path, load):
+    path = tmp_path / "latin1"
+    path.write_bytes("t1 0 caf\xe9 1\n".encode("latin-1"))
+    with pytest.raises(ParseError) as err:
+        load(path)
+    assert err.value.path == str(path)
+
+
+@pytest.mark.parametrize(
+    "change", [{"text": None}, {"text": 5}, {"budget_tokens": "80"}, {"flags": None}]
+)
+def test_summary_fields_must_have_their_declared_types(tmp_path, change):
+    path = tmp_path / "summ80.jsonl"
+    second = {**SUMMARY_LINE, "doc_id": "d2", **change}
+    path.write_text(json.dumps(SUMMARY_LINE) + "\n" + json.dumps(second) + "\n")
+    with pytest.raises(ParseError, match=f"'{next(iter(change))}' must be a") as err:
+        read_summaries(path)
+    assert err.value.line == 2
+
+
+def _text_reads_without_bom_policy(tree: ast.AST) -> list[int]:
+    """Lines of text-mode ``open(...)`` and of ``.read_text(...)`` calls that do
+    not pass ``encoding="utf-8-sig"``; binary modes and writes are exempt."""
+    lines = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        if isinstance(func, ast.Name) and func.id == "open":
+            mode = node.args[1] if len(node.args) > 1 else next(
+                (kw.value for kw in node.keywords if kw.arg == "mode"), ast.Constant("r")
+            )
+            if not isinstance(mode, ast.Constant):
+                lines.append(node.lineno)  # a mode only known at run time
+                continue
+            if "b" in mode.value or set(mode.value) & set("wax"):
+                continue
+        elif not (isinstance(func, ast.Attribute) and func.attr == "read_text"):
+            continue
+        encodings = [kw.value for kw in node.keywords if kw.arg == "encoding"]
+        if not (encodings and isinstance(encodings[0], ast.Constant)
+                and encodings[0].value == "utf-8-sig"):
+            lines.append(node.lineno)
+    return lines
+
+
+def test_every_text_read_drops_a_byte_order_mark():
+    src = Path(__file__).resolve().parents[1] / "src" / "judgeval"
+    offenders = [
+        f"{path}:{line}"
+        for path in sorted(src.rglob("*.py"))
+        for line in _text_reads_without_bom_policy(ast.parse(path.read_text(encoding="utf-8")))
+    ]
+    assert offenders == [], "text read without encoding='utf-8-sig'"
+
+
+def test_the_bom_lint_flags_plain_text_reads():
+    tree = ast.parse(
+        "open(p)\nopen(p, 'r', encoding='utf-8')\np.read_text()\nopen(p, mode)\n"
+        "open(p, 'rb')\nopen(p, 'w')\nopen(p, encoding='utf-8-sig')\n"
+        "p.read_text(encoding='utf-8-sig')\n"
+    )
+    assert _text_reads_without_bom_policy(tree) == [1, 2, 3, 4]
 
 
 # -- corpus ------------------------------------------------------------------
