@@ -19,8 +19,8 @@ import json
 from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 
-from .errors import ConfigError
-from .trec_io import VALID_GRADES, Modality
+from .errors import ConfigError, ParseError
+from .trec_io import VALID_GRADES, Modality, read_text
 
 UNHASHED_FIELDS = (
     "corpus", "topics", "qrels", "runs_dir", "output_dir",
@@ -144,7 +144,9 @@ def load_config(path: str | Path) -> ExperimentConfig:
         raise ConfigError(f"config file not found: {path}")
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
     try:
-        parser.read(path, encoding="utf-8-sig")
+        parser.read_string(read_text(path), source=str(path))
+    except ParseError as exc:
+        raise ConfigError(str(exc)) from exc
     except configparser.Error as exc:
         raise ConfigError(f"cannot parse config {path}: {exc}") from exc
 

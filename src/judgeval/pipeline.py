@@ -4,7 +4,14 @@ Stage outputs are content-addressed: each stage records a fingerprint over
 its inputs (config slice, input-file digests, upstream fingerprints) plus
 digests of the files it wrote. A re-run skips every stage whose fingerprint
 and outputs are intact, so completed experiments replay with zero backend
-calls and deleted outputs trigger exactly the stages that produced them.
+calls and deleted outputs trigger exactly the stages that produced them. A
+manifest record of the wrong shape counts as missing: only its stage re-runs.
+
+The report stages are one declared list, ``REPORT_STAGES``: each entry names
+a stage, its outputs, the fingerprint inputs it covers and the method giving
+the outputs' texts. Its inputs are built when the stage is reached, since
+``stability`` covers the ``effectiveness`` fingerprint and ``cost`` the
+``summarize:*`` ones.
 
 An ``Experiment`` loads each input (corpus, topics, qrels, runs, response
 cache) the first time a stage that runs needs it, so a run that skips every
@@ -37,7 +44,7 @@ from typing import Callable
 
 from . import __version__, reports
 from .config import ExperimentConfig
-from .cost import DEFAULT_PRICES, load_price_table, tally_observed, usage_entries
+from .cost import DEFAULT_PRICES, CostReport, load_price_table, tally_observed, usage_entries
 from .effectiveness import EffectivenessRow, average_precision, ndcg_at_k
 from .errors import ConfigError, JudgevalError, ParseError
 from .gateway import Gateway, HttpBackend, MockBackend
@@ -115,6 +122,17 @@ def sha256_file(path: Path) -> str:
 
 def _canonical(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+
+
+def _is_stage_record(record) -> bool:
+    """Whether a manifest's stage record has the shape ``_stage`` writes."""
+    return (
+        isinstance(record, dict)
+        and record.keys() == {"fingerprint", "outputs"}
+        and isinstance(record["fingerprint"], str)
+        and isinstance(record["outputs"], dict)
+        and all(isinstance(digest, str) for digest in record["outputs"].values())
+    )
 
 
 def _slug(text: str) -> str:
@@ -275,17 +293,22 @@ class Experiment:
 
     # -- manifest bookkeeping ------------------------------------------------
 
-    def _load_manifest(self) -> dict:
-        """The manifest of an earlier run; a missing or damaged one means a fresh start."""
+    def _load_manifest(self) -> dict[str, dict]:
+        """The stage records of an earlier run's manifest. A missing or damaged
+        manifest means a fresh start; a record of the wrong shape counts as
+        missing, so only its stage runs again."""
         try:
             manifest = read_json(self.manifest_path, "manifest")
         except (FileNotFoundError, ParseError):
-            return {"stages": {}}
-        return manifest if isinstance(manifest, dict) and "stages" in manifest else {"stages": {}}
+            return {}
+        stages = manifest.get("stages") if isinstance(manifest, dict) else None
+        if not isinstance(stages, dict):
+            return {}
+        return {name: record for name, record in stages.items() if _is_stage_record(record)}
 
     def _save_manifest(self) -> None:
         files: dict[str, str] = {}
-        for record in self.manifest["stages"].values():
+        for record in self.records.values():
             files.update(record["outputs"])
         # a cache outside the output directory is shared across experiments,
         # so it is not a bundle file
@@ -306,7 +329,7 @@ class Experiment:
                 "summary_sha256": template_sha256(self.summary_template),
                 "judge_sha256": template_sha256(self.judge_template),
             },
-            "stages": self.manifest["stages"],
+            "stages": self.records,
             "files": dict(sorted(files.items())),
         }
         write_json(self.manifest_path, manifest)
@@ -322,17 +345,17 @@ class Experiment:
             _canonical({"stage": name, "version": __version__, "inputs": inputs}).encode()
         ).hexdigest()
         self.stage_fingerprints[name] = fingerprint
-        record = self.manifest["stages"].get(name)
+        record = self.records.get(name)
         if (
             not self.force
-            and record
-            and record.get("fingerprint") == fingerprint
+            and record is not None
+            and record["fingerprint"] == fingerprint
+            # before any hashing, so no record makes the run open another path
+            and record["outputs"].keys() == set(outputs)
             and all(
-                (self.out / rel).exists()
-                and sha256_file(self.out / rel) == digest
-                for rel, digest in record.get("outputs", {}).items()
+                (self.out / rel).exists() and sha256_file(self.out / rel) == digest
+                for rel, digest in record["outputs"].items()
             )
-            and set(record.get("outputs", {})) == set(outputs)
         ):
             self.outcomes.append(StageOutcome(name, "skipped"))
             return
@@ -341,15 +364,9 @@ class Experiment:
         except (JudgevalError, ValueError) as exc:
             raise StageError(name, exc) from exc
         digests = {rel: sha256_file(self.out / rel) for rel in outputs}
-        self.manifest["stages"][name] = {
-            "fingerprint": fingerprint,
-            "outputs": digests,
-        }
+        self.records[name] = {"fingerprint": fingerprint, "outputs": digests}
         self.outcomes.append(StageOutcome(name, "ran"))
         self._save_manifest()
-
-    def _write(self, rel: str, text: str) -> None:
-        atomic_write_text(self.out / rel, text)
 
     def _recall(self, rel: str, read: Callable[[Path], object]):
         """Bundle file ``rel`` as this run holds it: what the stage that wrote
@@ -371,18 +388,15 @@ class Experiment:
     # -- stages ---------------------------------------------------------------
 
     def run(self) -> PipelineResult:
-        self.manifest = self._load_manifest()
+        self.records = self._load_manifest()
         for budget in self.summary_budgets:
             self._summarize_stage(budget)
         for model, modality in self._cells():  # this order is cache.jsonl's line order
             self._judge_stage(model, modality)
         for budget in self.summary_budgets:  # no report reads them; holding them raises the peak
             self._held.pop(f"{_summary_stem(budget)}.jsonl", None)
-        self._distribution_stage()
-        self._agreement_stage()
-        self._effectiveness_stage()
-        self._stability_stage()
-        self._cost_stage()
+        for name, outputs, inputs, texts in REPORT_STAGES:
+            self._report_stage(name, outputs, inputs, texts)
         # config_hash covers fields no stage fingerprint does (max_attempts)
         self._save_manifest()
         gateway = self.__dict__.get("gateway")  # None when no stage opened it
@@ -460,60 +474,31 @@ class Experiment:
         self._stage(name, inputs, [rel_qrels, rel_meta, rel_errors, rel_usage], produce)
 
     def _cells(self) -> list[tuple[str, Modality]]:
-        return [
-            (model, modality)
-            for model in self.config.models
-            for modality in self.config.modalities
-        ]
+        config = self.config
+        return [(model, modality) for model in config.models for modality in config.modalities]
 
     def _judged_cells(self) -> list[tuple[str, str, JudgmentSet]]:
         """Each cell's judgments, as its judge stage made them or read from
         the file a skipped judge stage found intact."""
-        cells = []
-        for model, modality in self._cells():
-            judged = self._recall(f"{_cell_stem(model, modality)}.qrels", parse_qrels)
-            cells.append((model, str(modality), judged))
-        return cells
-
-    def _judge_fingerprints(self) -> list[list[str]]:
-        """``[cell, fingerprint]`` in the config's cell order, which the reports
-        list cells in: a list, so a reordered config is a changed input."""
         return [
-            [f"{m}:{mod}", self.stage_fingerprints[f"judge:{m}:{mod}"]]
-            for m, mod in self._cells()
+            (model, str(mod), self._recall(f"{_cell_stem(model, mod)}.qrels", parse_qrels))
+            for model, mod in self._cells()
         ]
 
-    def _distribution_stage(self) -> None:
-        rel = "reports/label_distribution.csv"
-        inputs = {
-            "dataset": self.config.dataset,
-            "qrels": self.input_digests["qrels"],
-            "judges": self._judge_fingerprints(),
+    def _report_stage(self, name: str, outputs: list[str], inputs: tuple, texts: Callable) -> None:
+        """Run one ``REPORT_STAGES`` entry. Its fingerprint inputs are built
+        now, when the stage is reached, and ``texts`` runs only if it runs."""
+        rels = [rel.format(k=self.config.ndcg_k) for rel in outputs]
+        covered = {
+            key: _REPORT_INPUTS[key](self) if key in _REPORT_INPUTS else getattr(self.config, key)
+            for key in inputs
         }
 
         def produce() -> None:
-            annotators = [("human", "full", self.human)] + self._judged_cells()
-            self._write(rel, reports.distribution_csv(self.config.dataset, annotators))
+            for rel, text in zip(rels, texts(self), strict=True):
+                atomic_write_text(self.out / rel, text)
 
-        self._stage("distribution", inputs, [rel], produce)
-
-    def _agreement_stage(self) -> None:
-        rel = "reports/agreement.csv"
-        threshold = self.config.binarize_threshold
-        inputs = {
-            "dataset": self.config.dataset,
-            "qrels": self.input_digests["qrels"],
-            "threshold": threshold,
-            "judges": self._judge_fingerprints(),
-        }
-
-        def produce() -> None:
-            text = reports.agreement_csv(
-                self.config.dataset, threshold, self.human, self._judged_cells()
-            )
-            self._write(rel, text)
-
-        self._stage("agreement", inputs, [rel], produce)
+        self._stage(name, covered, rels, produce)
 
     @cached_property
     def _effectiveness(self) -> dict[tuple[str, str], list[EffectivenessRow]]:
@@ -522,132 +507,104 @@ class Experiment:
         sources = [("human", self.human)] + [
             (f"{model}:{modality}", judged) for model, modality, judged in self._judged_cells()
         ]
+        config = self.config
         table: dict[tuple[str, str], list[EffectivenessRow]] = {}
         for label, judgments in sources:
             by_metric = effectiveness_by_metric(
-                self.runs,
-                judgments,
-                k=self.config.ndcg_k,
-                gain=self.config.gain,
-                threshold=self.config.binarize_threshold,
+                self.runs, judgments,
+                k=config.ndcg_k, gain=config.gain, threshold=config.binarize_threshold,
             )
-            for metric, rows in by_metric.items():
-                table[(label, metric)] = rows
+            table.update({(label, metric): rows for metric, rows in by_metric.items()})
         return table
 
-    def _effectiveness_stage(self) -> None:
-        k = self.config.ndcg_k
-        rel_tables = [
-            "reports/effectiveness.csv",
-            "reports/effectiveness_per_topic.csv",
-            "reports/effectiveness_coverage.csv",
+    def _against_human(self, metric: str) -> list[tuple[str, str, list, list]]:
+        """``(model, modality, human rows, cell rows)`` per cell under ``metric``."""
+        table = self._effectiveness
+        return [
+            (model, str(modality), table[("human", metric)], table[(f"{model}:{modality}", metric)])
+            for model, modality in self._cells()
         ]
-        rel_scatter = {
-            f"ndcg@{k}": f"reports/scatter_ndcg{k}.csv",
-            "map": "reports/scatter_map.csv",
-        }
-        inputs = {
-            "qrels": self.input_digests["qrels"],
-            "runs": self.input_digests["runs"],
-            "threshold": self.config.binarize_threshold,
-            "gain": self.config.gain,
-            "ndcg_k": k,
-            "judges": self._judge_fingerprints(),
-        }
 
-        def produce() -> None:
-            table = self._effectiveness
-            rows = [row for key in sorted(table) for row in table[key]]
-            for rel, text in zip(rel_tables, reports.effectiveness_csvs(rows)):
-                self._write(rel, text)
-            for metric, rel in rel_scatter.items():
-                cells = [
-                    (
-                        model,
-                        str(modality),
-                        table[("human", metric)],
-                        table[(f"{model}:{modality}", metric)],
-                    )
-                    for model, modality in self._cells()
-                ]
-                self._write(rel, reports.scatter_csv(cells))
+    # -- report texts, one method per REPORT_STAGES entry ----------------------
 
-        outputs = rel_tables + sorted(rel_scatter.values())
-        self._stage("effectiveness", inputs, outputs, produce)
+    def _distribution_texts(self) -> list[str]:
+        annotators = [("human", "full", self.human)] + self._judged_cells()
+        return [reports.distribution_csv(self.config.dataset, annotators)]
 
-    def _stability_stage(self) -> None:
-        rel = "reports/stability.csv"
-        inputs = {
-            "dataset": self.config.dataset,
-            "effectiveness": self.stage_fingerprints["effectiveness"],
-            "rbo_p": self.config.rbo_p,
-            "bootstrap_samples": self.config.bootstrap_samples,
-            "seed": self.config.seed,
-        }
+    def _agreement_texts(self) -> list[str]:
+        config, cells = self.config, self._judged_cells()
+        return [reports.agreement_csv(config.dataset, config.binarize_threshold, self.human, cells)]
 
-        def produce() -> None:
-            table = self._effectiveness
-            cells = []
-            for model, modality in self._cells():
-                for metric in (f"ndcg@{self.config.ndcg_k}", "map"):
-                    report = stability_report(
-                        SystemScores.from_rows(table[("human", metric)]),
-                        SystemScores.from_rows(table[(f"{model}:{modality}", metric)]),
-                        rbo_p=self.config.rbo_p,
-                        n_resamples=self.config.bootstrap_samples,
-                        seed=self.config.seed,
-                    )
-                    cells.append((model, str(modality), report))
-            self._write(rel, reports.stability_csv(self.config.dataset, cells))
+    def _effectiveness_texts(self) -> list[str]:
+        table = self._effectiveness
+        # by the label string: "gpt-4o:full" sorts after "gpt-4o-mini:full"
+        rows = [row for key in sorted(table) for row in table[key]]
+        metrics = (f"ndcg@{self.config.ndcg_k}", "map")
+        return [*reports.effectiveness_csvs(rows)] + [
+            reports.scatter_csv(self._against_human(metric)) for metric in metrics
+        ]
 
-        self._stage("stability", inputs, [rel], produce)
+    def _stability_texts(self) -> list[str]:
+        config = self.config
+        metrics = (f"ndcg@{config.ndcg_k}", "map")
+        cells = [  # cell-major: each cell's metrics together
+            (model, modality, stability_report(
+                SystemScores.from_rows(human), SystemScores.from_rows(judged),
+                rbo_p=config.rbo_p, n_resamples=config.bootstrap_samples, seed=config.seed,
+            ))
+            for per_metric in zip(*map(self._against_human, metrics))
+            for model, modality, human, judged in per_metric
+        ]
+        return [reports.stability_csv(config.dataset, cells)]
 
-    def _cost_stage(self) -> None:
-        rel = "reports/cost.csv"
-        summary_usage = {
-            f"summ:{b}": f"{_summary_stem(b)}.usage.json" for b in self.summary_budgets
-        }
-        judge_usage = {
-            str(modality): [
-                f"{_cell_stem(model, modality)}.usage.json" for model in self.config.models
-            ]
-            for modality in self.config.modalities
-        }
-        inputs = {
-            "dataset": self.config.dataset,
-            "summarize": {
-                f"summ:{b}": self.stage_fingerprints[f"summarize:{b}"]
-                for b in self.summary_budgets
-            },
-            "judges": self._judge_fingerprints(),
-            "prices": {
-                model: [price.input_usd_per_1m, price.output_usd_per_1m]
-                for model, price in sorted(self.prices.items())
-            },
-        }
+    def _cost_texts(self) -> list[str]:
+        def read(path: Path) -> list:  # a usage file that a skipped stage left
+            return usage_entries(path, self.gateway.cache)
 
-        def produce() -> None:
-            def read(path: Path) -> list:  # a usage file that a skipped stage left
-                return usage_entries(path, self.gateway.cache)
+        def tally(stage: str, modality: str, stems: list[str]) -> CostReport:
+            entries = [e for stem in stems for e in self._recall(f"{stem}.usage.json", read)]
+            return tally_observed(entries, self.prices, stage=stage, modality=modality)
 
-            tallies = [
-                tally_observed(
-                    self._recall(usage_rel, read),
-                    self.prices,
-                    stage="summarization",
-                    modality=modality_str,
-                )
-                for modality_str, usage_rel in summary_usage.items()
-            ]
-            tallies += [
-                tally_observed(
-                    [entry for usage in rels for entry in self._recall(usage, read)],
-                    self.prices,
-                    stage="judgment",
-                    modality=modality_str,
-                )
-                for modality_str, rels in judge_usage.items()
-            ]
-            self._write(rel, reports.cost_csv(self.config.dataset, tallies))
+        budgets, config = self.summary_budgets, self.config
+        tallies = [tally("summarization", f"summ:{b}", [_summary_stem(b)]) for b in budgets]
+        tallies += [
+            tally("judgment", str(mod), [_cell_stem(model, mod) for model in config.models])
+            for mod in config.modalities
+        ]
+        return [reports.cost_csv(config.dataset, tallies)]
 
-        self._stage("cost", inputs, [rel], produce)
+
+# How each report fingerprint input that is not a config field of its name is built.
+_REPORT_INPUTS: dict[str, Callable[[Experiment], object]] = {
+    "qrels": lambda x: x.input_digests["qrels"],
+    "runs": lambda x: x.input_digests["runs"],
+    "threshold": lambda x: x.config.binarize_threshold,
+    # [cell, fingerprint] in the config's cell order, which the reports list
+    # cells in: a list, so a reordered config is a changed input
+    "judges": lambda x: [
+        [f"{m}:{mod}", x.stage_fingerprints[f"judge:{m}:{mod}"]] for m, mod in x._cells()
+    ],
+    "effectiveness": lambda x: x.stage_fingerprints["effectiveness"],
+    "summarize": lambda x: {f"summ:{b}": x.stage_fingerprints[f"summarize:{b}"]
+                            for b in x.summary_budgets},
+    "prices": lambda x: {model: [price.input_usd_per_1m, price.output_usd_per_1m]
+                         for model, price in sorted(x.prices.items())},
+}
+
+# The report stages in run order: name, output paths ({k} is ndcg_k), the
+# fingerprint inputs covered, and the method giving the outputs' texts in order.
+REPORT_STAGES = [
+    ("distribution", ["reports/label_distribution.csv"],
+     ("dataset", "qrels", "judges"), Experiment._distribution_texts),
+    ("agreement", ["reports/agreement.csv"],
+     ("dataset", "qrels", "threshold", "judges"), Experiment._agreement_texts),
+    ("effectiveness", ["reports/effectiveness.csv", "reports/effectiveness_per_topic.csv",
+                       "reports/effectiveness_coverage.csv", "reports/scatter_ndcg{k}.csv",
+                       "reports/scatter_map.csv"],
+     ("qrels", "runs", "threshold", "gain", "ndcg_k", "judges"), Experiment._effectiveness_texts),
+    ("stability", ["reports/stability.csv"],
+     ("dataset", "effectiveness", "rbo_p", "bootstrap_samples", "seed"),
+     Experiment._stability_texts),
+    ("cost", ["reports/cost.csv"],
+     ("dataset", "summarize", "judges", "prices"), Experiment._cost_texts),
+]

@@ -174,11 +174,20 @@ def json_records(path: Path, fields: dict[str, type]) -> Iterator[tuple[int, dic
         yield line_no, obj
 
 
+def read_text(path: str | Path) -> str:
+    """A whole file's text (UTF-8, a leading BOM dropped); other bytes are a ParseError."""
+    try:
+        return Path(path).read_text(encoding="utf-8-sig")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"not UTF-8 text: {exc}", path=str(path)) from exc
+
+
 def read_json(path: str | Path, what: str):
     """One JSON document; undecodable text or malformed JSON is a ParseError."""
+    text = read_text(path)
     try:
-        return json.loads(Path(path).read_text(encoding="utf-8-sig"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
         raise ParseError(f"bad {what}: {exc}", path=str(path)) from exc
 
 

@@ -656,3 +656,20 @@ def test_stability_rejects_a_malformed_table(tmp_path, capsys, table, problem):
     argv = ["stability", "--per-topic-h", str(good), "--per-topic-l", str(bad), "--metric", "map"]
     assert main(argv) == 2
     assert capsys.readouterr().err == f"config error: {bad}: {problem}\n"
+
+
+@pytest.mark.parametrize("which", ["config", "template"])
+def test_a_config_or_template_that_is_not_utf8_is_a_config_error(tmp_path, capsys, which):
+    config = build_toy_experiment(tmp_path)
+    if which == "config":
+        bad = config
+        text = config.read_bytes().replace(b"dataset = toy", b"dataset = caf\xe9")
+    else:
+        bad = tmp_path / "summary.txt"
+        bad.write_bytes(b"Summ\xe9 <N> <DOC>\n")
+        text = config.read_bytes() + b"[prompts]\nsummary_template = summary.txt\n"
+    config.write_bytes(text)
+    assert main(["run", "--config", str(config)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {bad}: ") and "not UTF-8" in err
+    assert not (tmp_path / "out").exists()

@@ -11,6 +11,7 @@ import pytest
 
 from conftest import EMPTY_DOC, build_toy_experiment, bundle_digests
 from judgeval import pipeline
+from judgeval.cli import main
 from judgeval.config import load_config
 from judgeval.errors import ConfigError
 from judgeval.gateway import ChatRequest, Gateway, ResponseCache
@@ -204,6 +205,62 @@ def test_two_fresh_runs_are_byte_identical(toy_experiment):
     out_a = run_pipeline(replace(config, output_dir=config.output_dir.parent / "out_a"))
     out_b = run_pipeline(replace(config, output_dir=config.output_dir.parent / "out_b"))
     assert bundle_digests(out_a.output_dir) == bundle_digests(out_b.output_dir)
+
+
+# Every stage fingerprint of the toy experiment at seed 42. A fingerprint
+# covers the package version, so a version bump changes all of them; any
+# other change here means existing bundles re-run that stage, which a
+# refactor of how the fingerprint inputs are built must not cause.
+TOY_FINGERPRINTS = {
+    "summarize:80": "8bbd8ebef6c4a9b4f778fee55fa4319f69c299121cc453fc6b5b7bc6bce41b63",
+    "summarize:120": "f6eb871c095e0f70027c220805d6e025514a010dcbe52f98ea8d13fb61ac7d0c",
+    "judge:mock-judge:full": "0c4ff32e525ce1f1f375751d0781546d11340eeda960b28eab994f3a10615bc0",
+    "judge:mock-judge:summ:80": "437ae3947b760e46bf784c0f228afbc496ea6a214cde37d5c34a927bbaa941fb",
+    "judge:mock-judge:summ:120": "110615b7776a9fb7e1f8c26c44391850f14954dce915d6224c77137e6a07fb00",
+    "distribution": "1937a31ea599bc1ac2a9e6e094871b6e1b24ede5b484f17571206dd583d79e46",
+    "agreement": "9ba407d0cd1fade86a13506ce6c4b257efdfed3a398d1662eba7302a91e51340",
+    "effectiveness": "cf21bd7e786374386f830f72774d15e67409d00128273939a33c77faba861b25",
+    "stability": "7f262d9fdb6588403ed2dfb525e9f352cb1cb1c9179d3d41cd0e2b5799230ea7",
+    "cost": "19882559f714396ae952d1baa8a9e8883c3116010172a52a2950db3cc7e6f9c9",
+}
+
+
+def test_stage_fingerprints_are_pinned(toy_experiment):
+    out = run_pipeline(load_config(toy_experiment)).output_dir
+    stages = json.loads((out / "manifest.json").read_text())["stages"]
+    assert {name: record["fingerprint"] for name, record in stages.items()} == TOY_FINGERPRINTS
+
+
+def _listed_outputs(stages: dict) -> dict:
+    record = stages["summarize:80"]
+    return {**stages, "summarize:80": {**record, "outputs": sorted(record["outputs"])}}
+
+
+@pytest.mark.parametrize(
+    "damage, reruns",
+    [
+        (lambda stages: [], list(TOY_FINGERPRINTS)),
+        (lambda stages: {**stages, "judge:mock-judge:summ:80": "x"}, ["judge:mock-judge:summ:80"]),
+        (_listed_outputs, ["summarize:80"]),
+    ],
+    ids=["stages-a-list", "record-a-string", "outputs-a-list"],
+)
+def test_a_manifest_of_the_wrong_shape_reruns_only_what_it_no_longer_vouches_for(
+    toy_experiment, capsys, damage, reruns
+):
+    config = load_config(toy_experiment)
+    fresh = run_pipeline(replace(config, output_dir=config.output_dir.parent / "fresh"))
+    out = run_pipeline(config).output_dir
+    manifest = json.loads((out / "manifest.json").read_text())
+    manifest["stages"] = damage(manifest["stages"])
+    (out / "manifest.json").write_text(json.dumps(manifest))
+    capsys.readouterr()
+
+    assert main(["run", "--config", str(toy_experiment)]) == 0
+    printed = capsys.readouterr().out
+    assert [line.split()[1] for line in printed.splitlines() if line.split()[0] == "ran"] == reruns
+    assert "0 backend calls" in printed
+    assert bundle_digests(out) == bundle_digests(fresh.output_dir)
 
 
 @pytest.mark.parametrize(

@@ -1,5 +1,6 @@
 """The names the benchmark's tracer (perfbench/tracer.py) patches, and the
-record attributes its span info reads, must exist.
+record attributes its span info reads, must exist, and a traced run must
+reach every one of them.
 
 The tracer wraps functions and methods by name from outside the package and
 reads fields of their arguments and results, so deleting or renaming one of
@@ -10,11 +11,15 @@ test.
 from __future__ import annotations
 
 import importlib.util
+import json
+import os
+import subprocess
 import sys
 from dataclasses import fields
 from pathlib import Path
 
 import judgeval.cli  # noqa: F401  (imports every layer module, as the tracer does)
+from conftest import build_toy_experiment
 from judgeval.gateway import ChatRequest, ChatResponse, Gateway, MockBackend
 from judgeval.judge import GRADE_NUDGE, JudgingTask, Topic, judge_pool
 from judgeval.summarizer import summarize_corpus
@@ -71,3 +76,67 @@ def test_records_expose_what_the_tracer_reads(tmp_path):
     flags = info["gateway.complete"]((gateway, nudged), {}, gateway.complete(nudged))
     assert flags == tracer.NUDGED
     assert info["gateway.cache_load"]((gateway.cache,), {}, None) == len(gateway.cache)
+
+
+# The spans a traced toy run must record: every name the tracer patches, but
+# - ``trec_io.grades_for_topic``: no code under src/ calls it, NDCG and AP
+#   read ``JudgmentSet.by_topic``, so it reads 0 by design;
+# - ``HttpBackend.send``: the toy experiment runs on the mock backend, whose
+#   ``MockBackend.send`` records ``gateway.backend_send``;
+# and the retry sleep ``gateway.backoff_sleep``, as the mock never throttles.
+TRACED_SPANS = {
+    "config.load_config",
+    "trec_io.load_corpus",
+    "trec_io.load_runs_dir",
+    "trec_io.parse_qrels",
+    "judge.load_topics",
+    "judge.judge_pool",
+    "summarizer.summarize_corpus",
+    "agreement.agreement_report",
+    "effectiveness.ndcg_at_k",
+    "effectiveness.average_precision",
+    "stability.stability_report",
+    "stability.bootstrap_tau_ci",
+    "stability.kendall_tau",
+    "cost.tally_observed",
+    "pipeline.sha256_file",
+    "pipeline.run_pipeline",
+    "gateway.cache_load",
+    "gateway.cache_put",
+    "gateway.digest",
+    "gateway.complete",
+    "gateway.backend_send",
+}
+
+
+def test_a_traced_run_reaches_every_layer(tmp_path):
+    # A cold run, then a forced one that loads the cache the first wrote.
+    # A function the package holds by reference where it was imported (in a
+    # table built at import, say) escapes the tracer's patch, and its layer
+    # would read 0 in the benchmark while every other test passes.
+    tracer = _load_tracer()
+    declared = {span for _m, _f, span in tracer.FUNCTIONS} | {
+        span for _m, cls, _f, span in tracer.METHODS if cls != "HttpBackend"
+    }
+    assert declared - {"trec_io.grades_for_topic"} == TRACED_SPANS
+
+    config = build_toy_experiment(tmp_path)
+    code = (
+        "import importlib.util, json, sys\n"
+        f"spec = importlib.util.spec_from_file_location('tracer', {str(TRACER_PATH)!r})\n"
+        "tracer = importlib.util.module_from_spec(spec)\n"
+        "spec.loader.exec_module(tracer)\n"
+        "spans = tracer.Tracer()\n"
+        "tracer.install(spans)\n"
+        "import judgeval.cli\n"
+        f"argv = ['run', '--config', {str(config)!r}]\n"
+        "codes = [judgeval.cli.main(argv), judgeval.cli.main(argv + ['--force'])]\n"
+        "print(json.dumps(sorted({span[1] for span in spans.spans})))\n"
+        "sys.exit(max(codes))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    assert set(json.loads(done.stdout.splitlines()[-1])) == TRACED_SPANS
