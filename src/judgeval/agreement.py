@@ -4,7 +4,8 @@ Agreement statistics are computed over the intersection of judged pairs;
 pairs judged by only one side are counted as missing, never defaulted.
 Degenerate inputs (a constant rater, a single pooled value) yield a flagged
 value instead of NaN so reports stay machine-readable; a statistic that too
-few items leave undefined is the flagged value None.
+few items leave undefined is the flagged value None. numpy is imported by the
+functions that use it, so a run that skips every report stage never loads it.
 """
 
 from __future__ import annotations
@@ -13,8 +14,6 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Sequence
-
-import numpy as np
 
 from .trec_io import VALID_GRADES, JudgmentSet
 
@@ -45,6 +44,7 @@ class ConfusionMatrix:
     def from_sets(
         cls, a: JudgmentSet, b: JudgmentSet, labels: Sequence[int]
     ) -> "ConfusionMatrix":
+        import numpy as np
         labels = tuple(labels)
         index = {label: i for i, label in enumerate(labels)}
         counts = np.zeros((len(labels), len(labels)), dtype=np.int64)
@@ -81,6 +81,7 @@ def cohen_kappa(matrix: ConfusionMatrix) -> StatValue:
     to 1.0 (same constant label) or 0.0 (different labels) with the
     degenerate flag set.
     """
+    import numpy as np
     if matrix.total < 1:
         raise ValueError("confusion matrix is empty")
     proportions = matrix.counts / matrix.total
@@ -100,6 +101,7 @@ def weighted_kappa(matrix: ConfusionMatrix, scheme: str = "quadratic") -> StatVa
     with q=2 (quadratic, default) or q=1 (linear). With two labels both
     schemes collapse to Cohen's kappa.
     """
+    import numpy as np
     if scheme == "quadratic":
         q = 2
     elif scheme == "linear":
@@ -137,6 +139,7 @@ def alpha_from_pairs(
     ordinal (cumulative-marginal rank distance), or interval (squared value
     difference) difference function.
     """
+    import numpy as np
     if metric not in ALPHA_METRICS:
         raise ValueError(f"unknown alpha metric {metric!r}")
     paired = [(x, y) for x, y in pairs if x is not None and y is not None]
@@ -157,6 +160,7 @@ def _alpha(coincidence: np.ndarray, values: Sequence[int], metric: str) -> StatV
     label set becomes the very array built over the observed values alone,
     and both give the same float result.
     """
+    import numpy as np
     keep = coincidence.sum(axis=1) > 0
     coincidence = coincidence[np.ix_(keep, keep)].astype(float)
     values = [value for value, kept in zip(values, keep) if kept]
@@ -171,6 +175,7 @@ def _alpha(coincidence: np.ndarray, values: Sequence[int], metric: str) -> StatV
 
 
 def _alpha_delta(values: list[int], marginals: np.ndarray, metric: str) -> np.ndarray:
+    import numpy as np
     size = len(values)
     delta = np.zeros((size, size), dtype=float)
     for i in range(size):
@@ -207,6 +212,7 @@ def agreement_report(
     co-judged pairs: weighted kappa and ordinal alpha (C + C^T) on grades,
     kappa and nominal alpha on C collapsed to 2x2 at ``threshold``. Each
     statistic is UNDEFINED with fewer than two co-judged pairs."""
+    import numpy as np
     if threshold not in GRADED_LABELS[1:]:
         raise ValueError("threshold must be 1, 2, or 3")
     graded = ConfusionMatrix.from_sets(reference, judged, GRADED_LABELS)

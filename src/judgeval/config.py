@@ -16,6 +16,7 @@ from __future__ import annotations
 import configparser
 import hashlib
 import json
+import urllib.parse  # already loaded by pathlib
 from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 
@@ -72,8 +73,10 @@ class ExperimentConfig:
             raise ConfigError("pool must be 'qrels' or 'runs'")
         if self.backend not in ("mock", "http"):
             raise ConfigError("backend must be 'mock' or 'http'")
-        if self.backend == "http" and not self.endpoint:
-            raise ConfigError("http backend requires an endpoint")
+        if self.backend == "http":
+            url = urllib.parse.urlsplit(self.endpoint)  # .port raises ValueError if not 0-65535
+            if url.scheme not in ("http", "https") or not url.hostname or url.port == 0:
+                raise ConfigError(f"http backend needs an http(s) endpoint, got {self.endpoint!r}")
         if not 0.0 < self.rbo_p < 1.0:
             raise ConfigError("rbo_p must lie strictly between 0 and 1")
         counts = ("bootstrap_samples", "ndcg_k", "pool_depth", "max_attempts", "max_in_flight")

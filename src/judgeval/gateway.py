@@ -20,8 +20,6 @@ import re
 import sys
 import threading
 import time
-import urllib.error
-import urllib.request
 from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
@@ -156,13 +154,10 @@ class ResponseCache:
                     raw = json.loads(line)
                     if not isinstance(raw["text"], str):
                         raise TypeError(f"text is {raw['text']!r}, not a string")
-                    entry = CacheEntry(
-                        request_hash=raw["hash"],
-                        model=raw["model"],
-                        text=raw["text"],
-                        input_tokens=int(raw["in_tok"]),
-                        output_tokens=int(raw["out_tok"]),
-                    )
+                    counts = raw["in_tok"], raw["out_tok"]
+                    if not all(type(n) is int and n >= 0 for n in counts):  # no bool or float
+                        raise ValueError(f"token counts {counts} are not integers >= 0")
+                    entry = CacheEntry(raw["hash"], raw["model"], raw["text"], *counts)
                 except (KeyError, TypeError, ValueError) as exc:
                     raise GatewayError(
                         f"corrupt cache line {self.path}:{line_no}: {exc}"
@@ -248,6 +243,9 @@ class HttpBackend:
         self.api_key_env = api_key_env
 
     def send(self, req: ChatRequest, request_hash: str) -> BackendReply:
+        import urllib.error
+        import urllib.request  # with http.client, ssl and email: 30 ms at import
+
         body = json.dumps(
             {
                 "model": req.model,
@@ -284,8 +282,8 @@ class HttpBackend:
             raise ProtocolError(f"unexpected backend payload: {exc}") from exc
         if not isinstance(text, str):  # a filtered reply can come back as null
             raise ProtocolError(f"backend reply content is {text!r}, not a string")
-        if any(n is not None and type(n) is not int for n in counts):
-            raise ProtocolError(f"backend usage counts {counts} are not integers")
+        if any(n is not None and (type(n) is not int or n < 0) for n in counts):
+            raise ProtocolError(f"backend usage counts {counts} are not integers >= 0")
         return BackendReply(text, *counts)
 
 

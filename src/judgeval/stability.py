@@ -5,14 +5,13 @@ Spearman over average ranks, Pearson product-moment); rank-biased overlap
 uses the extrapolated form for two conjoint full-length rankings. The
 bootstrap resamples topics with replacement (topics are the exchangeable unit
 of a test collection), is fully determined by its seed, and is vectorized.
+numpy is imported by the functions that use it, as in ``agreement``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Iterable, Sequence
-
-import numpy as np
 
 from .agreement import UNDEFINED, StatValue
 from .effectiveness import EffectivenessRow
@@ -84,6 +83,7 @@ def _tau_b(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Tau-b along the last axis from the signs of all pairwise differences:
     (C - D) / sqrt(n_x) / sqrt(n_y) over the n_x, n_y pairs untied in x, y,
     clipped to [-1, 1] as scipy does; 0 where either side is entirely tied."""
+    import numpy as np
     i, j = np.triu_indices(x.shape[-1], k=1)
     sign_x, sign_y = np.sign(x[..., i] - x[..., j]), np.sign(y[..., i] - y[..., j])
     untied_x, untied_y = np.count_nonzero(sign_x, -1), np.count_nonzero(sign_y, -1)
@@ -93,11 +93,13 @@ def _tau_b(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def _average_ranks(values: Sequence[float]) -> np.ndarray:
+    import numpy as np
     _, inverse, counts = np.unique(values, return_inverse=True, return_counts=True)
     return (np.cumsum(counts) - (counts - 1) / 2.0)[inverse]
 
 
 def _correlation(x: Sequence[float], y: Sequence[float], fn) -> StatValue:
+    import numpy as np
     if len(x) != len(y) or len(x) < 2:
         raise ValueError("vectors must share a length >= 2")
     if len(set(x)) == 1 or len(set(y)) == 1:
@@ -118,6 +120,7 @@ def spearman_rho(x: Sequence[float], y: Sequence[float]) -> StatValue:
 
 def pearson_rho(x: Sequence[float], y: Sequence[float]) -> StatValue:
     """Product-moment correlation; degenerate when either variance is zero."""
+    import numpy as np
     return _correlation(x, y, lambda a, b: np.corrcoef(a, b)[0, 1])
 
 
@@ -173,6 +176,7 @@ def bootstrap_tau_ci(
     every system's mean over the sampled multiset for both sources, and
     takes percentile endpoints of the resulting tau distribution.
     """
+    import numpy as np
     systems, topics = _shared(scores_h, scores_l)
     if len(topics) < 2:
         raise ValueError("need at least two shared evaluated topics")

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import build_toy_experiment
+from conftest import build_toy_experiment, bundle_digests
 from judgeval.cli import _build_parser, main
 from judgeval.config import ExperimentConfig
 from judgeval.judge import load_judge_template
@@ -119,6 +119,39 @@ def test_importing_cli_loads_no_scipy():
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "[]"
+
+
+def _python(code: str, *args: str) -> list[str]:
+    """Run ``code`` in a fresh interpreter; its stdout lines."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    done = subprocess.run(
+        [sys.executable, "-c", code, *args], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    return done.stdout.splitlines()
+
+
+def test_importing_cli_loads_neither_numpy_nor_the_http_client():
+    # together about 180 ms of the start-up of every command
+    heavy = ["numpy", "urllib.request", "http.client", "ssl", "email"]
+    code = "import sys, judgeval.cli; print(sorted(set(sys.argv[1:]) & set(sys.modules)))"
+    assert _python(code, *heavy) == ["[]"]
+
+
+def test_a_warm_run_skips_every_stage_without_importing_numpy(tmp_path):
+    config = build_toy_experiment(tmp_path)
+    code = (
+        "import sys; from judgeval.cli import main; "
+        "code = main(['run', '--config', sys.argv[1]]); "
+        "print(code, 'numpy' in sys.modules)"
+    )
+    cold = _python(code, str(config))
+    assert cold[-1] == "0 True"  # the report stages do import it
+    before = bundle_digests(tmp_path / "out")
+    warm = _python(code, str(config))
+    assert warm[-1] == "0 False"
+    assert "done: 0 stages ran, 10 skipped" in "\n".join(warm)
+    assert bundle_digests(tmp_path / "out") == before
 
 
 def test_summarize_subcommand(toy_experiment, tmp_path, capsys):

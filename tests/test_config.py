@@ -58,6 +58,39 @@ def test_http_backend_requires_endpoint(tmp_path):
         load_config(config_path)
 
 
+def _http_config(tmp_path, endpoint: str) -> Path:
+    config_path = build_toy_experiment(tmp_path)
+    text = config_path.read_text().replace(
+        "backend = mock\n", f"backend = http\nendpoint = {endpoint}\n"
+    )
+    config_path.write_text(text)
+    return config_path
+
+
+@pytest.mark.parametrize(
+    "endpoint",
+    [
+        "localhost:9/v1", "ftp://127.0.0.1:9/v1", "http:///v1", "not a url",
+        "http://127.0.0.1:x/v1", "http://127.0.0.1:65536/v1", "http://127.0.0.1:0/v1",
+    ],
+)
+def test_http_endpoint_that_is_not_an_http_url_is_a_config_error(tmp_path, capsys, endpoint):
+    # each would otherwise fail every request, most of them after minutes of retries
+    config_path = _http_config(tmp_path, endpoint)
+    with pytest.raises(ConfigError):
+        load_config(config_path)
+    assert main(["run", "--config", str(config_path)]) == 2
+    assert capsys.readouterr().err.startswith("config error: ")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "endpoint", ["http://127.0.0.1:9/v1", "HTTPS://api.example.com/v1/chat", "http://[::1]:8080/v1"]
+)
+def test_http_endpoint_with_a_host_loads(tmp_path, endpoint):
+    assert load_config(_http_config(tmp_path, endpoint)).endpoint == endpoint
+
+
 def test_empty_models_rejected(tmp_path):
     config_path = build_toy_experiment(tmp_path)
     text = config_path.read_text().replace("models = mock-judge", "models = ")

@@ -124,6 +124,21 @@ def test_corrupt_cache_line_is_an_error(tmp_path):
         _gateway(MockBackend(seed=1), tmp_path)
 
 
+@pytest.mark.parametrize(
+    "counts",
+    [(2.9, 1), (1, True), ("12", 1), (12, -7), (None, 1), (1, 2.0)],
+    ids=["float", "bool", "string", "negative", "null", "integral-float"],
+)
+def test_cache_line_with_a_token_count_that_is_not_a_count_is_corrupt(tmp_path, counts):
+    # read through int(), each would enter cost.csv as a wrong count
+    good = {"hash": "h0", "model": "m", "text": "ok", "in_tok": 3, "out_tok": 1}
+    bad = {**good, "hash": "h1", "in_tok": counts[0], "out_tok": counts[1]}
+    path = tmp_path / "cache.jsonl"
+    path.write_text(json.dumps(good) + "\n" + json.dumps(bad) + "\n")
+    with pytest.raises(GatewayError, match=r"corrupt cache line .*cache\.jsonl:2"):
+        ResponseCache(path)
+
+
 def _cache_line(i: int) -> bytes:
     # non-ASCII text, written unescaped as ResponseCache.put does, so some
     # cuts fall inside a multi-byte character; the "ts" key is the format
@@ -474,3 +489,17 @@ def test_http_payload_parsing():
 def test_http_payload_off_protocol_is_protocol_error(payload):
     with pytest.raises(ProtocolError):
         HttpBackend._parse(json.dumps(payload).encode())
+
+
+@pytest.mark.parametrize(
+    "usage",
+    [{"prompt_tokens": -1, "completion_tokens": 3}, {"prompt_tokens": 12, "completion_tokens": -7},
+     {"prompt_tokens": True, "completion_tokens": 3}],
+    ids=["negative-prompt", "negative-completion", "bool"],
+)
+def test_http_usage_count_below_zero_or_bool_is_protocol_error(usage):
+    payload = {"choices": [{"message": {"content": "2"}}], "usage": usage}
+    with pytest.raises(ProtocolError, match="not integers >= 0"):
+        HttpBackend._parse(json.dumps(payload).encode())
+    zero = {**payload, "usage": {"prompt_tokens": 0, "completion_tokens": 0}}
+    assert HttpBackend._parse(json.dumps(zero).encode()) == BackendReply("2", 0, 0)
