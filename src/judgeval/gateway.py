@@ -22,6 +22,7 @@ import threading
 import time
 from collections import deque
 from dataclasses import dataclass
+from json.encoder import encode_basestring as _json_str  # the str encoder of ensure_ascii=False
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator
 
@@ -57,26 +58,23 @@ class ChatRequest:
     max_output_tokens: int = 256
 
     def __post_init__(self) -> None:
+        if type(self.max_output_tokens) is not int:  # no bool: the digest writes it as digits
+            raise TypeError(f"max_output_tokens is {self.max_output_tokens!r}, not an int")
         if self.max_output_tokens <= 0:
             raise ValueError("max_output_tokens must be positive")
 
     def digest(self) -> str:
         """SHA-256 over every request field; equal requests hash equally.
 
-        The payload also carries the constant ``system_text`` (null) and
+        The payload is the bytes of ``json.dumps(..., sort_keys=True,
+        ensure_ascii=False)`` of the five fields, written as one fixed frame.
+        It also carries the constant ``system_text`` (null) and
         ``temperature`` (0.0) keys: they are part of every cache key, and
         dropping them would leave existing caches unable to replay.
         """
-        payload = json.dumps(
-            {
-                "model": self.model,
-                "system_text": None,
-                "user_text": self.user_text,
-                "max_output_tokens": self.max_output_tokens,
-                "temperature": 0.0,
-            },
-            sort_keys=True,
-            ensure_ascii=False,
+        payload = (
+            f'{{"max_output_tokens": {self.max_output_tokens}, "model": {_json_str(self.model)}, '
+            f'"system_text": null, "temperature": 0.0, "user_text": {_json_str(self.user_text)}}}'
         )
         return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
@@ -152,8 +150,9 @@ class ResponseCache:
                     continue
                 try:
                     raw = json.loads(line)
-                    if not isinstance(raw["text"], str):
-                        raise TypeError(f"text is {raw['text']!r}, not a string")
+                    for key in ("hash", "model", "text"):
+                        if not isinstance(raw[key], str):
+                            raise TypeError(f"{key} is {raw[key]!r}, not a string")
                     counts = raw["in_tok"], raw["out_tok"]
                     if not all(type(n) is int and n >= 0 for n in counts):  # no bool or float
                         raise ValueError(f"token counts {counts} are not integers >= 0")
@@ -168,14 +167,13 @@ class ResponseCache:
         return self._entries.get(request_hash)
 
     def put(self, entry: CacheEntry) -> None:
-        record = {
-            "hash": entry.request_hash,
-            "model": entry.model,
-            "text": entry.text,
-            "in_tok": entry.input_tokens,
-            "out_tok": entry.output_tokens,
-        }
-        line = (json.dumps(record, sort_keys=True, ensure_ascii=False) + "\n").encode("utf-8")
+        """Append ``entry`` as the line ``json.dumps(..., sort_keys=True,
+        ensure_ascii=False)`` gives for its five keys, written as one fixed frame."""
+        line = (
+            f'{{"hash": {_json_str(entry.request_hash)}, "in_tok": {entry.input_tokens}, '
+            f'"model": {_json_str(entry.model)}, "out_tok": {entry.output_tokens}, '
+            f'"text": {_json_str(entry.text)}}}\n'
+        ).encode("utf-8")
         if self._append is None:
             self.path.parent.mkdir(parents=True, exist_ok=True)
             self._append = open(self.path, "ab")
@@ -282,6 +280,10 @@ class HttpBackend:
             raise ProtocolError(f"unexpected backend payload: {exc}") from exc
         if not isinstance(text, str):  # a filtered reply can come back as null
             raise ProtocolError(f"backend reply content is {text!r}, not a string")
+        try:
+            text.encode("utf-8")  # a lone surrogate escape decodes, but cannot be cached
+        except UnicodeEncodeError as exc:
+            raise ProtocolError(f"backend reply content is not UTF-8 text: {exc}") from exc
         if any(n is not None and (type(n) is not int or n < 0) for n in counts):
             raise ProtocolError(f"backend usage counts {counts} are not integers >= 0")
         return BackendReply(text, *counts)

@@ -156,7 +156,7 @@ def nonblank_lines(path: Path) -> Iterator[tuple[int, str]]:
 
 def json_records(path: Path, fields: dict[str, type]) -> Iterator[tuple[int, dict]]:
     """Number and object of each nonblank line, which must be a JSON object
-    holding every one of ``fields`` at its declared type."""
+    holding every one of ``fields`` at its declared type, strings as UTF-8 text."""
     for line_no, line in nonblank_lines(path):
         try:
             obj = json.loads(line.strip())
@@ -171,6 +171,13 @@ def json_records(path: Path, fields: dict[str, type]) -> Iterator[tuple[int, dic
                     path=str(path),
                     line=line_no,
                 )
+            if kind is str:  # a lone surrogate escape decodes, but cannot be hashed
+                try:
+                    obj[name].encode("utf-8")
+                except UnicodeEncodeError as exc:
+                    raise ParseError(
+                        f"{name!r} is not UTF-8 text: {exc}", path=str(path), line=line_no
+                    ) from exc
         yield line_no, obj
 
 

@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import random
 import sys
+import tempfile
 import threading
 import time
 from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -74,6 +77,72 @@ def test_request_digest_is_pinned():
     assert _req().digest() == "fde2dd954ec0ccec472552f5269d7134806e1fc8ccaf3ebbb2f267a2849158ae"
 
 
+def test_request_digest_is_pinned_on_non_ascii_text():
+    # "é" and "😀" are hashed as UTF-8 bytes, not as \u escapes; quotes, the
+    # backslash and the control character are escaped
+    req = _req('café "q" \\ \x01 😀')
+    assert req.digest() == "48edc4078918a2549529d33d1a7ec4f75c8b3e286fc7fe4fc1067d2c8f25acd6"
+
+
+@pytest.mark.parametrize("max_output_tokens", [True, 32.0, "32"], ids=["bool", "float", "string"])
+def test_max_output_tokens_that_is_not_an_int_is_rejected(max_output_tokens):
+    # the digest frame writes the value as it is: True, where json.dumps wrote true
+    with pytest.raises(TypeError, match="not an int"):
+        ChatRequest("m", "x", max_output_tokens)
+
+
+# any text, lone surrogates included, which no UTF-8 file can hold
+_TEXT = st.text() | st.text(st.characters() | st.characters(categories=["Cs"]))
+
+
+def _json_dumps_digest(req: ChatRequest) -> str:
+    # the digest as it was computed before the fixed frame
+    fields = {"model": req.model, "system_text": None, "user_text": req.user_text,
+              "max_output_tokens": req.max_output_tokens, "temperature": 0.0}
+    payload = json.dumps(fields, sort_keys=True, ensure_ascii=False)
+    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+
+
+def _json_dumps_cache_line(entry: CacheEntry) -> bytes:
+    # the cache line as it was written before the fixed frame
+    record = {"hash": entry.request_hash, "model": entry.model, "text": entry.text,
+              "in_tok": entry.input_tokens, "out_tok": entry.output_tokens}
+    return (json.dumps(record, sort_keys=True, ensure_ascii=False) + "\n").encode("utf-8")
+
+
+def _or_encode_error(compute):
+    try:
+        return compute()
+    except UnicodeEncodeError:
+        return UnicodeEncodeError
+
+
+@settings(max_examples=300, deadline=None)
+@given(_TEXT, _TEXT, st.integers(min_value=1))
+def test_framed_digest_is_the_json_dumps_digest(model, user_text, max_output_tokens):
+    req = ChatRequest(model, user_text, max_output_tokens)
+    assert _or_encode_error(req.digest) == _or_encode_error(lambda: _json_dumps_digest(req))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_TEXT, _TEXT, _TEXT, st.integers(min_value=0), st.integers(min_value=0))
+def test_framed_cache_line_is_the_json_dumps_line_and_loads_back(
+    request_hash, model, text, input_tokens, output_tokens
+):
+    entry = CacheEntry(request_hash, model, text, input_tokens, output_tokens)
+    expected = _or_encode_error(lambda: _json_dumps_cache_line(entry))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "cache.jsonl"
+        if expected is UnicodeEncodeError:
+            with pytest.raises(UnicodeEncodeError):
+                ResponseCache(path).put(entry)
+            assert not path.exists()  # nothing of the line was written
+            return
+        ResponseCache(path).put(entry)
+        assert path.read_bytes() == expected
+        assert list(ResponseCache(path).entries()) == [entry]
+
+
 # -- cache contract -----------------------------------------------------------
 
 
@@ -136,6 +205,21 @@ def test_cache_line_with_a_token_count_that_is_not_a_count_is_corrupt(tmp_path, 
     path = tmp_path / "cache.jsonl"
     path.write_text(json.dumps(good) + "\n" + json.dumps(bad) + "\n")
     with pytest.raises(GatewayError, match=r"corrupt cache line .*cache\.jsonl:2"):
+        ResponseCache(path)
+
+
+@pytest.mark.parametrize(
+    "fields",
+    [{"hash": 5}, {"model": None}, {"hash": 5, "model": None}, {"text": ["x"]}],
+    ids=["int-hash", "null-model", "both", "list-text"],
+)
+def test_cache_line_whose_hash_model_or_text_is_not_a_string_is_corrupt(tmp_path, fields):
+    # such a line can never be looked up by a digest, so it would be kept unseen
+    good = {"hash": "h0", "model": "m", "text": "ok", "in_tok": 3, "out_tok": 1}
+    path = tmp_path / "cache.jsonl"
+    path.write_text(json.dumps(good) + "\n" + json.dumps({**good, **fields}) + "\n")
+    match = r"corrupt cache line .*cache\.jsonl:2: \w+ is .*, not a string"
+    with pytest.raises(GatewayError, match=match):
         ResponseCache(path)
 
 
@@ -489,6 +573,22 @@ def test_http_payload_parsing():
 def test_http_payload_off_protocol_is_protocol_error(payload):
     with pytest.raises(ProtocolError):
         HttpBackend._parse(json.dumps(payload).encode())
+
+
+def test_http_reply_with_a_lone_surrogate_ends_as_a_protocol_error(tmp_path):
+    # the \ud800 escape decodes, but the reply could not be written to the cache
+    payload = b'{"choices":[{"message":{"content":"2 \\ud800"}}]}'
+    with pytest.raises(ProtocolError, match="not UTF-8 text"):
+        HttpBackend._parse(payload)
+
+    class _SurrogateReply:
+        def send(self, req, request_hash):
+            return HttpBackend._parse(payload)
+
+    gw = _gateway(_SurrogateReply(), tmp_path)
+    [outcome] = gw.complete_many([_req()])
+    assert isinstance(outcome, ProtocolError)  # the task goes to the error ledger
+    assert len(gw.cache) == 0 and not (tmp_path / "cache.jsonl").exists()
 
 
 @pytest.mark.parametrize(

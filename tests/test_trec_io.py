@@ -361,6 +361,14 @@ def test_load_corpus_invalid_json_and_missing_field(tmp_path):
         load_corpus(path)
 
 
+def test_load_corpus_lone_surrogate_is_a_parse_error(tmp_path):
+    # the \ud800 escape decodes, but no request over the text could be hashed
+    path = tmp_path / "c.jsonl"
+    path.write_text('{"docid":"D0","text":"fine"}\n{"docid":"D1","text":"a \\ud800 b"}\n')
+    with pytest.raises(ParseError, match=r"c\.jsonl:2: 'text' is not UTF-8 text"):
+        load_corpus(path)
+
+
 # -- modality / source --------------------------------------------------------
 
 
