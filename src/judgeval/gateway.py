@@ -33,8 +33,9 @@ if TYPE_CHECKING:
 
 BACKOFF_BASE_S = 1.0  # first retry waits 0.5-1.0 s, doubling per attempt
 HTTP_TIMEOUT_S = 60.0
-# requests read ahead per request in flight, so one in backoff idles no other
-LOOKAHEAD = 8
+# requests read ahead per request in flight: at 50 ms replies, enough for the
+# other slots to keep sending through a first backoff (0.5-1.0 s) at the head
+LOOKAHEAD = 32
 _NEVER_STOPPED = threading.Event()
 
 
@@ -104,6 +105,19 @@ class BackendReply:
     text: str
     input_tokens: int | None = None
     output_tokens: int | None = None
+
+    def __post_init__(self) -> None:
+        """Reject a reply the cache could not write or load back, whatever its backend."""
+        if not isinstance(self.text, str):  # a filtered reply can come back as null
+            raise ProtocolError(f"backend reply content is {self.text!r}, not a string")
+        try:
+            self.text.encode("utf-8")  # a lone surrogate escape decodes, but cannot be cached
+        except UnicodeEncodeError as exc:
+            raise ProtocolError(f"backend reply content is not UTF-8 text: {exc}") from exc
+        counts = self.input_tokens, self.output_tokens
+        for n in counts:  # a loop, not any(): this runs once per reply
+            if n is not None and (type(n) is not int or n < 0):  # no bool or float
+                raise ProtocolError(f"backend usage counts {counts} are not integers >= 0")
 
 
 class TransportError(Exception):
@@ -278,15 +292,7 @@ class HttpBackend:
             counts = (usage.get("prompt_tokens"), usage.get("completion_tokens"))
         except (json.JSONDecodeError, KeyError, IndexError, TypeError, AttributeError) as exc:
             raise ProtocolError(f"unexpected backend payload: {exc}") from exc
-        if not isinstance(text, str):  # a filtered reply can come back as null
-            raise ProtocolError(f"backend reply content is {text!r}, not a string")
-        try:
-            text.encode("utf-8")  # a lone surrogate escape decodes, but cannot be cached
-        except UnicodeEncodeError as exc:
-            raise ProtocolError(f"backend reply content is not UTF-8 text: {exc}") from exc
-        if any(n is not None and (type(n) is not int or n < 0) for n in counts):
-            raise ProtocolError(f"backend usage counts {counts} are not integers >= 0")
-        return BackendReply(text, *counts)
+        return BackendReply(text, *counts)  # checks the content and the counts
 
 
 class Gateway:
@@ -301,7 +307,9 @@ class Gateway:
 
     ``complete_many`` keeps up to ``max_in_flight`` requests at the backend
     but settles each through ``complete``, on the calling thread and in input
-    order, so the cache bytes and the counters do not depend on it.
+    order, so the cache bytes and the counters do not depend on it. A
+    request holds one of those slots only while at the backend, not while it
+    waits out a backoff.
     """
 
     def __init__(
@@ -322,6 +330,10 @@ class Gateway:
         self.max_attempts = max_attempts
         self.max_in_flight = max_in_flight
         self._sleep = sleep
+        # held around each backend call; at one slot a lock does the same, 6x faster
+        self._slots = (
+            threading.BoundedSemaphore(max_in_flight) if max_in_flight > 1 else threading.Lock()
+        )
         self.backend_calls = 0
         self.cache_hits = 0
 
@@ -362,17 +374,19 @@ class Gateway:
 
         Above one in flight, the distinct cache misses among the next
         ``LOOKAHEAD * max_in_flight`` requests are sent from a pool of
-        ``max_in_flight`` threads while earlier ones settle. When the stream
-        ends or the caller stops reading it, queued sends are dropped and
-        sends in backoff make no further attempt; the call returns once the
-        sends already at the backend do.
+        ``2 * max_in_flight`` threads while earlier ones settle: per slot, one
+        at the backend and one waiting out a backoff or waiting for a slot.
+        When the stream ends or the caller stops reading it, queued sends are
+        dropped and started ones make no further attempt; the call returns
+        once the sends already at the backend and the backoff sleeps already
+        begun do.
         """
         if self.max_in_flight == 1:  # on the mock, a pool of one made a cold run 27% slower
             yield from map(self._outcome, requests)
             return
         from concurrent.futures import ThreadPoolExecutor  # +0.6 MB RSS at import
 
-        pool = ThreadPoolExecutor(self.max_in_flight)
+        pool = ThreadPoolExecutor(2 * self.max_in_flight)
         stop = threading.Event()
         todo = iter(requests)
         ahead: deque[tuple[ChatRequest, str]] = deque()
@@ -405,19 +419,23 @@ class Gateway:
     ) -> tuple[BackendReply | GatewayError, int]:
         """The reply, or the error ``req`` ended in, and the attempts made.
         It may run on a pool thread, so it changes no shared state and
-        jitters each backoff from the request's own hash. Once ``stop`` is
-        set it makes no further attempt."""
+        jitters each backoff from the request's own hash. Each attempt holds
+        a slot only while at the backend. Once ``stop`` is set it makes no
+        further attempt, also when it was waiting for a slot."""
         attempt = 1
         while True:
-            try:
-                return self.backend.send(req, request_hash), attempt
-            except GatewayError as exc:  # the backend answered; retrying will not help
-                return exc, attempt
-            except TransportError as exc:
-                if attempt < self.max_attempts and not stop.is_set():
-                    delay = BACKOFF_BASE_S * (2 ** (attempt - 1))
-                    jitter = random.Random(f"{request_hash}:{attempt}").random()
-                    self._sleep(delay * (0.5 + jitter / 2))
-                if attempt == self.max_attempts or stop.is_set():
-                    return GatewayError(f"backend failed after {attempt} attempts: {exc}"), attempt
+            with self._slots:
+                if stop.is_set():
+                    return GatewayError(f"stopped before attempt {attempt}"), attempt - 1
+                try:
+                    return self.backend.send(req, request_hash), attempt
+                except GatewayError as exc:  # the backend answered; retrying will not help
+                    return exc, attempt
+                except TransportError as exc:
+                    failure = exc
+            if attempt == self.max_attempts or stop.is_set():
+                return GatewayError(f"backend failed after {attempt} attempts: {failure}"), attempt
+            delay = BACKOFF_BASE_S * (2 ** (attempt - 1))
+            jitter = random.Random(f"{request_hash}:{attempt}").random()
+            self._sleep(delay * (0.5 + jitter / 2))
             attempt += 1

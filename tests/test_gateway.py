@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 from judgeval.errors import GatewayError, ProtocolError
 from judgeval.gateway import (
+    LOOKAHEAD,
     BackendReply,
     CacheEntry,
     ChatRequest,
@@ -320,12 +321,13 @@ class _ThreadedBackend:
     """Answers after a short hash-derived delay, so replies finish out of
     order; fails every attempt at prompts starting with "down", and the
     first two attempts at prompts starting with "flaky". Each sleep is
-    logged under the prompt whose retry it delays."""
+    logged under the prompt whose retry it delays; ``replies`` counts the
+    requests answered."""
 
     def __init__(self):
         self.lock = threading.Lock()
         self.attempts = Counter()
-        self.in_flight = self.peak = 0
+        self.in_flight = self.peak = self.replies = 0
         self.sleeps: dict[str, list[float]] = {}
         self._current = threading.local()
 
@@ -342,6 +344,8 @@ class _ThreadedBackend:
                 req.user_text.startswith("flaky") and attempt <= 2
             ):
                 raise TransportError("unavailable")
+            with self.lock:
+                self.replies += 1
             return BackendReply(text=f"re {req.user_text}", input_tokens=1, output_tokens=1)
         finally:
             with self.lock:
@@ -407,7 +411,8 @@ def test_complete_many_stopped_early_leaves_no_thread(tmp_path):
     assert [r.text for r in first] == ["re prompt 0", "re prompt 1", "re prompt 2"]
     stream.close()
     assert set(threading.enumerate()) <= before
-    assert sum(backend.attempts.values()) < 200  # queued requests were never sent
+    # only the window read ahead of the 3 settled requests was ever sent
+    assert sum(backend.attempts.values()) <= 3 + LOOKAHEAD * 4
     assert len(gw.cache) == 3
 
 
@@ -426,6 +431,75 @@ def test_complete_many_stopped_early_makes_no_further_retry(tmp_path):
     stream.close()  # "down 1" is in its first backoff sleep
     assert backend.attempts["down 1"] == 1  # five without the stop
     assert len(gw.cache) == 1
+
+
+def test_a_send_that_gets_its_slot_after_a_stop_makes_no_attempt(tmp_path):
+    sent, release, blocked = [], threading.Event(), threading.Semaphore(0)
+
+    class _Blocking:
+        def send(self, req, request_hash):
+            sent.append(req.user_text)
+            if req.user_text.startswith("block"):
+                blocked.release()
+                release.wait(5)
+            return BackendReply(text=f"re {req.user_text}", input_tokens=1, output_tokens=1)
+
+    def requests():
+        yield from (_req("fast 0"), _req("block 1"), _req("block 2"))
+        assert blocked.acquire(timeout=5) and blocked.acquire(timeout=5)  # both slots held
+        yield _req("third")
+
+    gw = _gateway(_Blocking(), tmp_path, max_in_flight=2)
+    stream = gw.complete_many(requests())
+    assert next(stream).text == "re fast 0"
+    time.sleep(0.05)  # a free pool thread takes "third", which waits for a slot
+    threading.Timer(0.1, release.set).start()
+    stream.close()  # returns once both blocked sends are answered
+    assert sorted(sent) == ["block 1", "block 2", "fast 0"]  # "third" was never sent
+    assert len(gw.cache) == 1
+
+
+def test_a_request_in_backoff_holds_no_slot(tmp_path):
+    """The head request's backoff lasts until the 31 requests behind it are
+    answered; both slots stay busy meanwhile."""
+    backend = _ThreadedBackend()
+    during = []
+
+    def sleep(seconds):
+        if during:  # the second backoff of "flaky 0" need not wait
+            return
+        with backend.lock:
+            backend.peak = backend.in_flight
+        deadline = time.monotonic() + 5
+        while backend.replies < 31 and time.monotonic() < deadline:
+            time.sleep(0.001)
+        with backend.lock:
+            during.append((backend.replies, backend.peak))
+
+    requests = [_req("flaky 0")] + [_req(f"prompt {i}") for i in range(1, 32)]
+    gw = Gateway(backend, tmp_path / "cache.jsonl", max_in_flight=2, sleep=sleep)
+    outcomes = list(gw.complete_many(requests))
+    assert [o.text for o in outcomes] == [f"re {r.user_text}" for r in requests]
+    assert during == [(31, 2)]  # no timeout, and 2 in flight during the backoff
+
+
+def test_backoffs_overlap_sends_within_the_cap_on_two_threads_per_slot(tmp_path):
+    """Every request fails twice, under a real 10 ms backoff: the sends stay
+    within the cap, on at most two pool threads per slot."""
+    before = set(threading.enumerate())
+    workers = []
+
+    def sleep(seconds):
+        workers.append(len(set(threading.enumerate()) - before))
+        time.sleep(0.01)
+
+    backend = _ThreadedBackend()
+    gw = Gateway(backend, tmp_path / "cache.jsonl", max_in_flight=4, sleep=sleep)
+    outcomes = list(gw.complete_many(_req(f"flaky {i}") for i in range(40)))
+    assert [o.text for o in outcomes] == [f"re flaky {i}" for i in range(40)]
+    assert sum(backend.attempts.values()) == 3 * 40
+    assert 4 < max(workers) <= 8  # one thread per request would reach 40
+    assert 1 < backend.peak <= 4
 
 
 # -- mock determinism ----------------------------------------------------------
@@ -603,3 +677,24 @@ def test_http_usage_count_below_zero_or_bool_is_protocol_error(usage):
         HttpBackend._parse(json.dumps(payload).encode())
     zero = {**payload, "usage": {"prompt_tokens": 0, "completion_tokens": 0}}
     assert HttpBackend._parse(json.dumps(zero).encode()) == BackendReply("2", 0, 0)
+
+
+@pytest.mark.parametrize(
+    "reply, message",
+    [((None,), "not a string"), (("2 \ud800",), "not UTF-8 text"),
+     (("x", True, 1), "not integers >= 0"), (("x", 1, -1), "not integers >= 0"),
+     (("x", 1.0, None), "not integers >= 0")],
+    ids=["null-content", "lone-surrogate", "bool-count", "negative-count", "float-count"],
+)
+def test_any_backend_reply_the_cache_cannot_hold_is_a_protocol_error(tmp_path, reply, message):
+    class _Custom:
+        def send(self, req, request_hash):
+            if req.user_text == "bad":
+                return BackendReply(*reply)
+            return BackendReply(text="fine", input_tokens=1, output_tokens=1)
+
+    gw = _gateway(_Custom(), tmp_path)
+    good, bad = gw.complete_many([_req("good"), _req("bad")])
+    assert good.text == "fine"
+    assert isinstance(bad, ProtocolError) and message in str(bad)  # the task goes to the ledger
+    assert [e.text for e in ResponseCache(tmp_path / "cache.jsonl").entries()] == ["fine"]
