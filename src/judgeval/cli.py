@@ -28,10 +28,8 @@ from .errors import ConfigError, JudgevalError
 from .gateway import ResponseCache
 from .pipeline import Experiment, effectiveness_by_metric, run_pipeline
 from .stability import SystemScores, stability_report
-from .summarizer import read_summaries, write_summaries
-from .trec_io import (
-    VALID_GRADES, Modality, atomic_write_text, load_runs_dir, parse_qrels, write_judgments,
-)
+from .summarizer import read_summaries
+from .trec_io import VALID_GRADES, Modality, atomic_write_text, load_runs_dir, parse_qrels
 
 # Each config setting's default, which a subcommand flag that mirrors it takes.
 _DEFAULT = {f.name: f.default for f in fields(ExperimentConfig)}
@@ -205,9 +203,8 @@ def _cmd_run(args) -> int:
 
 def _cmd_summarize(args) -> int:
     _check(args.budget >= 1, "--budget must be >= 1")
-    experiment = Experiment(_load_config_with_overrides(args))
-    summaries = experiment.summarize(args.budget)
-    write_summaries(summaries, args.out)
+    with Experiment(_load_config_with_overrides(args)) as experiment:
+        summaries = experiment.summarize(args.budget, Path(args.out))
     print(f"{len(summaries)} summaries -> {args.out} ({len(summaries.errors)} errors)")
     return 0
 
@@ -224,8 +221,8 @@ def _cmd_judge(args) -> int:
             raise ConfigError(
                 f"summaries budget {summaries.budget_tokens} does not match {modality}"
             )
-    result, skipped = experiment.judge(args.model, modality, summaries)
-    write_judgments(result.judgments, args.out)
+    with experiment:
+        result, skipped = experiment.judge(args.model, modality, summaries, Path(args.out))
     print(
         f"{len(result.judgments)} judgments -> {args.out} "
         f"({len(result.failures)} failed, {len(skipped)} pairs skipped)"

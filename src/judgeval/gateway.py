@@ -196,6 +196,12 @@ class ResponseCache:
         self._sha256.update(line)
         self._entries[entry.request_hash] = entry
 
+    def close(self) -> None:
+        """Close the append handle, if a put opened it; a later put opens it again."""
+        if self._append is not None:
+            self._append.close()
+            self._append = None
+
     def file_sha256(self) -> str:
         return self._sha256.hexdigest()
 

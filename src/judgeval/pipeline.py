@@ -16,8 +16,9 @@ the outputs' texts. Its inputs are built when the stage is reached, since
 An ``Experiment`` loads each input (corpus, topics, qrels, runs, response
 cache) the first time a stage that runs needs it, so a run that skips every
 stage reads only the input digests and the manifest. It is also the one
-wiring from a config to summarizer and judge calls: the ``summarize`` and
-``judge`` subcommands call the same two methods as the stages.
+wiring from a config to summarizer and judge calls, and the one writer of
+their files: the ``summarize`` and ``judge`` subcommands call the same two
+methods as the stages.
 
 A stage hands its result on in memory: whatever a stage produced in this
 run (summaries, judgments, the cache entries of its usage file) goes
@@ -168,7 +169,8 @@ def run_pipeline(config: ExperimentConfig, *, force: bool = False) -> PipelineRe
 class Experiment:
     """One experiment config: its inputs, loaded the first time a stage uses
     them, and the one wiring from the config to summarizer and judge calls,
-    shared by ``judgeval run`` and the ``summarize``/``judge`` subcommands."""
+    shared by ``judgeval run`` and the ``summarize``/``judge`` subcommands.
+    Leaving its ``with`` block closes the response cache's file."""
 
     def __init__(self, config: ExperimentConfig, *, force: bool = False):
         self.config = config
@@ -205,7 +207,7 @@ class Experiment:
             m.budget_tokens for m in config.modalities if m.kind == "summary"
         )
         self.stage_fingerprints: dict[str, str] = {}
-        self._held: dict[str, object] = {}  # bundle path -> its content, see _recall
+        self._held: dict[Path, object] = {}  # bundle file -> its content, see _recall
 
     # -- inputs, each loaded on first use --------------------------------------
 
@@ -258,22 +260,28 @@ class Experiment:
 
     # -- summarizer and judge calls --------------------------------------------
 
-    def summarize(self, budget: int) -> SummarySet:
-        """Summarize the corpus at one budget."""
-        return summarize_corpus(
+    def summarize(self, budget: int, path: Path) -> SummarySet:
+        """Summarize the corpus at one budget. Writes the summaries to ``path``
+        and their usage file to ``path.with_suffix(".usage.json")``."""
+        summaries = self._held[path] = summarize_corpus(
             self.corpus,
             budget,
             self.gateway,
             self.config.summarizer_model,
             template=self.summary_template,
         )
+        write_summaries(summaries, path)
+        self._write_usage(path.with_suffix(".usage.json"), summaries.request_hashes)
+        return summaries
 
     def judge(
-        self, model: str, modality: Modality, summaries: SummarySet | None
+        self, model: str, modality: Modality, summaries: SummarySet | None, path: Path
     ) -> tuple[JudgePoolResult, list[dict]]:
         """Judge the pool for one cell: one task per pair with a topic and
         evidence for ``modality`` (the corpus, or ``summaries``); every other
-        pair becomes a skip-ledger entry with its reason."""
+        pair becomes a skip-ledger entry with its reason. Writes the qrels and
+        their ``.meta.json`` sidecar to ``path``, and the error ledger and the
+        usage file to ``path.with_suffix(".errors.json")`` and ``".usage.json"``."""
         if modality.kind == "full":
             evidence, missing = self.corpus.entries, "doc not in corpus"
         else:
@@ -289,7 +297,20 @@ class Experiment:
                 continue
             tasks.append(JudgingTask(topic=topic, doc_id=doc_id, evidence_text=record.text))
         result = judge_pool(tasks, self.gateway, model, modality, template=self.judge_template)
+        write_judgments(result.judgments, path)
+        self._held[path] = result.judgments
+        ledger = {"skipped_pairs": skipped, "failed_tasks": [f._asdict() for f in result.failures]}
+        write_json(path.with_suffix(".errors.json"), ledger)
+        self._write_usage(path.with_suffix(".usage.json"), result.request_hashes)
         return result, skipped
+
+    def __enter__(self) -> Experiment:
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        """Close the response cache's file, if a stage opened the gateway."""
+        if (gateway := self.__dict__.get("gateway")) is not None:
+            gateway.cache.close()
 
     # -- manifest bookkeeping ------------------------------------------------
 
@@ -318,7 +339,9 @@ class Experiment:
             rel = str(cache.relative_to(out))
             gateway = self.__dict__.get("gateway")  # None when no stage opened it
             # with no gateway open nothing writes the cache: hash the file once per run
-            files[rel] = gateway.cache.file_sha256() if gateway else self._recall(rel, sha256_file)
+            files[rel] = gateway.cache.file_sha256() if gateway else self._recall(
+                self.out / rel, sha256_file
+            )
         manifest = {
             "tool": "judgeval",
             "version": __version__,
@@ -368,37 +391,38 @@ class Experiment:
         self.outcomes.append(StageOutcome(name, "ran"))
         self._save_manifest()
 
-    def _recall(self, rel: str, read: Callable[[Path], object]):
-        """Bundle file ``rel`` as this run holds it: what the stage that wrote
+    def _recall(self, path: Path, read: Callable[[Path], object]):
+        """Bundle file ``path`` as this run holds it: what the stage that wrote
         it in this run produced, else ``read(path)``, called at most once."""
-        if rel not in self._held:
-            self._held[rel] = read(self.out / rel)
-        return self._held[rel]
+        if path not in self._held:
+            self._held[path] = read(path)
+        return self._held[path]
 
-    def _write_usage(self, rel: str, request_hashes: set[str]) -> None:
+    def _write_usage(self, path: Path, request_hashes: set[str]) -> None:
         hashes = sorted(request_hashes)
-        entries = self._held[rel] = [self.gateway.cache.get(h) for h in hashes]
+        entries = self._held[path] = [self.gateway.cache.get(h) for h in hashes]
         usage = {
             "request_hashes": hashes,
             "input_tokens": sum(entry.input_tokens for entry in entries),
             "output_tokens": sum(entry.output_tokens for entry in entries),
         }
-        write_json(self.out / rel, usage)
+        write_json(path, usage)
 
     # -- stages ---------------------------------------------------------------
 
     def run(self) -> PipelineResult:
         self.records = self._load_manifest()
-        for budget in self.summary_budgets:
-            self._summarize_stage(budget)
-        for model, modality in self._cells():  # this order is cache.jsonl's line order
-            self._judge_stage(model, modality)
-        for budget in self.summary_budgets:  # no report reads them; holding them raises the peak
-            self._held.pop(f"{_summary_stem(budget)}.jsonl", None)
-        for name, outputs, inputs, texts in REPORT_STAGES:
-            self._report_stage(name, outputs, inputs, texts)
-        # config_hash covers fields no stage fingerprint does (max_attempts)
-        self._save_manifest()
+        with self:  # the cache file is closed however the stages end
+            for budget in self.summary_budgets:
+                self._summarize_stage(budget)
+            for model, modality in self._cells():  # this order is cache.jsonl's line order
+                self._judge_stage(model, modality)
+            for budget in self.summary_budgets:  # no report reads them; held, they raise the peak
+                self._held.pop(self.out / f"{_summary_stem(budget)}.jsonl", None)
+            for name, outputs, inputs, texts in REPORT_STAGES:
+                self._report_stage(name, outputs, inputs, texts)
+            # config_hash covers fields no stage fingerprint does (max_attempts)
+            self._save_manifest()
         gateway = self.__dict__.get("gateway")  # None when no stage opened it
         return PipelineResult(
             outcomes=self.outcomes,
@@ -409,9 +433,7 @@ class Experiment:
         )
 
     def _summarize_stage(self, budget: int) -> None:
-        name = f"summarize:{budget}"
-        rel = f"{_summary_stem(budget)}.jsonl"
-        rel_usage = f"{_summary_stem(budget)}.usage.json"
+        name, stem = f"summarize:{budget}", _summary_stem(budget)
         inputs = {
             "corpus": self.input_digests["corpus"],
             "budget": budget,
@@ -421,21 +443,12 @@ class Experiment:
             "backend": self.config.backend,
             "seed": self.config.seed,
         }
-
-        def produce() -> None:
-            summaries = self._held[rel] = self.summarize(budget)
-            write_summaries(summaries, self.out / rel)
-            self._write_usage(rel_usage, summaries.request_hashes)
-
-        self._stage(name, inputs, [rel, rel_usage], produce)
+        outputs = [f"{stem}.jsonl", f"{stem}.usage.json"]
+        self._stage(name, inputs, outputs, lambda: self.summarize(budget, self.out / outputs[0]))
 
     def _judge_stage(self, model: str, modality: Modality) -> None:
         stem = _cell_stem(model, modality)
         name = f"judge:{model}:{modality}"
-        rel_qrels = f"{stem}.qrels"
-        rel_meta = f"{stem}.qrels.meta.json"
-        rel_errors = f"{stem}.errors.json"
-        rel_usage = f"{stem}.usage.json"
         inputs = {
             "qrels": self.input_digests["qrels"],
             "topics": self.input_digests["topics"],
@@ -455,23 +468,15 @@ class Experiment:
             "backend": self.config.backend,
             "seed": self.config.seed,
         }
-
-        def produce() -> None:
-            summaries = None
-            if modality.kind == "summary":
-                rel = f"{_summary_stem(modality.budget_tokens)}.jsonl"
-                summaries = self._recall(rel, read_summaries)
-            result, skipped = self.judge(model, modality, summaries)
-            write_judgments(result.judgments, self.out / rel_qrels)
-            self._held[rel_qrels] = result.judgments
-            ledger = {
-                "skipped_pairs": skipped,
-                "failed_tasks": [f._asdict() for f in result.failures],
-            }
-            write_json(self.out / rel_errors, ledger)
-            self._write_usage(rel_usage, result.request_hashes)
-
-        self._stage(name, inputs, [rel_qrels, rel_meta, rel_errors, rel_usage], produce)
+        exts = (".qrels", ".qrels.meta.json", ".errors.json", ".usage.json")
+        outputs = [f"{stem}{ext}" for ext in exts]
+        summaries = self.out / f"{_summary_stem(modality.budget_tokens)}.jsonl"
+        self._stage(name, inputs, outputs, lambda: self.judge(
+            model,
+            modality,
+            self._recall(summaries, read_summaries) if modality.kind == "summary" else None,
+            self.out / outputs[0],
+        ))
 
     def _cells(self) -> list[tuple[str, Modality]]:
         config = self.config
@@ -481,8 +486,8 @@ class Experiment:
         """Each cell's judgments, as its judge stage made them or read from
         the file a skipped judge stage found intact."""
         return [
-            (model, str(mod), self._recall(f"{_cell_stem(model, mod)}.qrels", parse_qrels))
-            for model, mod in self._cells()
+            (m, str(mod), self._recall(self.out / f"{_cell_stem(m, mod)}.qrels", parse_qrels))
+            for m, mod in self._cells()
         ]
 
     def _report_stage(self, name: str, outputs: list[str], inputs: tuple, texts: Callable) -> None:
@@ -562,7 +567,7 @@ class Experiment:
             return usage_entries(path, self.gateway.cache)
 
         def tally(stage: str, modality: str, stems: list[str]) -> CostReport:
-            entries = [e for stem in stems for e in self._recall(f"{stem}.usage.json", read)]
+            entries = [e for s in stems for e in self._recall(self.out / f"{s}.usage.json", read)]
             return tally_observed(entries, self.prices, stage=stage, modality=modality)
 
         budgets, config = self.summary_budgets, self.config

@@ -15,6 +15,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import get_type_hints
 
 from .errors import GatewayError, JudgevalError, ParseError
 from .gateway import ChatRequest, Gateway, count_tokens
@@ -41,14 +42,7 @@ class SummaryRecord:
 
 
 # the fields every summary line holds, at these types; ``flags`` is optional
-_RECORD_FIELDS = {
-    "doc_id": str,
-    "budget_tokens": int,
-    "text": str,
-    "output_token_count": int,
-    "model": str,
-    "prompt_sha256": str,
-}
+_RECORD_FIELDS = {k: t for k, t in get_type_hints(SummaryRecord).items() if k != "flags"}
 
 
 @dataclass
@@ -119,68 +113,41 @@ def summarize_corpus(
         template = load_summary_template()
     prompt_hash = template_sha256(template)
     result = SummarySet(budget_tokens=budget)
-    asked = []
-    for doc_id in corpus.doc_ids():
-        if corpus.entries[doc_id].text.strip():
-            asked.append(doc_id)
-            continue
-        result.records[doc_id] = SummaryRecord(
-            doc_id=doc_id,
-            budget_tokens=budget,
-            text=NO_CONTENT,
-            output_token_count=0,
-            model=model,
-            prompt_sha256=prompt_hash,
-        )
-    requests = (
-        build_summary_prompt(corpus.entries[doc_id].text, budget, model, template=template)
-        for doc_id in asked
+    doc_ids, entries = corpus.doc_ids(), corpus.entries
+    replies = gateway.complete_many(
+        build_summary_prompt(entries[doc_id].text, budget, model, template=template)
+        for doc_id in doc_ids
+        if entries[doc_id].text.strip()
     )
-    for doc_id, response in zip(asked, gateway.complete_many(requests)):
+    for doc_id in doc_ids:
+        text = entries[doc_id].text
+        response = next(replies) if text.strip() else None  # one reply per nonblank doc
         if isinstance(response, GatewayError):
             result.errors[doc_id] = str(response)
             continue
-        result.request_hashes.add(response.request_hash)
-        out_tokens = response.output_tokens
         flags = []
-        if out_tokens > SUMMARY_SLACK * budget:
-            flags.append("over_budget")
-        if out_tokens > count_tokens(corpus.entries[doc_id].text):
-            flags.append("longer_than_source")
+        if response is None:
+            summary, out_tokens = NO_CONTENT, 0
+        else:
+            result.request_hashes.add(response.request_hash)
+            summary, out_tokens = response.text, response.output_tokens
+            if out_tokens > SUMMARY_SLACK * budget:
+                flags.append("over_budget")
+            if out_tokens > count_tokens(text):
+                flags.append("longer_than_source")
         result.records[doc_id] = SummaryRecord(
-            doc_id=doc_id,
-            budget_tokens=budget,
-            text=response.text,
-            output_token_count=out_tokens,
-            model=model,
-            prompt_sha256=prompt_hash,
-            flags=tuple(flags),
+            doc_id, budget, summary, out_tokens, model, prompt_hash, tuple(flags)
         )
     return result
 
 
 def write_summaries(summaries: SummarySet, path: str | Path) -> None:
     """Write one summary record per line as JSON."""
-    path = Path(path)
-    lines = []
-    for doc_id in sorted(summaries.records):
-        rec = summaries.records[doc_id]
-        lines.append(
-            json.dumps(
-                {
-                    "doc_id": rec.doc_id,
-                    "budget_tokens": rec.budget_tokens,
-                    "text": rec.text,
-                    "output_token_count": rec.output_token_count,
-                    "model": rec.model,
-                    "prompt_sha256": rec.prompt_sha256,
-                    "flags": list(rec.flags),
-                },
-                sort_keys=True,
-                ensure_ascii=False,
-            )
-        )
-    atomic_write_text(path, "".join(line + "\n" for line in lines))
+    text = "".join(
+        json.dumps(vars(summaries.records[doc_id]), sort_keys=True, ensure_ascii=False) + "\n"
+        for doc_id in sorted(summaries.records)
+    )
+    atomic_write_text(Path(path), text)
 
 
 def read_summaries(path: str | Path) -> SummarySet:

@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import csv
+import gc
 import io
 import json
 import os
 import subprocess
 import sys
+import warnings
 from dataclasses import fields
 from pathlib import Path
 
@@ -504,6 +506,54 @@ def test_summarize_and_judge_subcommands_write_the_bundle_bytes(toy_bundle, tmp_
     for suffix in ("", ".meta.json"):
         expected = bundle / "judgments" / f"mock-judge__summ-80.qrels{suffix}"
         assert Path(f"{judged}{suffix}").read_bytes() == expected.read_bytes()
+    usage = tmp_path / "summ80.usage.json"
+    assert usage.read_bytes() == (bundle / "summaries" / "summ80.usage.json").read_bytes()
+    for suffix in (".errors.json", ".usage.json"):
+        expected = bundle / "judgments" / f"mock-judge__summ-80{suffix}"
+        assert (tmp_path / f"judged{suffix}").read_bytes() == expected.read_bytes()
+
+
+def test_cost_tallies_the_usage_file_of_the_judge_subcommand(toy_bundle, tmp_path, capsys):
+    config, bundle = str(toy_bundle / "config.ini"), toy_bundle / "out"
+    summaries, judged = tmp_path / "summ80.jsonl", tmp_path / "judged.qrels"
+    argv = ["summarize", "--config", config, "--budget", "80", "--out", str(summaries)]
+    assert main(argv) == 0
+    argv = [
+        "judge", "--config", config, "--model", "mock-judge", "--modality", "summ:80",
+        "--summaries", str(summaries), "--out", str(judged),
+    ]
+    assert main(argv) == 0
+    capsys.readouterr()
+    argv = [
+        "cost", "--cache", str(bundle / "cache.jsonl"),
+        "--usage", str(tmp_path / "judged.usage.json"),
+        "--prices", str(toy_bundle / "prices.json"),
+        "--stage", "judgment", "--modality", "summ:80", "--dataset", "toy",
+    ]
+    assert main(argv) == 0
+    # the toy experiment has one model, so its cell's tally is the modality's row
+    expected = _bundle_lines(
+        bundle / "reports" / "cost.csv", lambda row: row[:2] == ["judgment", "summ:80"]
+    )
+    assert len(expected) == 2
+    assert capsys.readouterr().out.splitlines() == expected
+
+
+def test_the_summarize_and_judge_subcommands_close_the_cache_file(toy_experiment, tmp_path):
+    config = str(toy_experiment)
+    summaries = tmp_path / "summ80.jsonl"
+    gc.collect()  # what earlier tests left open warns now, not below
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        argv = ["summarize", "--config", config, "--budget", "80", "--out", str(summaries)]
+        assert main(argv) == 0
+        argv = [
+            "judge", "--config", config, "--model", "mock-judge", "--modality", "summ:80",
+            "--summaries", str(summaries), "--out", str(tmp_path / "judged.qrels"),
+        ]
+        assert main(argv) == 0
+        gc.collect()
+    assert [str(w.message) for w in caught if issubclass(w.category, ResourceWarning)] == []
 
 
 @pytest.mark.parametrize("text", [None, 5])

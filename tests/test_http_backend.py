@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import http.server
 import json
+import re
 import threading
 import time
 from dataclasses import replace
@@ -301,3 +302,30 @@ def test_null_reply_content_is_a_ledger_entry_and_is_not_cached(stub_server, tmp
     resent = [r["body"]["messages"][0]["content"] for r in stub_server.requests[len(sent):]]
     assert set(resent) == set(filter(nulled, sent))
     capsys.readouterr()
+
+
+def test_judge_subcommand_writes_the_ledger_of_its_failed_tasks(stub_server, tmp_path, capsys):
+    def reply(body):
+        answer = _mock_reply(body)
+        text = body["messages"][0]["content"]
+        if hashlib.sha256(text.encode()).digest()[0] % 3 == 0:
+            answer["choices"][0]["message"]["content"] = None  # as for a filtered reply
+        return answer
+
+    stub_server.reply = reply
+    config_path = build_toy_experiment(tmp_path)
+    text = config_path.read_text().replace(
+        "backend = mock\n", f"backend = http\nendpoint = {_endpoint(stub_server)}\n"
+    )
+    config_path.write_text(text)
+    out = tmp_path / "judged.qrels"
+    argv = [
+        "judge", "--config", str(config_path), "--model", "mock-judge", "--modality", "full",
+        "--out", str(out),
+    ]
+    assert main(argv) == 0
+    failed = int(re.search(r"\((\d+) failed", capsys.readouterr().out).group(1))
+    assert failed > 0
+    ledger = json.loads((tmp_path / "judged.errors.json").read_text())
+    reasons = [task["reason"] for task in ledger["failed_tasks"]]
+    assert reasons == ["backend reply content is None, not a string"] * failed

@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import csv
+import gc
 import json
 import shutil
+import warnings
 from dataclasses import replace
 
 import pytest
@@ -44,6 +46,31 @@ def test_full_run_produces_all_stage_outputs(toy_experiment):
         "cache.jsonl",
     ):
         assert (out / rel).exists(), rel
+
+
+@pytest.mark.parametrize("model", ["mock-judge", "m.1"])
+def test_bundle_layout_of_the_stage_files(tmp_path, model):
+    # a dot in the model name stays in every file name of its cells
+    config_path = build_toy_experiment(tmp_path)
+    text = config_path.read_text().replace("models = mock-judge\n", f"models = {model}\n")
+    config_path.write_text(text)
+    prices = json.loads((tmp_path / "prices.json").read_text())
+    (tmp_path / "prices.json").write_text(json.dumps({model: prices["mock-judge"]}))
+    out = run_pipeline(load_config(config_path)).output_dir
+    exts = (".qrels", ".qrels.meta.json", ".errors.json", ".usage.json")
+    cells = {f"judgments/{model}__{m}{ext}" for m in ("full", "summ-80", "summ-120") for ext in exts}
+    summaries = {f"summaries/summ{b}{ext}" for b in (80, 120) for ext in (".jsonl", ".usage.json")}
+    written = {str(p.relative_to(out)) for d in ("judgments", "summaries") for p in (out / d).iterdir()}
+    assert written == cells | summaries
+
+
+def test_a_run_closes_the_cache_file_it_opened(toy_experiment):
+    gc.collect()  # what earlier tests left open warns now, not below
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        run_pipeline(load_config(toy_experiment))
+        gc.collect()
+    assert [str(w.message) for w in caught if issubclass(w.category, ResourceWarning)] == []
 
 
 def test_one_judgment_set_per_model_modality(toy_experiment):

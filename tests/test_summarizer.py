@@ -143,6 +143,30 @@ def test_write_read_round_trip(tmp_path):
     assert loaded.records == summaries.records
 
 
+def test_summary_file_bytes_are_pinned(tmp_path):
+    # one NO_CONTENT record, one non-ASCII text and one record with both flags
+    class _Canned:
+        def send(self, req, request_hash):
+            if "café" in req.user_text:
+                return BackendReply(text="café — 東京", input_tokens=9, output_tokens=4)
+            return BackendReply(text="verbose", input_tokens=9, output_tokens=500)
+
+    gw = Gateway(_Canned(), tmp_path / "cache.jsonl", sleep=lambda _s: None)
+    corpus = _corpus(d1="", d2="un café au lait bien chaud", d3="short doc")
+    summaries = summarize_corpus(corpus, 80, gw, "m", template="About <N> tokens: <DOC>")
+    path = tmp_path / "summ.jsonl"
+    write_summaries(summaries, path)
+    sha = "11dc6fb2224568ed267fca84435059d6e7a1353e765a01c8dfbbfe9747295898"
+    assert path.read_bytes() == (
+        '{"budget_tokens": 80, "doc_id": "d1", "flags": [], "model": "m", '
+        f'"output_token_count": 0, "prompt_sha256": "{sha}", "text": "NO_CONTENT"}}\n'
+        '{"budget_tokens": 80, "doc_id": "d2", "flags": [], "model": "m", '
+        f'"output_token_count": 4, "prompt_sha256": "{sha}", "text": "café — 東京"}}\n'
+        '{"budget_tokens": 80, "doc_id": "d3", "flags": ["over_budget", "longer_than_source"], '
+        f'"model": "m", "output_token_count": 500, "prompt_sha256": "{sha}", "text": "verbose"}}\n'
+    ).encode("utf-8")
+
+
 def test_template_without_markers_rejected(tmp_path):
     bad = tmp_path / "bad.txt"
     bad.write_text("no placeholders here")

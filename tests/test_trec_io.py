@@ -320,6 +320,18 @@ def test_every_text_read_drops_a_byte_order_mark():
     assert offenders == [], "text read without encoding='utf-8-sig'"
 
 
+def test_no_source_line_is_longer_than_100_characters():
+    # keeps line counts comparable: joining lines does not shorten the code
+    src = Path(__file__).resolve().parents[1] / "src" / "judgeval"
+    offenders = [
+        f"{path}:{line_no} ({len(line)})"
+        for path in sorted(src.rglob("*.py"))
+        for line_no, line in enumerate(path.read_text(encoding="utf-8-sig").splitlines(), 1)
+        if len(line) > 100
+    ]
+    assert offenders == []
+
+
 def test_the_bom_lint_flags_plain_text_reads():
     tree = ast.parse(
         "open(p)\nopen(p, 'r', encoding='utf-8')\np.read_text()\nopen(p, mode)\n"
