@@ -10,6 +10,7 @@ Exit codes: 0 success, 1 fatal stage error, 2 configuration error.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import fields, replace
 from pathlib import Path
@@ -279,7 +280,7 @@ def _cmd_stability(args) -> int:
         report = stability_report(
             scores_h, scores_l, rbo_p=args.rbo_p, n_resamples=args.resamples, seed=args.seed
         )
-    except ValueError as exc:  # the tables differ in runs, or hold fewer than two
+    except ValueError as exc:  # the tables differ in runs
         raise ConfigError(f"{args.per_topic_h} and {args.per_topic_l}: {exc}") from exc
     cell = (args.model, args.modality, report)
     _emit(reports.stability_csv(args.dataset, [cell]), args.out)
@@ -292,8 +293,8 @@ def _cmd_cost(args) -> int:
         if args.pairs is None or args.avg_tokens is None:
             raise ConfigError("--extrapolate needs --pairs and --avg-tokens")
         _check(
-            min(args.pairs, args.avg_tokens, args.overhead) >= 0,
-            "--pairs, --avg-tokens and --overhead must be >= 0",
+            all(math.isfinite(v) and v >= 0 for v in (args.pairs, args.avg_tokens, args.overhead)),
+            "--pairs, --avg-tokens and --overhead must be finite and >= 0",
         )
         report = extrapolate(
             args.pairs,

@@ -9,6 +9,7 @@ per-call prompt overhead kept as an explicit parameter.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable
@@ -24,8 +25,9 @@ class Price:
     output_usd_per_1m: float
 
     def __post_init__(self) -> None:
-        if self.input_usd_per_1m < 0 or self.output_usd_per_1m < 0:
-            raise ValueError("prices must be non-negative")
+        prices = self.input_usd_per_1m, self.output_usd_per_1m
+        if not all(math.isfinite(price) and price >= 0 for price in prices):  # json reads NaN
+            raise ValueError(f"prices {prices} must be finite and non-negative")
 
     def usd(self, input_tokens: int, output_tokens: int) -> float:
         return (
@@ -127,8 +129,9 @@ def extrapolate(
     modality: str = "full",
 ) -> CostReport:
     """Project input-token usage and cost for judging ``pairs`` pairs."""
-    if pairs < 0 or avg_tokens_per_pair < 0 or overhead_tokens_per_call < 0:
-        raise ValueError("extrapolation inputs must be non-negative")
+    inputs = pairs, avg_tokens_per_pair, overhead_tokens_per_call
+    if not all(math.isfinite(value) and value >= 0 for value in inputs):
+        raise ValueError("extrapolation inputs must be finite and non-negative")
     input_tokens = int(round(pairs * (avg_tokens_per_pair + overhead_tokens_per_call)))
     return CostReport(
         stage=stage,

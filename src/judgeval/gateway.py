@@ -133,15 +133,14 @@ class ResponseCache:
     An unterminated last line, which is what an append cut short leaves, is
     dropped and cut from the file; any other unreadable line is an error.
     Keys beyond the five that ``put`` writes, such as the time stamp that
-    older caches carry, are ignored. The cache keeps the digest of its file,
-    ``file_sha256``, running over the bytes the load kept and each ``put`` wrote.
+    older caches carry, are ignored. The cache keeps no digest of its file:
+    the pipeline hashes it once, when a run ends.
     """
 
     def __init__(self, path: str | Path):
         self.path = Path(path)
         self._entries: dict[str, CacheEntry] = {}
         self._append = None  # the one append handle, opened by the first put
-        self._sha256 = hashlib.sha256()
         if self.path.exists():
             self._load()
 
@@ -158,7 +157,6 @@ class ResponseCache:
                     os.truncate(self.path, size)
                     break
                 size += len(line)
-                self._sha256.update(line)
                 line = line.strip()
                 if not line:
                     continue
@@ -193,7 +191,6 @@ class ResponseCache:
             self._append = open(self.path, "ab")
         self._append.write(line)
         self._append.flush()  # a crash loses at most the line being written
-        self._sha256.update(line)
         self._entries[entry.request_hash] = entry
 
     def close(self) -> None:
@@ -201,9 +198,6 @@ class ResponseCache:
         if self._append is not None:
             self._append.close()
             self._append = None
-
-    def file_sha256(self) -> str:
-        return self._sha256.hexdigest()
 
     def entries(self) -> Iterator[CacheEntry]:
         return iter(self._entries.values())

@@ -23,8 +23,10 @@ methods as the stages.
 A stage hands its result on in memory: whatever a stage produced in this
 run (summaries, judgments, the cache entries of its usage file) goes
 downstream as it is, and a bundle file is read back only when the stage
-that owns it was skipped, at most once per run. The cache's digest comes
-from the open gateway, or from one hash of the file while none is open.
+that owns it was skipped, at most once per run. The manifest lists the
+digest of ``cache.jsonl`` only when a run ends, from one hash of the file:
+the saves after each stage list stage outputs only, so a run that fails or
+is killed leaves a manifest that names no cache digest rather than a stale one.
 
 All outputs are written atomically, all floats are formatted with fixed
 precision, and no file carries a time stamp, so a bundle's bytes depend
@@ -206,7 +208,6 @@ class Experiment:
         self.summary_budgets = sorted(
             m.budget_tokens for m in config.modalities if m.kind == "summary"
         )
-        self.stage_fingerprints: dict[str, str] = {}
         self._held: dict[Path, object] = {}  # bundle file -> its content, see _recall
 
     # -- inputs, each loaded on first use --------------------------------------
@@ -327,7 +328,9 @@ class Experiment:
             return {}
         return {name: record for name, record in stages.items() if _is_stage_record(record)}
 
-    def _save_manifest(self) -> None:
+    def _save_manifest(self, *, with_cache: bool = False) -> None:
+        """Write the manifest of the stage records. Only the save that ends a
+        run passes ``with_cache``, to list the digest of ``cache.jsonl`` too."""
         files: dict[str, str] = {}
         for record in self.records.values():
             files.update(record["outputs"])
@@ -335,13 +338,8 @@ class Experiment:
         # so it is not a bundle file
         cache = self.config.resolved_cache_path().resolve()
         out = self.out.resolve()
-        if cache.is_relative_to(out) and cache.exists():
-            rel = str(cache.relative_to(out))
-            gateway = self.__dict__.get("gateway")  # None when no stage opened it
-            # with no gateway open nothing writes the cache: hash the file once per run
-            files[rel] = gateway.cache.file_sha256() if gateway else self._recall(
-                self.out / rel, sha256_file
-            )
+        if with_cache and cache.is_relative_to(out) and cache.exists():
+            files[str(cache.relative_to(out))] = sha256_file(cache)
         manifest = {
             "tool": "judgeval",
             "version": __version__,
@@ -367,7 +365,6 @@ class Experiment:
         fingerprint = hashlib.sha256(
             _canonical({"stage": name, "version": __version__, "inputs": inputs}).encode()
         ).hexdigest()
-        self.stage_fingerprints[name] = fingerprint
         record = self.records.get(name)
         if (
             not self.force
@@ -382,6 +379,8 @@ class Experiment:
         ):
             self.outcomes.append(StageOutcome(name, "skipped"))
             return
+        if "ran" not in (outcome.status for outcome in self.outcomes):
+            self._save_manifest()  # the first stage to run drops a cache digest listed before
         try:
             producer()
         except (JudgevalError, ValueError) as exc:
@@ -422,7 +421,7 @@ class Experiment:
             for name, outputs, inputs, texts in REPORT_STAGES:
                 self._report_stage(name, outputs, inputs, texts)
             # config_hash covers fields no stage fingerprint does (max_attempts)
-            self._save_manifest()
+            self._save_manifest(with_cache=True)
         gateway = self.__dict__.get("gateway")  # None when no stage opened it
         return PipelineResult(
             outcomes=self.outcomes,
@@ -454,7 +453,7 @@ class Experiment:
             "topics": self.input_digests["topics"],
             "corpus": self.input_digests["corpus"],
             "summaries": (
-                self.stage_fingerprints.get(f"summarize:{modality.budget_tokens}")
+                self.records[f"summarize:{modality.budget_tokens}"]["fingerprint"]
                 if modality.kind == "summary"
                 else None
             ),
@@ -587,10 +586,10 @@ _REPORT_INPUTS: dict[str, Callable[[Experiment], object]] = {
     # [cell, fingerprint] in the config's cell order, which the reports list
     # cells in: a list, so a reordered config is a changed input
     "judges": lambda x: [
-        [f"{m}:{mod}", x.stage_fingerprints[f"judge:{m}:{mod}"]] for m, mod in x._cells()
+        [f"{m}:{mod}", x.records[f"judge:{m}:{mod}"]["fingerprint"]] for m, mod in x._cells()
     ],
-    "effectiveness": lambda x: x.stage_fingerprints["effectiveness"],
-    "summarize": lambda x: {f"summ:{b}": x.stage_fingerprints[f"summarize:{b}"]
+    "effectiveness": lambda x: x.records["effectiveness"]["fingerprint"],
+    "summarize": lambda x: {f"summ:{b}": x.records[f"summarize:{b}"]["fingerprint"]
                             for b in x.summary_budgets},
     "prices": lambda x: {model: [price.input_usd_per_1m, price.output_usd_per_1m]
                          for model, price in sorted(x.prices.items())},

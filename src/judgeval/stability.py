@@ -73,10 +73,7 @@ def _shared(scores_h: SystemScores, scores_l: SystemScores) -> tuple[list[str], 
     only_l = sorted(set(scores_l.per_system) - set(scores_h.per_system))
     if only_h or only_l:
         raise ValueError(f"run sets differ: only human-side {only_h}, only LLM-side {only_l}")
-    systems = scores_h.systems()
-    if len(systems) < 2:
-        raise ValueError("need at least two systems")
-    return systems, sorted(set(scores_h.topics) & set(scores_l.topics))
+    return scores_h.systems(), sorted(set(scores_h.topics) & set(scores_l.topics))
 
 
 def _tau_b(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -178,6 +175,8 @@ def bootstrap_tau_ci(
     """
     import numpy as np
     systems, topics = _shared(scores_h, scores_l)
+    if len(systems) < 2:
+        raise ValueError("need at least two systems")
     if len(topics) < 2:
         raise ValueError("need at least two shared evaluated topics")
     h_matrix = np.array([[scores_h.per_topic[s][t] for t in topics] for s in systems])
@@ -224,10 +223,10 @@ def stability_report(
     seed: int = 0,
 ) -> StabilityReport:
     """Tau, rho, RBO and the tau CI between two score sources, all over the
-    topics both evaluated; with fewer than two such topics each is undefined
-    (UNDEFINED or None)."""
+    topics both evaluated; with fewer than two systems or two such topics
+    each is undefined (UNDEFINED or None)."""
     systems, topics = _shared(scores_h, scores_l)
-    if len(topics) < 2:
+    if len(systems) < 2 or len(topics) < 2:
         return StabilityReport(
             scores_h.metric, UNDEFINED, UNDEFINED, UNDEFINED, rbo=None, rbo_p=rbo_p,
             tau_ci_low=None, tau_ci_high=None, n_resamples=n_resamples, seed=seed,

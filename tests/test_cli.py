@@ -427,9 +427,14 @@ def test_stability_rejects_non_positive_resamples(toy_bundle, capsys, resamples)
         (["stability", "--per-topic-h", "{per_topic}", "--per-topic-l", "{per_topic}",
           "--metric", "map", "--rbo-p", "1.5"], "--rbo-p"),
         (["cost", "--extrapolate", "--pairs", "-1", "--avg-tokens", "3"], "--pairs"),
+        (["cost", "--extrapolate", "--pairs", "10", "--avg-tokens", "nan"], "--avg-tokens"),
+        (["cost", "--extrapolate", "--pairs", "10", "--avg-tokens", "inf"], "--avg-tokens"),
+        (["cost", "--extrapolate", "--pairs", "10", "--avg-tokens", "3", "--overhead", "nan"],
+         "--overhead"),
         (["effectiveness", "--qrels", "{qrels}", "--runs-dir", "{qrels}"], "{qrels}"),
     ],
-    ids=["budget", "k", "eff-threshold", "agreement-threshold", "rbo-p", "pairs", "runs-dir"],
+    ids=["budget", "k", "eff-threshold", "agreement-threshold", "rbo-p", "pairs",
+         "avg-tokens-nan", "avg-tokens-inf", "overhead-nan", "runs-dir"],
 )
 def test_out_of_range_flags_are_config_errors(toy_bundle, tmp_path, capsys, argv, flag):
     per_topic = tmp_path / "per_topic.csv"  # one qrels source, so only --rbo-p is wrong

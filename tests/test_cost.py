@@ -18,6 +18,8 @@ from judgeval.cost import (
 from judgeval.errors import ParseError, PricingError
 from judgeval.gateway import CacheEntry
 
+NAN, INF = float("nan"), float("inf")
+
 
 def _entry(model="gpt-4o", in_tok=100, out_tok=10, h="x"):
     return CacheEntry(
@@ -79,6 +81,12 @@ def test_extrapolate_rejects_negative_inputs():
         extrapolate(1, -363.0, 0.0, Price(2.5, 10.0))
 
 
+@pytest.mark.parametrize("avg, overhead", [(NAN, 0.0), (INF, 0.0), (363.0, NAN), (363.0, INF)])
+def test_extrapolate_rejects_non_finite_inputs(avg, overhead):
+    with pytest.raises(ValueError, match="finite"):
+        extrapolate(10, avg, overhead, Price(2.5, 10.0))
+
+
 def test_summary_reduction_ratio_matches_published_pool_totals():
     # judged-pool totals: 7.7M under 80-token summaries vs 13.3M full
     reduction = 1.0 - 7.7 / 13.3
@@ -98,6 +106,16 @@ def test_price_validation_and_table_io(tmp_path):
         table_path.write_text(json.dumps(bad))
         with pytest.raises(ParseError):
             load_price_table(table_path)
+
+
+@pytest.mark.parametrize("value", [NAN, INF, -INF])
+def test_non_finite_prices_are_rejected(tmp_path, value):
+    with pytest.raises(ValueError, match="finite"):
+        Price(1.0, value)
+    table_path = tmp_path / "prices.json"  # json reads the NaN and Infinity tokens
+    table_path.write_text(json.dumps({"m1": {"input_usd_per_1m": value, "output_usd_per_1m": 6.0}}))
+    with pytest.raises(ParseError, match="bad price table"):
+        load_price_table(table_path)
 
 
 def test_tally_reproducible_from_cache_entries_alone():

@@ -29,7 +29,6 @@ from judgeval.gateway import (
     TransportError,
     count_tokens,
 )
-from judgeval.pipeline import sha256_file
 
 
 def _req(text="hello there", **kwargs):
@@ -260,37 +259,6 @@ def test_corrupt_line_before_the_last_stays_an_error(tmp_path):
     with pytest.raises(GatewayError, match=r"cache\.jsonl:1"):
         ResponseCache(path)
     assert path.read_bytes() == data
-
-
-def test_cache_digest_is_the_file_digest(tmp_path, capsys):
-    path = tmp_path / "cache.jsonl"
-    cache = ResponseCache(path)  # a new file
-    for i in range(3):
-        cache.put(CacheEntry(f"n{i}", "m", f"réponse {i}", i, 1))
-    assert cache.file_sha256() == sha256_file(path)
-
-    cache = ResponseCache(path)  # an existing file, appended to
-    assert cache.file_sha256() == sha256_file(path)
-    cache.put(CacheEntry("n3", "m", "plus tard", 3, 1))
-    assert cache.file_sha256() == sha256_file(path)
-
-    last = _cache_line(2)
-    for cut in range(1, len(last)):  # a load that cuts an unterminated last line
-        path.write_bytes(_cache_line(0) + _cache_line(1) + last[:cut])
-        cache = ResponseCache(path)
-        assert "unterminated" in capsys.readouterr().err
-        assert cache.file_sha256() == sha256_file(path)
-        cache.put(CacheEntry("h9", "m", "après", 1, 1))
-        cache.put(CacheEntry("h10", "m", "encore", 1, 1))
-        assert cache.file_sha256() == sha256_file(path)
-
-    # an older cache: lines with a "ts" key, and a blank line the load skips
-    path.write_bytes(_cache_line(0) + b"\n" + _cache_line(1))
-    cache = ResponseCache(path)
-    assert len(cache) == 2
-    assert cache.file_sha256() == sha256_file(path)
-    cache.put(CacheEntry("h2", "m", "neu", 1, 1))
-    assert cache.file_sha256() == sha256_file(path)
 
 
 class _CountingBackend:

@@ -15,9 +15,9 @@ from conftest import EMPTY_DOC, build_toy_experiment, bundle_digests
 from judgeval import pipeline
 from judgeval.cli import main
 from judgeval.config import load_config
-from judgeval.errors import ConfigError
+from judgeval.errors import ConfigError, JudgevalError
 from judgeval.gateway import ChatRequest, Gateway, ResponseCache
-from judgeval.pipeline import run_pipeline
+from judgeval.pipeline import StageError, run_pipeline
 from judgeval.trec_io import parse_qrels, summary_modality
 
 
@@ -87,17 +87,77 @@ def test_one_judgment_set_per_model_modality(toy_experiment):
     assert budgets == {80, 120}
 
 
-def test_manifest_lists_every_emitted_file_with_correct_digest(toy_experiment):
+@pytest.mark.parametrize("shape", ["cold", "warm", "force", "reports-deleted"])
+def test_manifest_lists_every_emitted_file_with_correct_digest(toy_experiment, monkeypatch, shape):
     config = load_config(toy_experiment)
-    result = run_pipeline(config)
+    if shape != "cold":
+        out = run_pipeline(config).output_dir
+        if shape == "reports-deleted":
+            shutil.rmtree(out / "reports")
+    hashed = []
+    original = pipeline.sha256_file
+    monkeypatch.setattr(pipeline, "sha256_file", lambda p: hashed.append(p.name) or original(p))
+    result = run_pipeline(config, force=shape == "force")
     out = result.output_dir
     manifest = json.loads((out / "manifest.json").read_text())
     on_disk = bundle_digests(out)
     on_disk.pop("manifest.json")  # the manifest cannot contain its own digest
     assert manifest["files"] == on_disk
+    assert hashed.count("cache.jsonl") == 1  # once, when the run ends
     assert manifest["config_hash"] == config.config_hash()
     assert manifest["seed"] == 42
     assert len(manifest["prompts"]["summary_sha256"]) == 64
+
+
+@pytest.mark.parametrize("models, failing_call", [(["mock-judge"], 2), (["mock-judge", "m2"], 1)],
+                         ids=["cold", "resumed"])
+def test_a_failed_run_lists_only_true_digests(toy_experiment, monkeypatch, models, failing_call):
+    # the failing judge stage appends its replies to the cache before it fails
+    config = load_config(toy_experiment)
+    if failing_call == 1:  # a complete bundle first, then one more model
+        run_pipeline(config)
+    calls = []
+    original = pipeline.judge_pool
+
+    def failing(*args, **kwargs):
+        result = original(*args, **kwargs)
+        calls.append(result)
+        if len(calls) == failing_call:
+            raise JudgevalError("judge failed after caching its replies")
+        return result
+
+    monkeypatch.setattr(pipeline, "judge_pool", failing)
+    with pytest.raises(StageError):
+        run_pipeline(replace(config, models=models))
+    out = config.output_dir
+    listed = json.loads((out / "manifest.json").read_text())["files"]
+    assert listed
+    assert "cache.jsonl" not in listed
+    assert listed == {rel: digest for rel, digest in bundle_digests(out).items() if rel in listed}
+
+
+def test_a_one_run_experiment_leaves_stability_undefined(toy_experiment, tmp_path, capsys):
+    for run in sorted((tmp_path / "runs").iterdir())[1:]:
+        run.unlink()
+    assert main(["run", "--config", str(toy_experiment)]) == 0
+    reports = tmp_path / "out" / "reports"
+    assert (reports / "cost.csv").exists()
+    rows = list(csv.DictReader((reports / "stability.csv").open()))
+    assert len(rows) == 6
+    # tau through rbo are empty; p, B and seed are still filled in
+    undefined = ("tau", "tau_lo", "tau_hi", "spearman", "pearson", "rbo")
+    assert all(all(row[key] == "" for key in undefined) and row["B"] == "500" for row in rows)
+
+    per_topic = tmp_path / "per_topic.csv"  # the same for the stability subcommand
+    eff = ["effectiveness", "--qrels", str(tmp_path / "qrels.txt"),
+           "--runs-dir", str(tmp_path / "runs"), "--per-topic-out", str(per_topic)]
+    assert main(eff) == 0
+    capsys.readouterr()
+    argv = ["stability", "--per-topic-h", str(per_topic), "--per-topic-l", str(per_topic),
+            "--metric", "map", "--resamples", "50"]
+    assert main(argv) == 0
+    [row] = csv.DictReader(capsys.readouterr().out.splitlines())
+    assert [row[key] for key in undefined] == [""] * 6
 
 
 def test_rerun_skips_everything_with_zero_backend_calls(toy_experiment):

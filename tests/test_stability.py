@@ -340,12 +340,8 @@ def test_vectorized_bootstrap_matches_loop(monkeypatch, block, n_resamples):
         assert high == pytest.approx(ref_high, abs=1e-12)
 
 
-def test_bootstrap_needs_two_topics():
-    h = {"s1": {"t1": 0.5}, "s2": {"t1": 0.2}}
-    scores = _scores("map", h)
-    with pytest.raises(ValueError):
-        bootstrap_tau_ci(scores, scores, n_resamples=10, seed=1)
-    # the report leaves every statistic undefined instead
+def _assert_undefined(scores: SystemScores) -> None:
+    """The report leaves every statistic undefined where the bootstrap raises."""
     report = stability_report(scores, scores, n_resamples=10, seed=1)
     stats = (report.kendall_tau, report.spearman_rho, report.pearson_rho)
     assert stats == (UNDEFINED,) * 3
@@ -353,10 +349,19 @@ def test_bootstrap_needs_two_topics():
     assert (report.rbo_p, report.n_resamples, report.seed) == (0.9, 10, 1)
 
 
+def test_bootstrap_needs_two_topics():
+    h = {"s1": {"t1": 0.5}, "s2": {"t1": 0.2}}
+    scores = _scores("map", h)
+    with pytest.raises(ValueError):
+        bootstrap_tau_ci(scores, scores, n_resamples=10, seed=1)
+    _assert_undefined(scores)
+
+
 def test_bootstrap_needs_two_systems():
     scores = _scores("map", {"s1": {"t1": 0.5, "t2": 0.2}})
     with pytest.raises(ValueError, match="two systems"):
         bootstrap_tau_ci(scores, scores, n_resamples=10, seed=1)
+    _assert_undefined(scores)
 
 
 # -- report assembly ------------------------------------------------------------
