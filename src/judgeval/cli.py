@@ -10,7 +10,6 @@ Exit codes: 0 success, 1 fatal stage error, 2 configuration error.
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 from dataclasses import fields, replace
 from pathlib import Path
@@ -243,13 +242,12 @@ def _cmd_agreement(args) -> int:
 def _cmd_effectiveness(args) -> int:
     _check(args.k >= 1, "--k must be >= 1")
     _check(args.threshold in VALID_GRADES[1:], "--threshold must be 1, 2 or 3")
-    qrels = parse_qrels(args.qrels)
-    runs = load_runs_dir(args.runs_dir)
-    by_metric = effectiveness_by_metric(
-        runs, qrels, k=args.k, gain=args.gain, threshold=args.threshold
+    table = effectiveness_by_metric(
+        load_runs_dir(args.runs_dir), [("qrels", parse_qrels(args.qrels))],
+        k=args.k, gain=args.gain, threshold=args.threshold,
     )
     means, per_topic, _ = reports.effectiveness_csvs(
-        [row for metric in sorted(by_metric) for row in by_metric[metric]]
+        [row for key in sorted(table) for row in table[key]]
     )
     _emit(means, args.out)
     if args.per_topic_out:
@@ -292,18 +290,13 @@ def _cmd_cost(args) -> int:
     if args.extrapolate:
         if args.pairs is None or args.avg_tokens is None:
             raise ConfigError("--extrapolate needs --pairs and --avg-tokens")
-        _check(
-            all(math.isfinite(v) and v >= 0 for v in (args.pairs, args.avg_tokens, args.overhead)),
-            "--pairs, --avg-tokens and --overhead must be finite and >= 0",
-        )
-        report = extrapolate(
-            args.pairs,
-            args.avg_tokens,
-            args.overhead,
-            price_for(args.model, prices),
-            stage=args.stage,
-            modality=args.modality,
-        )
+        try:
+            report = extrapolate(
+                args.pairs, args.avg_tokens, args.overhead, price_for(args.model, prices),
+                stage=args.stage, modality=args.modality,
+            )
+        except ValueError as exc:
+            raise ConfigError(f"bad --pairs, --avg-tokens or --overhead: {exc}") from exc
     else:
         if not args.cache:
             raise ConfigError("either --cache or --extrapolate is required")

@@ -128,11 +128,18 @@ def extrapolate(
     stage: str = "judgment",
     modality: str = "full",
 ) -> CostReport:
-    """Project input-token usage and cost for judging ``pairs`` pairs."""
+    """Project input-token usage and cost for judging ``pairs`` pairs. The
+    inputs must be non-negative, and they and the token total finite."""
     inputs = pairs, avg_tokens_per_pair, overhead_tokens_per_call
-    if not all(math.isfinite(value) and value >= 0 for value in inputs):
+    if not all(value >= 0 for value in inputs):  # False for NaN
         raise ValueError("extrapolation inputs must be finite and non-negative")
-    input_tokens = int(round(pairs * (avg_tokens_per_pair + overhead_tokens_per_call)))
+    try:
+        tokens = pairs * (avg_tokens_per_pair + overhead_tokens_per_call)
+    except OverflowError:  # pairs is an int too large for a float
+        tokens = math.inf
+    if not math.isfinite(tokens):
+        raise ValueError(f"the extrapolated token total {tokens} is not finite")
+    input_tokens = int(round(tokens))
     return CostReport(
         stage=stage,
         modality=modality,

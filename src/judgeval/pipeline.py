@@ -15,7 +15,10 @@ the outputs' texts. Its inputs are built when the stage is reached, since
 
 An ``Experiment`` loads each input (corpus, topics, qrels, runs, response
 cache) the first time a stage that runs needs it, so a run that skips every
-stage reads only the input digests and the manifest. It is also the one
+stage reads only the input digests and the manifest. Run files are streamed,
+one parsed run at a time, by each use: a cold ``pool = runs`` run parses each
+file twice, for the pool and for the effectiveness stage. The corpus is
+released before the report stages, which do not read it. It is also the one
 wiring from a config to summarizer and judge calls, and the one writer of
 their files: the ``summarize`` and ``judge`` subcommands call the same two
 methods as the stages.
@@ -43,7 +46,7 @@ import re
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Iterable
 
 from . import __version__, reports
 from .config import ExperimentConfig
@@ -153,14 +156,18 @@ def _cell_stem(model: str, modality: Modality) -> str:
 
 
 def effectiveness_by_metric(
-    runs: list[Run], judgments: JudgmentSet, *, k: int, gain: str, threshold: int
-) -> dict[str, list[EffectivenessRow]]:
-    """NDCG@k (graded) and AP (binarized at ``threshold``) of every run under
-    one judgment set, keyed by metric name."""
-    ndcg_rows = [ndcg_at_k(run, judgments, k=k, gain=gain) for run in runs]
-    binary = binarize(judgments, threshold)
-    map_rows = [average_precision(run, binary) for run in runs]
-    return {f"ndcg@{k}": ndcg_rows, "map": map_rows}
+    runs: Iterable[Run], qrels: list[tuple[str, JudgmentSet]], *, k: int, gain: str, threshold: int
+) -> dict[tuple[str, str], list[EffectivenessRow]]:
+    """(qrels label, metric) -> NDCG@k and AP (binarized at ``threshold``) rows,
+    sorted by run tag. Each run is scored under every source, then dropped."""
+    graded = [(label, judgments, binarize(judgments, threshold)) for label, judgments in qrels]
+    table = {(label, metric): [] for label, _ in qrels for metric in (f"ndcg@{k}", "map")}
+    for run in runs:
+        for label, judgments, binary in graded:
+            table[(label, f"ndcg@{k}")].append(ndcg_at_k(run, judgments, k=k, gain=gain))
+            table[(label, "map")].append(average_precision(run, binary))
+        del run  # not held while the next one is parsed
+    return {key: sorted(rows, key=lambda row: row.run_tag) for key, rows in table.items()}
 
 
 def run_pipeline(config: ExperimentConfig, *, force: bool = False) -> PipelineResult:
@@ -240,24 +247,16 @@ class Experiment:
         return parse_qrels(self.config.qrels)
 
     @cached_property
-    def runs(self) -> list[Run]:
-        return load_runs_dir(self.config.runs_dir)
-
-    @cached_property
     def pool(self) -> list[tuple[str, str]]:
         """The (topic, doc) pairs to judge: every human-judged pair, or with
         ``pool = runs`` the union of each run's top ``pool_depth`` documents."""
         if self.config.pool == "qrels":
             return sorted(self.human.grades)
-        depth = self.config.pool_depth
-        return sorted(
-            {
-                (topic_id, doc_id)
-                for run in self.runs
-                for topic_id, ranking in run.topics.items()
-                for doc_id in ranking[:depth]
-            }
-        )
+        depth, pairs = self.config.pool_depth, set()
+        for run in load_runs_dir(self.config.runs_dir):
+            pairs.update((t, doc) for t, ranking in run.topics.items() for doc in ranking[:depth])
+            del run  # not held while the next one is parsed
+        return sorted(pairs)
 
     # -- summarizer and judge calls --------------------------------------------
 
@@ -418,6 +417,7 @@ class Experiment:
                 self._judge_stage(model, modality)
             for budget in self.summary_budgets:  # no report reads them; held, they raise the peak
                 self._held.pop(self.out / f"{_summary_stem(budget)}.jsonl", None)
+            self.__dict__.pop("corpus", None)  # nor the corpus
             for name, outputs, inputs, texts in REPORT_STAGES:
                 self._report_stage(name, outputs, inputs, texts)
             # config_hash covers fields no stage fingerprint does (max_attempts)
@@ -512,14 +512,10 @@ class Experiment:
             (f"{model}:{modality}", judged) for model, modality, judged in self._judged_cells()
         ]
         config = self.config
-        table: dict[tuple[str, str], list[EffectivenessRow]] = {}
-        for label, judgments in sources:
-            by_metric = effectiveness_by_metric(
-                self.runs, judgments,
-                k=config.ndcg_k, gain=config.gain, threshold=config.binarize_threshold,
-            )
-            table.update({(label, metric): rows for metric, rows in by_metric.items()})
-        return table
+        return effectiveness_by_metric(
+            load_runs_dir(config.runs_dir), sources,
+            k=config.ndcg_k, gain=config.gain, threshold=config.binarize_threshold,
+        )
 
     def _against_human(self, metric: str) -> list[tuple[str, str, list, list]]:
         """``(model, modality, human rows, cell rows)`` per cell under ``metric``."""

@@ -23,7 +23,7 @@ fields at declared types (``json_records``: the corpus and summary
 files), and one JSON document (``read_json``: sidecars, usage files,
 price tables and the manifest), which ``write_json`` writes. The config,
 prompt templates and per-topic CSV tables have readers of their own, and
-the response cache is read as bytes, whose digest it keeps.
+the response cache is read as bytes.
 
 Parsing is pure per-file and every returned structure is safe to share
 across threads once built. Malformed input raises ParseError with the
@@ -361,15 +361,17 @@ def parse_run(path: str | Path) -> Run:
     )
 
 
-def load_runs_dir(path: str | Path) -> list[Run]:
-    """Parse every regular file in a directory as a run, sorted by run tag."""
-    path = Path(path)
-    runs = [parse_run(p) for p in sorted(path.iterdir()) if p.is_file()]
-    tags = [run.run_tag for run in runs]
-    dupes = {t for t in tags if tags.count(t) > 1}
-    if dupes:
-        raise ConflictError(f"duplicate run tags across files: {sorted(dupes)}", path=str(path))
-    return sorted(runs, key=lambda run: run.run_tag)
+def load_runs_dir(path: str | Path) -> Iterator[Run]:
+    """Each regular file of a directory parsed as a run, one at a time in file-name order."""
+    tags: set[str] = set()
+    for file in sorted(Path(path).iterdir()):
+        if file.is_file():
+            run = parse_run(file)
+            if run.run_tag in tags:
+                raise ConflictError(f"duplicate run tag {run.run_tag!r}", path=str(file))
+            tags.add(run.run_tag)
+            yield run
+            del run  # the caller holds the only reference while it uses the run
 
 
 @dataclass(frozen=True)

@@ -288,6 +288,18 @@ def test_effectiveness_and_stability_subcommands(toy_experiment, tmp_path, capsy
     assert float(row["tau_hi"]) == pytest.approx(1.0)
 
 
+def test_effectiveness_subcommand_rejects_a_duplicate_run_tag(toy_experiment, tmp_path, capsys):
+    config_dir = toy_experiment.parent
+    runs, out = config_dir / "runs", tmp_path / "eff.csv"
+    (runs / "zz.txt").write_text((runs / "run2.txt").read_text())
+    argv = ["effectiveness", "--qrels", str(config_dir / "qrels.txt"), "--runs-dir", str(runs)]
+    assert main([*argv, "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {runs / 'zz.txt'}: duplicate run tag 'run2'\n"
+    assert captured.out == ""
+    assert not out.exists()
+
+
 def test_cost_extrapolate_subcommand(capsys):
     assert (
         main(
@@ -431,10 +443,11 @@ def test_stability_rejects_non_positive_resamples(toy_bundle, capsys, resamples)
         (["cost", "--extrapolate", "--pairs", "10", "--avg-tokens", "inf"], "--avg-tokens"),
         (["cost", "--extrapolate", "--pairs", "10", "--avg-tokens", "3", "--overhead", "nan"],
          "--overhead"),
+        (["cost", "--extrapolate", "--pairs", "10", "--avg-tokens", "1e308"], "token total"),
         (["effectiveness", "--qrels", "{qrels}", "--runs-dir", "{qrels}"], "{qrels}"),
     ],
     ids=["budget", "k", "eff-threshold", "agreement-threshold", "rbo-p", "pairs",
-         "avg-tokens-nan", "avg-tokens-inf", "overhead-nan", "runs-dir"],
+         "avg-tokens-nan", "avg-tokens-inf", "overhead-nan", "token-total", "runs-dir"],
 )
 def test_out_of_range_flags_are_config_errors(toy_bundle, tmp_path, capsys, argv, flag):
     per_topic = tmp_path / "per_topic.csv"  # one qrels source, so only --rbo-p is wrong

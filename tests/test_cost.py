@@ -87,6 +87,12 @@ def test_extrapolate_rejects_non_finite_inputs(avg, overhead):
         extrapolate(10, avg, overhead, Price(2.5, 10.0))
 
 
+@pytest.mark.parametrize("pairs, avg", [(10, 1e308), (10**400, 363.0)], ids=["avg", "pairs"])
+def test_extrapolate_rejects_a_token_total_that_overflows(pairs, avg):
+    with pytest.raises(ValueError, match="not finite"):
+        extrapolate(pairs, avg, 0.0, Price(2.5, 10.0))
+
+
 def test_summary_reduction_ratio_matches_published_pool_totals():
     # judged-pool totals: 7.7M under 80-token summaries vs 13.3M full
     reduction = 1.0 - 7.7 / 13.3

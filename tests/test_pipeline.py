@@ -7,12 +7,14 @@ import gc
 import json
 import shutil
 import warnings
+import weakref
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
 from conftest import EMPTY_DOC, build_toy_experiment, bundle_digests
-from judgeval import pipeline
+from judgeval import pipeline, trec_io
 from judgeval.cli import main
 from judgeval.config import load_config
 from judgeval.errors import ConfigError, JudgevalError
@@ -196,9 +198,9 @@ def test_effectiveness_table_is_computed_only_when_a_stage_runs(toy_experiment, 
     sources = []
     original = pipeline.effectiveness_by_metric
 
-    def counted(runs, judgments, **kwargs):
-        sources.append(judgments.source.label())
-        return original(runs, judgments, **kwargs)
+    def counted(runs, qrels_sources, **kwargs):
+        sources.append([judgments.source.label() for _label, judgments in qrels_sources])
+        return original(runs, qrels_sources, **kwargs)
 
     monkeypatch.setattr(pipeline, "effectiveness_by_metric", counted)
     assert run_pipeline(config).stages_run() == []
@@ -208,8 +210,53 @@ def test_effectiveness_table_is_computed_only_when_a_stage_runs(toy_experiment, 
     expected = stability.read_bytes()
     stability.unlink()
     assert run_pipeline(config).stages_run() == ["stability"]
-    assert sources == ["human"] + ["mock-judge"] * 3  # one table, four qrels sources
+    assert sources == [["human"] + ["mock-judge"] * 3]  # one table, four qrels sources
     assert stability.read_bytes() == expected
+
+
+@pytest.mark.parametrize("pool, parses", [("qrels", 1), ("runs", 2)])
+def test_a_run_holds_at_most_one_parsed_run(toy_experiment, monkeypatch, pool, parses):
+    # with pool = runs a cold run parses each file for the pool and for effectiveness
+    text = toy_experiment.read_text().replace("[experiment]", f"[experiment]\npool = {pool}")
+    toy_experiment.write_text(text)
+    config = load_config(toy_experiment)
+    parsed, live = [], {"now": 0, "most": 0}
+    original = trec_io.parse_run
+
+    def died() -> None:
+        live["now"] -= 1
+
+    def tracked(path):
+        run = original(path)
+        parsed.append(Path(path).name)
+        live["now"] += 1
+        live["most"] = max(live["most"], live["now"])
+        weakref.finalize(run, died)
+        return run
+
+    monkeypatch.setattr(trec_io, "parse_run", tracked)
+    out = run_pipeline(config).output_dir
+    assert sorted(parsed) == sorted(["run1.txt", "run2.txt", "run3.txt"] * parses)
+    assert live == {"now": 0, "most": 1}
+
+    parsed.clear()
+    (out / "reports" / "stability.csv").unlink()
+    assert run_pipeline(config).stages_run() == ["stability"]
+    assert sorted(parsed) == ["run1.txt", "run2.txt", "run3.txt"]
+    assert live == {"now": 0, "most": 1}
+
+
+def test_a_duplicate_run_tag_fails_the_effectiveness_stage_before_it_writes(
+    toy_experiment, capsys
+):
+    runs = toy_experiment.parent / "runs"
+    (runs / "zz.txt").write_text((runs / "run2.txt").read_text())
+    assert main(["run", "--config", str(toy_experiment)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: stage 'effectiveness' failed: ")
+    assert "duplicate run tag 'run2'" in err
+    reports = toy_experiment.parent / "out" / "reports"
+    assert sorted(p.name for p in reports.iterdir()) == ["agreement.csv", "label_distribution.csv"]
 
 
 def test_warm_rerun_parses_only_what_a_running_stage_needs(toy_experiment, monkeypatch):

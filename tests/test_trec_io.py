@@ -213,11 +213,11 @@ def test_load_runs_dir_sorts_and_rejects_duplicate_tags(tmp_path):
     runs.mkdir()
     (runs / "b.txt").write_text("t1 Q0 d1 1 1.0 zeta\n")
     (runs / "a.txt").write_text("t1 Q0 d1 1 1.0 alpha\n")
-    loaded = load_runs_dir(runs)
+    loaded = list(load_runs_dir(runs))
     assert [r.run_tag for r in loaded] == ["alpha", "zeta"]
     (runs / "c.txt").write_text("t1 Q0 d2 1 1.0 alpha\n")
-    with pytest.raises(ConflictError):
-        load_runs_dir(runs)
+    with pytest.raises(ConflictError, match="'alpha'"):
+        list(load_runs_dir(runs))
 
 
 def _parse_qrels_with_sidecar(sidecar):
