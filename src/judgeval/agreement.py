@@ -60,7 +60,7 @@ def label_distribution(judgments: JudgmentSet) -> dict[int, Fraction]:
     """Exact share of each grade in GRADED_LABELS; the fractions sum to exactly 1."""
     if len(judgments) == 0:
         raise ValueError("cannot take the label distribution of an empty set")
-    extra = judgments.label_values() - set(GRADED_LABELS)
+    extra = judgments.label_values - set(GRADED_LABELS)
     if extra:
         raise ValueError(f"grades {sorted(extra)} outside label set {GRADED_LABELS}")
     counts = Counter(judgments.grades.values())

@@ -22,6 +22,7 @@ from .cost import (
     load_price_table,
     price_for,
     tally_observed,
+    token_counts,
     usage_entries,
 )
 from .errors import ConfigError, JudgevalError
@@ -303,10 +304,8 @@ def _cmd_cost(args) -> int:
         if not Path(args.cache).exists():
             raise ConfigError(f"cache path does not exist: {args.cache}")
         cache = ResponseCache(args.cache)
-        entries = usage_entries(args.usage, cache) if args.usage else list(cache.entries())
-        report = tally_observed(
-            entries, prices, stage=args.stage, modality=args.modality
-        )
+        usage = usage_entries(args.usage, cache) if args.usage else token_counts([*cache.entries()])
+        report = tally_observed(usage, prices, stage=args.stage, modality=args.modality)
     _emit(reports.cost_csv(args.dataset, [report]), args.out)
     return 0
 

@@ -1,8 +1,8 @@
 """Token and dollar accounting for judging stages, observed or extrapolated.
 
-Observed tallies sum the token counts recorded in the response cache for a
-caller-supplied slice of entries (the pipeline records which request hashes
-belong to each stage), so they are reproducible from the cache alone.
+Observed tallies sum the token counts the response cache records for the
+requests a stage's usage file names, taken as ``token_counts`` lists, so
+they are reproducible from the cache alone.
 Extrapolation projects a per-pair average onto a full collection, with the
 per-call prompt overhead kept as an explicit parameter.
 """
@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable
 
 from .errors import JudgevalError, ParseError, PricingError
 from .gateway import CacheEntry, ResponseCache
@@ -73,10 +72,19 @@ class CostReport:
     usd: float
 
 
-def usage_entries(usage_path: str | Path, cache: ResponseCache) -> list[CacheEntry]:
-    """Cache entries of the distinct request hashes a stage's usage file
-    records, one per hash. A hash the cache lacks is an error: leaving it out
-    would understate the cost."""
+def token_counts(entries: list[CacheEntry]) -> tuple[list[str], list[int], list[int]]:
+    """Model, input and output tokens of each entry, as three lists without its reply text."""
+    return (
+        [entry.model for entry in entries],
+        [entry.input_tokens for entry in entries],
+        [entry.output_tokens for entry in entries],
+    )
+
+
+def usage_entries(usage_path: str | Path, cache: ResponseCache) -> tuple[list, list, list]:
+    """Token counts of the distinct request hashes a stage's usage file
+    records, in its order, read from the cache. A hash the cache lacks is an
+    error: leaving it out would understate the cost."""
     usage = read_json(usage_path, "usage file")
     hashes = usage.get("request_hashes") if isinstance(usage, dict) else None
     if not isinstance(hashes, list) or not all(isinstance(h, str) for h in hashes):
@@ -85,36 +93,32 @@ def usage_entries(usage_path: str | Path, cache: ResponseCache) -> list[CacheEnt
             path=str(usage_path),
         )
     entries = [cache.get(request_hash) for request_hash in hashes]
-    missing = entries.count(None)
-    if missing:
+    if missing := entries.count(None):
         raise JudgevalError(
             f"{usage_path}: {missing} of {len(hashes)} request hashes "
             f"are not in the cache {cache.path}"
         )
-    return entries
+    return token_counts(entries)
 
 
 def tally_observed(
-    entries: Iterable[CacheEntry],
+    usage: tuple[list[str], list[int], list[int]],
     prices: PriceTable,
     *,
     stage: str,
     modality: str,
 ) -> CostReport:
-    """Sum recorded token usage over cache entries and price it per model."""
-    input_tokens = 0
-    output_tokens = 0
+    """Sum the recorded token counts, ``token_counts``' three lists, and price
+    each request per model, in the lists' order."""
+    models, input_tokens, output_tokens = usage
     usd = 0.0
-    for entry in entries:
-        price = price_for(entry.model, prices)
-        input_tokens += entry.input_tokens
-        output_tokens += entry.output_tokens
-        usd += price.usd(entry.input_tokens, entry.output_tokens)
+    for model, in_tok, out_tok in zip(models, input_tokens, output_tokens, strict=True):
+        usd += price_for(model, prices).usd(in_tok, out_tok)
     return CostReport(
         stage=stage,
         modality=modality,
-        input_tokens=input_tokens,
-        output_tokens=output_tokens,
+        input_tokens=sum(input_tokens),
+        output_tokens=sum(output_tokens),
         usd=usd,
     )
 

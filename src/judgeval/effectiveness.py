@@ -74,7 +74,7 @@ def average_precision(run: Run, qrels: JudgmentSet) -> EffectivenessRow:
     topic's total number of relevant documents (retrieved or not). Topics
     with R = 0 are excluded and counted.
     """
-    bad = qrels.label_values() - {0, 1}
+    bad = qrels.label_values - {0, 1}
     if bad:
         raise ValueError(
             f"average precision needs binarized qrels, found grades {sorted(bad)}"

@@ -89,7 +89,7 @@ class ChatResponse:
     request_hash: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CacheEntry:
     request_hash: str
     model: str

@@ -17,14 +17,16 @@ An ``Experiment`` loads each input (corpus, topics, qrels, runs, response
 cache) the first time a stage that runs needs it, so a run that skips every
 stage reads only the input digests and the manifest. Run files are streamed,
 one parsed run at a time, by each use: a cold ``pool = runs`` run parses each
-file twice, for the pool and for the effectiveness stage. The corpus is
-released before the report stages, which do not read it. It is also the one
+file twice, for the pool and for the effectiveness stage. Each input is
+released after its last reader: the corpus and each summary set after the
+last model's cell judged on it, and the response cache before the report
+stages if every summarize and judge stage ran. It is also the one
 wiring from a config to summarizer and judge calls, and the one writer of
 their files: the ``summarize`` and ``judge`` subcommands call the same two
 methods as the stages.
 
 A stage hands its result on in memory: whatever a stage produced in this
-run (summaries, judgments, the cache entries of its usage file) goes
+run (summaries, judgments, the token counts of its usage file) goes
 downstream as it is, and a bundle file is read back only when the stage
 that owns it was skipped, at most once per run. The manifest lists the
 digest of ``cache.jsonl`` only when a run ends, from one hash of the file:
@@ -50,7 +52,7 @@ from typing import Callable, Iterable
 
 from . import __version__, reports
 from .config import ExperimentConfig
-from .cost import DEFAULT_PRICES, CostReport, load_price_table, tally_observed, usage_entries
+from .cost import DEFAULT_PRICES, load_price_table, tally_observed, token_counts, usage_entries
 from .effectiveness import EffectivenessRow, average_precision, ndcg_at_k
 from .errors import ConfigError, JudgevalError, ParseError
 from .gateway import Gateway, HttpBackend, MockBackend
@@ -216,6 +218,7 @@ class Experiment:
             m.budget_tokens for m in config.modalities if m.kind == "summary"
         )
         self._held: dict[Path, object] = {}  # bundle file -> its content, see _recall
+        self.backend_calls = self.cache_hits = 0  # of each gateway released so far
 
     # -- inputs, each loaded on first use --------------------------------------
 
@@ -308,9 +311,11 @@ class Experiment:
         return self
 
     def __exit__(self, *exc_info) -> None:
-        """Close the response cache's file, if a stage opened the gateway."""
-        if (gateway := self.__dict__.get("gateway")) is not None:
+        """Release the gateway and close its cache's file, if a stage opened it."""
+        if (gateway := self.__dict__.pop("gateway", None)) is not None:
             gateway.cache.close()
+            self.backend_calls += gateway.backend_calls
+            self.cache_hits += gateway.cache_hits
 
     # -- manifest bookkeeping ------------------------------------------------
 
@@ -398,13 +403,9 @@ class Experiment:
 
     def _write_usage(self, path: Path, request_hashes: set[str]) -> None:
         hashes = sorted(request_hashes)
-        entries = self._held[path] = [self.gateway.cache.get(h) for h in hashes]
-        usage = {
-            "request_hashes": hashes,
-            "input_tokens": sum(entry.input_tokens for entry in entries),
-            "output_tokens": sum(entry.output_tokens for entry in entries),
-        }
-        write_json(path, usage)
+        usage = self._held[path] = token_counts([self.gateway.cache.get(h) for h in hashes])
+        tokens = {"input_tokens": sum(usage[1]), "output_tokens": sum(usage[2])}
+        write_json(path, {"request_hashes": hashes, **tokens})
 
     # -- stages ---------------------------------------------------------------
 
@@ -415,18 +416,16 @@ class Experiment:
                 self._summarize_stage(budget)
             for model, modality in self._cells():  # this order is cache.jsonl's line order
                 self._judge_stage(model, modality)
-            for budget in self.summary_budgets:  # no report reads them; held, they raise the peak
-                self._held.pop(self.out / f"{_summary_stem(budget)}.jsonl", None)
-            self.__dict__.pop("corpus", None)  # nor the corpus
+            if all(outcome.status == "ran" for outcome in self.outcomes):
+                self.__exit__()  # every usage file is held, so no report opens the cache
             for name, outputs, inputs, texts in REPORT_STAGES:
                 self._report_stage(name, outputs, inputs, texts)
             # config_hash covers fields no stage fingerprint does (max_attempts)
             self._save_manifest(with_cache=True)
-        gateway = self.__dict__.get("gateway")  # None when no stage opened it
         return PipelineResult(
             outcomes=self.outcomes,
-            backend_calls=gateway.backend_calls if gateway else 0,
-            cache_hits=gateway.cache_hits if gateway else 0,
+            backend_calls=self.backend_calls,
+            cache_hits=self.cache_hits,
             output_dir=self.out,
             manifest_path=self.manifest_path,
         )
@@ -476,6 +475,12 @@ class Experiment:
             self._recall(summaries, read_summaries) if modality.kind == "summary" else None,
             self.out / outputs[0],
         ))
+        if model != self.config.models[-1]:  # a later cell is judged on the same evidence
+            return
+        if modality.kind == "full":
+            self.__dict__.pop("corpus", None)
+        else:
+            self._held.pop(summaries, None)
 
     def _cells(self) -> list[tuple[str, Modality]]:
         config = self.config
@@ -558,12 +563,13 @@ class Experiment:
         return [reports.stability_csv(config.dataset, cells)]
 
     def _cost_texts(self) -> list[str]:
-        def read(path: Path) -> list:  # a usage file that a skipped stage left
+        def read(path: Path) -> tuple:  # a usage file that a skipped stage left
             return usage_entries(path, self.gateway.cache)
 
-        def tally(stage: str, modality: str, stems: list[str]) -> CostReport:
-            entries = [e for s in stems for e in self._recall(self.out / f"{s}.usage.json", read)]
-            return tally_observed(entries, self.prices, stage=stage, modality=modality)
+        def tally(stage: str, modality: str, stems: list[str]):
+            usages = [self._recall(self.out / f"{stem}.usage.json", read) for stem in stems]
+            usage = [sum(lists, []) for lists in zip(*usages)]  # each file's lists, joined
+            return tally_observed(usage, self.prices, stage=stage, modality=modality)
 
         budgets, config = self.summary_budgets, self.config
         tallies = [tally("summarization", f"summ:{b}", [_summary_stem(b)]) for b in budgets]

@@ -139,8 +139,9 @@ class JudgmentSet:
     def grades_for_topic(self, topic_id: str) -> dict[str, int]:
         return dict(self.by_topic.get(topic_id, {}))
 
-    def label_values(self) -> set[int]:
-        return set(self.grades.values())
+    @cached_property
+    def label_values(self) -> frozenset[int]:
+        return frozenset(self.grades.values())
 
 
 def nonblank_lines(path: Path) -> Iterator[tuple[int, str]]:

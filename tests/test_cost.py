@@ -14,6 +14,7 @@ from judgeval.cost import (
     load_price_table,
     price_for,
     tally_observed,
+    token_counts,
 )
 from judgeval.errors import ParseError, PricingError
 from judgeval.gateway import CacheEntry
@@ -32,12 +33,12 @@ def _entry(model="gpt-4o", in_tok=100, out_tok=10, h="x"):
 
 
 def test_tally_empty_cache():
-    report = tally_observed([], DEFAULT_PRICES, stage="judgment", modality="full")
+    report = tally_observed(token_counts([]), DEFAULT_PRICES, stage="judgment", modality="full")
     assert (report.input_tokens, report.output_tokens, report.usd) == (0, 0, 0.0)
 
 
 def test_tally_two_entries_exact_usd():
-    entries = [_entry(h="a"), _entry(h="b")]
+    entries = token_counts([_entry(h="a"), _entry(h="b")])
     report = tally_observed(entries, DEFAULT_PRICES, stage="judgment", modality="full")
     assert report.input_tokens == 200
     assert report.output_tokens == 20
@@ -48,7 +49,7 @@ def test_tally_two_entries_exact_usd():
 def test_tally_missing_model_names_it():
     with pytest.raises(PricingError, match="unknown-model"):
         tally_observed(
-            [_entry(model="unknown-model")],
+            token_counts([_entry(model="unknown-model")]),
             DEFAULT_PRICES,
             stage="judgment",
             modality="full",
@@ -125,7 +126,7 @@ def test_non_finite_prices_are_rejected(tmp_path, value):
 
 
 def test_tally_reproducible_from_cache_entries_alone():
-    entries = [_entry(h=f"h{i}", in_tok=i * 10, out_tok=i) for i in range(5)]
+    entries = token_counts([_entry(h=f"h{i}", in_tok=i * 10, out_tok=i) for i in range(5)])
     first = tally_observed(entries, DEFAULT_PRICES, stage="judgment", modality="full")
     second = tally_observed(entries, DEFAULT_PRICES, stage="judgment", modality="full")
     assert first == second == CostReport(

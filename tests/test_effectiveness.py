@@ -10,6 +10,7 @@ import pytest
 
 import oracles
 from judgeval.effectiveness import average_precision, ndcg_at_k
+from judgeval.judge import binarize
 from judgeval.reports import scatter_csv
 from judgeval.trec_io import JudgmentSet, Run
 
@@ -156,6 +157,25 @@ def test_ap_requires_binary_qrels():
     run = _run("r", {"t1": ["a"]})
     with pytest.raises(ValueError):
         average_precision(run, qrels)
+
+
+def test_ap_builds_the_label_set_of_a_binarized_set_once():
+    scans = []
+
+    class Grades(dict):  # counts the scans of every grade
+        def values(self):
+            scans.append(1)
+            return super().values()
+
+    graded = _qrels({"t1": {"a": 2, "b": 0, "c": 3}, "t2": {"d": 1, "e": 0}})
+    binary = binarize(graded, 2)
+    counted = JudgmentSet(grades=Grades(binary.grades))
+    runs = [_run(tag, {"t1": ["c", "a", "b"], "t2": ["e", "d"]}) for tag in ("r1", "r2", "r3")]
+    rows = [average_precision(run, counted) for run in runs]
+    assert len(scans) == 1
+    assert rows == [average_precision(run, binary) for run in runs]
+    with pytest.raises(ValueError, match=r"found grades \[2, 3\]"):
+        average_precision(runs[0], graded)
 
 
 def test_ap_unretrieved_relevant_counts_in_denominator():

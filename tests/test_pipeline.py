@@ -461,15 +461,20 @@ def test_a_cold_run_hashes_each_request_once(toy_experiment, monkeypatch):
     assert calls["digest"] == calls["complete"] > result.backend_calls
 
 
-def test_summaries_are_read_at_most_once_per_budget(tmp_path, monkeypatch):
-    # two models, so a read per judge cell would show as two per budget
-    config_path = build_toy_experiment(tmp_path)
+def _two_model_experiment(root: Path) -> Path:
+    """The toy experiment judged by two models, ``mock-judge`` and ``other``."""
+    config_path = build_toy_experiment(root)
     text = config_path.read_text().replace("models = mock-judge\n", "models = mock-judge, other\n")
     config_path.write_text(text)
-    prices = json.loads((tmp_path / "prices.json").read_text())
+    prices = json.loads((root / "prices.json").read_text())
     prices["other"] = prices["mock-judge"]
-    (tmp_path / "prices.json").write_text(json.dumps(prices))
-    config = load_config(config_path)
+    (root / "prices.json").write_text(json.dumps(prices))
+    return config_path
+
+
+def test_summaries_are_read_at_most_once_per_budget(tmp_path, monkeypatch):
+    # two models, so a read per judge cell would show as two per budget
+    config = load_config(_two_model_experiment(tmp_path))
     fresh = bundle_digests(run_pipeline(replace(config, output_dir=tmp_path / "ref")).output_dir)
 
     reads = []
@@ -509,6 +514,107 @@ def test_a_run_reads_back_only_what_skipped_stages_wrote(toy_experiment, monkeyp
     # no gateway is open until the cost stage, and nothing writes the cache
     # before then, so it is hashed once however many manifest saves come first
     assert calls.count(("sha256_file", out / "cache.jsonl")) == 1
+
+
+def test_a_run_releases_each_input_after_its_last_reader(tmp_path, monkeypatch):
+    config = load_config(_two_model_experiment(tmp_path))
+    refs: dict[str, weakref.ref] = {}
+
+    def tracked(name, fn):
+        def wrapper(*args, **kwargs):
+            result = fn(*args, **kwargs)
+            refs[name(*args)] = weakref.ref(result)
+            return result
+
+        return wrapper
+
+    load_corpus = tracked(lambda _path: "corpus", pipeline.load_corpus)
+    summarize = tracked(lambda _corpus, budget, *_: f"summ:{budget}", pipeline.summarize_corpus)
+    monkeypatch.setattr(pipeline, "load_corpus", load_corpus)
+    monkeypatch.setattr(pipeline, "summarize_corpus", summarize)
+    gateway_init = Gateway.__init__
+
+    def init(self, *args, **kwargs):
+        gateway_init(self, *args, **kwargs)
+        refs["gateway"], refs["cache"] = weakref.ref(self), weakref.ref(self.cache)
+
+    monkeypatch.setattr(Gateway, "__init__", init)
+    live = {}  # stage -> the tracked inputs alive when it ends, or for a report as it starts
+
+    def alive() -> list[str]:
+        return sorted(name for name, ref in refs.items() if ref() is not None)
+
+    judge_stage, report_stage = pipeline.Experiment._judge_stage, pipeline.Experiment._report_stage
+
+    def judged(self, model, modality):
+        judge_stage(self, model, modality)
+        live[f"{model}:{modality}"] = alive()
+
+    def reported(self, name, *args):
+        live[name] = alive()
+        report_stage(self, name, *args)
+
+    monkeypatch.setattr(pipeline.Experiment, "_judge_stage", judged)
+    monkeypatch.setattr(pipeline.Experiment, "_report_stage", reported)
+    result = run_pipeline(config)
+
+    held = ["cache", "corpus", "gateway", "summ:120", "summ:80"]
+    reports = ("distribution", "agreement", "effectiveness", "stability", "cost")
+    assert live == {
+        "mock-judge:full": held,
+        "mock-judge:summ:80": held,
+        "mock-judge:summ:120": held,
+        "other:full": ["cache", "gateway", "summ:120", "summ:80"],
+        "other:summ:80": ["cache", "gateway", "summ:120"],
+        "other:summ:120": ["cache", "gateway"],
+        **{name: [] for name in reports},  # neither the gateway nor its cache
+    }
+    # the counts outlive the gateway: each distinct request reached the backend once
+    lines = (result.output_dir / "cache.jsonl").read_text().splitlines()
+    assert (result.backend_calls, result.cache_hits) == (len(lines), 130) == (148, 130)
+
+
+@pytest.mark.parametrize("change", ["none", "force", "cell-and-cost-deleted", "prices"])
+def test_a_rerun_loads_the_cache_at_most_once(tmp_path, monkeypatch, change):
+    config = load_config(_two_model_experiment(tmp_path))
+    loads = []
+    load = ResponseCache._load
+    monkeypatch.setattr(ResponseCache, "_load", lambda cache: loads.append(1) or load(cache))
+    first = run_pipeline(config)
+    assert loads == []  # a cold run starts without a cache file
+    out = first.output_dir
+    cold = (out / "reports" / "cost.csv").read_bytes()
+    expected = {"none": [], "force": first.stages_run()}.get(change)
+    if change == "prices":
+        prices = {model: {"input_usd_per_1m": 1.25, "output_usd_per_1m": 4.0}
+                  for model in ("mock-judge", "other")}
+        (tmp_path / "prices.json").write_text(json.dumps(prices))
+        expected = ["cost"]  # the one stage to open the gateway
+    elif change == "cell-and-cost-deleted":
+        (out / "reports" / "cost.csv").unlink()
+        (out / "judgments" / "other__summ-80.qrels").unlink()
+        expected = ["judge:other:summ:80", "cost"]
+    again = run_pipeline(config, force=change == "force")
+    assert again.stages_run() == expected
+    assert again.backend_calls == 0
+    assert len(loads) == (0 if change == "none" else 1)
+    cost = (out / "reports" / "cost.csv").read_bytes()
+    if change == "prices":
+        fresh = run_pipeline(replace(config, output_dir=tmp_path / "fresh")).output_dir
+        assert cost == (fresh / "reports" / "cost.csv").read_bytes() != cold
+    else:
+        assert cost == cold
+
+
+def test_a_cache_the_cost_stage_cannot_load_fails_that_stage(toy_experiment, capsys):
+    config = load_config(toy_experiment)
+    out = run_pipeline(config).output_dir
+    (out / "reports" / "cost.csv").unlink()
+    with open(out / "cache.jsonl", "a", encoding="utf-8") as fh:
+        fh.write("not json\n")
+    with pytest.raises(StageError, match=r"^stage 'cost' failed: corrupt cache line "):
+        run_pipeline(config)
+    assert not (out / "reports" / "cost.csv").exists()
 
 
 def test_distribution_rows_sum_to_about_hundred(toy_experiment):
