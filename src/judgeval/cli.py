@@ -235,7 +235,7 @@ def _cmd_agreement(args) -> int:
     _check(args.threshold in VALID_GRADES[1:], "--threshold must be 1, 2 or 3")
     a = parse_qrels(args.qrels_a)
     b = parse_qrels(args.qrels_b)
-    cell = (b.source.label(), str(b.modality), b)
+    cell = (b.label(), str(b.modality), b)
     _emit(reports.agreement_csv(args.dataset, args.threshold, a, [cell]), args.out)
     return 0
 

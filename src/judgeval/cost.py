@@ -47,14 +47,19 @@ def load_price_table(path: str | Path) -> PriceTable:
     raw = read_json(path, "price table")
     try:
         table = {
-            model: Price(
-                float(entry["input_usd_per_1m"]), float(entry["output_usd_per_1m"])
-            )
+            model: Price(_number(entry["input_usd_per_1m"]), _number(entry["output_usd_per_1m"]))
             for model, entry in raw.items()
         }
     except (AttributeError, KeyError, TypeError, ValueError) as exc:  # not a dict of dicts
         raise ParseError(f"bad price table: {exc}", path=str(path)) from exc
     return table
+
+
+def _number(value) -> float:
+    """A JSON number as a float; a bool or a string is no price."""
+    if type(value) not in (int, float):
+        raise TypeError(f"price {value!r} is not a number")
+    return float(value)
 
 
 def price_for(model: str, prices: PriceTable) -> Price:

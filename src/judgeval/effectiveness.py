@@ -116,7 +116,7 @@ def _evaluate(
     return EffectivenessRow(
         run_tag=run.run_tag,
         metric=metric,
-        qrels_source=qrels.source.label(),
+        qrels_source=qrels.label(),
         modality=str(qrels.modality),
         per_topic=per_topic,
         mean=_mean(per_topic.values()),

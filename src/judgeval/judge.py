@@ -12,14 +12,14 @@ pile of non-relevant labels.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, NamedTuple
 
 from .errors import GatewayError, JudgevalError, ParseError
 from .gateway import ChatRequest, Gateway
 from .templates import load_template, template_sha256
-from .trec_io import VALID_GRADES, JudgmentSet, Modality, model_source, nonblank_lines
+from .trec_io import VALID_GRADES, JudgmentSet, Modality, nonblank_lines
 
 GRADE_NUDGE = "Answer with a single digit."
 MAX_OUTPUT_TOKENS = 64
@@ -31,19 +31,9 @@ _MARKER_RE = re.compile("<QUERY>|<PASSAGE>")
 
 
 @dataclass(frozen=True)
-class Topic:
-    topic_id: str
-    query_text: str
-
-    def __post_init__(self) -> None:
-        if not self.query_text:
-            raise ValueError(f"topic {self.topic_id} has empty query text")
-
-
-@dataclass(frozen=True)
 class JudgingTask:
-    topic: Topic
-    doc_id: str
+    pair: tuple[str, str]  # (topic id, doc id), the pool's own tuple
+    query_text: str
     evidence_text: str
 
 
@@ -59,10 +49,11 @@ class JudgePoolResult(NamedTuple):
     request_hashes: set[str]  # of every reply used, nudged ones included
 
 
-def load_topics(path: str | Path) -> dict[str, Topic]:
-    """Load a tab-separated topics file (``topic_id<TAB>query_text``)."""
+def load_topics(path: str | Path) -> dict[str, str]:
+    """Load a tab-separated topics file (``topic_id<TAB>query_text``) as
+    topic id -> query text."""
     path = Path(path)
-    topics: dict[str, Topic] = {}
+    topics: dict[str, str] = {}
     for line_no, line in nonblank_lines(path):
         if "\t" not in line:
             raise ParseError(
@@ -75,7 +66,7 @@ def load_topics(path: str | Path) -> dict[str, Topic]:
             )
         if topic_id in topics:
             raise ParseError(f"duplicate topic {topic_id}", path=str(path), line=line_no)
-        topics[topic_id] = Topic(topic_id, query_text)
+        topics[topic_id] = query_text
     return topics
 
 
@@ -96,7 +87,7 @@ def build_judge_prompt(
     if template is None:
         template = load_judge_template()
     # one pass, so a marker inside the query or evidence stays literal text
-    values = {"<QUERY>": task.topic.query_text, "<PASSAGE>": task.evidence_text}
+    values = {"<QUERY>": task.query_text, "<PASSAGE>": task.evidence_text}
     user_text = _MARKER_RE.sub(lambda match: values[match.group()], template)
     return ChatRequest(model=model, user_text=user_text, max_output_tokens=MAX_OUTPUT_TOKENS)
 
@@ -129,45 +120,37 @@ def judge_pool(
     if template is None:
         template = load_judge_template()
     prompt_hash = template_sha256(template)
-    ordered = sorted(tasks, key=_task_key)
+    ordered = sorted(tasks, key=lambda task: task.pair)
     for before, task in zip(ordered, ordered[1:]):
-        if _task_key(before) == _task_key(task):
-            raise ValueError(f"duplicate task for topic {task.topic.topic_id} doc {task.doc_id}")
-
-    def prompts(batch: list[JudgingTask], suffix: str):
-        for task in batch:
-            request = build_judge_prompt(task, model, template=template)
-            yield replace(request, user_text=request.user_text + suffix) if suffix else request
+        if before.pair == task.pair:
+            raise ValueError("duplicate task for topic {} doc {}".format(*task.pair))
 
     grades: dict[tuple[str, str], int] = {}
     reasons: dict[tuple[str, str], str] = {}
     unparsed: list[JudgingTask] = []  # filled by the first wave, asked by the second
     request_hashes: set[str] = set()
     for batch, suffix in ((ordered, ""), (unparsed, "\n\n" + GRADE_NUDGE)):
-        for task, response in zip(batch, gateway.complete_many(prompts(batch, suffix))):
+        prompts = (build_judge_prompt(task, model, template=template + suffix) for task in batch)
+        for task, response in zip(batch, gateway.complete_many(prompts)):
             if isinstance(response, GatewayError):
-                reasons[_task_key(task)] = str(response)
+                reasons[task.pair] = str(response)
                 continue
             request_hashes.add(response.request_hash)
             if (grade := parse_grade(response.text)) is not None:
-                grades[_task_key(task)] = grade
+                grades[task.pair] = grade
             elif suffix:
-                reasons[_task_key(task)] = "no parseable grade"
+                reasons[task.pair] = "no parseable grade"
             else:
                 unparsed.append(task)
 
     judgments = JudgmentSet(
         grades=grades,
-        source=model_source(model),
+        model=model,
         modality=modality,
         prompt_sha256=prompt_hash,
     )
     failures = [TaskFailure(*key, reasons[key]) for key in sorted(reasons)]
     return JudgePoolResult(judgments, failures, request_hashes)
-
-
-def _task_key(task: JudgingTask) -> tuple[str, str]:
-    return (task.topic.topic_id, task.doc_id)
 
 
 def binarize(judgments: JudgmentSet, threshold: int = 1) -> JudgmentSet:
@@ -179,7 +162,7 @@ def binarize(judgments: JudgmentSet, threshold: int = 1) -> JudgmentSet:
             key: (1 if grade >= threshold else 0)
             for key, grade in judgments.grades.items()
         },
-        source=judgments.source,
+        model=judgments.model,
         modality=judgments.modality,
         prompt_sha256=judgments.prompt_sha256,
     )

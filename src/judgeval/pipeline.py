@@ -60,7 +60,6 @@ from .judge import (
     MAX_OUTPUT_TOKENS,
     JudgePoolResult,
     JudgingTask,
-    Topic,
     binarize,
     judge_pool,
     load_judge_template,
@@ -242,7 +241,7 @@ class Experiment:
         return load_corpus(self.config.corpus)
 
     @cached_property
-    def topics(self) -> dict[str, Topic]:
+    def topics(self) -> dict[str, str]:
         return load_topics(self.config.topics)
 
     @cached_property
@@ -291,14 +290,14 @@ class Experiment:
             evidence, missing = summaries.records, "no summary available"
         tasks: list[JudgingTask] = []
         skipped: list[dict] = []
-        for topic_id, doc_id in self.pool:
-            topic = self.topics.get(topic_id)
-            record = evidence.get(doc_id)
-            if topic is None or record is None:
-                reason = "topic not in topics file" if topic is None else missing
+        for pair in self.pool:  # each task keys its grade by the pool's own tuple
+            topic_id, doc_id = pair
+            query_text, record = self.topics.get(topic_id), evidence.get(doc_id)
+            if query_text is None or record is None:
+                reason = "topic not in topics file" if query_text is None else missing
                 skipped.append({"topic_id": topic_id, "doc_id": doc_id, "reason": reason})
                 continue
-            tasks.append(JudgingTask(topic=topic, doc_id=doc_id, evidence_text=record.text))
+            tasks.append(JudgingTask(pair, query_text, record.text))
         result = judge_pool(tasks, self.gateway, model, modality, template=self.judge_template)
         write_judgments(result.judgments, path)
         self._held[path] = result.judgments

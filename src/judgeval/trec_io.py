@@ -5,7 +5,9 @@ Formats handled here:
 - qrels: ``topic iter docid grade``, ASCII whitespace separated, LF or CRLF.
   Grades are the four-point scale 0-3; the ``iter`` column is read and
   discarded. A judgment sidecar (``<path>.meta.json``) records provenance:
-  ``source``, ``modality``, ``budget_tokens``, ``model``, ``prompt_sha256``.
+  ``source`` (``human`` with a null ``model``, or ``model`` with its name),
+  ``modality`` (``full`` with a null ``budget_tokens``, or ``summary`` with
+  a positive int) and ``prompt_sha256``; the reader rejects any other shape.
   It carries no time stamp, so it is a function of the judgments alone.
 - runs: ``topic Q0 docid rank score tag``. A parsed run keeps, per topic,
   only its doc ids in descending score order, with score ties broken by
@@ -80,38 +82,6 @@ class Modality:
 FULL_DOCUMENT = Modality("full")
 
 
-def summary_modality(budget_tokens: int) -> Modality:
-    return Modality("summary", budget_tokens)
-
-
-@dataclass(frozen=True)
-class Source:
-    """Who produced a judgment set: a human pool or a named model."""
-
-    kind: str  # "human" | "model"
-    model: str | None = None
-
-    def __post_init__(self) -> None:
-        if self.kind == "human":
-            if self.model is not None:
-                raise ValueError("human source carries no model name")
-        elif self.kind == "model":
-            if not self.model:
-                raise ValueError("model source requires a model name")
-        else:
-            raise ValueError(f"unknown source kind {self.kind!r}")
-
-    def label(self) -> str:
-        return "human" if self.kind == "human" else str(self.model)
-
-
-HUMAN = Source("human")
-
-
-def model_source(name: str) -> Source:
-    return Source("model", name)
-
-
 @dataclass
 class JudgmentSet:
     """Graded labels for (topic, doc) pairs plus their provenance.
@@ -121,12 +91,15 @@ class JudgmentSet:
     """
 
     grades: dict[tuple[str, str], int] = field(default_factory=dict)
-    source: Source = HUMAN
+    model: str | None = None  # the judge; None for the human assessors
     modality: Modality = FULL_DOCUMENT
     prompt_sha256: str | None = None
 
     def __len__(self) -> int:
         return len(self.grades)
+
+    def label(self) -> str:
+        return "human" if self.model is None else self.model
 
     @cached_property
     def by_topic(self) -> dict[str, dict[str, int]]:
@@ -244,30 +217,30 @@ def parse_qrels(path: str | Path) -> JudgmentSet:
             )
         grades[key] = grade
 
-    meta_source, meta_modality, prompt_sha = _read_sidecar(sidecar_path(path))
-    return JudgmentSet(
-        grades=grades,
-        source=meta_source or HUMAN,
-        modality=meta_modality or FULL_DOCUMENT,
-        prompt_sha256=prompt_sha,
-    )
+    model, modality, prompt_sha = _read_sidecar(sidecar_path(path))
+    return JudgmentSet(grades, model, modality, prompt_sha)
 
 
-def _read_sidecar(path: Path) -> tuple[Source | None, Modality | None, str | None]:
+def _read_sidecar(path: Path) -> tuple[str | None, Modality, str | None]:
+    """Model, modality and prompt digest of a sidecar shaped as ``write_judgments``
+    writes it (other keys are ignored); with no sidecar, human full-document."""
     if not path.exists():
-        return None, None, None
+        return None, FULL_DOCUMENT, None
     meta = read_json(path, "judgment sidecar")
-    try:
-        source = (
-            HUMAN if meta["source"] == "human" else model_source(meta["model"])
-        )
-        if meta["modality"] == "full":
-            modality = FULL_DOCUMENT
-        else:
-            modality = summary_modality(int(meta["budget_tokens"]))
-        return source, modality, meta.get("prompt_sha256")
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ParseError(f"bad judgment sidecar: {exc}", path=str(path)) from exc
+    keys = ("source", "model", "modality", "budget_tokens")
+    if not isinstance(meta, dict) or not meta.keys() >= set(keys):
+        raise ParseError(f"bad judgment sidecar: needs the keys {keys}", path=str(path))
+    source, model, kind, budget = map(meta.get, keys)
+    prompt_sha = meta.get("prompt_sha256")
+    named = isinstance(model, str) and model != ""
+    if not (
+        (source == "human" and model is None or source == "model" and named)
+        and (kind == "full" and budget is None
+             or kind == "summary" and type(budget) is int and budget >= 1)  # a bool is no int
+        and (prompt_sha is None or isinstance(prompt_sha, str))
+    ):
+        raise ParseError(f"bad judgment sidecar: {json.dumps(meta)}", path=str(path))
+    return model, FULL_DOCUMENT if budget is None else Modality("summary", budget), prompt_sha
 
 
 def write_judgments(judgments: JudgmentSet, path: str | Path) -> None:
@@ -282,10 +255,10 @@ def write_judgments(judgments: JudgmentSet, path: str | Path) -> None:
     ]
     atomic_write_text(path, "".join(lines))
     meta = {
-        "source": judgments.source.kind,
+        "source": "human" if judgments.model is None else "model",
         "modality": judgments.modality.kind,
         "budget_tokens": judgments.modality.budget_tokens,
-        "model": judgments.source.model,
+        "model": judgments.model,
         "prompt_sha256": judgments.prompt_sha256,
     }
     write_json(sidecar_path(path), meta)

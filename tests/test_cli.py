@@ -22,9 +22,8 @@ from judgeval.judge import load_judge_template
 from judgeval.templates import template_sha256
 from judgeval.trec_io import (
     JudgmentSet,
-    model_source,
+    Modality,
     parse_qrels,
-    summary_modality,
     write_judgments,
 )
 
@@ -226,7 +225,7 @@ def test_agreement_subcommand_identical_files_kappa_one(tmp_path, capsys):
     qrels = tmp_path / "a.qrels"
     judgments = JudgmentSet(
         grades={("t1", "d1"): 0, ("t1", "d2"): 1, ("t2", "d1"): 2, ("t2", "d3"): 3},
-        source=model_source("m"),
+        model="m",
     )
     write_judgments(judgments, qrels)
     assert main(["agreement", "--qrels-a", str(qrels), "--qrels-b", str(qrels)]) == 0
@@ -244,7 +243,7 @@ def test_agreement_subcommand_identical_files_kappa_one(tmp_path, capsys):
 def test_agreement_subcommand_disjoint_files_flags_every_row(tmp_path, capsys):
     a, b = tmp_path / "a.qrels", tmp_path / "b.qrels"
     write_judgments(JudgmentSet(grades={("t1", "d1"): 1, ("t1", "d2"): 0}), a)
-    write_judgments(JudgmentSet(grades={("t1", "d3"): 2}, source=model_source("m")), b)
+    write_judgments(JudgmentSet(grades={("t1", "d3"): 2}, model="m"), b)
     assert main(["agreement", "--qrels-a", str(a), "--qrels-b", str(b)]) == 0
     rows = _csv_rows(capsys.readouterr().out)
     assert len(rows) == 4
@@ -476,7 +475,7 @@ def test_cells_without_tasks_keep_their_provenance(tmp_path, capsys):
     assert main(["run", "--config", str(config)]) == 0
     judged = parse_qrels(tmp_path / "out" / "judgments" / "mock-judge__summ-80.qrels")
     assert len(judged) == 0
-    assert judged.modality == summary_modality(80)
+    assert judged.modality == Modality("summary", 80)
     assert judged.prompt_sha256 == template_sha256(load_judge_template())
     # every statistic the empty cells leave undefined is an empty field
     reports = tmp_path / "out" / "reports"

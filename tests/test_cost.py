@@ -105,11 +105,21 @@ def test_price_validation_and_table_io(tmp_path):
         Price(-1.0, 2.0)
     table_path = tmp_path / "prices.json"
     table_path.write_text(
-        json.dumps({"m1": {"input_usd_per_1m": 1.5, "output_usd_per_1m": 6.0}})
+        json.dumps({
+            "m1": {"input_usd_per_1m": 1.5, "output_usd_per_1m": 6.0},
+            "m2": {"input_usd_per_1m": 2, "output_usd_per_1m": 10},
+        })
     )
     table = load_price_table(table_path)
     assert table["m1"] == Price(1.5, 6.0)
-    for bad in ({"m1": {"input_usd_per_1m": 1.5}}, []):
+    assert table["m2"] == Price(2.0, 10.0) and type(table["m2"].input_usd_per_1m) is float
+    for bad in (
+        {"m1": {"input_usd_per_1m": 1.5}},
+        [],
+        {"m1": {"input_usd_per_1m": True, "output_usd_per_1m": "10"}},
+        {"m1": {"input_usd_per_1m": 1.5, "output_usd_per_1m": "10"}},
+        {"m1": {"input_usd_per_1m": False, "output_usd_per_1m": 6.0}},
+    ):
         table_path.write_text(json.dumps(bad))
         with pytest.raises(ParseError):
             load_price_table(table_path)

@@ -12,7 +12,6 @@ from judgeval.gateway import BackendReply, Gateway, MockBackend, TransportError
 from judgeval.judge import (
     GRADE_NUDGE,
     JudgingTask,
-    Topic,
     binarize,
     build_judge_prompt,
     judge_pool,
@@ -20,7 +19,7 @@ from judgeval.judge import (
     load_topics,
     parse_grade,
 )
-from judgeval.trec_io import FULL_DOCUMENT, JudgmentSet, model_source, summary_modality
+from judgeval.trec_io import FULL_DOCUMENT, JudgmentSet, Modality
 
 
 class _FixedBackend:
@@ -40,12 +39,12 @@ def _gateway(tmp_path, backend):
 
 
 def _tasks(n=6):
-    topics = [Topic(f"t{i}", f"query {i}") for i in range(1, 3)]
+    topics = [(f"t{i}", f"query {i}") for i in range(1, 3)]
     tasks = []
     for i in range(n):
-        topic = topics[i % len(topics)]
+        topic_id, query_text = topics[i % len(topics)]
         tasks.append(
-            JudgingTask(topic, f"d{i:02d}", f"evidence text {i}")
+            JudgingTask((topic_id, f"d{i:02d}"), query_text, f"evidence text {i}")
         )
     return tasks
 
@@ -57,7 +56,7 @@ def test_load_topics(tmp_path):
     path = tmp_path / "topics.tsv"
     path.write_text("t1\twhat is rbo\nt2\thow do tides work\n")
     topics = load_topics(path)
-    assert topics["t2"].query_text == "how do tides work"
+    assert topics["t2"] == "how do tides work"
 
 
 def test_load_topics_rejects_bad_lines(tmp_path):
@@ -71,11 +70,6 @@ def test_load_topics_rejects_bad_lines(tmp_path):
     path.write_text("t1\t\n")
     with pytest.raises(ParseError):
         load_topics(path)
-
-
-def test_topic_requires_query_text():
-    with pytest.raises(ValueError):
-        Topic("t1", "")
 
 
 # -- grade parsing ---------------------------------------------------------------
@@ -114,20 +108,20 @@ def test_parse_grade_never_out_of_domain():
 
 
 def test_judge_prompt_substitution():
-    task = JudgingTask(Topic("t1", "the query"), "d1", "the passage")
+    task = JudgingTask(("t1", "d1"), "the query", "the passage")
     req = build_judge_prompt(task, "m")
     assert "Query: the query" in req.user_text
     assert "Passage: the passage" in req.user_text
 
 
 def test_judge_prompt_markers_inside_inputs_stay_literal():
-    task = JudgingTask(Topic("t1", "what does <PASSAGE> mean"), "d1", "EVIDENCE <QUERY>")
+    task = JudgingTask(("t1", "d1"), "what does <PASSAGE> mean", "EVIDENCE <QUERY>")
     req = build_judge_prompt(task, "m", template="Q=<QUERY>|P=<PASSAGE>|Q=<QUERY>")
     assert req.user_text == (
         "Q=what does <PASSAGE> mean|P=EVIDENCE <QUERY>|Q=what does <PASSAGE> mean"
     )
     # inputs without markers render exactly as plain replacement would
-    plain = JudgingTask(Topic("t1", "the query"), "d1", "the passage")
+    plain = JudgingTask(("t1", "d1"), "the query", "the passage")
     template = load_judge_template()
     expected = template.replace("<QUERY>", "the query").replace("<PASSAGE>", "the passage")
     assert build_judge_prompt(plain, "m", template=template).user_text == expected
@@ -151,7 +145,7 @@ def test_judge_pool_all_twos(tmp_path):
     assert len(result.judgments) == 8
     assert set(result.judgments.grades.values()) == {2}
     assert result.failures == []
-    assert result.judgments.source == model_source("m")
+    assert result.judgments.model == "m"
     assert result.judgments.modality == FULL_DOCUMENT
     from judgeval.agreement import format_percentages, label_distribution
 
@@ -207,8 +201,7 @@ def test_judge_pool_returns_the_hashes_of_every_reply_it_used(tmp_path):
             return BackendReply(text="2", input_tokens=1, output_tokens=1)
 
     gw = Gateway(_Mixed(), tmp_path / "cache.jsonl", max_attempts=2, sleep=lambda _s: None)
-    topic = Topic("t1", "query")
-    plain, vague, failed = (JudgingTask(topic, f"d{i}", f"{text} evidence")
+    plain, vague, failed = (JudgingTask(("t1", f"d{i}"), "query", f"{text} evidence")
                             for i, text in enumerate(("plain", "vague", "poison")))
     result = judge_pool([plain, vague, failed], gw, "m", FULL_DOCUMENT)
     assert result.judgments.grades == {("t1", "d0"): 2, ("t1", "d1"): 2}
@@ -221,18 +214,26 @@ def test_judge_pool_returns_the_hashes_of_every_reply_it_used(tmp_path):
 
 def test_judge_pool_respects_modality_and_rejects_mixtures(tmp_path):
     gw = _gateway(tmp_path, _FixedBackend("2"))
-    result = judge_pool(_tasks(4), gw, "m", summary_modality(80))
-    assert result.judgments.modality == summary_modality(80)
+    result = judge_pool(_tasks(4), gw, "m", Modality("summary", 80))
+    assert result.judgments.modality == Modality("summary", 80)
 
 
 def test_modality_isolation_same_keys(tmp_path):
     gw = _gateway(tmp_path, MockBackend(seed=5))
     full = judge_pool(_tasks(6), gw, "m", FULL_DOCUMENT)
     summ_tasks = [
-        JudgingTask(t.topic, t.doc_id, "summary: " + t.evidence_text) for t in _tasks(6)
+        JudgingTask(t.pair, t.query_text, "summary: " + t.evidence_text) for t in _tasks(6)
     ]
-    summ = judge_pool(summ_tasks, gw, "m", summary_modality(80))
+    summ = judge_pool(summ_tasks, gw, "m", Modality("summary", 80))
     assert set(full.judgments.grades) == set(summ.judgments.grades)
+
+
+def test_judge_pool_rejects_a_pair_given_twice(tmp_path):
+    backend = _FixedBackend("2")
+    tasks = [JudgingTask(("t1", "d1"), "query", text) for text in ("one", "two")]
+    with pytest.raises(ValueError, match="duplicate task for topic t1 doc d1"):
+        judge_pool(tasks, _gateway(tmp_path, backend), "m", FULL_DOCUMENT)
+    assert backend.calls == 0
 
 
 def test_empty_pool(tmp_path):
@@ -248,8 +249,8 @@ def test_empty_pool(tmp_path):
 def _graded_set():
     return JudgmentSet(
         grades={("t1", "d0"): 0, ("t1", "d1"): 1, ("t1", "d2"): 2, ("t1", "d3"): 3},
-        source=model_source("m"),
-        modality=summary_modality(80),
+        model="m",
+        modality=Modality("summary", 80),
         prompt_sha256="abc",
     )
 
@@ -267,7 +268,7 @@ def test_binarize_threshold_two():
 def test_binarize_preserves_provenance_and_empty():
     src = _graded_set()
     out = binarize(src, 3)
-    assert out.source == src.source
+    assert out.model == src.model
     assert out.modality == src.modality
     assert out.prompt_sha256 == src.prompt_sha256
     assert len(binarize(JudgmentSet(), 1)) == 0

@@ -20,7 +20,7 @@ from judgeval.config import load_config
 from judgeval.errors import ConfigError, JudgevalError
 from judgeval.gateway import ChatRequest, Gateway, ResponseCache
 from judgeval.pipeline import StageError, run_pipeline
-from judgeval.trec_io import parse_qrels, summary_modality
+from judgeval.trec_io import Modality, parse_qrels
 
 
 def test_full_run_produces_all_stage_outputs(toy_experiment):
@@ -83,7 +83,7 @@ def test_one_judgment_set_per_model_modality(toy_experiment):
     budgets = set()
     for path in qrels_files:
         judgments = parse_qrels(path)
-        assert judgments.source.model == "mock-judge"
+        assert judgments.model == "mock-judge"
         if judgments.modality.kind == "summary":
             budgets.add(judgments.modality.budget_tokens)
     assert budgets == {80, 120}
@@ -199,7 +199,7 @@ def test_effectiveness_table_is_computed_only_when_a_stage_runs(toy_experiment, 
     original = pipeline.effectiveness_by_metric
 
     def counted(runs, qrels_sources, **kwargs):
-        sources.append([judgments.source.label() for _label, judgments in qrels_sources])
+        sources.append([judgments.label() for _label, judgments in qrels_sources])
         return original(runs, qrels_sources, **kwargs)
 
     monkeypatch.setattr(pipeline, "effectiveness_by_metric", counted)
@@ -494,6 +494,23 @@ def test_summaries_are_read_at_most_once_per_budget(tmp_path, monkeypatch):
     assert bundle_digests(out) == fresh
 
 
+@pytest.mark.parametrize("pool", ["qrels", "runs"])
+def test_each_judged_cell_keys_its_grades_by_the_pools_own_tuples(tmp_path, monkeypatch, pool):
+    config = replace(load_config(_two_model_experiment(tmp_path)), pool=pool)
+    experiment = pipeline.Experiment(config)
+    results = []
+    original = pipeline.judge_pool
+    monkeypatch.setattr(
+        pipeline, "judge_pool", lambda *a, **kw: results.append(original(*a, **kw)) or results[-1]
+    )
+    experiment.run()
+    assert len(results) == 6  # two models x three modalities
+    pairs = {pair: pair for pair in experiment.pool}
+    for result in results:
+        assert result.judgments.grades
+        assert all(pairs[pair] is pair for pair in result.judgments.grades)
+
+
 def test_a_run_reads_back_only_what_skipped_stages_wrote(toy_experiment, monkeypatch):
     config = load_config(toy_experiment)
     calls = []
@@ -730,5 +747,5 @@ def test_judgment_sidecars_round_trip_modality(toy_experiment):
     judged = parse_qrels(
         result.output_dir / "judgments" / "mock-judge__summ-120.qrels"
     )
-    assert judged.modality == summary_modality(120)
+    assert judged.modality == Modality("summary", 120)
     assert judged.prompt_sha256 is not None

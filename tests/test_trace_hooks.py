@@ -21,7 +21,7 @@ from pathlib import Path
 import judgeval.cli  # noqa: F401  (imports every layer module, as the tracer does)
 from conftest import build_toy_experiment
 from judgeval.gateway import ChatRequest, ChatResponse, Gateway, MockBackend
-from judgeval.judge import GRADE_NUDGE, JudgingTask, Topic, judge_pool
+from judgeval.judge import GRADE_NUDGE, JudgingTask, judge_pool
 from judgeval.summarizer import summarize_corpus
 from judgeval.trec_io import FULL_DOCUMENT, CorpusEntry, DocCorpus
 
@@ -68,7 +68,7 @@ def test_records_expose_what_the_tracer_reads(tmp_path):
     docs, _equal, errors = info["summarizer.summarize_corpus"]((corpus,), {}, summaries)
     assert (docs, errors) == (2, 0)
 
-    tasks = [JudgingTask(Topic("t1", "query"), "d1", "alpha beta gamma delta")]
+    tasks = [JudgingTask(("t1", "d1"), "query", "alpha beta gamma delta")]
     result = judge_pool(tasks, gateway, "m", FULL_DOCUMENT)
     assert info["judge.judge_pool"]((tasks,), {}, result) == [1, len(result.failures)]
 

@@ -20,18 +20,14 @@ from judgeval.reports import read_per_topic
 from judgeval.summarizer import load_summary_template, read_summaries
 from judgeval.trec_io import (
     FULL_DOCUMENT,
-    HUMAN,
     JudgmentSet,
     Modality,
     Run,
-    Source,
     load_corpus,
     load_runs_dir,
-    model_source,
     parse_qrels,
     parse_run,
     sidecar_path,
-    summary_modality,
     write_judgments,
 )
 
@@ -44,7 +40,7 @@ def test_parse_qrels_basic_line(tmp_path):
     path.write_text("19335 0 D123 2\n")
     judgments = parse_qrels(path)
     assert judgments.grades == {("19335", "D123"): 2}
-    assert judgments.source == HUMAN
+    assert judgments.model is None
     assert judgments.modality == FULL_DOCUMENT
 
 
@@ -93,13 +89,13 @@ def _random_judgment_set(rng: random.Random) -> JudgmentSet:
         key = (f"t{rng.randint(1, 9)}", f"d{rng.randint(1, 30)}")
         grades[key] = rng.randint(0, 3)
     if rng.random() < 0.5:
-        source, modality = HUMAN, FULL_DOCUMENT
+        model, modality = None, FULL_DOCUMENT
     else:
-        source = model_source(rng.choice(["gpt-4o", "llama-3.1-8b"]))
+        model = rng.choice(["gpt-4o", "llama-3.1-8b"])
         modality = (
-            FULL_DOCUMENT if rng.random() < 0.4 else summary_modality(rng.choice([80, 120]))
+            FULL_DOCUMENT if rng.random() < 0.4 else Modality("summary", rng.choice([80, 120]))
         )
-    return JudgmentSet(grades=grades, source=source, modality=modality)
+    return JudgmentSet(grades=grades, model=model, modality=modality)
 
 
 def test_write_then_parse_round_trips(tmp_path):
@@ -110,7 +106,7 @@ def test_write_then_parse_round_trips(tmp_path):
         write_judgments(original, path)
         parsed = parse_qrels(path)
         assert parsed.grades == original.grades
-        assert parsed.source == original.source
+        assert parsed.model == original.model
         assert parsed.modality == original.modality
 
 
@@ -128,8 +124,8 @@ def test_sidecar_records_summary_budget(tmp_path):
     path = tmp_path / "s.qrels"
     judgments = JudgmentSet(
         grades={("t1", "d1"): 2},
-        source=model_source("m"),
-        modality=summary_modality(80),
+        model="m",
+        modality=Modality("summary", 80),
     )
     write_judgments(judgments, path)
     meta = json.loads(sidecar_path(path).read_text())
@@ -332,6 +328,39 @@ def test_no_source_line_is_longer_than_100_characters():
     assert offenders == []
 
 
+def _unread_imports(tree: ast.AST) -> list[str]:
+    """Names a module imports (``__future__`` aside) that no ``ast.Name`` reads."""
+    read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+    return [
+        f"{node.lineno}:{name}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Import)
+        or isinstance(node, ast.ImportFrom) and node.module != "__future__"
+        for name in (alias.asname or alias.name.split(".")[0] for alias in node.names)
+        if name not in read
+    ]
+
+
+def test_no_source_module_imports_a_name_it_never_reads():
+    # a deletion that leaves its import behind fails here
+    src = Path(__file__).resolve().parents[1] / "src" / "judgeval"
+    offenders = [
+        f"{path}:{entry}"
+        for path in sorted(src.rglob("*.py"))
+        for entry in _unread_imports(ast.parse(path.read_text(encoding="utf-8-sig")))
+    ]
+    assert offenders == []
+
+
+def test_the_import_lint_flags_unread_names():
+    tree = ast.parse(
+        "from __future__ import annotations\nimport os.path\nimport json as j\n"
+        "from a import b, c\nfrom . import d\nimport sys\n"
+        "def f(x: c) -> None:\n    j.dumps(d.e)\n    sys = 1\n"
+    )
+    assert _unread_imports(tree) == ["2:os", "4:b", "6:sys"]
+
+
 def test_the_bom_lint_flags_plain_text_reads():
     tree = ast.parse(
         "open(p)\nopen(p, 'r', encoding='utf-8')\np.read_text()\nopen(p, mode)\n"
@@ -398,13 +427,62 @@ def test_modality_validation():
         Modality.parse("summaries:80")
 
 
-def test_source_validation():
-    with pytest.raises(ValueError):
-        Source("model", None)
-    with pytest.raises(ValueError):
-        Source("human", "gpt")
-    assert model_source("m").label() == "m"
-    assert HUMAN.label() == "human"
+def test_a_judgment_set_is_labelled_by_its_model_or_as_human():
+    assert JudgmentSet(model="m").label() == "m"
+    assert JudgmentSet().label() == "human"
+
+
+_SIDECAR = {"source": "model", "model": "m", "modality": "summary", "budget_tokens": 80}
+
+
+@pytest.mark.parametrize(
+    "meta, model, modality",
+    [
+        (_SIDECAR, "m", Modality("summary", 80)),
+        ({**_SIDECAR, "prompt_sha256": "ab", "created_at": "2024-01-01"}, "m",
+         Modality("summary", 80)),
+        ({"source": "human", "model": None, "modality": "full", "budget_tokens": None,
+          "prompt_sha256": None}, None, FULL_DOCUMENT),
+    ],
+    ids=["model-summary", "extra-keys", "human-full"],
+)
+def test_the_sidecar_reader_accepts_what_write_judgments_writes(tmp_path, meta, model, modality):
+    sidecar = tmp_path / "meta"
+    sidecar.write_text(json.dumps(meta))
+    parsed = _parse_qrels_with_sidecar(sidecar)
+    assert (parsed.model, parsed.modality) == (model, modality)
+
+
+@pytest.mark.parametrize(
+    "meta",
+    [
+        {"source": "robot", "modality": "bogus", "budget_tokens": 80.9, "model": "m"},
+        {"source": "model", "modality": "summary", "budget_tokens": True, "model": 5,
+         "prompt_sha256": 7},
+        {**_SIDECAR, "model": None},  # a model source needs a name
+        {**_SIDECAR, "model": ""},
+        {**_SIDECAR, "model": 5},
+        {**_SIDECAR, "source": "human"},  # a human source has no model
+        {**_SIDECAR, "source": "robot"},
+        {**_SIDECAR, "modality": "bogus"},
+        {**_SIDECAR, "budget_tokens": None},
+        {**_SIDECAR, "budget_tokens": 0},
+        {**_SIDECAR, "budget_tokens": 80.0},
+        {**_SIDECAR, "budget_tokens": "80"},
+        {**_SIDECAR, "budget_tokens": True},
+        {**_SIDECAR, "modality": "full"},  # a full document has no budget
+        {**_SIDECAR, "prompt_sha256": 7},
+        {key: value for key, value in _SIDECAR.items() if key != "model"},
+        {key: value for key, value in _SIDECAR.items() if key != "budget_tokens"},
+        [],
+        "model",
+    ],
+)
+def test_the_sidecar_reader_rejects_any_other_shape(tmp_path, meta):
+    sidecar = tmp_path / "meta"
+    sidecar.write_text(json.dumps(meta))
+    with pytest.raises(ParseError, match="bad judgment sidecar"):
+        _parse_qrels_with_sidecar(sidecar)
 
 
 @settings(max_examples=60, deadline=None)
@@ -420,11 +498,11 @@ def test_source_validation():
 )
 def test_round_trip_property(tmp_path_factory, grades):
     path = tmp_path_factory.mktemp("rt") / "q.qrels"
-    original = JudgmentSet(grades=grades, source=model_source("m"), modality=summary_modality(80))
+    original = JudgmentSet(grades=grades, model="m", modality=Modality("summary", 80))
     write_judgments(original, path)
     parsed = parse_qrels(path)
     assert parsed.grades == original.grades
-    assert parsed.source == original.source
+    assert parsed.model == original.model
     assert parsed.modality == original.modality
 
 
