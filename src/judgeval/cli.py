@@ -128,8 +128,9 @@ def _build_parser() -> argparse.ArgumentParser:
     stab.set_defaults(handler=_cmd_stability)
 
     cost = sub.add_parser("cost", help="token/cost tally or extrapolation")
-    cost.add_argument("--cache", help="response cache JSONL to tally")
-    cost.add_argument("--usage", help="usage JSON restricting the tally to one stage")
+    tallied = cost.add_mutually_exclusive_group()
+    tallied.add_argument("--cache", help="response cache JSONL: tally every entry")
+    tallied.add_argument("--usage", help="one stage's usage JSON: tally its rows")
     cost.add_argument("--stage", default="judgment")
     cost.add_argument("--modality", default="full")
     cost.add_argument("--dataset", default="-")
@@ -299,12 +300,14 @@ def _cmd_cost(args) -> int:
         except ValueError as exc:
             raise ConfigError(f"bad --pairs, --avg-tokens or --overhead: {exc}") from exc
     else:
-        if not args.cache:
-            raise ConfigError("either --cache or --extrapolate is required")
-        if not Path(args.cache).exists():
-            raise ConfigError(f"cache path does not exist: {args.cache}")
-        cache = ResponseCache(args.cache)
-        usage = usage_entries(args.usage, cache) if args.usage else token_counts([*cache.entries()])
+        if args.usage:
+            usage = usage_entries(args.usage)
+        elif args.cache:
+            if not Path(args.cache).exists():
+                raise ConfigError(f"cache path does not exist: {args.cache}")
+            usage = token_counts([*ResponseCache(args.cache).entries()])
+        else:
+            raise ConfigError("one of --cache, --usage or --extrapolate is required")
         report = tally_observed(usage, prices, stage=args.stage, modality=args.modality)
     _emit(reports.cost_csv(args.dataset, [report]), args.out)
     return 0

@@ -1,8 +1,8 @@
 """Token and dollar accounting for judging stages, observed or extrapolated.
 
-Observed tallies sum the token counts the response cache records for the
-requests a stage's usage file names, taken as ``token_counts`` lists, so
-they are reproducible from the cache alone.
+Observed tallies sum the token counts of a stage's usage file, taken as
+``token_counts`` lists. The file holds one row per distinct request of its
+stage, so pricing a stage needs no response cache.
 Extrapolation projects a per-pair average onto a full collection, with the
 per-call prompt overhead kept as an explicit parameter.
 """
@@ -10,12 +10,14 @@ per-call prompt overhead kept as an explicit parameter.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii as _json_str  # json.dumps' str encoder
 from pathlib import Path
 
-from .errors import JudgevalError, ParseError, PricingError
-from .gateway import CacheEntry, ResponseCache
-from .trec_io import read_json
+from .errors import ParseError, PricingError
+from .gateway import CacheEntry
+from .trec_io import atomic_write_text, read_json
 
 
 @dataclass(frozen=True)
@@ -86,24 +88,34 @@ def token_counts(entries: list[CacheEntry]) -> tuple[list[str], list[int], list[
     )
 
 
-def usage_entries(usage_path: str | Path, cache: ResponseCache) -> tuple[list, list, list]:
-    """Token counts of the distinct request hashes a stage's usage file
-    records, in its order, read from the cache. A hash the cache lacks is an
-    error: leaving it out would understate the cost."""
+def write_usage(path: Path, entries: list[CacheEntry]) -> tuple[list, list, list]:
+    """Write a stage's usage file: its token totals and one row ``[request_hash,
+    model, input_tokens, output_tokens]`` per entry, in hash order, each row a
+    compact JSON array on its own line. Returns the entries' ``token_counts``."""
+    entries = sorted(entries, key=lambda entry: entry.request_hash)
+    rows = (  # json.dumps of each row, framed without its per-call cost
+        f"[{_json_str(e.request_hash)}, {_json_str(e.model)}, {e.input_tokens}, {e.output_tokens}]"
+        for e in entries
+    )
+    usage = token_counts(entries)
+    totals = f'"input_tokens": {sum(usage[1])}, "output_tokens": {sum(usage[2])}'
+    atomic_write_text(path, f'{{{totals}, "rows": [\n' + ",\n".join(rows) + "\n]}\n")
+    return usage
+
+
+def usage_entries(usage_path: str | Path) -> tuple[list[str], list[int], list[int]]:
+    """Model, input and output tokens of each row of a stage's usage file, in
+    its order. A row must hold two strings, then two ints >= 0."""
     usage = read_json(usage_path, "usage file")
-    hashes = usage.get("request_hashes") if isinstance(usage, dict) else None
-    if not isinstance(hashes, list) or not all(isinstance(h, str) for h in hashes):
-        raise ParseError(
-            f"bad usage file: 'request_hashes' is {hashes!r}, not a list of strings",
-            path=str(usage_path),
-        )
-    entries = [cache.get(request_hash) for request_hash in hashes]
-    if missing := entries.count(None):
-        raise JudgevalError(
-            f"{usage_path}: {missing} of {len(hashes)} request hashes "
-            f"are not in the cache {cache.path}"
-        )
-    return token_counts(entries)
+    rows = usage.get("rows") if isinstance(usage, dict) else None
+    for row in rows if isinstance(rows, list) else [rows]:  # no list reads as one bad row
+        if not (isinstance(row, list) and len(row) == 4 and all(isinstance(s, str) for s in row[:2])
+                and all(type(n) is int and n >= 0 for n in row[2:])):  # no bool or float
+            raise ParseError(f"bad usage file: {row!r} is not a row [request_hash, model, "
+                             "input_tokens, output_tokens] of two strings and two ints >= 0",
+                             path=str(usage_path))
+    models = [sys.intern(row[1]) for row in rows]  # one string per model, not one per row
+    return models, [row[2] for row in rows], [row[3] for row in rows]
 
 
 def tally_observed(
@@ -119,13 +131,7 @@ def tally_observed(
     usd = 0.0
     for model, in_tok, out_tok in zip(models, input_tokens, output_tokens, strict=True):
         usd += price_for(model, prices).usd(in_tok, out_tok)
-    return CostReport(
-        stage=stage,
-        modality=modality,
-        input_tokens=sum(input_tokens),
-        output_tokens=sum(output_tokens),
-        usd=usd,
-    )
+    return CostReport(stage, modality, sum(input_tokens), sum(output_tokens), usd)
 
 
 def extrapolate(
@@ -149,10 +155,4 @@ def extrapolate(
     if not math.isfinite(tokens):
         raise ValueError(f"the extrapolated token total {tokens} is not finite")
     input_tokens = int(round(tokens))
-    return CostReport(
-        stage=stage,
-        modality=modality,
-        input_tokens=input_tokens,
-        output_tokens=0,
-        usd=price.usd(input_tokens, 0),
-    )
+    return CostReport(stage, modality, input_tokens, 0, price.usd(input_tokens, 0))

@@ -19,11 +19,11 @@ stage reads only the input digests and the manifest. Run files are streamed,
 one parsed run at a time, by each use: a cold ``pool = runs`` run parses each
 file twice, for the pool and for the effectiveness stage. Each input is
 released after its last reader: the corpus and each summary set after the
-last model's cell judged on it, and the response cache before the report
-stages if every summarize and judge stage ran. It is also the one
-wiring from a config to summarizer and judge calls, and the one writer of
-their files: the ``summarize`` and ``judge`` subcommands call the same two
-methods as the stages.
+last model's cell judged on it, and the response cache after the last judge
+stage. Each usage file holds its own token counts, so no report stage opens
+the cache. It is also the one wiring from a config to summarizer and judge
+calls, and the one writer of their files: the ``summarize`` and ``judge``
+subcommands call the same two methods as the stages.
 
 A stage hands its result on in memory: whatever a stage produced in this
 run (summaries, judgments, the token counts of its usage file) goes
@@ -52,7 +52,7 @@ from typing import Callable, Iterable
 
 from . import __version__, reports
 from .config import ExperimentConfig
-from .cost import DEFAULT_PRICES, load_price_table, tally_observed, token_counts, usage_entries
+from .cost import DEFAULT_PRICES, load_price_table, tally_observed, usage_entries, write_usage
 from .effectiveness import EffectivenessRow, average_precision, ndcg_at_k
 from .errors import ConfigError, JudgevalError, ParseError
 from .gateway import Gateway, HttpBackend, MockBackend
@@ -263,8 +263,8 @@ class Experiment:
     # -- summarizer and judge calls --------------------------------------------
 
     def summarize(self, budget: int, path: Path) -> SummarySet:
-        """Summarize the corpus at one budget. Writes the summaries to ``path``
-        and their usage file to ``path.with_suffix(".usage.json")``."""
+        """Summarize the corpus at one budget. Writes the summaries to ``path``, and
+        next to it the ``.errors.json`` ledger of failed docs and the ``.usage.json`` file."""
         summaries = self._held[path] = summarize_corpus(
             self.corpus,
             budget,
@@ -273,6 +273,8 @@ class Experiment:
             template=self.summary_template,
         )
         write_summaries(summaries, path)
+        failed = [{"doc_id": doc, "reason": why} for doc, why in sorted(summaries.errors.items())]
+        write_json(path.with_suffix(".errors.json"), {"failed_docs": failed})
         self._write_usage(path.with_suffix(".usage.json"), summaries.request_hashes)
         return summaries
 
@@ -401,10 +403,8 @@ class Experiment:
         return self._held[path]
 
     def _write_usage(self, path: Path, request_hashes: set[str]) -> None:
-        hashes = sorted(request_hashes)
-        usage = self._held[path] = token_counts([self.gateway.cache.get(h) for h in hashes])
-        tokens = {"input_tokens": sum(usage[1]), "output_tokens": sum(usage[2])}
-        write_json(path, {"request_hashes": hashes, **tokens})
+        cache = self.gateway.cache
+        self._held[path] = write_usage(path, [cache.get(h) for h in request_hashes])
 
     # -- stages ---------------------------------------------------------------
 
@@ -415,12 +415,10 @@ class Experiment:
                 self._summarize_stage(budget)
             for model, modality in self._cells():  # this order is cache.jsonl's line order
                 self._judge_stage(model, modality)
-            if all(outcome.status == "ran" for outcome in self.outcomes):
-                self.__exit__()  # every usage file is held, so no report opens the cache
-            for name, outputs, inputs, texts in REPORT_STAGES:
-                self._report_stage(name, outputs, inputs, texts)
-            # config_hash covers fields no stage fingerprint does (max_attempts)
-            self._save_manifest(with_cache=True)
+        for name, outputs, inputs, texts in REPORT_STAGES:
+            self._report_stage(name, outputs, inputs, texts)
+        # config_hash covers fields no stage fingerprint does (max_attempts)
+        self._save_manifest(with_cache=True)
         return PipelineResult(
             outcomes=self.outcomes,
             backend_calls=self.backend_calls,
@@ -440,7 +438,7 @@ class Experiment:
             "backend": self.config.backend,
             "seed": self.config.seed,
         }
-        outputs = [f"{stem}.jsonl", f"{stem}.usage.json"]
+        outputs = [f"{stem}.jsonl", f"{stem}.errors.json", f"{stem}.usage.json"]
         self._stage(name, inputs, outputs, lambda: self.summarize(budget, self.out / outputs[0]))
 
     def _judge_stage(self, model: str, modality: Modality) -> None:
@@ -562,11 +560,8 @@ class Experiment:
         return [reports.stability_csv(config.dataset, cells)]
 
     def _cost_texts(self) -> list[str]:
-        def read(path: Path) -> tuple:  # a usage file that a skipped stage left
-            return usage_entries(path, self.gateway.cache)
-
         def tally(stage: str, modality: str, stems: list[str]):
-            usages = [self._recall(self.out / f"{stem}.usage.json", read) for stem in stems]
+            usages = [self._recall(self.out / f"{s}.usage.json", usage_entries) for s in stems]
             usage = [sum(lists, []) for lists in zip(*usages)]  # each file's lists, joined
             return tally_observed(usage, self.prices, stage=stage, modality=modality)
 

@@ -23,7 +23,8 @@ byte-order mark dropped. Three shapes are read here: lines of text
 (``nonblank_lines``), JSON lines, each line one object holding declared
 fields at declared types (``json_records``: the corpus and summary
 files), and one JSON document (``read_json``: sidecars, usage files,
-price tables and the manifest), which ``write_json`` writes. The config,
+price tables and the manifest), which ``write_json`` writes (usage files
+have their own compact writer, ``cost.write_usage``). The config,
 prompt templates and per-topic CSV tables have readers of their own, and
 the response cache is read as bytes.
 

@@ -323,7 +323,6 @@ def test_cost_tally_subcommand(toy_experiment, tmp_path, capsys):
     code = main(
         [
             "cost",
-            "--cache", str(out_dir / "cache.jsonl"),
             "--usage", str(usage),
             "--prices", str(toy_experiment.parent / "prices.json"),
             "--stage", "judgment", "--modality", "full",
@@ -337,27 +336,36 @@ def test_cost_tally_subcommand(toy_experiment, tmp_path, capsys):
     )
 
 
-def test_cost_tally_rejects_usage_hashes_missing_from_cache(toy_bundle, tmp_path, capsys):
-    usage = toy_bundle / "out" / "judgments" / "mock-judge__full.usage.json"
-    empty = tmp_path / "empty.jsonl"
-    empty.write_text("")
-    argv = ["cost", "--cache", str(empty), "--usage", str(usage)]
-    assert main(argv) == 1
-    err = capsys.readouterr().err
-    assert str(usage) in err and str(empty) in err
-
-
-def test_run_fails_when_cache_lacks_usage_hashes(toy_experiment, capsys):
-    # without its cache a bundle cannot be costed; the cost stage must not
-    # report zero tokens
+def test_cost_tallies_a_usage_file_without_the_cache(toy_experiment, capsys):
+    # a usage file holds its own token counts, so its bundle's cache can be gone
     assert main(["run", "--config", str(toy_experiment)]) == 0
     out_dir = toy_experiment.parent / "out"
     (out_dir / "cache.jsonl").unlink()
-    (out_dir / "reports" / "cost.csv").unlink()
     capsys.readouterr()
-    assert main(["run", "--config", str(toy_experiment)]) == 1
-    assert "stage 'cost' failed" in capsys.readouterr().err
-    assert not (out_dir / "reports" / "cost.csv").exists()
+    argv = [
+        "cost", "--usage", str(out_dir / "judgments" / "mock-judge__full.usage.json"),
+        "--prices", str(toy_experiment.parent / "prices.json"), "--dataset", "toy",
+    ]
+    assert main(argv) == 0
+    expected = _bundle_lines(
+        out_dir / "reports" / "cost.csv", lambda row: row[:2] == ["judgment", "full"]
+    )
+    assert len(expected) == 2
+    assert capsys.readouterr().out.splitlines() == expected
+
+
+def test_cost_takes_either_cache_or_usage_not_both(toy_bundle, capsys):
+    out_dir = toy_bundle / "out"
+    argv = [
+        "cost", "--cache", str(out_dir / "cache.jsonl"),
+        "--usage", str(out_dir / "judgments" / "mock-judge__full.usage.json"),
+    ]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "not allowed with argument" in captured.err
 
 
 def test_cost_requires_cache_or_extrapolate():
@@ -376,7 +384,7 @@ def test_cost_missing_cache_is_config_error(tmp_path, capsys):
 @pytest.mark.parametrize(
     "argv",
     [
-        ["cost", "--cache", "{cache}", "--usage", "{missing}"],
+        ["cost", "--usage", "{missing}"],
         ["agreement", "--qrels-a", "{missing}", "--qrels-b", "{qrels}"],
         ["agreement", "--qrels-a", "{qrels}", "--qrels-b", "{missing}"],
         ["effectiveness", "--qrels", "{missing}", "--runs-dir", "{runs}"],
@@ -389,7 +397,6 @@ def test_cost_missing_cache_is_config_error(tmp_path, capsys):
 def test_missing_input_file_is_config_error(toy_bundle, tmp_path, capsys, argv):
     missing = tmp_path / "missing"
     paths = {
-        "cache": toy_bundle / "out" / "cache.jsonl",
         "qrels": toy_bundle / "qrels.txt",
         "runs": toy_bundle / "runs",
         "missing": missing,
@@ -403,14 +410,16 @@ def test_missing_input_file_is_config_error(toy_bundle, tmp_path, capsys, argv):
     "content",
     [
         "not json", "{}", "[]", '{"request_hashes": null}', '{"request_hashes": 5}',
-        '{"request_hashes": "ab"}',
+        '{"request_hashes": "ab"}', '{"request_hashes": ["ab"], "input_tokens": 1}',
+        '{"rows": null}', '{"rows": [["ab", "m", 1]]}', '{"rows": [["ab", 5, 1, 1]]}',
+        '{"rows": [["ab", "m", true, 1]]}', '{"rows": [["ab", "m", 1, -1]]}',
+        '{"rows": [["ab", "m", 2.0, 1]]}', '{"rows": [["ab", "m", 1, 1], "ab"]}',
     ],
 )
-def test_bad_usage_file_is_parse_error(toy_bundle, tmp_path, capsys, content):
+def test_bad_usage_file_is_parse_error(tmp_path, capsys, content):
     usage = tmp_path / "usage.json"
     usage.write_text(content)
-    cache = toy_bundle / "out" / "cache.jsonl"
-    assert main(["cost", "--cache", str(cache), "--usage", str(usage)]) == 1
+    assert main(["cost", "--usage", str(usage)]) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: {usage}: bad usage file")
 
@@ -523,8 +532,9 @@ def test_summarize_and_judge_subcommands_write_the_bundle_bytes(toy_bundle, tmp_
     for suffix in ("", ".meta.json"):
         expected = bundle / "judgments" / f"mock-judge__summ-80.qrels{suffix}"
         assert Path(f"{judged}{suffix}").read_bytes() == expected.read_bytes()
-    usage = tmp_path / "summ80.usage.json"
-    assert usage.read_bytes() == (bundle / "summaries" / "summ80.usage.json").read_bytes()
+    for suffix in (".errors.json", ".usage.json"):
+        expected = bundle / "summaries" / f"summ80{suffix}"
+        assert (tmp_path / f"summ80{suffix}").read_bytes() == expected.read_bytes()
     for suffix in (".errors.json", ".usage.json"):
         expected = bundle / "judgments" / f"mock-judge__summ-80{suffix}"
         assert (tmp_path / f"judged{suffix}").read_bytes() == expected.read_bytes()
@@ -542,8 +552,7 @@ def test_cost_tallies_the_usage_file_of_the_judge_subcommand(toy_bundle, tmp_pat
     assert main(argv) == 0
     capsys.readouterr()
     argv = [
-        "cost", "--cache", str(bundle / "cache.jsonl"),
-        "--usage", str(tmp_path / "judged.usage.json"),
+        "cost", "--usage", str(tmp_path / "judged.usage.json"),
         "--prices", str(toy_bundle / "prices.json"),
         "--stage", "judgment", "--modality", "summ:80", "--dataset", "toy",
     ]
@@ -680,8 +689,7 @@ def test_stage_subcommands_match_bundle_reports(toy_bundle, tmp_path):
     assert (
         main(
             [
-                "cost", "--cache", str(toy_bundle / "out" / "cache.jsonl"),
-                "--usage", str(usage), "--prices", str(toy_bundle / "prices.json"),
+                "cost", "--usage", str(usage), "--prices", str(toy_bundle / "prices.json"),
                 "--stage", "judgment", "--modality", "full", "--dataset", "toy",
                 "--out", str(cost),
             ]

@@ -17,9 +17,9 @@ from conftest import EMPTY_DOC, build_toy_experiment, bundle_digests
 from judgeval import pipeline, trec_io
 from judgeval.cli import main
 from judgeval.config import load_config
-from judgeval.errors import ConfigError, JudgevalError
-from judgeval.gateway import ChatRequest, Gateway, ResponseCache
-from judgeval.pipeline import StageError, run_pipeline
+from judgeval.errors import ConfigError, JudgevalError, ProtocolError
+from judgeval.gateway import ChatRequest, Gateway, MockBackend, ResponseCache
+from judgeval.pipeline import StageError, run_pipeline, sha256_file
 from judgeval.trec_io import Modality, parse_qrels
 
 
@@ -61,7 +61,8 @@ def test_bundle_layout_of_the_stage_files(tmp_path, model):
     out = run_pipeline(load_config(config_path)).output_dir
     exts = (".qrels", ".qrels.meta.json", ".errors.json", ".usage.json")
     cells = {f"judgments/{model}__{m}{ext}" for m in ("full", "summ-80", "summ-120") for ext in exts}
-    summaries = {f"summaries/summ{b}{ext}" for b in (80, 120) for ext in (".jsonl", ".usage.json")}
+    exts = (".jsonl", ".errors.json", ".usage.json")
+    summaries = {f"summaries/summ{b}{ext}" for b in (80, 120) for ext in exts}
     written = {str(p.relative_to(out)) for d in ("judgments", "summaries") for p in (out / d).iterdir()}
     assert written == cells | summaries
 
@@ -346,6 +347,20 @@ def test_two_fresh_runs_are_byte_identical(toy_experiment):
 # other change here means existing bundles re-run that stage, which a
 # refactor of how the fingerprint inputs are built must not cause.
 TOY_FINGERPRINTS = {
+    "summarize:80": "28225762ec7fc6b37b37a9aabb656fd24d2a9d31026df94604dc1f8303fe3e0d",
+    "summarize:120": "489d583fc46abe045dcfc9b482ba302de841a6c5ab73c267f63bde6bb4135350",
+    "judge:mock-judge:full": "866bd50e517bf8a626ee1bb8a59175ce029be4bf25b76e686a84fbf2477b91c0",
+    "judge:mock-judge:summ:80": "7f888ba9247432de24de2398c2f0a5be3d2767e615a177c3a60572aad3326df3",
+    "judge:mock-judge:summ:120": "77012246092f9c798e03c4417b71982ef7332f551a36bc43ced0dabdcb52f13f",
+    "distribution": "d71749bd5845951e9550fae61abf0c3e267c8f8707ea98de3b51040ea3fad129",
+    "agreement": "d0a3c53ef112549b1eeb187290ccd44cb49c42947ced89a6c9ec40fa990307e6",
+    "effectiveness": "2d27d70dcbea6e1e5265cdeb866153b87f935404b690d283ac8ec6aabb3ea6cd",
+    "stability": "f4e09d2f88842dffe5e65e4dcd7e46be825d814d0dfc141ae83c2b54aa1290bd",
+    "cost": "10d1bb765e3b9d88b38706b3c6bdd80dcc563e587592d3d3df65afa077689c6a",
+}
+
+# The same stages at version 0.1.0, as its bundles record them.
+TOY_FINGERPRINTS_0_1_0 = {
     "summarize:80": "8bbd8ebef6c4a9b4f778fee55fa4319f69c299121cc453fc6b5b7bc6bce41b63",
     "summarize:120": "f6eb871c095e0f70027c220805d6e025514a010dcbe52f98ea8d13fb61ac7d0c",
     "judge:mock-judge:full": "0c4ff32e525ce1f1f375751d0781546d11340eeda960b28eab994f3a10615bc0",
@@ -363,6 +378,53 @@ def test_stage_fingerprints_are_pinned(toy_experiment):
     out = run_pipeline(load_config(toy_experiment)).output_dir
     stages = json.loads((out / "manifest.json").read_text())["stages"]
     assert {name: record["fingerprint"] for name, record in stages.items()} == TOY_FINGERPRINTS
+
+
+def test_only_the_version_changed_the_pinned_fingerprints(toy_experiment, monkeypatch):
+    monkeypatch.setattr(pipeline, "__version__", "0.1.0")
+    out = run_pipeline(load_config(toy_experiment)).output_dir
+    stages = json.loads((out / "manifest.json").read_text())["stages"]
+    fingerprints = {name: record["fingerprint"] for name, record in stages.items()}
+    assert fingerprints == TOY_FINGERPRINTS_0_1_0
+
+
+def _as_written_by_0_1_0(out: Path) -> None:
+    """Give a bundle made with the version patched to 0.1.0 the files that
+    version wrote: usage files that list request hashes and no summary
+    ledgers, with a manifest whose digests match them."""
+    for usage in out.rglob("*.usage.json"):
+        recorded = json.loads(usage.read_text())
+        hashes = [row[0] for row in recorded.pop("rows")]
+        trec_io.write_json(usage, {"request_hashes": hashes, **recorded})
+    for ledger in (out / "summaries").glob("*.errors.json"):
+        ledger.unlink()
+
+    def digests(rels) -> dict[str, str]:
+        return {rel: sha256_file(out / rel) for rel in rels if (out / rel).exists()}
+
+    manifest = json.loads((out / "manifest.json").read_text())
+    for record in manifest["stages"].values():
+        record["outputs"] = digests(record["outputs"])
+    manifest["files"] = digests(manifest["files"])
+    trec_io.write_json(out / "manifest.json", manifest)
+
+
+def test_a_bundle_of_version_0_1_0_reruns_every_stage_from_the_cache(toy_experiment, monkeypatch):
+    config = load_config(toy_experiment)
+    fresh = run_pipeline(replace(config, output_dir=config.output_dir.parent / "fresh")).output_dir
+    with monkeypatch.context() as patched:
+        patched.setattr(pipeline, "__version__", "0.1.0")
+        out = run_pipeline(config).output_dir
+    _as_written_by_0_1_0(out)
+    again = run_pipeline(config)
+    assert again.stages_run() == list(TOY_FINGERPRINTS)
+    assert again.backend_calls == 0
+
+    def kept(bundle: Path) -> dict[str, str]:
+        digests = bundle_digests(bundle)
+        return {rel: digests[rel] for rel in digests if rel not in ("manifest.json", "cache.jsonl")}
+
+    assert kept(out) == kept(fresh)
 
 
 def _listed_outputs(stages: dict) -> dict:
@@ -427,7 +489,7 @@ def test_run_resumes_after_a_cache_append_cut_short(toy_experiment, capsys):
     stages = [
         usage
         for usage in sorted(out.rglob("*.usage.json"))
-        if torn_hash in json.loads(usage.read_text())["request_hashes"]
+        if torn_hash in [row[0] for row in json.loads(usage.read_text())["rows"]]
     ]
     assert stages
     for usage in stages:
@@ -528,8 +590,8 @@ def test_a_run_reads_back_only_what_skipped_stages_wrote(toy_experiment, monkeyp
     shutil.rmtree(out / "reports")
     reports = ["distribution", "agreement", "effectiveness", "stability", "cost"]
     assert run_pipeline(config).stages_run() == reports
-    # no gateway is open until the cost stage, and nothing writes the cache
-    # before then, so it is hashed once however many manifest saves come first
+    # no report stage opens the gateway, and nothing writes the cache, so it
+    # is hashed once however many manifest saves come first
     assert calls.count(("sha256_file", out / "cache.jsonl")) == 1
 
 
@@ -591,8 +653,11 @@ def test_a_run_releases_each_input_after_its_last_reader(tmp_path, monkeypatch):
     assert (result.backend_calls, result.cache_hits) == (len(lines), 130) == (148, 130)
 
 
-@pytest.mark.parametrize("change", ["none", "force", "cell-and-cost-deleted", "prices"])
+@pytest.mark.parametrize(
+    "change", ["none", "force", "cell-and-cost-deleted", "prices", "reports-deleted"]
+)
 def test_a_rerun_loads_the_cache_at_most_once(tmp_path, monkeypatch, change):
+    # only a summarize or judge stage that runs loads the cache; no report does
     config = load_config(_two_model_experiment(tmp_path))
     loads = []
     load = ResponseCache._load
@@ -606,7 +671,10 @@ def test_a_rerun_loads_the_cache_at_most_once(tmp_path, monkeypatch, change):
         prices = {model: {"input_usd_per_1m": 1.25, "output_usd_per_1m": 4.0}
                   for model in ("mock-judge", "other")}
         (tmp_path / "prices.json").write_text(json.dumps(prices))
-        expected = ["cost"]  # the one stage to open the gateway
+        expected = ["cost"]
+    elif change == "reports-deleted":
+        shutil.rmtree(out / "reports")
+        expected = ["distribution", "agreement", "effectiveness", "stability", "cost"]
     elif change == "cell-and-cost-deleted":
         (out / "reports" / "cost.csv").unlink()
         (out / "judgments" / "other__summ-80.qrels").unlink()
@@ -614,7 +682,7 @@ def test_a_rerun_loads_the_cache_at_most_once(tmp_path, monkeypatch, change):
     again = run_pipeline(config, force=change == "force")
     assert again.stages_run() == expected
     assert again.backend_calls == 0
-    assert len(loads) == (0 if change == "none" else 1)
+    assert len(loads) == (1 if change in ("force", "cell-and-cost-deleted") else 0)
     cost = (out / "reports" / "cost.csv").read_bytes()
     if change == "prices":
         fresh = run_pipeline(replace(config, output_dir=tmp_path / "fresh")).output_dir
@@ -623,15 +691,60 @@ def test_a_rerun_loads_the_cache_at_most_once(tmp_path, monkeypatch, change):
         assert cost == cold
 
 
-def test_a_cache_the_cost_stage_cannot_load_fails_that_stage(toy_experiment, capsys):
+def test_a_reports_only_rerun_needs_no_response_cache(toy_experiment, monkeypatch, capsys):
+    # each usage file holds its own token counts, so the cost stage prices a
+    # bundle whose cache is gone, and no report stage opens the gateway
+    out = run_pipeline(load_config(toy_experiment)).output_dir
+    cold = {path.name: path.read_bytes() for path in (out / "reports").iterdir()}
+    (out / "cache.jsonl").unlink()
+    shutil.rmtree(out / "reports")
+    opened = []
+    monkeypatch.setattr(ResponseCache, "_load", lambda cache: opened.append("cache"))
+    init = Gateway.__init__
+    monkeypatch.setattr(
+        Gateway, "__init__", lambda self, *a, **kw: opened.append("gateway") or init(self, *a, **kw)
+    )
+    capsys.readouterr()
+    assert main(["run", "--config", str(toy_experiment)]) == 0
+    printed = capsys.readouterr().out
+    assert "5 stages ran, 5 skipped, 0 backend calls" in printed
+    assert opened == []
+    assert {path.name: path.read_bytes() for path in (out / "reports").iterdir()} == cold
+    assert not (out / "cache.jsonl").exists()
+
+
+def test_a_failed_summary_keeps_its_reason_in_the_summary_ledger(toy_experiment, monkeypatch):
     config = load_config(toy_experiment)
+    texts = {}
+    for line in config.corpus.read_text().splitlines():
+        doc = json.loads(line)
+        texts[doc["docid"]] = doc["text"]
+    judged = sorted({doc for _t, doc in parse_qrels(config.qrels).grades} - {EMPTY_DOC})
+    failing = {texts[doc]: doc for doc in judged[:2]}
+    send = MockBackend.send
+
+    def refusing(self, req, request_hash):
+        doc = failing.get(req.user_text.rsplit("Document:", 1)[-1].strip())
+        if doc is not None and "Passage:" not in req.user_text:  # a summary request
+            raise ProtocolError(f"refused to summarize {doc}")
+        return send(self, req, request_hash)
+
+    monkeypatch.setattr(MockBackend, "send", refusing)
     out = run_pipeline(config).output_dir
-    (out / "reports" / "cost.csv").unlink()
-    with open(out / "cache.jsonl", "a", encoding="utf-8") as fh:
-        fh.write("not json\n")
-    with pytest.raises(StageError, match=r"^stage 'cost' failed: corrupt cache line "):
-        run_pipeline(config)
-    assert not (out / "reports" / "cost.csv").exists()
+    failed = sorted(failing.values())
+    for budget in (80, 120):
+        ledger = json.loads((out / "summaries" / f"summ{budget}.errors.json").read_text())
+        assert [entry["doc_id"] for entry in ledger["failed_docs"]] == failed
+        for entry in ledger["failed_docs"]:
+            assert f"refused to summarize {entry['doc_id']}" in entry["reason"]
+    for slug in ("summ-80", "summ-120"):
+        ledger = json.loads((out / "judgments" / f"mock-judge__{slug}.errors.json").read_text())
+        skipped = {entry["doc_id"]: entry["reason"] for entry in ledger["skipped_pairs"]}
+        assert {doc: skipped.get(doc) for doc in failed} == dict.fromkeys(
+            failed, "no summary available"
+        )
+    ledger = json.loads((out / "judgments" / "mock-judge__full.errors.json").read_text())
+    assert ledger["skipped_pairs"] == []
 
 
 def test_distribution_rows_sum_to_about_hundred(toy_experiment):
