@@ -354,6 +354,19 @@ def test_cost_tallies_a_usage_file_without_the_cache(toy_experiment, capsys):
     assert capsys.readouterr().out.splitlines() == expected
 
 
+def test_run_costs_a_bundle_whose_cache_is_gone(toy_experiment, capsys):
+    # the cost stage reads the usage files, so losing the cache changes no cost
+    assert main(["run", "--config", str(toy_experiment)]) == 0
+    out_dir = toy_experiment.parent / "out"
+    cold = (out_dir / "reports" / "cost.csv").read_bytes()
+    (out_dir / "cache.jsonl").unlink()
+    (out_dir / "reports" / "cost.csv").unlink()
+    capsys.readouterr()
+    assert main(["run", "--config", str(toy_experiment)]) == 0
+    assert capsys.readouterr().err == ""
+    assert (out_dir / "reports" / "cost.csv").read_bytes() == cold
+
+
 def test_cost_takes_either_cache_or_usage_not_both(toy_bundle, capsys):
     out_dir = toy_bundle / "out"
     argv = [

@@ -713,6 +713,23 @@ def test_a_reports_only_rerun_needs_no_response_cache(toy_experiment, monkeypatc
     assert not (out / "cache.jsonl").exists()
 
 
+def test_a_damaged_usage_file_reruns_its_stage_before_the_cost_stage(toy_experiment):
+    # the cost stage never prices a usage file its stage did not write: a
+    # damaged one re-runs that judge stage from the cache first
+    config = load_config(toy_experiment)
+    out = run_pipeline(config).output_dir
+    cold = (out / "reports" / "cost.csv").read_bytes()
+    (out / "reports" / "cost.csv").unlink()
+    usage = out / "judgments" / "mock-judge__full.usage.json"
+    written = usage.read_bytes()
+    usage.write_text('{"rows": 5}')
+    again = run_pipeline(config)
+    assert again.stages_run() == ["judge:mock-judge:full", "cost"]
+    assert again.backend_calls == 0
+    assert usage.read_bytes() == written
+    assert (out / "reports" / "cost.csv").read_bytes() == cold
+
+
 def test_a_failed_summary_keeps_its_reason_in_the_summary_ledger(toy_experiment, monkeypatch):
     config = load_config(toy_experiment)
     texts = {}
