@@ -47,8 +47,9 @@ def main(argv: list[str] | None = None) -> int:
     except FileNotFoundError as exc:
         print(f"config error: path does not exist: {exc.filename}", file=sys.stderr)
         return 2
-    except NotADirectoryError as exc:
-        print(f"config error: path is not a directory: {exc.filename}", file=sys.stderr)
+    except (IsADirectoryError, NotADirectoryError) as exc:
+        wrong = "a directory" if isinstance(exc, IsADirectoryError) else "not a directory"
+        print(f"config error: path is {wrong}: {exc.filename}", file=sys.stderr)
         return 2
     except JudgevalError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -128,14 +129,14 @@ def _build_parser() -> argparse.ArgumentParser:
     stab.set_defaults(handler=_cmd_stability)
 
     cost = sub.add_parser("cost", help="token/cost tally or extrapolation")
-    tallied = cost.add_mutually_exclusive_group()
+    tallied = cost.add_mutually_exclusive_group(required=True)
     tallied.add_argument("--cache", help="response cache JSONL: tally every entry")
     tallied.add_argument("--usage", help="one stage's usage JSON: tally its rows")
+    tallied.add_argument("--extrapolate", action="store_true")
     cost.add_argument("--stage", default="judgment")
     cost.add_argument("--modality", default="full")
     cost.add_argument("--dataset", default="-")
     cost.add_argument("--prices", help="price table JSON")
-    cost.add_argument("--extrapolate", action="store_true")
     cost.add_argument("--pairs", type=int)
     cost.add_argument("--avg-tokens", type=float)
     cost.add_argument("--overhead", type=float, default=0.0)
@@ -213,11 +214,13 @@ def _cmd_summarize(args) -> int:
 
 def _cmd_judge(args) -> int:
     modality = _parse_modality(args.modality)
+    summarized = modality.kind == "summary"
+    _check(summarized == bool(args.summaries),
+           "summary modalities need --summaries" if summarized
+           else f"--summaries does not apply to modality {modality}")
     experiment = Experiment(_load_config_with_overrides(args))
     summaries = None
-    if modality.kind == "summary":
-        if not args.summaries:
-            raise ConfigError("summary modalities need --summaries")
+    if summarized:
         summaries = read_summaries(args.summaries)
         if summaries.budget_tokens != modality.budget_tokens:
             raise ConfigError(
@@ -300,14 +303,11 @@ def _cmd_cost(args) -> int:
         except ValueError as exc:
             raise ConfigError(f"bad --pairs, --avg-tokens or --overhead: {exc}") from exc
     else:
-        if args.usage:
+        if args.usage is not None:
             usage = usage_entries(args.usage)
-        elif args.cache:
-            if not Path(args.cache).exists():
-                raise ConfigError(f"cache path does not exist: {args.cache}")
-            usage = token_counts([*ResponseCache(args.cache).entries()])
         else:
-            raise ConfigError("one of --cache, --usage or --extrapolate is required")
+            _check(Path(args.cache).exists(), f"cache path does not exist: {args.cache}")
+            usage = token_counts([*ResponseCache(args.cache).entries()])
         report = tally_observed(usage, prices, stage=args.stage, modality=args.modality)
     _emit(reports.cost_csv(args.dataset, [report]), args.out)
     return 0

@@ -1,6 +1,7 @@
 """Graded relevance judging of (topic, evidence) pairs.
 
-A Bing-style zero-shot prompt elicits a 0-3 label per pair; the grade is
+A Bing-style zero-shot prompt, its ``<QUERY>`` and ``<PASSAGE>`` markers
+filled by ``templates.fill``, elicits a 0-3 label per pair; the grade is
 extracted as the last standalone integer in that range, which tolerates the
 decoration zero-shot models add around their answers. A task whose response
 has no grade is asked once more with a "single digit" nudge appended; one
@@ -16,9 +17,9 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, NamedTuple
 
-from .errors import GatewayError, JudgevalError, ParseError
+from .errors import GatewayError, ParseError
 from .gateway import ChatRequest, Gateway
-from .templates import load_template, template_sha256
+from .templates import fill, load_template, template_sha256
 from .trec_io import VALID_GRADES, JudgmentSet, Modality, nonblank_lines
 
 GRADE_NUDGE = "Answer with a single digit."
@@ -27,7 +28,6 @@ MAX_OUTPUT_TOKENS = 64
 # A standalone 0-3: not glued to other digits and not part of a decimal
 # number on either side.
 _GRADE_RE = re.compile(r"(?<!\d)(?<!\d\.)([0-3])(?!\.?\d)")
-_MARKER_RE = re.compile("<QUERY>|<PASSAGE>")
 
 
 @dataclass(frozen=True)
@@ -71,24 +71,11 @@ def load_topics(path: str | Path) -> dict[str, str]:
 
 
 def load_judge_template(path: str | Path | None = None) -> str:
-    template = load_template("judge_prompt.txt", path)
-    for marker in ("<QUERY>", "<PASSAGE>"):
-        if marker not in template:
-            raise JudgevalError(f"judge template missing {marker} placeholder")
-    return template
+    return load_template("judge", ("<QUERY>", "<PASSAGE>"), path)
 
 
-def build_judge_prompt(
-    task: JudgingTask,
-    model: str,
-    *,
-    template: str | None = None,
-) -> ChatRequest:
-    if template is None:
-        template = load_judge_template()
-    # one pass, so a marker inside the query or evidence stays literal text
-    values = {"<QUERY>": task.query_text, "<PASSAGE>": task.evidence_text}
-    user_text = _MARKER_RE.sub(lambda match: values[match.group()], template)
+def build_judge_prompt(task: JudgingTask, model: str, *, template: str) -> ChatRequest:
+    user_text = fill(template, {"<QUERY>": task.query_text, "<PASSAGE>": task.evidence_text})
     return ChatRequest(model=model, user_text=user_text, max_output_tokens=MAX_OUTPUT_TOKENS)
 
 
@@ -106,7 +93,7 @@ def judge_pool(
     model: str,
     modality: Modality,
     *,
-    template: str | None = None,
+    template: str,
 ) -> JudgePoolResult:
     """Judge a pool of tasks with one model, all showing ``modality`` evidence.
 
@@ -117,8 +104,6 @@ def judge_pool(
     after that, or failing at the gateway, land in the failure ledger. Every
     task ends up either as a judgment record or a ledger entry.
     """
-    if template is None:
-        template = load_judge_template()
     prompt_hash = template_sha256(template)
     ordered = sorted(tasks, key=lambda task: task.pair)
     for before, task in zip(ordered, ordered[1:]):

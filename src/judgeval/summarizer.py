@@ -1,7 +1,7 @@
 """Length-budgeted document summarization.
 
 The prompt template ships as a text file with ``<N>`` and ``<DOC>``
-placeholders and is substituted verbatim; its SHA-256 (computed with the
+placeholders, filled by ``templates.fill``; its SHA-256 (computed with the
 markers still in place) is recorded on every summary so downstream
 judgments can state exactly which prompt produced their evidence.
 
@@ -17,10 +17,10 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import get_type_hints
 
-from .errors import GatewayError, JudgevalError, ParseError
+from .errors import GatewayError, ParseError
 from .gateway import ChatRequest, Gateway, count_tokens
 from .trec_io import DocCorpus, atomic_write_text, json_records
-from .templates import load_template, template_sha256
+from .templates import fill, load_template, template_sha256
 
 NO_CONTENT = "NO_CONTENT"
 
@@ -65,27 +65,12 @@ class SummarySet:
 
 
 def load_summary_template(path: str | Path | None = None) -> str:
-    """Read the summary prompt template (shipped default when path is None)."""
-    template = load_template("summary_prompt.txt", path)
-    for marker in ("<N>", "<DOC>"):
-        if marker not in template:
-            raise JudgevalError(f"summary template missing {marker} placeholder")
-    return template
+    return load_template("summary", ("<N>", "<DOC>"), path)
 
 
-def build_summary_prompt(
-    doc_text: str,
-    budget: int,
-    model: str,
-    *,
-    template: str | None = None,
-) -> ChatRequest:
+def build_summary_prompt(doc_text: str, budget: int, model: str, *, template: str) -> ChatRequest:
     """Render the summary request for one document at a token budget."""
-    if budget <= 0:
-        raise ValueError("budget must be positive")
-    if template is None:
-        template = load_summary_template()
-    user_text = template.replace("<N>", str(budget)).replace("<DOC>", doc_text)
+    user_text = fill(template, {"<N>": str(budget), "<DOC>": doc_text})
     return ChatRequest(
         model=model, user_text=user_text, max_output_tokens=OUTPUT_HEADROOM * budget
     )
@@ -97,7 +82,7 @@ def summarize_corpus(
     gateway: Gateway,
     model: str,
     *,
-    template: str | None = None,
+    template: str,
 ) -> SummarySet:
     """Summarize every corpus document at one budget.
 
@@ -109,8 +94,6 @@ def summarize_corpus(
     """
     if budget <= 0:
         raise ValueError("budget must be positive")
-    if template is None:
-        template = load_summary_template()
     prompt_hash = template_sha256(template)
     result = SummarySet(budget_tokens=budget)
     doc_ids, entries = corpus.doc_ids(), corpus.entries

@@ -1,27 +1,43 @@
-"""Prompt template files and their loaders.
+"""Prompt template files, and the one module that knows their marker format.
 
-Templates are plain text with angle-bracket placeholders. Their SHA-256 is
-taken over the raw file text, markers included, so any edit to a shipped or
-user-supplied template is visible in output metadata.
+Templates are plain text with upper-case angle-bracket markers such as
+``<QUERY>``; ``fill`` substitutes them in one pass, so a marker inside an
+inserted value stays literal. The SHA-256 is taken over the raw file text,
+markers included, so any edit to a shipped or user-supplied template is
+visible in output metadata.
 """
 
 from __future__ import annotations
 
 import hashlib
+import re
 from importlib import resources
 from pathlib import Path
 
 from ..errors import ConfigError, ParseError
 from ..trec_io import read_text
 
+_MARKER_RE = re.compile(r"<[A-Z]+>")
 
-def load_template(default_name: str, path: str | Path | None = None) -> str:
-    """A template's text, decoded as UTF-8 with a leading byte-order mark
-    dropped; a file that is not UTF-8 is a ConfigError naming it."""
+
+def load_template(kind: str, markers: tuple[str, ...], path: str | Path | None = None) -> str:
+    """The ``kind`` template at ``path`` (the shipped ``<kind>_prompt.txt`` when
+    None), decoded as UTF-8 with a leading byte-order mark dropped. A file that
+    is not UTF-8 or lacks one of ``markers`` is a ConfigError."""
+    shipped = resources.files(__package__) / f"{kind}_prompt.txt"
     try:
-        return read_text(path if path is not None else resources.files(__package__) / default_name)
+        template = read_text(path if path is not None else shipped)
     except ParseError as exc:
         raise ConfigError(str(exc)) from exc
+    for marker in markers:
+        if marker not in template:
+            raise ConfigError(f"{kind} template missing {marker} placeholder")
+    return template
+
+
+def fill(template: str, values: dict[str, str]) -> str:
+    """Substitute the markers in ``values``, in one pass; the rest stay as written."""
+    return _MARKER_RE.sub(lambda match: values.get(match[0], match[0]), template)
 
 
 def template_sha256(template_text: str) -> str:

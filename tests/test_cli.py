@@ -221,6 +221,20 @@ def test_judge_subcommand_full_and_summary(toy_experiment, tmp_path):
     )
 
 
+def test_judge_full_modality_with_summaries_is_a_config_error(toy_experiment, tmp_path, capsys):
+    before = sorted(tmp_path.rglob("*"))
+    argv = [
+        "judge", "--config", str(toy_experiment), "--model", "mock-judge",
+        "--modality", "full", "--summaries", str(tmp_path / "missing.jsonl"),
+        "--out", str(tmp_path / "full.qrels"),
+    ]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (
+        "config error: --summaries does not apply to modality full\n"
+    )
+    assert sorted(tmp_path.rglob("*")) == before
+
+
 def test_agreement_subcommand_identical_files_kappa_one(tmp_path, capsys):
     qrels = tmp_path / "a.qrels"
     judgments = JudgmentSet(
@@ -381,8 +395,24 @@ def test_cost_takes_either_cache_or_usage_not_both(toy_bundle, capsys):
     assert "not allowed with argument" in captured.err
 
 
-def test_cost_requires_cache_or_extrapolate():
-    assert main(["cost"]) == 2
+def test_cost_requires_cache_or_extrapolate(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["cost"])
+    assert exc.value.code == 2
+    assert "one of the arguments --cache --usage --extrapolate is required" in (
+        capsys.readouterr().err
+    )
+
+
+@pytest.mark.parametrize("tallied", ["--usage", "--cache"])
+def test_cost_extrapolate_takes_neither_usage_nor_cache(tmp_path, capsys, tallied):
+    argv = ["cost", "--extrapolate", "--pairs", "10", "--avg-tokens", "5"]
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, tallied, str(tmp_path / "missing.json")])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "not allowed with argument" in captured.err
 
 
 def test_cost_missing_cache_is_config_error(tmp_path, capsys):
@@ -417,6 +447,16 @@ def test_missing_input_file_is_config_error(toy_bundle, tmp_path, capsys, argv):
     assert main([arg.format(**paths) for arg in argv]) == 2
     err = capsys.readouterr().err
     assert err == f"config error: path does not exist: {missing}\n"
+
+
+@pytest.mark.parametrize("flag, path", [("--usage", "dir"), ("--cache", "dir"), ("--usage", "")])
+def test_a_directory_given_as_a_file_is_config_error(tmp_path, capsys, monkeypatch, flag, path):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "dir").mkdir()
+    assert main(["cost", flag, path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"config error: path is a directory: {path or '.'}\n"
 
 
 @pytest.mark.parametrize(
@@ -777,6 +817,21 @@ def test_stability_rejects_a_malformed_table(tmp_path, capsys, table, problem):
     argv = ["stability", "--per-topic-h", str(good), "--per-topic-l", str(bad), "--metric", "map"]
     assert main(argv) == 2
     assert capsys.readouterr().err == f"config error: {bad}: {problem}\n"
+
+
+@pytest.mark.parametrize(
+    "kind, text, marker",
+    [("judge", "Rate <QUERY> 0-3\n", "<PASSAGE>"), ("summary", "About <N> tokens\n", "<DOC>")],
+)
+def test_a_template_without_its_markers_is_a_config_error(tmp_path, capsys, kind, text, marker):
+    config = build_toy_experiment(tmp_path)
+    (tmp_path / "prompt.txt").write_text(text)
+    with config.open("a") as handle:
+        handle.write(f"[prompts]\n{kind}_template = prompt.txt\n")
+    assert main(["run", "--config", str(config)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"config error: {kind} template missing {marker} placeholder\n"
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("which", ["config", "template"])

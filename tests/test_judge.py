@@ -21,6 +21,8 @@ from judgeval.judge import (
 )
 from judgeval.trec_io import FULL_DOCUMENT, JudgmentSet, Modality
 
+TEMPLATE = load_judge_template()
+
 
 class _FixedBackend:
     def __init__(self, text):
@@ -109,7 +111,7 @@ def test_parse_grade_never_out_of_domain():
 
 def test_judge_prompt_substitution():
     task = JudgingTask(("t1", "d1"), "the query", "the passage")
-    req = build_judge_prompt(task, "m")
+    req = build_judge_prompt(task, "m", template=TEMPLATE)
     assert "Query: the query" in req.user_text
     assert "Passage: the passage" in req.user_text
 
@@ -141,7 +143,7 @@ def test_judge_template_requires_markers(tmp_path):
 
 def test_judge_pool_all_twos(tmp_path):
     gw = _gateway(tmp_path, _FixedBackend("2"))
-    result = judge_pool(_tasks(8), gw, "m", FULL_DOCUMENT)
+    result = judge_pool(_tasks(8), gw, "m", FULL_DOCUMENT, template=TEMPLATE)
     assert len(result.judgments) == 8
     assert set(result.judgments.grades.values()) == {2}
     assert result.failures == []
@@ -155,7 +157,7 @@ def test_judge_pool_all_twos(tmp_path):
 
 def test_judge_pool_parses_decorated_answer(tmp_path):
     gw = _gateway(tmp_path, _FixedBackend("O: 3"))
-    result = judge_pool(_tasks(2), gw, "m", FULL_DOCUMENT)
+    result = judge_pool(_tasks(2), gw, "m", FULL_DOCUMENT, template=TEMPLATE)
     assert set(result.judgments.grades.values()) == {3}
 
 
@@ -164,7 +166,7 @@ def test_judge_pool_unparseable_goes_to_ledger(tmp_path):
     gw = _gateway(tmp_path, backend)
     requests = backend.requests
     tasks = _tasks(5)
-    result = judge_pool(tasks, gw, "m", FULL_DOCUMENT)
+    result = judge_pool(tasks, gw, "m", FULL_DOCUMENT, template=TEMPLATE)
     assert len(result.judgments) == 0
     assert len(result.failures) == 5
     assert all(f.reason == "no parseable grade" for f in result.failures)
@@ -185,7 +187,7 @@ def test_judge_pool_nudge_rescues_final_attempt(tmp_path):
             return BackendReply(text="hmm", input_tokens=1, output_tokens=1)
 
     gw = _gateway(tmp_path, _NudgeOnly())
-    result = judge_pool(_tasks(3), gw, "m", FULL_DOCUMENT)
+    result = judge_pool(_tasks(3), gw, "m", FULL_DOCUMENT, template=TEMPLATE)
     assert len(result.judgments) == 3
     assert set(result.judgments.grades.values()) == {1}
     assert result.failures == []
@@ -203,28 +205,30 @@ def test_judge_pool_returns_the_hashes_of_every_reply_it_used(tmp_path):
     gw = Gateway(_Mixed(), tmp_path / "cache.jsonl", max_attempts=2, sleep=lambda _s: None)
     plain, vague, failed = (JudgingTask(("t1", f"d{i}"), "query", f"{text} evidence")
                             for i, text in enumerate(("plain", "vague", "poison")))
-    result = judge_pool([plain, vague, failed], gw, "m", FULL_DOCUMENT)
+    result = judge_pool([plain, vague, failed], gw, "m", FULL_DOCUMENT, template=TEMPLATE)
     assert result.judgments.grades == {("t1", "d0"): 2, ("t1", "d1"): 2}
     assert [f.doc_id for f in result.failures] == ["d2"]
-    nudged = build_judge_prompt(vague, "m")
+    nudged = build_judge_prompt(vague, "m", template=TEMPLATE)
     nudged = replace(nudged, user_text=nudged.user_text + "\n\n" + GRADE_NUDGE)
-    expected = {build_judge_prompt(task, "m").digest() for task in (plain, vague)}
+    expected = {
+        build_judge_prompt(task, "m", template=TEMPLATE).digest() for task in (plain, vague)
+    }
     assert result.request_hashes == expected | {nudged.digest()}
 
 
 def test_judge_pool_respects_modality_and_rejects_mixtures(tmp_path):
     gw = _gateway(tmp_path, _FixedBackend("2"))
-    result = judge_pool(_tasks(4), gw, "m", Modality("summary", 80))
+    result = judge_pool(_tasks(4), gw, "m", Modality("summary", 80), template=TEMPLATE)
     assert result.judgments.modality == Modality("summary", 80)
 
 
 def test_modality_isolation_same_keys(tmp_path):
     gw = _gateway(tmp_path, MockBackend(seed=5))
-    full = judge_pool(_tasks(6), gw, "m", FULL_DOCUMENT)
+    full = judge_pool(_tasks(6), gw, "m", FULL_DOCUMENT, template=TEMPLATE)
     summ_tasks = [
         JudgingTask(t.pair, t.query_text, "summary: " + t.evidence_text) for t in _tasks(6)
     ]
-    summ = judge_pool(summ_tasks, gw, "m", Modality("summary", 80))
+    summ = judge_pool(summ_tasks, gw, "m", Modality("summary", 80), template=TEMPLATE)
     assert set(full.judgments.grades) == set(summ.judgments.grades)
 
 
@@ -232,13 +236,13 @@ def test_judge_pool_rejects_a_pair_given_twice(tmp_path):
     backend = _FixedBackend("2")
     tasks = [JudgingTask(("t1", "d1"), "query", text) for text in ("one", "two")]
     with pytest.raises(ValueError, match="duplicate task for topic t1 doc d1"):
-        judge_pool(tasks, _gateway(tmp_path, backend), "m", FULL_DOCUMENT)
+        judge_pool(tasks, _gateway(tmp_path, backend), "m", FULL_DOCUMENT, template=TEMPLATE)
     assert backend.calls == 0
 
 
 def test_empty_pool(tmp_path):
     gw = _gateway(tmp_path, _FixedBackend("2"))
-    result = judge_pool([], gw, "m", FULL_DOCUMENT)
+    result = judge_pool([], gw, "m", FULL_DOCUMENT, template=TEMPLATE)
     assert len(result.judgments) == 0
     assert result.failures == []
 

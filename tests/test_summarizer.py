@@ -9,6 +9,7 @@ import pytest
 from judgeval.errors import JudgevalError
 from judgeval.gateway import (
     BackendReply,
+    ChatRequest,
     Gateway,
     MockBackend,
     TransportError,
@@ -24,6 +25,8 @@ from judgeval.summarizer import (
 )
 from judgeval.templates import template_sha256
 from judgeval.trec_io import CorpusEntry, DocCorpus
+
+TEMPLATE = load_summary_template()
 
 
 def _corpus(**texts) -> DocCorpus:
@@ -43,27 +46,44 @@ def test_template_has_placeholders_and_stable_hash():
 
 @pytest.mark.parametrize("budget", [80, 120])
 def test_prompt_contains_budget_phrase(budget):
-    req = build_summary_prompt("some document text", budget, "m")
+    req = build_summary_prompt("some document text", budget, "m", template=TEMPLATE)
     assert f"maximum about {budget} tokens" in req.user_text
     assert "some document text" in req.user_text
     assert req.max_output_tokens == 2 * budget
 
 
 def test_prompt_well_formed_for_empty_document():
-    req = build_summary_prompt("", 80, "m")
+    req = build_summary_prompt("", 80, "m", template=TEMPLATE)
     assert "maximum about 80 tokens" in req.user_text
     assert req.user_text.rstrip().endswith("Document:")
 
 
-def test_prompt_rejects_nonpositive_budget():
-    with pytest.raises(ValueError):
-        build_summary_prompt("x", 0, "m")
+def test_summary_prompt_markers_inside_the_document_stay_literal():
+    req = build_summary_prompt("what <DOC> and <N> mean", 80, "m", template="N=<N>|D=<DOC>|<N>")
+    assert req.user_text == "N=80|D=what <DOC> and <N> mean|80"
+
+
+@pytest.mark.parametrize("doc", ["plain text", "", "what <N> and <DOC> mean", "<DOC><QUERY>"])
+@pytest.mark.parametrize("budget", [80, 120])
+def test_summary_prompt_bytes_equal_the_chained_replacement(doc, budget):
+    # prompt bytes are cache keys: one-pass filling keeps every earlier request
+    text = TEMPLATE.replace("<N>", str(budget)).replace("<DOC>", doc)
+    expected = ChatRequest("m", text, 2 * budget)
+    assert build_summary_prompt(doc, budget, "m", template=TEMPLATE) == expected
+
+
+def test_prompt_rejects_nonpositive_budget(tmp_path):
+    gw = _mock_gateway(tmp_path)
+    for budget in (0, -80):
+        with pytest.raises(ValueError, match="budget must be positive"):
+            summarize_corpus(_corpus(d1="x"), budget, gw, "m", template=TEMPLATE)
+    assert gw.backend_calls == 0
 
 
 def test_empty_document_short_circuits_backend(tmp_path):
     gw = _mock_gateway(tmp_path)
     corpus = _corpus(d1="one doc " * 30, d2="", d3="other doc " * 30, d4=" \n\t ")
-    summaries = summarize_corpus(corpus, 80, gw, "m")
+    summaries = summarize_corpus(corpus, 80, gw, "m", template=TEMPLATE)
     assert len(summaries) == 4
     assert summaries.records["d2"].text == NO_CONTENT
     assert summaries.records["d2"].output_token_count == 0
@@ -74,7 +94,7 @@ def test_empty_document_short_circuits_backend(tmp_path):
 def test_mock_summaries_fit_budget(tmp_path):
     gw = _mock_gateway(tmp_path)
     corpus = _corpus(d1=" ".join(f"w{i}" for i in range(400)))
-    summaries = summarize_corpus(corpus, 80, gw, "m")
+    summaries = summarize_corpus(corpus, 80, gw, "m", template=TEMPLATE)
     record = summaries.records["d1"]
     assert record.output_token_count == count_tokens(record.text)
     assert record.output_token_count <= 80
@@ -93,9 +113,9 @@ def test_budget_coverage_and_prompt_fidelity(tmp_path):
 
 def test_rerun_over_cache_is_identical_with_zero_calls(tmp_path):
     corpus = _corpus(d1="alpha beta " * 40, d2="", d3="gamma delta " * 25)
-    first = summarize_corpus(corpus, 80, _mock_gateway(tmp_path), "m")
+    first = summarize_corpus(corpus, 80, _mock_gateway(tmp_path), "m", template=TEMPLATE)
     gw2 = _mock_gateway(tmp_path)
-    second = summarize_corpus(corpus, 80, gw2, "m")
+    second = summarize_corpus(corpus, 80, gw2, "m", template=TEMPLATE)
     assert gw2.backend_calls == 0
     assert second.records == first.records
     assert second.errors == {} == first.errors
@@ -109,7 +129,7 @@ def test_over_budget_and_longer_than_source_flags(tmp_path):
 
     gw = Gateway(_Verbose(), tmp_path / "cache.jsonl", sleep=lambda _s: None)
     corpus = _corpus(d1="short doc")
-    summaries = summarize_corpus(corpus, 80, gw, "m")
+    summaries = summarize_corpus(corpus, 80, gw, "m", template=TEMPLATE)
     assert set(summaries.records["d1"].flags) == {"over_budget", "longer_than_source"}
 
 
@@ -124,18 +144,19 @@ def test_gateway_failures_go_to_ledger_not_abort(tmp_path):
         _FailsOnMarker(), tmp_path / "cache.jsonl", max_attempts=2, sleep=lambda _s: None
     )
     corpus = _corpus(d1="good text", d2="poison text", d3=" \n ")
-    summaries = summarize_corpus(corpus, 80, gw, "m")
+    summaries = summarize_corpus(corpus, 80, gw, "m", template=TEMPLATE)
     assert "d1" in summaries.records
     assert "d2" in summaries.errors
     assert "d2" not in summaries.records
     # only d1's reply was used: d2 failed and d3 never reached the gateway
-    assert summaries.request_hashes == {build_summary_prompt("good text", 80, "m").digest()}
+    only = build_summary_prompt("good text", 80, "m", template=TEMPLATE)
+    assert summaries.request_hashes == {only.digest()}
 
 
 def test_write_read_round_trip(tmp_path):
     gw = _mock_gateway(tmp_path)
     corpus = _corpus(d1="one " * 50, d2="")
-    summaries = summarize_corpus(corpus, 80, gw, "m")
+    summaries = summarize_corpus(corpus, 80, gw, "m", template=TEMPLATE)
     path = tmp_path / "summ.jsonl"
     write_summaries(summaries, path)
     loaded = read_summaries(path)

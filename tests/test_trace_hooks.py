@@ -21,8 +21,8 @@ from pathlib import Path
 import judgeval.cli  # noqa: F401  (imports every layer module, as the tracer does)
 from conftest import build_toy_experiment
 from judgeval.gateway import ChatRequest, ChatResponse, Gateway, MockBackend
-from judgeval.judge import GRADE_NUDGE, JudgingTask, judge_pool
-from judgeval.summarizer import summarize_corpus
+from judgeval.judge import GRADE_NUDGE, JudgingTask, judge_pool, load_judge_template
+from judgeval.summarizer import load_summary_template, summarize_corpus
 from judgeval.trec_io import FULL_DOCUMENT, CorpusEntry, DocCorpus
 
 TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
@@ -64,12 +64,12 @@ def test_records_expose_what_the_tracer_reads(tmp_path):
     gateway = Gateway(MockBackend(seed=0), tmp_path / "cache.jsonl")
 
     corpus = DocCorpus({"d1": CorpusEntry("alpha beta gamma delta"), "d2": CorpusEntry("")})
-    summaries = summarize_corpus(corpus, 80, gateway, "m")
+    summaries = summarize_corpus(corpus, 80, gateway, "m", template=load_summary_template())
     docs, _equal, errors = info["summarizer.summarize_corpus"]((corpus,), {}, summaries)
     assert (docs, errors) == (2, 0)
 
     tasks = [JudgingTask(("t1", "d1"), "query", "alpha beta gamma delta")]
-    result = judge_pool(tasks, gateway, "m", FULL_DOCUMENT)
+    result = judge_pool(tasks, gateway, "m", FULL_DOCUMENT, template=load_judge_template())
     assert info["judge.judge_pool"]((tasks,), {}, result) == [1, len(result.failures)]
 
     nudged = ChatRequest(model="m", user_text="grade it\n\n" + GRADE_NUDGE, max_output_tokens=8)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import ast
 import json
 import random
+import re
 from pathlib import Path
 
 import pytest
@@ -350,6 +351,40 @@ def test_no_source_module_imports_a_name_it_never_reads():
         for entry in _unread_imports(ast.parse(path.read_text(encoding="utf-8-sig")))
     ]
     assert offenders == []
+
+
+def _marker_substitutions(tree: ast.AST) -> list[int]:
+    """Lines that call ``.replace`` or an ``re`` function with a literal first
+    argument holding a ``<MARKER>``: a prompt filled outside ``templates``."""
+    return [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and isinstance(func := node.func, ast.Attribute)
+        and (func.attr == "replace" or isinstance(func.value, ast.Name) and func.value.id == "re")
+        and node.args and isinstance(first := node.args[0], ast.Constant)
+        and isinstance(first.value, str) and re.search(r"<[A-Z]+>", first.value)
+    ]
+
+
+def test_only_the_templates_module_fills_prompt_markers():
+    # one module owns the placeholder format, so every template fills alike
+    src = Path(__file__).resolve().parents[1] / "src" / "judgeval"
+    offenders = [
+        f"{path}:{line}"
+        for path in sorted(src.rglob("*.py"))
+        if "templates" not in path.relative_to(src).parts
+        for line in _marker_substitutions(ast.parse(path.read_text(encoding="utf-8-sig")))
+    ]
+    assert offenders == []
+
+
+def test_the_marker_lint_flags_substitutions_outside_templates():
+    tree = ast.parse(
+        "t.replace('<N>', '80').replace('<DOC>', d)\nre.sub('<QUERY>|<PASSAGE>', f, t)\n"
+        "re.compile(r'x<DOC>')\np.replace(q)\nt.replace('<n>', x)\nre.compile('[0-3]')\n"
+        "t.replace('N', '<N>')\nother.sub('<N>', x)\nfill(t, {'<N>': '80'})\n"
+    )
+    assert sorted(_marker_substitutions(tree)) == [1, 1, 2, 3]
 
 
 def test_the_import_lint_flags_unread_names():
