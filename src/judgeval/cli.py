@@ -1,8 +1,10 @@
 """Command-line entry points.
 
 ``judgeval run`` drives the whole experiment from a config file; the other
-subcommands run one stage in isolation over explicit input/output paths so
-any report can be reproduced or debugged on its own.
+subcommands run one stage in isolation so any report can be reproduced or
+debugged on its own. ``summarize``, ``judge`` and ``stability`` take the
+config too and go through the same ``pipeline`` code as ``run``; the others
+work over explicit input/output paths.
 
 Exit codes: 0 success, 1 fatal stage error, 2 configuration error.
 """
@@ -27,8 +29,7 @@ from .cost import (
 )
 from .errors import ConfigError, JudgevalError
 from .gateway import ResponseCache
-from .pipeline import Experiment, effectiveness_by_metric, run_pipeline
-from .stability import SystemScores, stability_report
+from .pipeline import Experiment, effectiveness_by_metric, run_pipeline, stability_text
 from .summarizer import read_summaries
 from .trec_io import VALID_GRADES, Modality, atomic_write_text, load_runs_dir, parse_qrels
 
@@ -115,16 +116,10 @@ def _build_parser() -> argparse.ArgumentParser:
     eff.add_argument("--per-topic-out")
     eff.set_defaults(handler=_cmd_effectiveness)
 
-    stab = sub.add_parser("stability", help="ranking stability between two score tables")
-    stab.add_argument("--per-topic-h", required=True, help="per-topic CSV, human side")
-    stab.add_argument("--per-topic-l", required=True, help="per-topic CSV, LLM side")
-    stab.add_argument("--metric", required=True)
-    stab.add_argument("--rbo-p", type=float, default=_DEFAULT["rbo_p"])
-    stab.add_argument("--resamples", type=int, default=_DEFAULT["bootstrap_samples"])
-    stab.add_argument("--seed", type=int, default=0)
-    stab.add_argument("--dataset", default="-")
-    stab.add_argument("--model", default="-")
-    stab.add_argument("--modality", default="-")
+    stab = sub.add_parser(
+        "stability", parents=[configured], help="ranking stability of one judgment set"
+    )
+    stab.add_argument("--qrels", required=True, help="judgments to rank the runs by")
     stab.add_argument("--out")
     stab.set_defaults(handler=_cmd_stability)
 
@@ -139,8 +134,8 @@ def _build_parser() -> argparse.ArgumentParser:
     cost.add_argument("--prices", help="price table JSON")
     cost.add_argument("--pairs", type=int)
     cost.add_argument("--avg-tokens", type=float)
-    cost.add_argument("--overhead", type=float, default=0.0)
-    cost.add_argument("--model", default="gpt-4o")
+    cost.add_argument("--overhead", type=float, help="default 0")
+    cost.add_argument("--model", help="default gpt-4o")
     cost.add_argument("--out")
     cost.set_defaults(handler=_cmd_cost)
 
@@ -154,6 +149,8 @@ def _load_config_with_overrides(args) -> ExperimentConfig:
         updates["seed"] = args.seed
     if args.mock:
         updates["backend"] = "mock"
+    if args.command == "judge":  # its model need not be configured, but is checked as one
+        updates["models"] = [args.model]
     if args.command == "run":
         # run executes the configured grid; filters narrow it, other
         # subcommands take their model/modality/paths verbatim
@@ -260,44 +257,27 @@ def _cmd_effectiveness(args) -> int:
     return 0
 
 
-def _system_scores(path: str, metric: str) -> SystemScores:
-    try:
-        rows = reports.read_per_topic(path, metric)
-    except ValueError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
-    if not rows:
-        raise ConfigError(f"no rows for metric {metric!r} in {path}")
-    try:
-        return SystemScores.from_rows(rows)
-    except ValueError as exc:
-        sources = sorted({f"{row.qrels_source}:{row.modality}" for row in rows})
-        raise ConfigError(f"{path} mixes qrels sources for {metric}: {sources}") from exc
-
-
 def _cmd_stability(args) -> int:
-    _check(args.resamples >= 1, "--resamples must be >= 1")
-    _check(0.0 < args.rbo_p < 1.0, "--rbo-p must lie strictly between 0 and 1")
-    scores_h = _system_scores(args.per_topic_h, args.metric)
-    scores_l = _system_scores(args.per_topic_l, args.metric)
-    try:
-        report = stability_report(
-            scores_h, scores_l, rbo_p=args.rbo_p, n_resamples=args.resamples, seed=args.seed
-        )
-    except ValueError as exc:  # the tables differ in runs
-        raise ConfigError(f"{args.per_topic_h} and {args.per_topic_l}: {exc}") from exc
-    cell = (args.model, args.modality, report)
-    _emit(reports.stability_csv(args.dataset, [cell]), args.out)
+    experiment = Experiment(_load_config_with_overrides(args))  # checks the config's inputs
+    judged = parse_qrels(args.qrels)
+    cell = (judged.label(), str(judged.modality))  # as reports/stability.csv labels it
+    table = experiment.score_runs([(*cell, judged)])
+    _emit(stability_text(experiment.config, table, [cell]), args.out)
     return 0
 
 
 def _cmd_cost(args) -> int:
+    extrapolation = (args.pairs, args.avg_tokens, args.overhead, args.model)
+    _check(args.extrapolate or extrapolation == (None,) * 4,
+           "--pairs, --avg-tokens, --overhead and --model apply only to --extrapolate")
     prices = load_price_table(args.prices) if args.prices else dict(DEFAULT_PRICES)
     if args.extrapolate:
         if args.pairs is None or args.avg_tokens is None:
             raise ConfigError("--extrapolate needs --pairs and --avg-tokens")
         try:
             report = extrapolate(
-                args.pairs, args.avg_tokens, args.overhead, price_for(args.model, prices),
+                args.pairs, args.avg_tokens, args.overhead or 0.0,
+                price_for(args.model or "gpt-4o", prices),
                 stage=args.stage, modality=args.modality,
             )
         except ValueError as exc:

@@ -87,6 +87,8 @@ class ExperimentConfig:
             raise ConfigError("duplicate modalities configured")
         if len(set(self.models)) != len(self.models):
             raise ConfigError("duplicate models configured")
+        if "human" in self.models:  # the reports' label of the human qrels
+            raise ConfigError("model name 'human' is reserved for the human qrels")
 
     def resolved_cache_path(self) -> Path:
         return self.cache_path or (self.output_dir / "cache.jsonl")

@@ -23,7 +23,8 @@ last model's cell judged on it, and the response cache after the last judge
 stage. Each usage file holds its own token counts, so no report stage opens
 the cache. It is also the one wiring from a config to summarizer and judge
 calls, and the one writer of their files: the ``summarize`` and ``judge``
-subcommands call the same two methods as the stages.
+subcommands call the same two methods as the stages, and ``stability``
+scores through ``score_runs`` and ``stability_text`` as its stage does.
 
 A stage hands its result on in memory: whatever a stage produced in this
 run (summaries, judgments, the token counts of its usage file) goes
@@ -171,6 +172,27 @@ def effectiveness_by_metric(
     return {key: sorted(rows, key=lambda row: row.run_tag) for key, rows in table.items()}
 
 
+def stability_text(
+    config: ExperimentConfig,
+    table: dict[tuple[str, str], list[EffectivenessRow]],
+    cells: Iterable[tuple[str, str]],
+) -> str:
+    """``reports/stability.csv`` text: each ``(model, modality)`` cell's rows of
+    ``table`` (see ``effectiveness_by_metric``), labelled ``model:modality``,
+    against its ``human`` rows under NDCG@k and MAP, cell-major."""
+    metrics = (f"ndcg@{config.ndcg_k}", "map")
+    reports_by_cell = [
+        (model, modality, stability_report(
+            SystemScores.from_rows(table[("human", metric)]),
+            SystemScores.from_rows(table[(f"{model}:{modality}", metric)]),
+            rbo_p=config.rbo_p, n_resamples=config.bootstrap_samples, seed=config.seed,
+        ))
+        for model, modality in cells
+        for metric in metrics
+    ]
+    return reports.stability_csv(config.dataset, reports_by_cell)
+
+
 def run_pipeline(config: ExperimentConfig, *, force: bool = False) -> PipelineResult:
     """Run summarize -> judge -> report stages for one experiment config."""
     return Experiment(config, force=force).run()
@@ -179,8 +201,8 @@ def run_pipeline(config: ExperimentConfig, *, force: bool = False) -> PipelineRe
 class Experiment:
     """One experiment config: its inputs, loaded the first time a stage uses
     them, and the one wiring from the config to summarizer and judge calls,
-    shared by ``judgeval run`` and the ``summarize``/``judge`` subcommands.
-    Leaving its ``with`` block closes the response cache's file."""
+    shared by ``judgeval run`` and the ``summarize``/``judge``/``stability``
+    subcommands. Leaving its ``with`` block closes the response cache's file."""
 
     def __init__(self, config: ExperimentConfig, *, force: bool = False):
         self.config = config
@@ -506,12 +528,13 @@ class Experiment:
 
         self._stage(name, covered, rels, produce)
 
-    @cached_property
-    def _effectiveness(self) -> dict[tuple[str, str], list[EffectivenessRow]]:
-        """(qrels label, metric) -> per-run rows; label 'human' or 'model:modality'.
-        Built on first use: a run that skips both report stages computes no NDCG/AP."""
+    def score_runs(
+        self, cells: list[tuple[str, str, JudgmentSet]]
+    ) -> dict[tuple[str, str], list[EffectivenessRow]]:
+        """(qrels label, metric) -> per-run rows under the human qrels (label
+        'human') and each ``(model, modality, judgments)`` cell ('model:modality')."""
         sources = [("human", self.human)] + [
-            (f"{model}:{modality}", judged) for model, modality, judged in self._judged_cells()
+            (f"{model}:{modality}", judged) for model, modality, judged in cells
         ]
         config = self.config
         return effectiveness_by_metric(
@@ -519,13 +542,11 @@ class Experiment:
             k=config.ndcg_k, gain=config.gain, threshold=config.binarize_threshold,
         )
 
-    def _against_human(self, metric: str) -> list[tuple[str, str, list, list]]:
-        """``(model, modality, human rows, cell rows)`` per cell under ``metric``."""
-        table = self._effectiveness
-        return [
-            (model, str(modality), table[("human", metric)], table[(f"{model}:{modality}", metric)])
-            for model, modality in self._cells()
-        ]
+    @cached_property
+    def _effectiveness(self) -> dict[tuple[str, str], list[EffectivenessRow]]:
+        """``score_runs`` of every cell, built on first use: a run that skips
+        both report stages computes no NDCG/AP."""
+        return self.score_runs(self._judged_cells())
 
     # -- report texts, one method per REPORT_STAGES entry ----------------------
 
@@ -543,21 +564,16 @@ class Experiment:
         rows = [row for key in sorted(table) for row in table[key]]
         metrics = (f"ndcg@{self.config.ndcg_k}", "map")
         return [*reports.effectiveness_csvs(rows)] + [
-            reports.scatter_csv(self._against_human(metric)) for metric in metrics
+            reports.scatter_csv(
+                (model, str(mod), table[("human", metric)], table[(f"{model}:{mod}", metric)])
+                for model, mod in self._cells()
+            )
+            for metric in metrics
         ]
 
     def _stability_texts(self) -> list[str]:
-        config = self.config
-        metrics = (f"ndcg@{config.ndcg_k}", "map")
-        cells = [  # cell-major: each cell's metrics together
-            (model, modality, stability_report(
-                SystemScores.from_rows(human), SystemScores.from_rows(judged),
-                rbo_p=config.rbo_p, n_resamples=config.bootstrap_samples, seed=config.seed,
-            ))
-            for per_metric in zip(*map(self._against_human, metrics))
-            for model, modality, human, judged in per_metric
-        ]
-        return [reports.stability_csv(config.dataset, cells)]
+        cells = [(model, str(modality)) for model, modality in self._cells()]
+        return [stability_text(self.config, self._effectiveness, cells)]
 
     def _cost_texts(self) -> list[str]:
         def tally(stage: str, modality: str, stems: list[str]):

@@ -9,8 +9,6 @@ from __future__ import annotations
 
 import csv
 import io
-import math
-from pathlib import Path
 from typing import Iterable
 
 from .agreement import GRADED_LABELS, agreement_report, format_percentages, label_distribution
@@ -20,7 +18,6 @@ from .stability import StabilityReport
 from .trec_io import JudgmentSet
 
 _ROW_KEY = ["run_tag", "metric", "qrels_source", "modality"]
-_PER_TOPIC_HEADER = _ROW_KEY + ["topic_id", "value"]
 
 
 def _decimal(value: float | None) -> str:
@@ -95,52 +92,9 @@ def effectiveness_csvs(rows: list[EffectivenessRow]) -> tuple[str, str, str]:
     ]
     return (
         csv_text(_ROW_KEY + ["mean", "topics_evaluated"], means),
-        csv_text(_PER_TOPIC_HEADER, per_topic),
+        csv_text(_ROW_KEY + ["topic_id", "value"], per_topic),
         csv_text(coverage_header, coverage),
     )
-
-
-def read_per_topic(path: str | Path, metric: str) -> list[EffectivenessRow]:
-    """Parse a per-topic CSV back into one row per (run, qrels source, modality)
-    for ``metric``; only the per-topic scores and the mean are recovered.
-
-    Raises ``ValueError`` on a missing column, a short row, a value that is
-    not a finite number, or a repeated topic.
-    """
-    groups: dict[tuple[str, str, str], dict[str, float]] = {}
-    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
-        reader = csv.DictReader(fh)
-        columns = reader.fieldnames or []
-        if missing := [name for name in _PER_TOPIC_HEADER if name not in columns]:
-            raise ValueError(f"missing column(s) {', '.join(missing)}")
-        for line in reader:
-            if None in line.values():
-                raise ValueError(f"line {reader.line_num} has fewer fields than the header")
-            if line["metric"] != metric:
-                continue
-            key = (line["run_tag"], line["qrels_source"], line["modality"])
-            per_topic = groups.setdefault(key, {})
-            if line["topic_id"] in per_topic:
-                raise ValueError(f"topic {line['topic_id']} repeated for {key}")
-            value = float(line["value"])
-            if not math.isfinite(value):
-                raise ValueError(f"line {reader.line_num}: value {line['value']!r} is not finite")
-            per_topic[line["topic_id"]] = value
-    return [
-        EffectivenessRow(
-            run_tag=tag,
-            metric=metric,
-            qrels_source=source,
-            modality=modality,
-            per_topic=per_topic,
-            mean=sum(per_topic.values()) / len(per_topic),
-            topics_evaluated=len(per_topic),
-            topics_skipped_unjudged=0,
-            topics_skipped_no_relevant=0,
-            unjudged_at_cutoff=0,
-        )
-        for (tag, source, modality), per_topic in groups.items()
-    ]
 
 
 def scatter_csv(

@@ -16,7 +16,7 @@ from typing import Iterable, Sequence
 from .agreement import UNDEFINED, StatValue
 from .effectiveness import EffectivenessRow
 
-BOOTSTRAP_BLOCK = 256  # resamples per tau-b batch; bounds working memory
+BOOTSTRAP_BLOCK = 64  # resamples per tau-b batch, which holds runs x 64 x topics floats at once
 CI_LEVEL = 0.95  # coverage of the bootstrap tau interval
 
 

@@ -24,9 +24,9 @@ byte-order mark dropped. Three shapes are read here: lines of text
 fields at declared types (``json_records``: the corpus and summary
 files), and one JSON document (``read_json``: sidecars, usage files,
 price tables and the manifest), which ``write_json`` writes (usage files
-have their own compact writer, ``cost.write_usage``). The config,
-prompt templates and per-topic CSV tables have readers of their own, and
-the response cache is read as bytes.
+have their own compact writer, ``cost.write_usage``). The config and
+prompt templates have readers of their own, and the response cache is read
+as bytes.
 
 Parsing is pure per-file and every returned structure is safe to share
 across threads once built. Malformed input raises ParseError with the
@@ -357,9 +357,6 @@ class CorpusEntry:
 @dataclass
 class DocCorpus:
     entries: dict[str, CorpusEntry] = field(default_factory=dict)
-
-    def __len__(self) -> int:
-        return len(self.entries)
 
     def doc_ids(self) -> list[str]:
         return sorted(self.entries)

@@ -7,6 +7,7 @@ import gc
 import io
 import json
 import os
+import shlex
 import subprocess
 import sys
 import warnings
@@ -58,6 +59,29 @@ def test_models_sharing_a_judgment_file_name_are_config_errors(tmp_path, capsys)
     assert not (tmp_path / "out").exists()
 
 
+def test_a_model_named_human_is_a_config_error(tmp_path, capsys):
+    # the reports label the human qrels "human", so the two could not be told apart
+    config = build_toy_experiment(tmp_path)
+    config.write_text(config.read_text().replace("models = mock-judge", "models = human"))
+    assert main(["run", "--config", str(config)]) == 2
+    err = capsys.readouterr().err
+    assert err == "config error: model name 'human' is reserved for the human qrels\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_judge_rejects_a_model_named_human(toy_experiment, tmp_path, capsys):
+    before = sorted(tmp_path.rglob("*"))
+    argv = [
+        "judge", "--config", str(toy_experiment), "--model", "human",
+        "--modality", "full", "--out", str(tmp_path / "full.qrels"),
+    ]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "config error: model name 'human' is reserved for the human qrels\n"
+    assert sorted(tmp_path.rglob("*")) == before
+
+
 def test_cache_line_without_reply_text_is_an_error_naming_it(tmp_path, capsys):
     config = build_toy_experiment(tmp_path)
     cache = tmp_path / "out" / "cache.jsonl"
@@ -75,8 +99,6 @@ def test_flags_that_mirror_a_setting_default_to_it():
         ("effectiveness", "--threshold"): "binarize_threshold",
         ("effectiveness", "--k"): "ndcg_k",
         ("effectiveness", "--gain"): "gain",
-        ("stability", "--rbo-p"): "rbo_p",
-        ("stability", "--resamples"): "bootstrap_samples",
     }
     settings = {f.name: f.default for f in fields(ExperimentConfig)}
     (commands,) = [a.choices for a in _build_parser()._actions if a.choices and a.dest == "command"]
@@ -281,24 +303,19 @@ def test_effectiveness_and_stability_subcommands(toy_experiment, tmp_path, capsy
     )
     assert code == 0
     assert per_topic.exists()
-    # identical score tables: tau = spearman = rbo = 1, CI [1, 1]
-    code = main(
-        [
-            "stability",
-            "--per-topic-h", str(per_topic),
-            "--per-topic-l", str(per_topic),
-            "--metric", "ndcg@10",
-            "--resamples", "200",
-            "--seed", "3",
-        ]
-    )
-    assert code == 0
-    row = _csv_rows(capsys.readouterr().out)[0]
-    assert float(row["tau"]) == pytest.approx(1.0)
-    assert float(row["spearman"]) == pytest.approx(1.0)
-    assert float(row["rbo"]) == pytest.approx(1.0)
-    assert float(row["tau_lo"]) == pytest.approx(1.0)
-    assert float(row["tau_hi"]) == pytest.approx(1.0)
+    capsys.readouterr()
+    # the config's own qrels rank the runs as the human side does:
+    # tau = spearman = rbo = 1, CI [1, 1]
+    argv = ["stability", "--config", str(toy_experiment), "--qrels", str(config_dir / "qrels.txt")]
+    assert main([*argv, "--seed", "3"]) == 0
+    rows = _csv_rows(capsys.readouterr().out)
+    assert [(row["model"], row["modality"], row["metric"]) for row in rows] == [
+        ("human", "full", "ndcg@10"), ("human", "full", "map"),
+    ]
+    for row in rows:
+        for name in ("tau", "spearman", "rbo", "tau_lo", "tau_hi"):
+            assert float(row[name]) == pytest.approx(1.0), name
+        assert (row["dataset"], row["B"], row["seed"]) == ("toy", "500", "3")
 
 
 def test_effectiveness_subcommand_rejects_a_duplicate_run_tag(toy_experiment, tmp_path, capsys):
@@ -415,6 +432,22 @@ def test_cost_extrapolate_takes_neither_usage_nor_cache(tmp_path, capsys, tallie
     assert "not allowed with argument" in captured.err
 
 
+@pytest.mark.parametrize("tallied", ["--usage", "--cache"])
+@pytest.mark.parametrize(
+    "flag, value", [("--pairs", "10"), ("--avg-tokens", "5"), ("--overhead", "3"), ("--model", "m")]
+)
+def test_cost_tally_takes_no_extrapolation_flag(toy_bundle, capsys, tallied, flag, value):
+    out_dir = toy_bundle / "out"
+    path = {"--usage": out_dir / "judgments" / "mock-judge__full.usage.json",
+            "--cache": out_dir / "cache.jsonl"}[tallied]
+    assert main(["cost", tallied, str(path), flag, value]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "config error: --pairs, --avg-tokens, --overhead and --model apply only to --extrapolate\n"
+    )
+
+
 def test_cost_missing_cache_is_config_error(tmp_path, capsys):
     missing = tmp_path / "missing.jsonl"
     assert main(["cost", "--cache", str(missing)]) == 2
@@ -432,14 +465,14 @@ def test_cost_missing_cache_is_config_error(tmp_path, capsys):
         ["agreement", "--qrels-a", "{qrels}", "--qrels-b", "{missing}"],
         ["effectiveness", "--qrels", "{missing}", "--runs-dir", "{runs}"],
         ["effectiveness", "--qrels", "{qrels}", "--runs-dir", "{missing}"],
-        ["stability", "--per-topic-h", "{missing}", "--per-topic-l", "{missing}",
-         "--metric", "map"],
+        ["stability", "--config", "{config}", "--qrels", "{missing}"],
     ],
     ids=["cost-usage", "agreement-a", "agreement-b", "eff-qrels", "eff-runs", "stability"],
 )
 def test_missing_input_file_is_config_error(toy_bundle, tmp_path, capsys, argv):
     missing = tmp_path / "missing"
     paths = {
+        "config": toy_bundle / "config.ini",
         "qrels": toy_bundle / "qrels.txt",
         "runs": toy_bundle / "runs",
         "missing": missing,
@@ -477,15 +510,25 @@ def test_bad_usage_file_is_parse_error(tmp_path, capsys, content):
     assert err.startswith(f"error: {usage}: bad usage file")
 
 
+def _toy_config_with(root: Path, old: str, new: str) -> Path:
+    """The toy experiment under ``root``, with ``old`` in its config replaced by ``new``."""
+    config = build_toy_experiment(root)
+    text = config.read_text()
+    assert old in text
+    config.write_text(text.replace(old, new))
+    return config
+
+
 @pytest.mark.parametrize("resamples", ["0", "-5"])
-def test_stability_rejects_non_positive_resamples(toy_bundle, capsys, resamples):
-    per_topic = toy_bundle / "out" / "reports" / "effectiveness_per_topic.csv"
-    argv = [
-        "stability", "--per-topic-h", str(per_topic), "--per-topic-l", str(per_topic),
-        "--metric", "map", "--resamples", resamples,
-    ]
+def test_stability_rejects_non_positive_resamples(tmp_path, capsys, resamples):
+    config = _toy_config_with(
+        tmp_path, "bootstrap_samples = 500", f"bootstrap_samples = {resamples}"
+    )
+    argv = ["stability", "--config", str(config), "--qrels", str(tmp_path / "qrels.txt")]
     assert main(argv) == 2
-    assert "--resamples" in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"config error: bootstrap_samples must be >= 1, got {resamples}\n"
 
 
 @pytest.mark.parametrize(
@@ -497,8 +540,7 @@ def test_stability_rejects_non_positive_resamples(toy_bundle, capsys, resamples)
          "--threshold"),
         (["agreement", "--qrels-a", "{qrels}", "--qrels-b", "{qrels}", "--threshold", "0"],
          "--threshold"),
-        (["stability", "--per-topic-h", "{per_topic}", "--per-topic-l", "{per_topic}",
-          "--metric", "map", "--rbo-p", "1.5"], "--rbo-p"),
+        (["stability", "--config", "{rbo_config}", "--qrels", "{qrels}"], "rbo_p"),
         (["cost", "--extrapolate", "--pairs", "-1", "--avg-tokens", "3"], "--pairs"),
         (["cost", "--extrapolate", "--pairs", "10", "--avg-tokens", "nan"], "--avg-tokens"),
         (["cost", "--extrapolate", "--pairs", "10", "--avg-tokens", "inf"], "--avg-tokens"),
@@ -511,17 +553,12 @@ def test_stability_rejects_non_positive_resamples(toy_bundle, capsys, resamples)
          "avg-tokens-nan", "avg-tokens-inf", "overhead-nan", "token-total", "runs-dir"],
 )
 def test_out_of_range_flags_are_config_errors(toy_bundle, tmp_path, capsys, argv, flag):
-    per_topic = tmp_path / "per_topic.csv"  # one qrels source, so only --rbo-p is wrong
-    eff = ["effectiveness", "--qrels", str(toy_bundle / "qrels.txt"),
-           "--runs-dir", str(toy_bundle / "runs"), "--per-topic-out", str(per_topic)]
-    assert main(eff) == 0
-    capsys.readouterr()
     paths = {
         "config": toy_bundle / "config.ini",
         "out": tmp_path / "out.jsonl",
         "qrels": toy_bundle / "qrels.txt",
         "runs": toy_bundle / "runs",
-        "per_topic": per_topic,
+        "rbo_config": _toy_config_with(tmp_path / "toy", "[metrics]\n", "[metrics]\nrbo_p = 1.5\n"),
     }
     assert main([arg.format(**paths) for arg in argv]) == 2
     captured = capsys.readouterr()
@@ -752,71 +789,21 @@ def test_stage_subcommands_match_bundle_reports(toy_bundle, tmp_path):
     expected = _bundle_lines(reports / "cost.csv", lambda row: row[:2] == ["judgment", "full"])
     assert _lines(cost) == expected
 
+    # each cell's judgments give that cell's rows, labelled from their sidecar
     stability = tmp_path / "stability.csv"
-    assert (
-        main(
-            [
-                "stability", "--per-topic-h", str(per_topic), "--per-topic-l", str(per_topic),
-                "--metric", "map", "--resamples", "50", "--out", str(stability),
-            ]
-        )
-        == 0
-    )
-    assert _lines(stability)[0] == _lines(reports / "stability.csv")[0]
-
-
-def test_stability_rejects_mixed_qrels_sources(toy_bundle, capsys):
-    # the bundle's per-topic table holds human and model rows for every run
-    per_topic = toy_bundle / "out" / "reports" / "effectiveness_per_topic.csv"
-    code = main(
-        [
-            "stability", "--per-topic-h", str(per_topic), "--per-topic-l", str(per_topic),
-            "--metric", "ndcg@10", "--resamples", "50",
+    for cell in ("full", "summ-80", "summ-120"):
+        judged = toy_bundle / "out" / "judgments" / f"mock-judge__{cell}.qrels"
+        argv = [
+            "stability", "--config", str(toy_bundle / "config.ini"),
+            "--qrels", str(judged), "--out", str(stability),
         ]
-    )
-    assert code == 2
-    assert "mixes qrels sources" in capsys.readouterr().err
-
-
-def test_stability_rejects_tables_over_different_runs(tmp_path, capsys):
-    header = "run_tag,metric,qrels_source,modality,topic_id,value\n"
-    paths = []
-    for name, tags in (("h", ("r1", "r2")), ("l", ("r1", "r3"))):
-        path = tmp_path / f"{name}.csv"
-        rows = [f"{tag},map,human,full,{t},0.5\n" for tag in tags for t in ("t1", "t2")]
-        path.write_text(header + "".join(rows))
-        paths.append(str(path))
-    argv = ["stability", "--per-topic-h", paths[0], "--per-topic-l", paths[1], "--metric", "map"]
-    assert main(argv) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("config error: ")
-    assert "['r2']" in err and "['r3']" in err
-
-
-_PER_TOPIC_HEADER = "run_tag,metric,qrels_source,modality,topic_id,value\n"
-
-
-@pytest.mark.parametrize(
-    "table, problem",
-    [
-        ("metric,qrels_source,modality,topic_id,value\nmap,human,full,t1,0.5\n",
-         "missing column(s) run_tag"),
-        (_PER_TOPIC_HEADER + "r1,map,human,full,t1,0.5\nr2,map,human,full,t1,nan\n",
-         "line 3: value 'nan' is not finite"),
-        (_PER_TOPIC_HEADER + "r1,map,human,full,t1,0.5\nr2,map,human,full,t1,inf\n",
-         "line 3: value 'inf' is not finite"),
-        (_PER_TOPIC_HEADER + "r1,map,human,full,t1,0.5\nr2,map\n",
-         "line 3 has fewer fields than the header"),
-    ],
-    ids=["no-run_tag", "nan", "inf", "short-row"],
-)
-def test_stability_rejects_a_malformed_table(tmp_path, capsys, table, problem):
-    good, bad = tmp_path / "good.csv", tmp_path / "bad.csv"
-    good.write_text(_PER_TOPIC_HEADER + "r1,map,human,full,t1,0.5\nr2,map,human,full,t1,0.25\n")
-    bad.write_text(table)
-    argv = ["stability", "--per-topic-h", str(good), "--per-topic-l", str(bad), "--metric", "map"]
-    assert main(argv) == 2
-    assert capsys.readouterr().err == f"config error: {bad}: {problem}\n"
+        assert main(argv) == 0
+        modality = cell.replace("-", ":")
+        expected = _bundle_lines(
+            reports / "stability.csv", lambda row: row[1:3] == ["mock-judge", modality]
+        )
+        assert len(expected) == 3
+        assert _lines(stability) == expected
 
 
 @pytest.mark.parametrize(
@@ -849,3 +836,34 @@ def test_a_config_or_template_that_is_not_utf8_is_a_config_error(tmp_path, capsy
     err = capsys.readouterr().err
     assert err.startswith(f"config error: {bad}: ") and "not UTF-8" in err
     assert not (tmp_path / "out").exists()
+
+
+def _readme_commands() -> list[list[str]]:
+    """The argv of each ``judgeval ...`` line in README's fenced blocks, with
+    continuation lines joined and ``#`` comments dropped."""
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    commands, fenced, line = [], False, ""
+    for raw in readme.read_text(encoding="utf-8").splitlines():
+        if raw.lstrip().startswith("```"):
+            fenced, line = not fenced, ""
+            continue
+        if not fenced:
+            continue
+        line += raw
+        if line.endswith("\\"):
+            line = line[:-1]
+            continue
+        if line.lstrip().startswith("judgeval "):
+            commands.append(shlex.split(line, comments=True))
+        line = ""
+    return commands
+
+
+def test_every_readme_command_parses(capsys):
+    commands = _readme_commands()
+    assert len(commands) >= 12
+    for argv in commands:
+        try:
+            _build_parser().parse_args(argv[1:])
+        except SystemExit:
+            pytest.fail(f"{shlex.join(argv)}: {capsys.readouterr().err}")

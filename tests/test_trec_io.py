@@ -17,7 +17,6 @@ from judgeval.cost import load_price_table
 from judgeval.effectiveness import average_precision, ndcg_at_k
 from judgeval.errors import ConflictError, ParseError
 from judgeval.judge import binarize, load_judge_template, load_topics
-from judgeval.reports import read_per_topic
 from judgeval.summarizer import load_summary_template, read_summaries
 from judgeval.trec_io import (
     FULL_DOCUMENT,
@@ -245,12 +244,10 @@ SUMMARY_LINE = {
         (_parse_qrels_with_sidecar, '{"source": "model", "model": "m", "modality": "summary", '
                                     '"budget_tokens": 80, "prompt_sha256": "ab"}'),
         (read_summaries, json.dumps(SUMMARY_LINE) + "\n"),
-        (lambda path: read_per_topic(path, "map"),
-         "run_tag,metric,qrels_source,modality,topic_id,value\nr1,map,human,full,t1,0.5\n"),
     ],
     ids=[
         "qrels", "run", "topics", "corpus", "config", "prices", "summary-template",
-        "judge-template", "sidecar", "summaries", "per-topic",
+        "judge-template", "sidecar", "summaries",
     ],
 )
 def test_leading_byte_order_mark_is_dropped(tmp_path, load, text):
