@@ -315,7 +315,8 @@ def _loop_bootstrap_ci(scores_h, scores_l, n_resamples, seed, level=0.95):
 
 
 @pytest.mark.parametrize(
-    "block, n_resamples", [(BOOTSTRAP_BLOCK, BOOTSTRAP_BLOCK + 17), (7, 100), (7, 5)]
+    "block, n_resamples",
+    [(BOOTSTRAP_BLOCK, BOOTSTRAP_BLOCK + 17), (256, 273), (7, 100), (7, 5)],
 )
 def test_vectorized_bootstrap_matches_loop(monkeypatch, block, n_resamples):
     monkeypatch.setattr(stability, "BOOTSTRAP_BLOCK", block)
