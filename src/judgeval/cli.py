@@ -2,9 +2,10 @@
 
 ``judgeval run`` drives the whole experiment from a config file; the other
 subcommands run one stage in isolation so any report can be reproduced or
-debugged on its own. ``summarize``, ``judge`` and ``stability`` take the
-config too and go through the same ``pipeline`` code as ``run``; the others
-work over explicit input/output paths.
+debugged on its own. ``summarize``, ``judge`` and the three report
+subcommands (``agreement``, ``effectiveness``, ``stability``) take the config
+too and go through the same ``pipeline`` code as ``run``; ``cost`` works over
+explicit input/output paths.
 
 Exit codes: 0 success, 1 fatal stage error, 2 configuration error.
 """
@@ -13,7 +14,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import fields, replace
+from dataclasses import replace
 from pathlib import Path
 
 from . import __version__, reports
@@ -29,12 +30,9 @@ from .cost import (
 )
 from .errors import ConfigError, JudgevalError
 from .gateway import ResponseCache
-from .pipeline import Experiment, effectiveness_by_metric, run_pipeline, stability_text
+from .pipeline import Experiment, run_pipeline
 from .summarizer import read_summaries
-from .trec_io import VALID_GRADES, Modality, atomic_write_text, load_runs_dir, parse_qrels
-
-# Each config setting's default, which a subcommand flag that mirrors it takes.
-_DEFAULT = {f.name: f.default for f in fields(ExperimentConfig)}
+from .trec_io import Modality, atomic_write_text, parse_qrels
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -98,30 +96,20 @@ def _build_parser() -> argparse.ArgumentParser:
     judge.add_argument("--out", required=True)
     judge.set_defaults(handler=_cmd_judge)
 
-    agree = sub.add_parser("agreement", help="agreement between two qrels files")
-    agree.add_argument("--qrels-a", required=True, help="reference judgments")
-    agree.add_argument("--qrels-b", required=True, help="candidate judgments")
-    agree.add_argument("--threshold", type=int, default=_DEFAULT["binarize_threshold"])
-    agree.add_argument("--dataset", default="-")
-    agree.add_argument("--out")
-    agree.set_defaults(handler=_cmd_agreement)
-
-    eff = sub.add_parser("effectiveness", help="evaluate runs under a qrels file")
-    eff.add_argument("--qrels", required=True)
-    eff.add_argument("--runs-dir", required=True)
-    eff.add_argument("--k", type=int, default=_DEFAULT["ndcg_k"])
-    eff.add_argument("--gain", choices=("linear", "exponential"), default=_DEFAULT["gain"])
-    eff.add_argument("--threshold", type=int, default=_DEFAULT["binarize_threshold"])
-    eff.add_argument("--out")
-    eff.add_argument("--per-topic-out")
-    eff.set_defaults(handler=_cmd_effectiveness)
-
-    stab = sub.add_parser(
-        "stability", parents=[configured], help="ranking stability of one judgment set"
-    )
-    stab.add_argument("--qrels", required=True, help="judgments to rank the runs by")
-    stab.add_argument("--out")
-    stab.set_defaults(handler=_cmd_stability)
+    # the report subcommands: Q's rows of a report, with every setting from the config
+    reported = argparse.ArgumentParser(add_help=False)
+    reported.add_argument("--config", required=True)
+    reported.add_argument("--qrels", required=True, help="the judgments Q of one cell")
+    reported.add_argument("--out")
+    for name, about in [
+        ("agreement", "agreement of one judgment set with the human qrels"),
+        ("effectiveness", "evaluate the runs under one judgment set"),
+        ("stability", "ranking stability of one judgment set"),
+    ]:
+        report = sub.add_parser(name, parents=[reported], help=about)
+        report.set_defaults(handler=_cmd_report, seed=None, mock=False, per_topic_out=None)
+    sub.choices["effectiveness"].add_argument("--per-topic-out")
+    sub.choices["stability"].add_argument("--seed", type=int, help="override the configured seed")
 
     cost = sub.add_parser("cost", help="token/cost tally or extrapolation")
     tallied = cost.add_mutually_exclusive_group(required=True)
@@ -232,37 +220,20 @@ def _cmd_judge(args) -> int:
     return 0
 
 
-def _cmd_agreement(args) -> int:
-    _check(args.threshold in VALID_GRADES[1:], "--threshold must be 1, 2 or 3")
-    a = parse_qrels(args.qrels_a)
-    b = parse_qrels(args.qrels_b)
-    cell = (b.label(), str(b.modality), b)
-    _emit(reports.agreement_csv(args.dataset, args.threshold, a, [cell]), args.out)
-    return 0
-
-
-def _cmd_effectiveness(args) -> int:
-    _check(args.k >= 1, "--k must be >= 1")
-    _check(args.threshold in VALID_GRADES[1:], "--threshold must be 1, 2 or 3")
-    table = effectiveness_by_metric(
-        load_runs_dir(args.runs_dir), [("qrels", parse_qrels(args.qrels))],
-        k=args.k, gain=args.gain, threshold=args.threshold,
-    )
-    means, per_topic, _ = reports.effectiveness_csvs(
-        [row for key in sorted(table) for row in table[key]]
-    )
-    _emit(means, args.out)
-    if args.per_topic_out:
-        _emit(per_topic, args.per_topic_out)
-    return 0
-
-
-def _cmd_stability(args) -> int:
+def _cmd_report(args) -> int:
     experiment = Experiment(_load_config_with_overrides(args))  # checks the config's inputs
     judged = parse_qrels(args.qrels)
-    cell = (judged.label(), str(judged.modality))  # as reports/stability.csv labels it
-    table = experiment.score_runs([(*cell, judged)])
-    _emit(stability_text(experiment.config, table, [cell]), args.out)
+    cell = (judged.label(), str(judged.modality))  # as the bundle's reports label Q's rows
+    if args.command == "agreement":
+        texts = [experiment.agreement_text([(*cell, judged)])]
+    elif args.command == "effectiveness":
+        texts = reports.effectiveness_csvs(experiment.score_runs([(":".join(cell), judged)]))
+    else:
+        table = experiment.score_runs(experiment.sources([(*cell, judged)]))
+        texts = [experiment.stability_text(table, [cell])]
+    _emit(texts[0], args.out)
+    if args.per_topic_out:
+        _emit(texts[1], args.per_topic_out)
     return 0
 
 

@@ -31,6 +31,10 @@ class EffectivenessRow:
     unjudged_at_cutoff: int
 
 
+# (judgment source label, metric) -> one row per run, as ``Experiment.score_runs`` builds it
+ScoreTable = dict[tuple[str, str], list[EffectivenessRow]]
+
+
 def _gain_fn(gain: str):
     if gain == "linear":
         return float

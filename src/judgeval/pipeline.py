@@ -23,8 +23,9 @@ last model's cell judged on it, and the response cache after the last judge
 stage. Each usage file holds its own token counts, so no report stage opens
 the cache. It is also the one wiring from a config to summarizer and judge
 calls, and the one writer of their files: the ``summarize`` and ``judge``
-subcommands call the same two methods as the stages, and ``stability``
-scores through ``score_runs`` and ``stability_text`` as its stage does.
+subcommands call the same two methods as the stages, and the report
+subcommands (``agreement``, ``effectiveness``, ``stability``) build one
+cell's rows from the config through the stages' own methods.
 
 A stage hands its result on in memory: whatever a stage produced in this
 run (summaries, judgments, the token counts of its usage file) goes
@@ -54,7 +55,7 @@ from typing import Callable, Iterable
 from . import __version__, reports
 from .config import ExperimentConfig
 from .cost import DEFAULT_PRICES, load_price_table, tally_observed, usage_entries, write_usage
-from .effectiveness import EffectivenessRow, average_precision, ndcg_at_k
+from .effectiveness import ScoreTable, average_precision, ndcg_at_k
 from .errors import ConfigError, JudgevalError, ParseError
 from .gateway import Gateway, HttpBackend, MockBackend
 from .judge import (
@@ -80,7 +81,6 @@ from .trec_io import (
     DocCorpus,
     JudgmentSet,
     Modality,
-    Run,
     atomic_write_text,
     load_corpus,
     load_runs_dir,
@@ -157,42 +157,6 @@ def _cell_stem(model: str, modality: Modality) -> str:
     return f"judgments/{_slug(model)}__{_slug(str(modality))}"
 
 
-def effectiveness_by_metric(
-    runs: Iterable[Run], qrels: list[tuple[str, JudgmentSet]], *, k: int, gain: str, threshold: int
-) -> dict[tuple[str, str], list[EffectivenessRow]]:
-    """(qrels label, metric) -> NDCG@k and AP (binarized at ``threshold``) rows,
-    sorted by run tag. Each run is scored under every source, then dropped."""
-    graded = [(label, judgments, binarize(judgments, threshold)) for label, judgments in qrels]
-    table = {(label, metric): [] for label, _ in qrels for metric in (f"ndcg@{k}", "map")}
-    for run in runs:
-        for label, judgments, binary in graded:
-            table[(label, f"ndcg@{k}")].append(ndcg_at_k(run, judgments, k=k, gain=gain))
-            table[(label, "map")].append(average_precision(run, binary))
-        del run  # not held while the next one is parsed
-    return {key: sorted(rows, key=lambda row: row.run_tag) for key, rows in table.items()}
-
-
-def stability_text(
-    config: ExperimentConfig,
-    table: dict[tuple[str, str], list[EffectivenessRow]],
-    cells: Iterable[tuple[str, str]],
-) -> str:
-    """``reports/stability.csv`` text: each ``(model, modality)`` cell's rows of
-    ``table`` (see ``effectiveness_by_metric``), labelled ``model:modality``,
-    against its ``human`` rows under NDCG@k and MAP, cell-major."""
-    metrics = (f"ndcg@{config.ndcg_k}", "map")
-    reports_by_cell = [
-        (model, modality, stability_report(
-            SystemScores.from_rows(table[("human", metric)]),
-            SystemScores.from_rows(table[(f"{model}:{modality}", metric)]),
-            rbo_p=config.rbo_p, n_resamples=config.bootstrap_samples, seed=config.seed,
-        ))
-        for model, modality in cells
-        for metric in metrics
-    ]
-    return reports.stability_csv(config.dataset, reports_by_cell)
-
-
 def run_pipeline(config: ExperimentConfig, *, force: bool = False) -> PipelineResult:
     """Run summarize -> judge -> report stages for one experiment config."""
     return Experiment(config, force=force).run()
@@ -200,9 +164,10 @@ def run_pipeline(config: ExperimentConfig, *, force: bool = False) -> PipelineRe
 
 class Experiment:
     """One experiment config: its inputs, loaded the first time a stage uses
-    them, and the one wiring from the config to summarizer and judge calls,
-    shared by ``judgeval run`` and the ``summarize``/``judge``/``stability``
-    subcommands. Leaving its ``with`` block closes the response cache's file."""
+    them, and the one wiring from the config to summarizer and judge calls
+    and to report texts, shared by ``judgeval run`` and the ``summarize``,
+    ``judge``, ``agreement``, ``effectiveness`` and ``stability`` subcommands.
+    Leaving its ``with`` block closes the response cache's file."""
 
     def __init__(self, config: ExperimentConfig, *, force: bool = False):
         self.config = config
@@ -528,52 +493,75 @@ class Experiment:
 
         self._stage(name, covered, rels, produce)
 
-    def score_runs(
-        self, cells: list[tuple[str, str, JudgmentSet]]
-    ) -> dict[tuple[str, str], list[EffectivenessRow]]:
-        """(qrels label, metric) -> per-run rows under the human qrels (label
-        'human') and each ``(model, modality, judgments)`` cell ('model:modality')."""
-        sources = [("human", self.human)] + [
-            (f"{model}:{modality}", judged) for model, modality, judged in cells
-        ]
-        config = self.config
-        return effectiveness_by_metric(
-            load_runs_dir(config.runs_dir), sources,
-            k=config.ndcg_k, gain=config.gain, threshold=config.binarize_threshold,
-        )
+    def sources(self, cells: list[tuple[str, str, JudgmentSet]]) -> list[tuple[str, JudgmentSet]]:
+        """The human qrels, labelled 'human', then each ``(model, modality,
+        judgments)`` cell, labelled 'model:modality': what the reports score."""
+        return [("human", self.human)] + [(f"{m}:{mod}", judged) for m, mod, judged in cells]
+
+    def score_runs(self, sources: list[tuple[str, JudgmentSet]]) -> ScoreTable:
+        """(source label, metric) -> NDCG@k and AP (binarized at the configured
+        threshold) rows of the config's runs under each labelled judgment set,
+        sorted by run tag. Each run is scored under every source, then dropped."""
+        config, k, threshold = self.config, self.config.ndcg_k, self.config.binarize_threshold
+        graded = [(label, judged, binarize(judged, threshold)) for label, judged in sources]
+        table = {(label, metric): [] for label, _ in sources for metric in (f"ndcg@{k}", "map")}
+        for run in load_runs_dir(config.runs_dir):
+            for label, judged, binary in graded:
+                table[(label, f"ndcg@{k}")].append(ndcg_at_k(run, judged, k=k, gain=config.gain))
+                table[(label, "map")].append(average_precision(run, binary))
+            del run  # not held while the next one is parsed
+        return {key: sorted(rows, key=lambda row: row.run_tag) for key, rows in table.items()}
 
     @cached_property
-    def _effectiveness(self) -> dict[tuple[str, str], list[EffectivenessRow]]:
-        """``score_runs`` of every cell, built on first use: a run that skips
-        both report stages computes no NDCG/AP."""
-        return self.score_runs(self._judged_cells())
+    def _effectiveness(self) -> ScoreTable:
+        """``score_runs`` of the human qrels and every cell, built on first use:
+        a run that skips both report stages computes no NDCG/AP."""
+        return self.score_runs(self.sources(self._judged_cells()))
 
-    # -- report texts, one method per REPORT_STAGES entry ----------------------
+    # -- report texts: the report subcommands', then one per REPORT_STAGES entry --
+
+    def agreement_text(self, cells: list[tuple[str, str, JudgmentSet]]) -> str:
+        """``reports/agreement.csv`` text: each ``(model, modality, judgments)``
+        cell against the human qrels."""
+        config = self.config
+        return reports.agreement_csv(config.dataset, config.binarize_threshold, self.human, cells)
+
+    def stability_text(self, table: ScoreTable, cells: Iterable[tuple[str, str]]) -> str:
+        """``reports/stability.csv`` text: each ``(model, modality)`` cell's rows
+        of a ``score_runs`` table against its ``human`` rows under NDCG@k and
+        MAP, cell-major."""
+        config = self.config
+        reports_by_cell = [
+            (model, modality, stability_report(
+                SystemScores.from_rows(table[("human", metric)]),
+                SystemScores.from_rows(table[(f"{model}:{modality}", metric)]),
+                rbo_p=config.rbo_p, n_resamples=config.bootstrap_samples, seed=config.seed,
+            ))
+            for model, modality in cells
+            for metric in (f"ndcg@{config.ndcg_k}", "map")
+        ]
+        return reports.stability_csv(config.dataset, reports_by_cell)
 
     def _distribution_texts(self) -> list[str]:
         annotators = [("human", "full", self.human)] + self._judged_cells()
         return [reports.distribution_csv(self.config.dataset, annotators)]
 
     def _agreement_texts(self) -> list[str]:
-        config, cells = self.config, self._judged_cells()
-        return [reports.agreement_csv(config.dataset, config.binarize_threshold, self.human, cells)]
+        return [self.agreement_text(self._judged_cells())]
 
     def _effectiveness_texts(self) -> list[str]:
         table = self._effectiveness
-        # by the label string: "gpt-4o:full" sorts after "gpt-4o-mini:full"
-        rows = [row for key in sorted(table) for row in table[key]]
-        metrics = (f"ndcg@{self.config.ndcg_k}", "map")
-        return [*reports.effectiveness_csvs(rows)] + [
+        return [*reports.effectiveness_csvs(table)] + [
             reports.scatter_csv(
                 (model, str(mod), table[("human", metric)], table[(f"{model}:{mod}", metric)])
                 for model, mod in self._cells()
             )
-            for metric in metrics
+            for metric in (f"ndcg@{self.config.ndcg_k}", "map")
         ]
 
     def _stability_texts(self) -> list[str]:
         cells = [(model, str(modality)) for model, modality in self._cells()]
-        return [stability_text(self.config, self._effectiveness, cells)]
+        return [self.stability_text(self._effectiveness, cells)]
 
     def _cost_texts(self) -> list[str]:
         def tally(stage: str, modality: str, stems: list[str]):

@@ -13,7 +13,7 @@ from typing import Iterable
 
 from .agreement import GRADED_LABELS, agreement_report, format_percentages, label_distribution
 from .cost import CostReport
-from .effectiveness import EffectivenessRow
+from .effectiveness import EffectivenessRow, ScoreTable
 from .stability import StabilityReport
 from .trec_io import JudgmentSet
 
@@ -63,8 +63,11 @@ def agreement_csv(
     return csv_text(header, rows)
 
 
-def effectiveness_csvs(rows: list[EffectivenessRow]) -> tuple[str, str, str]:
-    """Mean, per-topic and coverage CSV text for the same effectiveness rows."""
+def effectiveness_csvs(table: ScoreTable) -> tuple[str, str, str]:
+    """Mean, per-topic and coverage CSV text for every row of ``table``, in
+    the order of its keys."""
+    # by the label string: "gpt-4o:full" sorts after "gpt-4o-mini:full"
+    rows = [row for key in sorted(table) for row in table[key]]
 
     def key(row: EffectivenessRow) -> list:
         return [row.run_tag, row.metric, row.qrels_source, row.modality]

@@ -11,14 +11,12 @@ import shlex
 import subprocess
 import sys
 import warnings
-from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
 from conftest import build_toy_experiment, bundle_digests
 from judgeval.cli import _build_parser, main
-from judgeval.config import ExperimentConfig
 from judgeval.judge import load_judge_template
 from judgeval.templates import template_sha256
 from judgeval.trec_io import (
@@ -91,20 +89,6 @@ def test_cache_line_without_reply_text_is_an_error_naming_it(tmp_path, capsys):
     assert main(["run", "--config", str(config)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and f"{cache}:1" in err
-
-
-def test_flags_that_mirror_a_setting_default_to_it():
-    mirrored = {
-        ("agreement", "--threshold"): "binarize_threshold",
-        ("effectiveness", "--threshold"): "binarize_threshold",
-        ("effectiveness", "--k"): "ndcg_k",
-        ("effectiveness", "--gain"): "gain",
-    }
-    settings = {f.name: f.default for f in fields(ExperimentConfig)}
-    (commands,) = [a.choices for a in _build_parser()._actions if a.choices and a.dest == "command"]
-    for (command, flag), setting in mirrored.items():
-        (action,) = [a for a in commands[command]._actions if flag in a.option_strings]
-        assert action.default == settings[setting], (command, flag)
 
 
 def test_run_modality_filter(toy_experiment, capsys):
@@ -257,14 +241,18 @@ def test_judge_full_modality_with_summaries_is_a_config_error(toy_experiment, tm
     assert sorted(tmp_path.rglob("*")) == before
 
 
+def _agreement_argv(root: Path, human: dict, judged: dict) -> list[str]:
+    """``agreement`` on the toy experiment under ``root`` with ``human`` as the
+    config's qrels and ``judged`` (by model ``m``) as ``--qrels``."""
+    config = build_toy_experiment(root)
+    write_judgments(JudgmentSet(grades=human), root / "qrels.txt")
+    write_judgments(JudgmentSet(grades=judged, model="m"), root / "judged.qrels")
+    return ["agreement", "--config", str(config), "--qrels", str(root / "judged.qrels")]
+
+
 def test_agreement_subcommand_identical_files_kappa_one(tmp_path, capsys):
-    qrels = tmp_path / "a.qrels"
-    judgments = JudgmentSet(
-        grades={("t1", "d1"): 0, ("t1", "d2"): 1, ("t2", "d1"): 2, ("t2", "d3"): 3},
-        model="m",
-    )
-    write_judgments(judgments, qrels)
-    assert main(["agreement", "--qrels-a", str(qrels), "--qrels-b", str(qrels)]) == 0
+    grades = {("t1", "d1"): 0, ("t1", "d2"): 1, ("t2", "d1"): 2, ("t2", "d3"): 3}
+    assert main(_agreement_argv(tmp_path, grades, grades)) == 0
     rows = _csv_rows(capsys.readouterr().out)
     by_metric = {row["metric"]: row for row in rows}
     # the same four metrics as reports/agreement.csv
@@ -277,10 +265,8 @@ def test_agreement_subcommand_identical_files_kappa_one(tmp_path, capsys):
 
 
 def test_agreement_subcommand_disjoint_files_flags_every_row(tmp_path, capsys):
-    a, b = tmp_path / "a.qrels", tmp_path / "b.qrels"
-    write_judgments(JudgmentSet(grades={("t1", "d1"): 1, ("t1", "d2"): 0}), a)
-    write_judgments(JudgmentSet(grades={("t1", "d3"): 2}, model="m"), b)
-    assert main(["agreement", "--qrels-a", str(a), "--qrels-b", str(b)]) == 0
+    argv = _agreement_argv(tmp_path, {("t1", "d1"): 1, ("t1", "d2"): 0}, {("t1", "d3"): 2})
+    assert main(argv) == 0
     rows = _csv_rows(capsys.readouterr().out)
     assert len(rows) == 4
     for row in rows:
@@ -292,22 +278,16 @@ def test_agreement_subcommand_disjoint_files_flags_every_row(tmp_path, capsys):
 def test_effectiveness_and_stability_subcommands(toy_experiment, tmp_path, capsys):
     config_dir = toy_experiment.parent
     per_topic = tmp_path / "per_topic.csv"
-    code = main(
-        [
-            "effectiveness",
-            "--qrels", str(config_dir / "qrels.txt"),
-            "--runs-dir", str(config_dir / "runs"),
-            "--out", str(tmp_path / "eff.csv"),
-            "--per-topic-out", str(per_topic),
-        ]
-    )
-    assert code == 0
+    argv = ["--config", str(toy_experiment), "--qrels", str(config_dir / "qrels.txt")]
+    assert main(["effectiveness", *argv, "--per-topic-out", str(per_topic)]) == 0
+    rows = _csv_rows(capsys.readouterr().out)
+    assert {(row["qrels_source"], row["modality"], row["metric"]) for row in rows} == {
+        ("human", "full", "ndcg@10"), ("human", "full", "map"),
+    }
     assert per_topic.exists()
-    capsys.readouterr()
     # the config's own qrels rank the runs as the human side does:
     # tau = spearman = rbo = 1, CI [1, 1]
-    argv = ["stability", "--config", str(toy_experiment), "--qrels", str(config_dir / "qrels.txt")]
-    assert main([*argv, "--seed", "3"]) == 0
+    assert main(["stability", *argv, "--seed", "3"]) == 0
     rows = _csv_rows(capsys.readouterr().out)
     assert [(row["model"], row["modality"], row["metric"]) for row in rows] == [
         ("human", "full", "ndcg@10"), ("human", "full", "map"),
@@ -322,7 +302,8 @@ def test_effectiveness_subcommand_rejects_a_duplicate_run_tag(toy_experiment, tm
     config_dir = toy_experiment.parent
     runs, out = config_dir / "runs", tmp_path / "eff.csv"
     (runs / "zz.txt").write_text((runs / "run2.txt").read_text())
-    argv = ["effectiveness", "--qrels", str(config_dir / "qrels.txt"), "--runs-dir", str(runs)]
+    qrels = str(config_dir / "qrels.txt")
+    argv = ["effectiveness", "--config", str(toy_experiment), "--qrels", qrels]
     assert main([*argv, "--out", str(out)]) == 1
     captured = capsys.readouterr()
     assert captured.err == f"error: {runs / 'zz.txt'}: duplicate run tag 'run2'\n"
@@ -461,22 +442,15 @@ def test_cost_missing_cache_is_config_error(tmp_path, capsys):
     "argv",
     [
         ["cost", "--usage", "{missing}"],
-        ["agreement", "--qrels-a", "{missing}", "--qrels-b", "{qrels}"],
-        ["agreement", "--qrels-a", "{qrels}", "--qrels-b", "{missing}"],
-        ["effectiveness", "--qrels", "{missing}", "--runs-dir", "{runs}"],
-        ["effectiveness", "--qrels", "{qrels}", "--runs-dir", "{missing}"],
+        ["agreement", "--config", "{config}", "--qrels", "{missing}"],
+        ["effectiveness", "--config", "{config}", "--qrels", "{missing}"],
         ["stability", "--config", "{config}", "--qrels", "{missing}"],
     ],
-    ids=["cost-usage", "agreement-a", "agreement-b", "eff-qrels", "eff-runs", "stability"],
+    ids=["cost-usage", "agreement", "eff-qrels", "stability"],
 )
 def test_missing_input_file_is_config_error(toy_bundle, tmp_path, capsys, argv):
     missing = tmp_path / "missing"
-    paths = {
-        "config": toy_bundle / "config.ini",
-        "qrels": toy_bundle / "qrels.txt",
-        "runs": toy_bundle / "runs",
-        "missing": missing,
-    }
+    paths = {"config": toy_bundle / "config.ini", "missing": missing}
     assert main([arg.format(**paths) for arg in argv]) == 2
     err = capsys.readouterr().err
     assert err == f"config error: path does not exist: {missing}\n"
@@ -531,35 +505,67 @@ def test_stability_rejects_non_positive_resamples(tmp_path, capsys, resamples):
     assert captured.err == f"config error: bootstrap_samples must be >= 1, got {resamples}\n"
 
 
+@pytest.mark.parametrize("runs", ["empty", "file", "missing"])
+@pytest.mark.parametrize("command", ["agreement", "effectiveness", "stability"])
+def test_a_report_subcommand_needs_run_files(tmp_path, capsys, command, runs):
+    config = build_toy_experiment(tmp_path)
+    runs_dir, out = tmp_path / "runs", tmp_path / "report.csv"
+    for run in runs_dir.iterdir():
+        run.unlink()
+    if runs != "empty":
+        runs_dir.rmdir()
+    if runs == "file":
+        runs_dir.write_text("")
+    argv = [command, "--config", str(config), "--qrels", str(tmp_path / "qrels.txt")]
+    assert main([*argv, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "config error: " + {
+        "empty": f"no run files found in {runs_dir}",
+        "file": f"path is not a directory: {runs_dir}",
+        "missing": f"runs_dir path does not exist: {runs_dir}",
+    }[runs] + "\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "argv, flag",
     [
         (["summarize", "--config", "{config}", "--budget", "0", "--out", "{out}"], "--budget"),
-        (["effectiveness", "--qrels", "{qrels}", "--runs-dir", "{runs}", "--k", "0"], "--k"),
-        (["effectiveness", "--qrels", "{qrels}", "--runs-dir", "{runs}", "--threshold", "4"],
-         "--threshold"),
-        (["agreement", "--qrels-a", "{qrels}", "--qrels-b", "{qrels}", "--threshold", "0"],
-         "--threshold"),
-        (["stability", "--config", "{rbo_config}", "--qrels", "{qrels}"], "rbo_p"),
+        (["effectiveness", "--config", "{k_config}", "--qrels", "{qrels}", "--out", "{out}"],
+         "ndcg_k"),
+        (["effectiveness", "--config", "{t4_config}", "--qrels", "{qrels}", "--out", "{out}"],
+         "binarize_threshold"),
+        (["agreement", "--config", "{t0_config}", "--qrels", "{qrels}", "--out", "{out}"],
+         "binarize_threshold"),
+        (["stability", "--config", "{rbo_config}", "--qrels", "{qrels}", "--out", "{out}"],
+         "rbo_p"),
         (["cost", "--extrapolate", "--pairs", "-1", "--avg-tokens", "3"], "--pairs"),
         (["cost", "--extrapolate", "--pairs", "10", "--avg-tokens", "nan"], "--avg-tokens"),
         (["cost", "--extrapolate", "--pairs", "10", "--avg-tokens", "inf"], "--avg-tokens"),
         (["cost", "--extrapolate", "--pairs", "10", "--avg-tokens", "3", "--overhead", "nan"],
          "--overhead"),
         (["cost", "--extrapolate", "--pairs", "10", "--avg-tokens", "1e308"], "token total"),
-        (["effectiveness", "--qrels", "{qrels}", "--runs-dir", "{qrels}"], "{qrels}"),
     ],
     ids=["budget", "k", "eff-threshold", "agreement-threshold", "rbo-p", "pairs",
-         "avg-tokens-nan", "avg-tokens-inf", "overhead-nan", "token-total", "runs-dir"],
+         "avg-tokens-nan", "avg-tokens-inf", "overhead-nan", "token-total"],
 )
 def test_out_of_range_flags_are_config_errors(toy_bundle, tmp_path, capsys, argv, flag):
     paths = {
         "config": toy_bundle / "config.ini",
         "out": tmp_path / "out.jsonl",
         "qrels": toy_bundle / "qrels.txt",
-        "runs": toy_bundle / "runs",
-        "rbo_config": _toy_config_with(tmp_path / "toy", "[metrics]\n", "[metrics]\nrbo_p = 1.5\n"),
     }
+    # a toy config with one setting out of range, built for the case that names it
+    edits = {
+        "k_config": ("[metrics]\n", "[metrics]\nndcg_k = 0\n"),
+        "t4_config": ("binarize_threshold = 1", "binarize_threshold = 4"),
+        "t0_config": ("binarize_threshold = 1", "binarize_threshold = 0"),
+        "rbo_config": ("[metrics]\n", "[metrics]\nrbo_p = 1.5\n"),
+    }
+    for name, (old, new) in edits.items():
+        if f"{{{name}}}" in argv:
+            paths[name] = _toy_config_with(tmp_path / "toy", old, new)
     assert main([arg.format(**paths) for arg in argv]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -736,44 +742,58 @@ def _bundle_lines(path: Path, keep) -> list[str]:
     return [header] + [row for row in rows if keep(row.split(","))]
 
 
-def test_stage_subcommands_match_bundle_reports(toy_bundle, tmp_path):
+@pytest.fixture(scope="module")
+def non_default_bundle(tmp_path_factory) -> Path:
+    """Input directory of one completed toy ``run`` whose config moves every
+    report setting off its default; the bundle is under ``out/``."""
+    config = build_toy_experiment(tmp_path_factory.mktemp("toy-non-default"))
+    text = config.read_text().replace("dataset = toy", "dataset = toy-nd")
+    text = text.replace("binarize_threshold = 1", "binarize_threshold = 2")
+    config.write_text(text.replace("[metrics]\n", "[metrics]\nndcg_k = 5\ngain = exponential\n"))
+    assert main(["run", "--config", str(config)]) == 0
+    return config.parent
+
+
+# (report subcommand, its bundle report, the columns naming a row's cell, rows per cell)
+_CELL_REPORTS = [
+    ("agreement", "agreement.csv", slice(0, 2), 4),
+    ("effectiveness", "effectiveness.csv", slice(2, 4), 6),
+    ("stability", "stability.csv", slice(1, 3), 2),
+]
+
+
+def test_stage_subcommands_match_bundle_reports(toy_bundle, non_default_bundle, tmp_path):
+    # each report subcommand writes Q's rows of its bundle report, labelled from
+    # Q's sidecar, with every setting from the config: first the toy config, then
+    # one with ndcg_k, gain, binarize_threshold and dataset off their defaults
+    out, per_topic = tmp_path / "report.csv", tmp_path / "per_topic.csv"
+    for bundle in (toy_bundle, non_default_bundle):
+        reports, config = bundle / "out" / "reports", str(bundle / "config.ini")
+        for cell in ("full", "summ-80", "summ-120"):
+            judged = bundle / "out" / "judgments" / f"mock-judge__{cell}.qrels"
+            argv = ["--config", config, "--qrels", str(judged), "--out", str(out)]
+            name = ["mock-judge", cell.replace("-", ":")]
+            for command, report, columns, rows in _CELL_REPORTS:
+                extra = ["--per-topic-out", str(per_topic)] if command == "effectiveness" else []
+                assert main([command, *argv, *extra]) == 0
+                expected = _bundle_lines(reports / report, lambda row: row[columns] == name)
+                assert len(expected) == 1 + rows
+                assert _lines(out) == expected
+            expected = _bundle_lines(
+                reports / "effectiveness_per_topic.csv", lambda row: row[2:4] == name
+            )
+            assert len(expected) > 1
+            assert _lines(per_topic) == expected
+
+        # the config's own qrels give the bundle's human rows
+        argv = ["--config", config, "--qrels", str(bundle / "qrels.txt"), "--out", str(out)]
+        assert main(["effectiveness", *argv, "--per-topic-out", str(per_topic)]) == 0
+        for got, report in [(out, "effectiveness.csv"), (per_topic, "effectiveness_per_topic.csv")]:
+            expected = _bundle_lines(reports / report, lambda row: row[2] == "human")
+            assert len(expected) > 1
+            assert _lines(got) == expected
+
     reports = toy_bundle / "out" / "reports"
-    means, per_topic = tmp_path / "eff.csv", tmp_path / "per_topic.csv"
-    assert (
-        main(
-            [
-                "effectiveness", "--qrels", str(toy_bundle / "qrels.txt"),
-                "--runs-dir", str(toy_bundle / "runs"),
-                "--out", str(means), "--per-topic-out", str(per_topic),
-            ]
-        )
-        == 0
-    )
-    for cli_out, bundle in [
-        (means, reports / "effectiveness.csv"),
-        (per_topic, reports / "effectiveness_per_topic.csv"),
-    ]:
-        expected = _bundle_lines(bundle, lambda row: row[2] == "human")
-        assert len(_lines(cli_out)) == len(expected)
-        assert set(_lines(cli_out)) == set(expected)
-
-    agreement = tmp_path / "agreement.csv"
-    judged = toy_bundle / "out" / "judgments" / "mock-judge__full.qrels"
-    assert (
-        main(
-            [
-                "agreement", "--qrels-a", str(toy_bundle / "qrels.txt"),
-                "--qrels-b", str(judged), "--dataset", "toy", "--out", str(agreement),
-            ]
-        )
-        == 0
-    )
-    expected = _bundle_lines(
-        reports / "agreement.csv", lambda row: row[:2] == ["mock-judge", "full"]
-    )
-    assert len(expected) == 5
-    assert set(_lines(agreement)) == set(expected)
-
     cost = tmp_path / "cost.csv"
     usage = toy_bundle / "out" / "judgments" / "mock-judge__full.usage.json"
     assert (
@@ -788,22 +808,6 @@ def test_stage_subcommands_match_bundle_reports(toy_bundle, tmp_path):
     )
     expected = _bundle_lines(reports / "cost.csv", lambda row: row[:2] == ["judgment", "full"])
     assert _lines(cost) == expected
-
-    # each cell's judgments give that cell's rows, labelled from their sidecar
-    stability = tmp_path / "stability.csv"
-    for cell in ("full", "summ-80", "summ-120"):
-        judged = toy_bundle / "out" / "judgments" / f"mock-judge__{cell}.qrels"
-        argv = [
-            "stability", "--config", str(toy_bundle / "config.ini"),
-            "--qrels", str(judged), "--out", str(stability),
-        ]
-        assert main(argv) == 0
-        modality = cell.replace("-", ":")
-        expected = _bundle_lines(
-            reports / "stability.csv", lambda row: row[1:3] == ["mock-judge", modality]
-        )
-        assert len(expected) == 3
-        assert _lines(stability) == expected
 
 
 @pytest.mark.parametrize(

@@ -193,13 +193,13 @@ def test_effectiveness_table_is_computed_only_when_a_stage_runs(toy_experiment, 
     config = load_config(toy_experiment)
     first = run_pipeline(config)
     sources = []
-    original = pipeline.effectiveness_by_metric
+    original = pipeline.Experiment.score_runs
 
-    def counted(runs, qrels_sources, **kwargs):
+    def counted(experiment, qrels_sources):
         sources.append([judgments.label() for _label, judgments in qrels_sources])
-        return original(runs, qrels_sources, **kwargs)
+        return original(experiment, qrels_sources)
 
-    monkeypatch.setattr(pipeline, "effectiveness_by_metric", counted)
+    monkeypatch.setattr(pipeline.Experiment, "score_runs", counted)
     assert run_pipeline(config).stages_run() == []
     assert sources == []
 
