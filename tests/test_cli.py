@@ -11,12 +11,14 @@ import shlex
 import subprocess
 import sys
 import warnings
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
 from conftest import build_toy_experiment, bundle_digests
 from judgeval.cli import _build_parser, main
+from judgeval.config import ExperimentConfig
 from judgeval.judge import load_judge_template
 from judgeval.templates import template_sha256
 from judgeval.trec_io import (
@@ -89,6 +91,28 @@ def test_cache_line_without_reply_text_is_an_error_naming_it(tmp_path, capsys):
     assert main(["run", "--config", str(config)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and f"{cache}:1" in err
+
+
+def test_flags_that_mirror_a_setting_default_to_it():
+    # a flag named after a setting only overrides it: left out, it is None and the
+    # config's value stands; the settings a report reads (threshold, k, gain, dataset,
+    # runs_dir) have no flag at all, so a report subcommand cannot drift from the bundle's
+    settings = {f.name for f in fields(ExperimentConfig)}
+    (commands,) = [a.choices for a in _build_parser()._actions if a.choices and a.dest == "command"]
+    mirrored = set()
+    for command, parser in commands.items():
+        flags = {a.dest: a for a in parser._actions if a.option_strings}
+        if "config" not in flags:
+            continue  # cost reads no config: its --dataset only labels the rows
+        for dest in flags.keys() & settings:
+            if flags[dest].required:
+                continue  # a report's --qrels is the judged set Q, not the config's qrels
+            assert flags[dest].default is None, (command, dest)
+            mirrored.add((command, dest))
+    assert mirrored == {(c, "seed") for c in ("run", "summarize", "judge", "stability")}
+    for command in ("agreement", "effectiveness", "stability"):
+        options = {o for a in commands[command]._actions for o in a.option_strings}
+        assert not options & {"--threshold", "--k", "--gain", "--dataset", "--runs-dir"}, command
 
 
 def test_run_modality_filter(toy_experiment, capsys):
