@@ -5,7 +5,9 @@ subcommands run one stage in isolation so any report can be reproduced or
 debugged on its own. ``summarize``, ``judge`` and the three report
 subcommands (``agreement``, ``effectiveness``, ``stability``) take the config
 too and go through the same ``pipeline`` code as ``run``; ``cost`` works over
-explicit input/output paths.
+explicit input/output paths. The config is the only source of its settings:
+the grid (``models``, ``modalities``) and the backend are edited there, and
+a flag overrides only ``--seed``, ``run --out`` and ``judge``'s one cell.
 
 Exit codes: 0 success, 1 fatal stage error, 2 configuration error.
 """
@@ -65,14 +67,9 @@ def _build_parser() -> argparse.ArgumentParser:
     configured = argparse.ArgumentParser(add_help=False)
     configured.add_argument("--config", required=True)
     configured.add_argument("--seed", type=int, help="override the configured seed")
-    configured.add_argument("--mock", action="store_true", help="force the mock backend")
 
     run = sub.add_parser(
         "run", parents=[configured], help="run the full pipeline from a config file"
-    )
-    run.add_argument("--model", help="restrict to one configured model")
-    run.add_argument(
-        "--modality", help="restrict to one modality (full | summ:80 | summ:120)"
     )
     run.add_argument("--out", help="override the configured output directory")
     run.add_argument("--force", action="store_true", help="rerun all stages")
@@ -107,7 +104,7 @@ def _build_parser() -> argparse.ArgumentParser:
         ("stability", "ranking stability of one judgment set"),
     ]:
         report = sub.add_parser(name, parents=[reported], help=about)
-        report.set_defaults(handler=_cmd_report, seed=None, mock=False, per_topic_out=None)
+        report.set_defaults(handler=_cmd_report, seed=None, per_topic_out=None)
     sub.choices["effectiveness"].add_argument("--per-topic-out")
     sub.choices["stability"].add_argument("--seed", type=int, help="override the configured seed")
 
@@ -135,32 +132,11 @@ def _load_config_with_overrides(args) -> ExperimentConfig:
     updates = {}
     if args.seed is not None:
         updates["seed"] = args.seed
-    if args.mock:
-        updates["backend"] = "mock"
     if args.command == "judge":  # its model need not be configured, but is checked as one
         updates["models"] = [args.model]
-    if args.command == "run":
-        # run executes the configured grid; filters narrow it, other
-        # subcommands take their model/modality/paths verbatim
-        if args.model:
-            if args.model not in config.models:
-                raise ConfigError(f"model {args.model!r} is not configured")
-            updates["models"] = [args.model]
-        if args.modality:
-            modality = _parse_modality(args.modality)
-            if str(modality) not in {str(m) for m in config.modalities}:
-                raise ConfigError(f"modality {args.modality!r} is not configured")
-            updates["modalities"] = [modality]
-        if args.out:
-            updates["output_dir"] = Path(args.out)
+    if args.command == "run" and args.out:
+        updates["output_dir"] = Path(args.out)
     return replace(config, **updates) if updates else config
-
-
-def _parse_modality(text: str) -> Modality:
-    try:
-        return Modality.parse(text)
-    except ValueError as exc:
-        raise ConfigError(f"bad --modality {text!r}: {exc}") from exc
 
 
 def _check(ok: bool, message: str) -> None:
@@ -198,7 +174,10 @@ def _cmd_summarize(args) -> int:
 
 
 def _cmd_judge(args) -> int:
-    modality = _parse_modality(args.modality)
+    try:
+        modality = Modality.parse(args.modality)
+    except ValueError as exc:
+        raise ConfigError(f"bad --modality: {exc}") from exc
     summarized = modality.kind == "summary"
     _check(summarized == bool(args.summaries),
            "summary modalities need --summaries" if summarized

@@ -70,9 +70,12 @@ class Modality:
         text = text.strip()
         if text == "full":
             return FULL_DOCUMENT
-        if text.startswith("summ:"):
-            return cls("summary", int(text.split(":", 1)[1]))
-        raise ValueError(f"cannot parse modality {text!r} (expected 'full' or 'summ:<N>')")
+        try:
+            if text.startswith("summ:"):
+                return cls("summary", int(text.split(":", 1)[1]))
+        except ValueError:
+            pass  # as any other text, it is named below
+        raise ValueError(f"cannot parse modality {text!r} (expected 'full' or 'summ:<N>', N >= 1)")
 
     def __str__(self) -> str:
         if self.kind == "full":

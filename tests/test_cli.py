@@ -17,8 +17,8 @@ from pathlib import Path
 import pytest
 
 from conftest import build_toy_experiment, bundle_digests
-from judgeval.cli import _build_parser, main
-from judgeval.config import ExperimentConfig
+from judgeval.cli import _build_parser, _load_config_with_overrides, main
+from judgeval.config import load_config
 from judgeval.judge import load_judge_template
 from judgeval.templates import template_sha256
 from judgeval.trec_io import (
@@ -44,8 +44,20 @@ def test_run_exit_code_2_on_config_error(tmp_path):
     assert main(["run", "--config", str(tmp_path / "missing.ini")]) == 2
 
 
-def test_run_rejects_unconfigured_model(toy_experiment):
-    assert main(["run", "--config", str(toy_experiment), "--model", "nope"]) == 2
+def test_grid_and_backend_flags_are_unrecognized(toy_experiment, capsys):
+    # the grid (models, modalities) and the backend are set in the config alone
+    for command, *argv in [
+        ["run", "--model", "x"],
+        ["run", "--modality", "full"],
+        ["run", "--mock"],
+        ["summarize", "--budget", "80", "--out", "s.jsonl", "--mock"],
+        ["judge", "--model", "mock-judge", "--modality", "full", "--out", "j.qrels", "--mock"],
+    ]:
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--config", str(toy_experiment), *argv])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: " in capsys.readouterr().err, (command, argv)
+    assert not (toy_experiment.parent / "out").exists()
 
 
 def test_models_sharing_a_judgment_file_name_are_config_errors(tmp_path, capsys):
@@ -93,49 +105,67 @@ def test_cache_line_without_reply_text_is_an_error_naming_it(tmp_path, capsys):
     assert err.startswith("error: ") and f"{cache}:1" in err
 
 
-def test_flags_that_mirror_a_setting_default_to_it():
-    # a flag named after a setting only overrides it: left out, it is None and the
-    # config's value stands; the settings a report reads (threshold, k, gain, dataset,
-    # runs_dir) have no flag at all, so a report subcommand cannot drift from the bundle's
-    settings = {f.name for f in fields(ExperimentConfig)}
+def test_flags_that_mirror_a_setting_default_to_it(tmp_path):
+    # every setting comes from the config: given every flag it has, a configured
+    # subcommand's config differs from the file's only in --seed, run's output
+    # directory and the one model judge judges
+    config_path = _toy_config_with(
+        tmp_path, "backend = mock\n", "backend = http\nendpoint = http://127.0.0.1:9/v1\n"
+    )
+    config_path.write_text(config_path.read_text().replace("models = mock-judge", "models = a, b"))
+    base = load_config(config_path)
+    values = {"config": str(config_path), "model": "b", "modality": "summ:80", "budget": "80"}
     (commands,) = [a.choices for a in _build_parser()._actions if a.choices and a.dest == "command"]
-    mirrored = set()
+    changed = {}
     for command, parser in commands.items():
-        flags = {a.dest: a for a in parser._actions if a.option_strings}
-        if "config" not in flags:
+        flags = [a for a in parser._actions if a.option_strings and a.dest != "help"]
+        if "config" not in {a.dest for a in flags}:
             continue  # cost reads no config: its --dataset only labels the rows
-        for dest in flags.keys() & settings:
-            if flags[dest].required:
-                continue  # a report's --qrels is the judged set Q, not the config's qrels
-            assert flags[dest].default is None, (command, dest)
-            mirrored.add((command, dest))
-    assert mirrored == {(c, "seed") for c in ("run", "summarize", "judge", "stability")}
+        argv = [command]
+        for flag in flags:
+            value = values.get(flag.dest, "7" if flag.type is int else str(tmp_path / command))
+            argv += [flag.option_strings[0]] + ([value] if flag.nargs != 0 else [])
+        config = _load_config_with_overrides(_build_parser().parse_args(argv))
+        changed[command] = {
+            f.name for f in fields(config) if getattr(config, f.name) != getattr(base, f.name)
+        }
+    assert changed == {
+        "run": {"seed", "output_dir"},
+        "summarize": {"seed"},
+        "judge": {"seed", "models"},
+        "agreement": set(),
+        "effectiveness": set(),
+        "stability": {"seed"},
+    }
     for command in ("agreement", "effectiveness", "stability"):
         options = {o for a in commands[command]._actions for o in a.option_strings}
         assert not options & {"--threshold", "--k", "--gain", "--dataset", "--runs-dir"}, command
 
 
-def test_run_modality_filter(toy_experiment, capsys):
-    assert (
-        main(["run", "--config", str(toy_experiment), "--modality", "full"]) == 0
-    )
+def test_run_follows_a_config_narrowed_to_full(tmp_path, capsys):
+    config = _toy_config_with(tmp_path, "modalities = full, summ:80, summ:120", "modalities = full")
+    assert main(["run", "--config", str(config)]) == 0
     printed = capsys.readouterr().out
     assert "judge:mock-judge:full" in printed
-    assert "summ:80" not in printed
+    assert "summ:" not in printed and "summarize:" not in printed
 
 
 @pytest.mark.parametrize("modality", ["bogus", "summ:x", "summ:0"])
 def test_malformed_modality_is_config_error(toy_experiment, tmp_path, capsys, modality):
-    run = ["run", "--config", str(toy_experiment), "--modality", modality]
+    # in the config's modalities, and as the cell judge is given
+    config = _toy_config_with(
+        tmp_path / "grid", "modalities = full, summ:80, summ:120", f"modalities = full, {modality}"
+    )
     judge = [
         "judge", "--config", str(toy_experiment), "--model", "mock-judge",
         "--modality", modality, "--out", str(tmp_path / "x.qrels"),
     ]
-    for argv in (run, judge):
+    for argv in (["run", "--config", str(config)], judge):
         assert main(argv) == 2
         err = capsys.readouterr().err
-        assert err.startswith("config error: ") and modality in err
+        assert err.startswith("config error: ") and repr(modality) in err
     assert not (tmp_path / "x.qrels").exists()
+    assert not (tmp_path / "grid" / "out").exists()
 
 
 def test_importing_cli_loads_no_scipy():
@@ -272,6 +302,19 @@ def _agreement_argv(root: Path, human: dict, judged: dict) -> list[str]:
     write_judgments(JudgmentSet(grades=human), root / "qrels.txt")
     write_judgments(JudgmentSet(grades=judged, model="m"), root / "judged.qrels")
     return ["agreement", "--config", str(config), "--qrels", str(root / "judged.qrels")]
+
+
+def test_judge_rejects_summaries_of_another_budget(toy_bundle, tmp_path, capsys):
+    argv = [
+        "judge", "--config", str(toy_bundle / "config.ini"), "--model", "mock-judge",
+        "--modality", "summ:80", "--summaries", str(toy_bundle / "out/summaries/summ120.jsonl"),
+        "--out", str(tmp_path / "judged.qrels"),
+    ]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "config error: summaries budget 120 does not match summ:80\n"
+    assert not any(tmp_path.iterdir())
 
 
 def test_agreement_subcommand_identical_files_kappa_one(tmp_path, capsys):
@@ -570,9 +613,10 @@ def test_a_report_subcommand_needs_run_files(tmp_path, capsys, command, runs):
         (["cost", "--extrapolate", "--pairs", "10", "--avg-tokens", "3", "--overhead", "nan"],
          "--overhead"),
         (["cost", "--extrapolate", "--pairs", "10", "--avg-tokens", "1e308"], "token total"),
+        (["cost", "--extrapolate", "--pairs", "10", "--out", "{out}"], "--avg-tokens"),
     ],
     ids=["budget", "k", "eff-threshold", "agreement-threshold", "rbo-p", "pairs",
-         "avg-tokens-nan", "avg-tokens-inf", "overhead-nan", "token-total"],
+         "avg-tokens-nan", "avg-tokens-inf", "overhead-nan", "token-total", "no-avg-tokens"],
 )
 def test_out_of_range_flags_are_config_errors(toy_bundle, tmp_path, capsys, argv, flag):
     paths = {
@@ -730,8 +774,8 @@ def test_judge_subcommand_follows_pool_runs(toy_experiment, tmp_path):
     config = toy_experiment.read_text().replace(
         "[experiment]\n", "[experiment]\npool = runs\npool_depth = 10\n"
     )
-    toy_experiment.write_text(config)
-    assert main(["run", "--config", str(toy_experiment), "--modality", "full"]) == 0
+    toy_experiment.write_text(config.replace("full, summ:80, summ:120", "full"))
+    assert main(["run", "--config", str(toy_experiment)]) == 0
     out = tmp_path / "full.qrels"
     assert (
         main(

@@ -191,7 +191,7 @@ def test_summarizer_model_left_out_or_empty_is_the_first_model(tmp_path):
     assert config.summarizer_model == "judge-a"
     config_path.write_text(text.replace("[experiment]\n", "[experiment]\nsummarizer_model =\n"))
     assert load_config(config_path) == config
-    # run --model narrows the models, and the summaries stay the first configured model's
+    # judge --model replaces the models, and the summarizer stays the configured first model
     assert replace(config, models=["judge-b"]).summarizer_model == "judge-a"
     assert replace(config, models=["judge-b"], summarizer_model="").summarizer_model == "judge-b"
 

@@ -2,11 +2,12 @@
 
 from __future__ import annotations
 
+import json
 from dataclasses import replace
 
 import pytest
 
-from judgeval.errors import JudgevalError
+from judgeval.errors import JudgevalError, ParseError
 from judgeval.gateway import (
     BackendReply,
     ChatRequest,
@@ -162,6 +163,24 @@ def test_write_read_round_trip(tmp_path):
     loaded = read_summaries(path)
     assert loaded.budget_tokens == 80
     assert loaded.records == summaries.records
+
+
+@pytest.mark.parametrize(
+    "second, message",
+    [({"doc_id": "d1"}, "duplicate summary for doc d1"),
+     ({"doc_id": "d2", "budget_tokens": 120}, "mixed budgets 80 and 120 in one set")],
+    ids=["duplicate-doc", "mixed-budgets"],
+)
+def test_read_summaries_rejects_a_record_that_conflicts_with_the_first(tmp_path, second, message):
+    first = {
+        "doc_id": "d1", "budget_tokens": 80, "text": "t", "output_token_count": 1,
+        "model": "m", "prompt_sha256": "ab", "flags": [],
+    }
+    path = tmp_path / "summ.jsonl"
+    path.write_text(json.dumps(first) + "\n" + json.dumps({**first, **second}) + "\n")
+    with pytest.raises(ParseError) as err:
+        read_summaries(path)
+    assert (err.value.line, str(err.value)) == (2, f"{path}:2: {message}")
 
 
 def test_summary_file_bytes_are_pinned(tmp_path):

@@ -163,13 +163,19 @@ def test_parse_run_empty_file(tmp_path):
 
 
 def test_parse_run_rejects_bad_score(tmp_path):
-    # NaN has no place in the score order, so the ranking would hang on line order
+    # NaN has no place in the score order, so the ranking would hang on line order;
+    # a line short of a field or with a non-integer rank is named the same way
     path = tmp_path / "r.txt"
-    for score in ("notanumber", "nan"):
-        path.write_text(f"t1 Q0 d0 1 inf r\nt1 Q0 d1 2 {score} r\n")
+    for line, message in [
+        ("t1 Q0 d1 2 notanumber r", "score 'notanumber' is not numeric"),
+        ("t1 Q0 d1 2 nan r", "score 'nan' is NaN"),
+        ("t1 Q0 d1 2 1.0", "expected 6 fields 'topic Q0 docid rank score tag', got 5"),
+        ("t1 Q0 d1 two 1.0 r", "rank 'two' is not an integer"),
+    ]:
+        path.write_text(f"t1 Q0 d0 1 inf r\n{line}\n")
         with pytest.raises(ParseError) as err:
             parse_run(path)
-        assert err.value.line == 2
+        assert (err.value.line, str(err.value)) == (2, f"{path}:2: {message}")
 
 
 def test_parse_run_rejects_duplicate_doc(tmp_path):
