@@ -2,12 +2,12 @@
 
 ``judgeval run`` drives the whole experiment from a config file; the other
 subcommands run one stage in isolation so any report can be reproduced or
-debugged on its own. ``summarize``, ``judge`` and the three report
-subcommands (``agreement``, ``effectiveness``, ``stability``) take the config
-too and go through the same ``pipeline`` code as ``run``; ``cost`` works over
-explicit input/output paths. The config is the only source of its settings:
-the grid (``models``, ``modalities``) and the backend are edited there, and
-a flag overrides only ``--seed``, ``run --out`` and ``judge``'s one cell.
+debugged on its own. ``summarize``, ``judge`` and the four report subcommands
+(``agreement``, ``effectiveness``, ``stability``, ``cost``) take the config
+too and go through the same ``pipeline`` code as ``run``. The config is the
+only source of its settings: the grid (``models``, ``modalities``), the
+backend, the dataset and the price table are edited there, and a flag
+overrides only ``--seed``, ``run --out`` and ``judge``'s one cell.
 
 Exit codes: 0 success, 1 fatal stage error, 2 configuration error.
 """
@@ -21,17 +21,7 @@ from pathlib import Path
 
 from . import __version__, reports
 from .config import ExperimentConfig, load_config
-from .cost import (
-    DEFAULT_PRICES,
-    extrapolate,
-    load_price_table,
-    price_for,
-    tally_observed,
-    token_counts,
-    usage_entries,
-)
 from .errors import ConfigError, JudgevalError
-from .gateway import ResponseCache
 from .pipeline import Experiment, run_pipeline
 from .summarizer import read_summaries
 from .trec_io import Modality, atomic_write_text, parse_qrels
@@ -93,36 +83,26 @@ def _build_parser() -> argparse.ArgumentParser:
     judge.add_argument("--out", required=True)
     judge.set_defaults(handler=_cmd_judge)
 
-    # the report subcommands: Q's rows of a report, with every setting from the config
+    # the report subcommands: the rows of one cell (Q) or usage file, settings from the config
     reported = argparse.ArgumentParser(add_help=False)
     reported.add_argument("--config", required=True)
-    reported.add_argument("--qrels", required=True, help="the judgments Q of one cell")
     reported.add_argument("--out")
     for name, about in [
         ("agreement", "agreement of one judgment set with the human qrels"),
         ("effectiveness", "evaluate the runs under one judgment set"),
         ("stability", "ranking stability of one judgment set"),
+        ("cost", "token and dollar cost of one stage's usage file"),
     ]:
         report = sub.add_parser(name, parents=[reported], help=about)
         report.set_defaults(handler=_cmd_report, seed=None, per_topic_out=None)
+        if name != "cost":
+            report.add_argument("--qrels", required=True, help="the judgments Q of one cell")
     sub.choices["effectiveness"].add_argument("--per-topic-out")
     sub.choices["stability"].add_argument("--seed", type=int, help="override the configured seed")
-
-    cost = sub.add_parser("cost", help="token/cost tally or extrapolation")
-    tallied = cost.add_mutually_exclusive_group(required=True)
-    tallied.add_argument("--cache", help="response cache JSONL: tally every entry")
-    tallied.add_argument("--usage", help="one stage's usage JSON: tally its rows")
-    tallied.add_argument("--extrapolate", action="store_true")
-    cost.add_argument("--stage", default="judgment")
+    cost = sub.choices["cost"]
+    cost.add_argument("--usage", required=True, help="one stage's usage JSON: tally its rows")
+    cost.add_argument("--stage", choices=["summarization", "judgment"], default="judgment")
     cost.add_argument("--modality", default="full")
-    cost.add_argument("--dataset", default="-")
-    cost.add_argument("--prices", help="price table JSON")
-    cost.add_argument("--pairs", type=int)
-    cost.add_argument("--avg-tokens", type=float)
-    cost.add_argument("--overhead", type=float, help="default 0")
-    cost.add_argument("--model", help="default gpt-4o")
-    cost.add_argument("--out")
-    cost.set_defaults(handler=_cmd_cost)
 
     return parser
 
@@ -173,11 +153,15 @@ def _cmd_summarize(args) -> int:
     return 0
 
 
-def _cmd_judge(args) -> int:
+def _modality(text: str) -> Modality:
     try:
-        modality = Modality.parse(args.modality)
+        return Modality.parse(text)
     except ValueError as exc:
         raise ConfigError(f"bad --modality: {exc}") from exc
+
+
+def _cmd_judge(args) -> int:
+    modality = _modality(args.modality)
     summarized = modality.kind == "summary"
     _check(summarized == bool(args.summaries),
            "summary modalities need --summaries" if summarized
@@ -201,6 +185,10 @@ def _cmd_judge(args) -> int:
 
 def _cmd_report(args) -> int:
     experiment = Experiment(_load_config_with_overrides(args))  # checks the config's inputs
+    if args.command == "cost":
+        row = (args.stage, str(_modality(args.modality)), [Path(args.usage)])
+        _emit(experiment.cost_text([row]), args.out)
+        return 0
     judged = parse_qrels(args.qrels)
     cell = (judged.label(), str(judged.modality))  # as the bundle's reports label Q's rows
     if args.command == "agreement":
@@ -213,33 +201,6 @@ def _cmd_report(args) -> int:
     _emit(texts[0], args.out)
     if args.per_topic_out:
         _emit(texts[1], args.per_topic_out)
-    return 0
-
-
-def _cmd_cost(args) -> int:
-    extrapolation = (args.pairs, args.avg_tokens, args.overhead, args.model)
-    _check(args.extrapolate or extrapolation == (None,) * 4,
-           "--pairs, --avg-tokens, --overhead and --model apply only to --extrapolate")
-    prices = load_price_table(args.prices) if args.prices else dict(DEFAULT_PRICES)
-    if args.extrapolate:
-        if args.pairs is None or args.avg_tokens is None:
-            raise ConfigError("--extrapolate needs --pairs and --avg-tokens")
-        try:
-            report = extrapolate(
-                args.pairs, args.avg_tokens, args.overhead or 0.0,
-                price_for(args.model or "gpt-4o", prices),
-                stage=args.stage, modality=args.modality,
-            )
-        except ValueError as exc:
-            raise ConfigError(f"bad --pairs, --avg-tokens or --overhead: {exc}") from exc
-    else:
-        if args.usage is not None:
-            usage = usage_entries(args.usage)
-        else:
-            _check(Path(args.cache).exists(), f"cache path does not exist: {args.cache}")
-            usage = token_counts([*ResponseCache(args.cache).entries()])
-        report = tally_observed(usage, prices, stage=args.stage, modality=args.modality)
-    _emit(reports.cost_csv(args.dataset, [report]), args.out)
     return 0
 
 

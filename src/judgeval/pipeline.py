@@ -24,8 +24,9 @@ stage. Each usage file holds its own token counts, so no report stage opens
 the cache. It is also the one wiring from a config to summarizer and judge
 calls, and the one writer of their files: the ``summarize`` and ``judge``
 subcommands call the same two methods as the stages, and the report
-subcommands (``agreement``, ``effectiveness``, ``stability``) build one
-cell's rows from the config through the stages' own methods.
+subcommands (``agreement``, ``effectiveness``, ``stability``, ``cost``) build
+one cell's or one usage file's rows from the config through the stages' own
+methods.
 
 A stage hands its result on in memory: whatever a stage produced in this
 run (summaries, judgments, the token counts of its usage file) goes
@@ -166,7 +167,8 @@ class Experiment:
     """One experiment config: its inputs, loaded the first time a stage uses
     them, and the one wiring from the config to summarizer and judge calls
     and to report texts, shared by ``judgeval run`` and the ``summarize``,
-    ``judge``, ``agreement``, ``effectiveness`` and ``stability`` subcommands.
+    ``judge``, ``agreement``, ``effectiveness``, ``stability`` and ``cost``
+    subcommands.
     Leaving its ``with`` block closes the response cache's file."""
 
     def __init__(self, config: ExperimentConfig, *, force: bool = False):
@@ -542,6 +544,16 @@ class Experiment:
         ]
         return reports.stability_csv(config.dataset, reports_by_cell)
 
+    def cost_text(self, rows: list[tuple[str, str, list[Path]]]) -> str:
+        """``reports/cost.csv`` text: one row per ``(stage, modality, usage
+        paths)``, the files' token counts summed and priced per request."""
+        def tally(stage: str, modality: str, paths: list[Path]):
+            usages = [self._recall(path, usage_entries) for path in paths]
+            usage = [sum(lists, []) for lists in zip(*usages)]  # each file's lists, joined
+            return tally_observed(usage, self.prices, stage=stage, modality=modality)
+
+        return reports.cost_csv(self.config.dataset, [tally(*row) for row in rows])
+
     def _distribution_texts(self) -> list[str]:
         annotators = [("human", "full", self.human)] + self._judged_cells()
         return [reports.distribution_csv(self.config.dataset, annotators)]
@@ -564,18 +576,12 @@ class Experiment:
         return [self.stability_text(self._effectiveness, cells)]
 
     def _cost_texts(self) -> list[str]:
-        def tally(stage: str, modality: str, stems: list[str]):
-            usages = [self._recall(self.out / f"{s}.usage.json", usage_entries) for s in stems]
-            usage = [sum(lists, []) for lists in zip(*usages)]  # each file's lists, joined
-            return tally_observed(usage, self.prices, stage=stage, modality=modality)
-
-        budgets, config = self.summary_budgets, self.config
-        tallies = [tally("summarization", f"summ:{b}", [_summary_stem(b)]) for b in budgets]
-        tallies += [
-            tally("judgment", str(mod), [_cell_stem(model, mod) for model in config.models])
-            for mod in config.modalities
-        ]
-        return [reports.cost_csv(config.dataset, tallies)]
+        config, usage = self.config, lambda stem: self.out / f"{stem}.usage.json"
+        rows = [("summarization", f"summ:{b}", [usage(_summary_stem(b))])
+                for b in self.summary_budgets]
+        rows += [("judgment", str(mod), [usage(_cell_stem(model, mod)) for model in config.models])
+                 for mod in config.modalities]
+        return [self.cost_text(rows)]
 
 
 # How each report fingerprint input that is not a config field of its name is built.

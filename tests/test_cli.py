@@ -114,13 +114,14 @@ def test_flags_that_mirror_a_setting_default_to_it(tmp_path):
     )
     config_path.write_text(config_path.read_text().replace("models = mock-judge", "models = a, b"))
     base = load_config(config_path)
-    values = {"config": str(config_path), "model": "b", "modality": "summ:80", "budget": "80"}
+    values = {
+        "config": str(config_path), "model": "b", "modality": "summ:80", "budget": "80",
+        "stage": "summarization",
+    }
     (commands,) = [a.choices for a in _build_parser()._actions if a.choices and a.dest == "command"]
     changed = {}
     for command, parser in commands.items():
         flags = [a for a in parser._actions if a.option_strings and a.dest != "help"]
-        if "config" not in {a.dest for a in flags}:
-            continue  # cost reads no config: its --dataset only labels the rows
         argv = [command]
         for flag in flags:
             value = values.get(flag.dest, "7" if flag.type is int else str(tmp_path / command))
@@ -136,10 +137,12 @@ def test_flags_that_mirror_a_setting_default_to_it(tmp_path):
         "agreement": set(),
         "effectiveness": set(),
         "stability": {"seed"},
+        "cost": set(),
     }
-    for command in ("agreement", "effectiveness", "stability"):
+    for command in ("agreement", "effectiveness", "stability", "cost"):
         options = {o for a in commands[command]._actions for o in a.option_strings}
-        assert not options & {"--threshold", "--k", "--gain", "--dataset", "--runs-dir"}, command
+        mirrored = {"--threshold", "--k", "--gain", "--dataset", "--prices", "--runs-dir"}
+        assert not options & mirrored, command
 
 
 def test_run_follows_a_config_narrowed_to_full(tmp_path, capsys):
@@ -152,7 +155,7 @@ def test_run_follows_a_config_narrowed_to_full(tmp_path, capsys):
 
 @pytest.mark.parametrize("modality", ["bogus", "summ:x", "summ:0"])
 def test_malformed_modality_is_config_error(toy_experiment, tmp_path, capsys, modality):
-    # in the config's modalities, and as the cell judge is given
+    # in the config's modalities, as the cell judge is given and as cost's row label
     config = _toy_config_with(
         tmp_path / "grid", "modalities = full, summ:80, summ:120", f"modalities = full, {modality}"
     )
@@ -160,11 +163,15 @@ def test_malformed_modality_is_config_error(toy_experiment, tmp_path, capsys, mo
         "judge", "--config", str(toy_experiment), "--model", "mock-judge",
         "--modality", modality, "--out", str(tmp_path / "x.qrels"),
     ]
-    for argv in (["run", "--config", str(config)], judge):
+    cost = [
+        "cost", "--config", str(toy_experiment), "--usage", str(tmp_path / "x.usage.json"),
+        "--modality", modality, "--out", str(tmp_path / "x.csv"),
+    ]
+    for argv in (["run", "--config", str(config)], judge, cost):
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and repr(modality) in err
-    assert not (tmp_path / "x.qrels").exists()
+    assert not (tmp_path / "x.qrels").exists() and not (tmp_path / "x.csv").exists()
     assert not (tmp_path / "grid" / "out").exists()
 
 
@@ -378,22 +385,6 @@ def test_effectiveness_subcommand_rejects_a_duplicate_run_tag(toy_experiment, tm
     assert not out.exists()
 
 
-def test_cost_extrapolate_subcommand(capsys):
-    assert (
-        main(
-            [
-                "cost", "--extrapolate",
-                "--pairs", "108479", "--avg-tokens", "363", "--overhead", "0",
-            ]
-        )
-        == 0
-    )
-    row = _csv_rows(capsys.readouterr().out)[0]
-    tokens_m = float(row["input_tokens_millions"])
-    assert 39.0 <= tokens_m <= 39.8
-    assert 95.0 <= float(row["cost_usd"]) <= 105.0
-
-
 def test_cost_tally_subcommand(toy_experiment, tmp_path, capsys):
     assert main(["run", "--config", str(toy_experiment)]) == 0
     capsys.readouterr()
@@ -401,10 +392,8 @@ def test_cost_tally_subcommand(toy_experiment, tmp_path, capsys):
     usage = out_dir / "judgments" / "mock-judge__full.usage.json"
     code = main(
         [
-            "cost",
-            "--usage", str(usage),
-            "--prices", str(toy_experiment.parent / "prices.json"),
-            "--stage", "judgment", "--modality", "full",
+            "cost", "--config", str(toy_experiment),
+            "--usage", str(usage), "--stage", "judgment", "--modality", "full",
         ]
     )
     assert code == 0
@@ -422,8 +411,8 @@ def test_cost_tallies_a_usage_file_without_the_cache(toy_experiment, capsys):
     (out_dir / "cache.jsonl").unlink()
     capsys.readouterr()
     argv = [
-        "cost", "--usage", str(out_dir / "judgments" / "mock-judge__full.usage.json"),
-        "--prices", str(toy_experiment.parent / "prices.json"), "--dataset", "toy",
+        "cost", "--config", str(toy_experiment),
+        "--usage", str(out_dir / "judgments" / "mock-judge__full.usage.json"),
     ]
     assert main(argv) == 0
     expected = _bundle_lines(
@@ -446,69 +435,28 @@ def test_run_costs_a_bundle_whose_cache_is_gone(toy_experiment, capsys):
     assert (out_dir / "reports" / "cost.csv").read_bytes() == cold
 
 
-def test_cost_takes_either_cache_or_usage_not_both(toy_bundle, capsys):
-    out_dir = toy_bundle / "out"
-    argv = [
-        "cost", "--cache", str(out_dir / "cache.jsonl"),
-        "--usage", str(out_dir / "judgments" / "mock-judge__full.usage.json"),
-    ]
+def test_cost_requires_usage_and_takes_no_removed_flag(toy_bundle, capsys):
+    # a stage's cost comes from its usage file alone, priced and labelled from the config
+    config = str(toy_bundle / "config.ini")
     with pytest.raises(SystemExit) as exc:
-        main(argv)
+        main(["cost", "--config", config])
     assert exc.value.code == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "not allowed with argument" in captured.err
-
-
-def test_cost_requires_cache_or_extrapolate(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["cost"])
-    assert exc.value.code == 2
-    assert "one of the arguments --cache --usage --extrapolate is required" in (
-        capsys.readouterr().err
-    )
-
-
-@pytest.mark.parametrize("tallied", ["--usage", "--cache"])
-def test_cost_extrapolate_takes_neither_usage_nor_cache(tmp_path, capsys, tallied):
-    argv = ["cost", "--extrapolate", "--pairs", "10", "--avg-tokens", "5"]
-    with pytest.raises(SystemExit) as exc:
-        main([*argv, tallied, str(tmp_path / "missing.json")])
-    assert exc.value.code == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "not allowed with argument" in captured.err
-
-
-@pytest.mark.parametrize("tallied", ["--usage", "--cache"])
-@pytest.mark.parametrize(
-    "flag, value", [("--pairs", "10"), ("--avg-tokens", "5"), ("--overhead", "3"), ("--model", "m")]
-)
-def test_cost_tally_takes_no_extrapolation_flag(toy_bundle, capsys, tallied, flag, value):
-    out_dir = toy_bundle / "out"
-    path = {"--usage": out_dir / "judgments" / "mock-judge__full.usage.json",
-            "--cache": out_dir / "cache.jsonl"}[tallied]
-    assert main(["cost", tallied, str(path), flag, value]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == (
-        "config error: --pairs, --avg-tokens, --overhead and --model apply only to --extrapolate\n"
-    )
-
-
-def test_cost_missing_cache_is_config_error(tmp_path, capsys):
-    missing = tmp_path / "missing.jsonl"
-    assert main(["cost", "--cache", str(missing)]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""  # no all-zero cost table
-    assert captured.err.startswith("config error: ") and str(missing) in captured.err
-    assert not missing.exists()
+    assert "the following arguments are required: --usage" in capsys.readouterr().err
+    usage = str(toy_bundle / "out" / "judgments" / "mock-judge__full.usage.json")
+    for flag in [["--cache", usage], ["--extrapolate"], ["--prices", usage], ["--dataset", "toy"],
+                 ["--pairs", "10"], ["--avg-tokens", "5"], ["--overhead", "3"], ["--model", "m"]]:
+        with pytest.raises(SystemExit) as exc:
+            main(["cost", "--config", config, "--usage", usage, *flag])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"unrecognized arguments: {' '.join(flag)}" in captured.err, flag
 
 
 @pytest.mark.parametrize(
     "argv",
     [
-        ["cost", "--usage", "{missing}"],
+        ["cost", "--config", "{config}", "--usage", "{missing}"],
         ["agreement", "--config", "{config}", "--qrels", "{missing}"],
         ["effectiveness", "--config", "{config}", "--qrels", "{missing}"],
         ["stability", "--config", "{config}", "--qrels", "{missing}"],
@@ -523,11 +471,13 @@ def test_missing_input_file_is_config_error(toy_bundle, tmp_path, capsys, argv):
     assert err == f"config error: path does not exist: {missing}\n"
 
 
-@pytest.mark.parametrize("flag, path", [("--usage", "dir"), ("--cache", "dir"), ("--usage", "")])
-def test_a_directory_given_as_a_file_is_config_error(tmp_path, capsys, monkeypatch, flag, path):
+@pytest.mark.parametrize("flag, path", [("--usage", "dir"), ("--usage", "")])
+def test_a_directory_given_as_a_file_is_config_error(
+    toy_bundle, tmp_path, capsys, monkeypatch, flag, path
+):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "dir").mkdir()
-    assert main(["cost", flag, path]) == 2
+    assert main(["cost", "--config", str(toy_bundle / "config.ini"), flag, path]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"config error: path is a directory: {path or '.'}\n"
@@ -543,10 +493,10 @@ def test_a_directory_given_as_a_file_is_config_error(tmp_path, capsys, monkeypat
         '{"rows": [["ab", "m", 2.0, 1]]}', '{"rows": [["ab", "m", 1, 1], "ab"]}',
     ],
 )
-def test_bad_usage_file_is_parse_error(tmp_path, capsys, content):
+def test_bad_usage_file_is_parse_error(toy_bundle, tmp_path, capsys, content):
     usage = tmp_path / "usage.json"
     usage.write_text(content)
-    assert main(["cost", "--usage", str(usage)]) == 1
+    assert main(["cost", "--config", str(toy_bundle / "config.ini"), "--usage", str(usage)]) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: {usage}: bad usage file")
 
@@ -573,7 +523,7 @@ def test_stability_rejects_non_positive_resamples(tmp_path, capsys, resamples):
 
 
 @pytest.mark.parametrize("runs", ["empty", "file", "missing"])
-@pytest.mark.parametrize("command", ["agreement", "effectiveness", "stability"])
+@pytest.mark.parametrize("command", ["agreement", "effectiveness", "stability", "cost"])
 def test_a_report_subcommand_needs_run_files(tmp_path, capsys, command, runs):
     config = build_toy_experiment(tmp_path)
     runs_dir, out = tmp_path / "runs", tmp_path / "report.csv"
@@ -583,8 +533,10 @@ def test_a_report_subcommand_needs_run_files(tmp_path, capsys, command, runs):
         runs_dir.rmdir()
     if runs == "file":
         runs_dir.write_text("")
-    argv = [command, "--config", str(config), "--qrels", str(tmp_path / "qrels.txt")]
-    assert main([*argv, "--out", str(out)]) == 2
+    judged = ["--usage", str(tmp_path / "x.usage.json")] if command == "cost" else [
+        "--qrels", str(tmp_path / "qrels.txt")
+    ]
+    assert main([command, "--config", str(config), *judged, "--out", str(out)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "config error: " + {
@@ -607,16 +559,8 @@ def test_a_report_subcommand_needs_run_files(tmp_path, capsys, command, runs):
          "binarize_threshold"),
         (["stability", "--config", "{rbo_config}", "--qrels", "{qrels}", "--out", "{out}"],
          "rbo_p"),
-        (["cost", "--extrapolate", "--pairs", "-1", "--avg-tokens", "3"], "--pairs"),
-        (["cost", "--extrapolate", "--pairs", "10", "--avg-tokens", "nan"], "--avg-tokens"),
-        (["cost", "--extrapolate", "--pairs", "10", "--avg-tokens", "inf"], "--avg-tokens"),
-        (["cost", "--extrapolate", "--pairs", "10", "--avg-tokens", "3", "--overhead", "nan"],
-         "--overhead"),
-        (["cost", "--extrapolate", "--pairs", "10", "--avg-tokens", "1e308"], "token total"),
-        (["cost", "--extrapolate", "--pairs", "10", "--out", "{out}"], "--avg-tokens"),
     ],
-    ids=["budget", "k", "eff-threshold", "agreement-threshold", "rbo-p", "pairs",
-         "avg-tokens-nan", "avg-tokens-inf", "overhead-nan", "token-total", "no-avg-tokens"],
+    ids=["budget", "k", "eff-threshold", "agreement-threshold", "rbo-p"],
 )
 def test_out_of_range_flags_are_config_errors(toy_bundle, tmp_path, capsys, argv, flag):
     paths = {
@@ -716,9 +660,8 @@ def test_cost_tallies_the_usage_file_of_the_judge_subcommand(toy_bundle, tmp_pat
     assert main(argv) == 0
     capsys.readouterr()
     argv = [
-        "cost", "--usage", str(tmp_path / "judged.usage.json"),
-        "--prices", str(toy_bundle / "prices.json"),
-        "--stage", "judgment", "--modality", "summ:80", "--dataset", "toy",
+        "cost", "--config", config, "--usage", str(tmp_path / "judged.usage.json"),
+        "--stage", "judgment", "--modality", "summ:80",
     ]
     assert main(argv) == 0
     # the toy experiment has one model, so its cell's tally is the modality's row
@@ -861,21 +804,17 @@ def test_stage_subcommands_match_bundle_reports(toy_bundle, non_default_bundle, 
             assert len(expected) > 1
             assert _lines(got) == expected
 
-    reports = toy_bundle / "out" / "reports"
-    cost = tmp_path / "cost.csv"
-    usage = toy_bundle / "out" / "judgments" / "mock-judge__full.usage.json"
-    assert (
-        main(
-            [
-                "cost", "--usage", str(usage), "--prices", str(toy_bundle / "prices.json"),
-                "--stage", "judgment", "--modality", "full", "--dataset", "toy",
-                "--out", str(cost),
-            ]
-        )
-        == 0
-    )
-    expected = _bundle_lines(reports / "cost.csv", lambda row: row[:2] == ["judgment", "full"])
-    assert _lines(cost) == expected
+        # one model, so a judge cell's usage file gives its modality's whole cost row
+        for stage, usage, modality in [
+            ("judgment", "judgments/mock-judge__full.usage.json", "full"),
+            ("summarization", "summaries/summ80.usage.json", "summ:80"),
+        ]:
+            argv = ["--config", config, "--usage", str(bundle / "out" / usage), "--out", str(out)]
+            assert main(["cost", *argv, "--stage", stage, "--modality", modality]) == 0
+            expected = _bundle_lines(reports / "cost.csv", lambda row: row[:2] == [stage, modality])
+            assert len(expected) == 2
+            assert _lines(out) == expected
+            assert expected[1].split(",")[2] == ("toy" if bundle == toy_bundle else "toy-nd")
 
 
 @pytest.mark.parametrize(
