@@ -186,8 +186,10 @@ def _cmd_judge(args) -> int:
 def _cmd_report(args) -> int:
     experiment = Experiment(_load_config_with_overrides(args))  # checks the config's inputs
     if args.command == "cost":
-        row = (args.stage, str(_modality(args.modality)), [Path(args.usage)])
-        _emit(experiment.cost_text([row]), args.out)
+        modality = _modality(args.modality)  # cost.csv's summarization rows are summ:<B> only
+        _check(args.stage == "judgment" or modality.kind == "summary",
+               f"--stage summarization needs a summ:<B> --modality, not {modality}")
+        _emit(experiment.cost_text([(args.stage, str(modality), [Path(args.usage)])]), args.out)
         return 0
     judged = parse_qrels(args.qrels)
     cell = (judged.label(), str(judged.modality))  # as the bundle's reports label Q's rows

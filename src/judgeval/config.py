@@ -90,9 +90,6 @@ class ExperimentConfig:
         if "human" in self.models:  # the reports' label of the human qrels
             raise ConfigError("model name 'human' is reserved for the human qrels")
 
-    def resolved_cache_path(self) -> Path:
-        return self.cache_path or (self.output_dir / "cache.jsonl")
-
     def hashed_fields(self) -> dict:
         """Every output-affecting field, in hash-stable form."""
         out = {

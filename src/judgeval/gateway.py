@@ -133,8 +133,8 @@ class ResponseCache:
     An unterminated last line, which is what an append cut short leaves, is
     dropped and cut from the file; any other unreadable line is an error.
     Keys beyond the five that ``put`` writes, such as the time stamp that
-    older caches carry, are ignored. The cache keeps no digest of its file:
-    the pipeline hashes it once, when a run ends.
+    older caches carry, are ignored. The cache keeps no digest of its file,
+    and no stage record of the pipeline's manifest covers it.
     """
 
     def __init__(self, path: str | Path):

@@ -31,10 +31,10 @@ methods.
 A stage hands its result on in memory: whatever a stage produced in this
 run (summaries, judgments, the token counts of its usage file) goes
 downstream as it is, and a bundle file is read back only when the stage
-that owns it was skipped, at most once per run. The manifest lists the
-digest of ``cache.jsonl`` only when a run ends, from one hash of the file:
-the saves after each stage list stage outputs only, so a run that fails or
-is killed leaves a manifest that names no cache digest rather than a stale one.
+that owns it was skipped, at most once per run. The manifest vouches only
+for stage outputs: ``cache.jsonl``, which no stage writes, is never hashed. A
+stage that runs again first withdraws its old record, so a run that fails or
+is killed leaves a manifest whose every digest matches its file.
 
 All outputs are written atomically, all floats are formatted with fixed
 precision, and no file carries a time stamp, so a bundle's bytes depend
@@ -220,7 +220,7 @@ class Experiment:
             backend = HttpBackend(config.endpoint, config.api_key_env)
         return Gateway(
             backend,
-            config.resolved_cache_path(),
+            config.cache_path or self.out / "cache.jsonl",
             max_attempts=config.max_attempts,
             max_in_flight=config.max_in_flight,
         )
@@ -322,18 +322,8 @@ class Experiment:
             return {}
         return {name: record for name, record in stages.items() if _is_stage_record(record)}
 
-    def _save_manifest(self, *, with_cache: bool = False) -> None:
-        """Write the manifest of the stage records. Only the save that ends a
-        run passes ``with_cache``, to list the digest of ``cache.jsonl`` too."""
-        files: dict[str, str] = {}
-        for record in self.records.values():
-            files.update(record["outputs"])
-        # a cache outside the output directory is shared across experiments,
-        # so it is not a bundle file
-        cache = self.config.resolved_cache_path().resolve()
-        out = self.out.resolve()
-        if with_cache and cache.is_relative_to(out) and cache.exists():
-            files[str(cache.relative_to(out))] = sha256_file(cache)
+    def _save_manifest(self) -> None:
+        """Write the manifest of the stage records."""
         manifest = {
             "tool": "judgeval",
             "version": __version__,
@@ -345,7 +335,6 @@ class Experiment:
                 "judge_sha256": template_sha256(self.judge_template),
             },
             "stages": self.records,
-            "files": dict(sorted(files.items())),
         }
         write_json(self.manifest_path, manifest)
 
@@ -373,8 +362,8 @@ class Experiment:
         ):
             self.outcomes.append(StageOutcome(name, "skipped"))
             return
-        if "ran" not in (outcome.status for outcome in self.outcomes):
-            self._save_manifest()  # the first stage to run drops a cache digest listed before
+        if self.records.pop(name, None) is not None:
+            self._save_manifest()  # no record vouches for a file the producer rewrites
         try:
             producer()
         except (JudgevalError, ValueError) as exc:
@@ -406,8 +395,9 @@ class Experiment:
                 self._judge_stage(model, modality)
         for name, outputs, inputs, texts in REPORT_STAGES:
             self._report_stage(name, outputs, inputs, texts)
-        # config_hash covers fields no stage fingerprint does (max_attempts)
-        self._save_manifest(with_cache=True)
+        # config_hash covers fields no stage fingerprint does (max_attempts),
+        # and an older manifest's files map goes even when every stage skipped
+        self._save_manifest()
         return PipelineResult(
             outcomes=self.outcomes,
             backend_calls=self.backend_calls,

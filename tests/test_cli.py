@@ -453,6 +453,22 @@ def test_cost_requires_usage_and_takes_no_removed_flag(toy_bundle, capsys):
         assert f"unrecognized arguments: {' '.join(flag)}" in captured.err, flag
 
 
+@pytest.mark.parametrize("modality", [[], ["--modality", "full"]], ids=["default", "full"])
+def test_a_summarization_cost_of_a_full_modality_is_config_error(
+    toy_bundle, tmp_path, capsys, modality
+):
+    # no bundle's cost.csv holds a summarization row but a summ:<B> one
+    usage = toy_bundle / "out" / "summaries" / "summ80.usage.json"
+    out = tmp_path / "cost.csv"
+    argv = ["cost", "--config", str(toy_bundle / "config.ini"), "--usage", str(usage),
+            "--stage", "summarization", *modality, "--out", str(out)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (
+        "config error: --stage summarization needs a summ:<B> --modality, not full\n"
+    )
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -97,16 +97,25 @@ def test_manifest_lists_every_emitted_file_with_correct_digest(toy_experiment, m
         out = run_pipeline(config).output_dir
         if shape == "reports-deleted":
             shutil.rmtree(out / "reports")
+        if shape == "warm":  # with the files map of earlier versions, which the run drops
+            manifest = json.loads((out / "manifest.json").read_text())
+            manifest["files"] = bundle_digests(out)
+            (out / "manifest.json").write_text(json.dumps(manifest))
     hashed = []
     original = pipeline.sha256_file
     monkeypatch.setattr(pipeline, "sha256_file", lambda p: hashed.append(p.name) or original(p))
     result = run_pipeline(config, force=shape == "force")
+    assert (result.stages_run() == []) == (shape == "warm")
     out = result.output_dir
     manifest = json.loads((out / "manifest.json").read_text())
     on_disk = bundle_digests(out)
-    on_disk.pop("manifest.json")  # the manifest cannot contain its own digest
-    assert manifest["files"] == on_disk
-    assert hashed.count("cache.jsonl") == 1  # once, when the run ends
+    # the manifest cannot contain its own digest, and no stage writes the cache
+    for rel in ("manifest.json", "cache.jsonl"):
+        on_disk.pop(rel)
+    listed = [item for record in manifest["stages"].values() for item in record["outputs"].items()]
+    assert sorted(listed) == sorted(on_disk.items())  # each file in exactly one record
+    assert "files" not in manifest
+    assert hashed.count("cache.jsonl") == 0
     assert manifest["config_hash"] == config.config_hash()
     assert manifest["seed"] == 42
     assert len(manifest["prompts"]["summary_sha256"]) == 64
@@ -133,9 +142,11 @@ def test_a_failed_run_lists_only_true_digests(toy_experiment, monkeypatch, model
     with pytest.raises(StageError):
         run_pipeline(replace(config, models=models))
     out = config.output_dir
-    listed = json.loads((out / "manifest.json").read_text())["files"]
+    stages = json.loads((out / "manifest.json").read_text())["stages"]
+    listed = {
+        rel: digest for record in stages.values() for rel, digest in record["outputs"].items()
+    }
     assert listed
-    assert "cache.jsonl" not in listed
     assert listed == {rel: digest for rel, digest in bundle_digests(out).items() if rel in listed}
 
 
@@ -387,7 +398,8 @@ def test_only_the_version_changed_the_pinned_fingerprints(toy_experiment, monkey
 def _as_written_by_0_1_0(out: Path) -> None:
     """Give a bundle made with the version patched to 0.1.0 the files that
     version wrote: usage files that list request hashes and no summary
-    ledgers, with a manifest whose digests match them."""
+    ledgers, with a manifest whose digests match them and whose ``files``
+    map lists every stage output and ``cache.jsonl``."""
     for usage in out.rglob("*.usage.json"):
         recorded = json.loads(usage.read_text())
         hashes = [row[0] for row in recorded.pop("rows")]
@@ -401,7 +413,8 @@ def _as_written_by_0_1_0(out: Path) -> None:
     manifest = json.loads((out / "manifest.json").read_text())
     for record in manifest["stages"].values():
         record["outputs"] = digests(record["outputs"])
-    manifest["files"] = digests(manifest["files"])
+    listed = [rel for record in manifest["stages"].values() for rel in record["outputs"]]
+    manifest["files"] = digests([*listed, "cache.jsonl"])
     trec_io.write_json(out / "manifest.json", manifest)
 
 
@@ -421,6 +434,8 @@ def test_a_bundle_of_version_0_1_0_reruns_every_stage_from_the_cache(toy_experim
         return {rel: digests[rel] for rel in digests if rel not in ("manifest.json", "cache.jsonl")}
 
     assert kept(out) == kept(fresh)
+    # the rerun's manifest drops the old files map, and is a fresh run's
+    assert (out / "manifest.json").read_bytes() == (fresh / "manifest.json").read_bytes()
 
 
 def _listed_outputs(stages: dict) -> dict:
@@ -586,9 +601,8 @@ def test_a_run_reads_back_only_what_skipped_stages_wrote(toy_experiment, monkeyp
     shutil.rmtree(out / "reports")
     reports = ["distribution", "agreement", "effectiveness", "stability", "cost"]
     assert run_pipeline(config).stages_run() == reports
-    # no report stage opens the gateway, and nothing writes the cache, so it
-    # is hashed once however many manifest saves come first
-    assert calls.count(("sha256_file", out / "cache.jsonl")) == 1
+    # no stage record covers the cache, so no run hashes it
+    assert calls.count(("sha256_file", out / "cache.jsonl")) == 0
 
 
 def test_a_run_releases_each_input_after_its_last_reader(tmp_path, monkeypatch):
