@@ -6,4 +6,4 @@ agreement, retrieval effectiveness, system-ranking stability, and token
 cost for the resulting judgment sets.
 """
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"

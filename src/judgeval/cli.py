@@ -7,7 +7,9 @@ debugged on its own. ``summarize``, ``judge`` and the four report subcommands
 too and go through the same ``pipeline`` code as ``run``. The config is the
 only source of its settings: the grid (``models``, ``modalities``), the
 backend, the dataset and the price table are edited there, and a flag
-overrides only ``--seed``, ``run --out`` and ``judge``'s one cell.
+overrides only ``--seed``, ``run --out`` and ``judge``'s one model. A cell
+comes from the input files: ``judge``'s from its ``--summaries`` (``full``
+without), and a report row's labels from Q's sidecar or the usage file.
 
 Exit codes: 0 success, 1 fatal stage error, 2 configuration error.
 """
@@ -24,7 +26,7 @@ from .config import ExperimentConfig, load_config
 from .errors import ConfigError, JudgevalError
 from .pipeline import Experiment, run_pipeline
 from .summarizer import read_summaries
-from .trec_io import Modality, atomic_write_text, parse_qrels
+from .trec_io import FULL_DOCUMENT, Modality, atomic_write_text, parse_qrels
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -73,13 +75,10 @@ def _build_parser() -> argparse.ArgumentParser:
     summ.set_defaults(handler=_cmd_summarize)
 
     judge = sub.add_parser(
-        "judge", parents=[configured], help="judge one model x modality cell"
+        "judge", parents=[configured], help="judge one model's full or summary cell"
     )
     judge.add_argument("--model", required=True)
-    judge.add_argument("--modality", required=True)
-    judge.add_argument(
-        "--summaries", help="summaries JSONL (required for summary modalities)"
-    )
+    judge.add_argument("--summaries", help="summaries JSONL: judge their budget's cell, not full")
     judge.add_argument("--out", required=True)
     judge.set_defaults(handler=_cmd_judge)
 
@@ -99,10 +98,7 @@ def _build_parser() -> argparse.ArgumentParser:
             report.add_argument("--qrels", required=True, help="the judgments Q of one cell")
     sub.choices["effectiveness"].add_argument("--per-topic-out")
     sub.choices["stability"].add_argument("--seed", type=int, help="override the configured seed")
-    cost = sub.choices["cost"]
-    cost.add_argument("--usage", required=True, help="one stage's usage JSON: tally its rows")
-    cost.add_argument("--stage", choices=["summarization", "judgment"], default="judgment")
-    cost.add_argument("--modality", default="full")
+    sub.choices["cost"].add_argument("--usage", required=True, help="one stage's usage JSON")
 
     return parser
 
@@ -117,11 +113,6 @@ def _load_config_with_overrides(args) -> ExperimentConfig:
     if args.command == "run" and args.out:
         updates["output_dir"] = Path(args.out)
     return replace(config, **updates) if updates else config
-
-
-def _check(ok: bool, message: str) -> None:
-    if not ok:
-        raise ConfigError(message)
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -146,34 +137,22 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_summarize(args) -> int:
-    _check(args.budget >= 1, "--budget must be >= 1")
+    if args.budget < 1:
+        raise ConfigError("--budget must be >= 1")
     with Experiment(_load_config_with_overrides(args)) as experiment:
         summaries = experiment.summarize(args.budget, Path(args.out))
     print(f"{len(summaries)} summaries -> {args.out} ({len(summaries.errors)} errors)")
     return 0
 
 
-def _modality(text: str) -> Modality:
-    try:
-        return Modality.parse(text)
-    except ValueError as exc:
-        raise ConfigError(f"bad --modality: {exc}") from exc
-
-
 def _cmd_judge(args) -> int:
-    modality = _modality(args.modality)
-    summarized = modality.kind == "summary"
-    _check(summarized == bool(args.summaries),
-           "summary modalities need --summaries" if summarized
-           else f"--summaries does not apply to modality {modality}")
     experiment = Experiment(_load_config_with_overrides(args))
-    summaries = None
-    if summarized:
+    summaries, modality = None, FULL_DOCUMENT
+    if args.summaries is not None:  # the summary cell at the file's budget
         summaries = read_summaries(args.summaries)
-        if summaries.budget_tokens != modality.budget_tokens:
-            raise ConfigError(
-                f"summaries budget {summaries.budget_tokens} does not match {modality}"
-            )
+        if summaries.budget_tokens < 1:
+            raise ConfigError(f"no summary of a budget >= 1 in {args.summaries}")
+        modality = Modality("summary", summaries.budget_tokens)
     with experiment:
         result, skipped = experiment.judge(args.model, modality, summaries, Path(args.out))
     print(
@@ -185,11 +164,8 @@ def _cmd_judge(args) -> int:
 
 def _cmd_report(args) -> int:
     experiment = Experiment(_load_config_with_overrides(args))  # checks the config's inputs
-    if args.command == "cost":
-        modality = _modality(args.modality)  # cost.csv's summarization rows are summ:<B> only
-        _check(args.stage == "judgment" or modality.kind == "summary",
-               f"--stage summarization needs a summ:<B> --modality, not {modality}")
-        _emit(experiment.cost_text([(args.stage, str(modality), [Path(args.usage)])]), args.out)
+    if args.command == "cost":  # U's row, labelled with the stage and modality U records
+        _emit(experiment.cost_text([Path(args.usage)]), args.out)
         return 0
     judged = parse_qrels(args.qrels)
     cell = (judged.label(), str(judged.modality))  # as the bundle's reports label Q's rows

@@ -120,6 +120,8 @@ SECTIONS = {
     "prompts": ("summary_template", "judge_template"),
     "pricing": ("prices",),
 }
+# Options of older versions, which load and are ignored: what they set is fixed.
+LEGACY = {"experiment": ("summary_slack", "judge_max_output_tokens")}
 
 # An option's text as its field's declared type; a path resolves against
 # the config file's directory (an absolute one stays as it is).
@@ -139,7 +141,7 @@ def load_config(path: str | Path) -> ExperimentConfig:
 
     Each option of ``SECTIONS`` the file sets is converted to its field's
     type; one it leaves out keeps the field's default, and is an error when
-    the field has none.
+    the field has none. Any other section or option but a ``LEGACY`` one is an error too.
     """
     path = Path(path)
     if not path.exists():
@@ -152,6 +154,12 @@ def load_config(path: str | Path) -> ExperimentConfig:
     except configparser.Error as exc:
         raise ConfigError(f"cannot parse config {path}: {exc}") from exc
 
+    for section in [parser.default_section, *parser.sections()]:  # [DEFAULT]'s options first
+        if section not in SECTIONS and section != parser.default_section:
+            raise ConfigError(f"unknown section [{section}] in {path}")
+        for option in parser[section]:
+            if option not in SECTIONS.get(section, ()) + LEGACY.get(section, ()):
+                raise ConfigError(f"unknown option [{section}] {option} in {path}")
     declared = {f.name: f for f in fields(ExperimentConfig)}
     values = {}
     try:

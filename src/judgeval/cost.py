@@ -1,8 +1,8 @@
 """Token and dollar accounting for judging stages, observed or extrapolated.
 
 Observed tallies sum the token counts of a stage's usage file, taken as
-``token_counts`` lists. The file holds one row per distinct request of its
-stage, so pricing a stage needs no response cache.
+``token_counts`` lists. The file names its stage and modality and holds one
+row per distinct request of it, so pricing a stage needs no response cache.
 Extrapolation projects a per-pair average onto a full collection, with the
 per-call prompt overhead kept as an explicit parameter.
 """
@@ -17,7 +17,7 @@ from pathlib import Path
 
 from .errors import ParseError, PricingError
 from .gateway import CacheEntry
-from .trec_io import atomic_write_text, read_json
+from .trec_io import Modality, atomic_write_text, read_json
 
 
 @dataclass(frozen=True)
@@ -88,26 +88,40 @@ def token_counts(entries: list[CacheEntry]) -> tuple[list[str], list[int], list[
     )
 
 
-def write_usage(path: Path, entries: list[CacheEntry]) -> tuple[list, list, list]:
-    """Write a stage's usage file: its token totals and one row ``[request_hash,
-    model, input_tokens, output_tokens]`` per entry, in hash order, each row a
-    compact JSON array on its own line. Returns the entries' ``token_counts``."""
+def write_usage(path: Path, entries: list[CacheEntry], stage: str, modality: str) -> tuple:
+    """Write a stage's usage file: its ``stage`` and ``modality`` labels, its
+    token totals and one row ``[request_hash, model, input_tokens,
+    output_tokens]`` per entry, in hash order, each row a compact JSON array on
+    its own line. Returns what ``usage_entries`` reads back from the file."""
     entries = sorted(entries, key=lambda entry: entry.request_hash)
     rows = (  # json.dumps of each row, framed without its per-call cost
         f"[{_json_str(e.request_hash)}, {_json_str(e.model)}, {e.input_tokens}, {e.output_tokens}]"
         for e in entries
     )
     usage = token_counts(entries)
-    totals = f'"input_tokens": {sum(usage[1])}, "output_tokens": {sum(usage[2])}'
-    atomic_write_text(path, f'{{{totals}, "rows": [\n' + ",\n".join(rows) + "\n]}\n")
-    return usage
+    head = (f'"stage": {_json_str(stage)}, "modality": {_json_str(modality)}, '
+            f'"input_tokens": {sum(usage[1])}, "output_tokens": {sum(usage[2])}')
+    atomic_write_text(path, f'{{{head}, "rows": [\n' + ",\n".join(rows) + "\n]}\n")
+    return stage, modality, usage
 
 
-def usage_entries(usage_path: str | Path) -> tuple[list[str], list[int], list[int]]:
-    """Model, input and output tokens of each row of a stage's usage file, in
-    its order. A row must hold two strings, then two ints >= 0."""
+def usage_entries(usage_path: str | Path) -> tuple[str, str, tuple[list, list, list]]:
+    """The stage and modality of a stage's usage file, a ``summarization`` of
+    ``summ:<B>`` or a ``judgment`` of either, and the model, input and output
+    tokens of each row, in its order: two strings, then two ints >= 0."""
     usage = read_json(usage_path, "usage file")
-    rows = usage.get("rows") if isinstance(usage, dict) else None
+    usage = usage if isinstance(usage, dict) else {}  # reads as a file without labels or rows
+    stage, modality = usage.get("stage"), usage.get("modality")
+    try:
+        label = Modality.parse(modality)
+        valid = stage == "judgment" or stage == "summarization" and label.kind == "summary"
+    except (AttributeError, ValueError):  # not a string, or not a modality
+        valid = False
+    if not valid:
+        raise ParseError(f"bad usage file: stage {stage!r} of modality {modality!r} is neither "
+                         "a summarization of summ:<B> nor a judgment of full or summ:<B>",
+                         path=str(usage_path))
+    rows = usage.get("rows")
     for row in rows if isinstance(rows, list) else [rows]:  # no list reads as one bad row
         if not (isinstance(row, list) and len(row) == 4 and all(isinstance(s, str) for s in row[:2])
                 and all(type(n) is int and n >= 0 for n in row[2:])):  # no bool or float
@@ -115,7 +129,7 @@ def usage_entries(usage_path: str | Path) -> tuple[list[str], list[int], list[in
                              "input_tokens, output_tokens] of two strings and two ints >= 0",
                              path=str(usage_path))
     models = [sys.intern(row[1]) for row in rows]  # one string per model, not one per row
-    return models, [row[2] for row in rows], [row[3] for row in rows]
+    return stage, str(label), (models, [row[2] for row in rows], [row[3] for row in rows])
 
 
 def tally_observed(

@@ -20,13 +20,13 @@ one parsed run at a time, by each use: a cold ``pool = runs`` run parses each
 file twice, for the pool and for the effectiveness stage. Each input is
 released after its last reader: the corpus and each summary set after the
 last model's cell judged on it, and the response cache after the last judge
-stage. Each usage file holds its own token counts, so no report stage opens
-the cache. It is also the one wiring from a config to summarizer and judge
-calls, and the one writer of their files: the ``summarize`` and ``judge``
-subcommands call the same two methods as the stages, and the report
+stage. Each usage file holds its own token counts and names its stage and
+modality, so no report stage opens the cache, and a cost row is labelled
+from its files. It is also the one wiring from a config to summarizer and
+judge calls, and the one writer of their files: the ``summarize`` and
+``judge`` subcommands call the same two methods as the stages, and the report
 subcommands (``agreement``, ``effectiveness``, ``stability``, ``cost``) build
-one cell's or one usage file's rows from the config through the stages' own
-methods.
+the rows of one cell or usage file through the stages' own methods.
 
 A stage hands its result on in memory: whatever a stage produced in this
 run (summaries, judgments, the token counts of its usage file) goes
@@ -97,7 +97,6 @@ class StageError(JudgevalError):
 
     def __init__(self, stage: str, cause: Exception):
         super().__init__(f"stage {stage!r} failed: {cause}")
-        self.stage = stage
 
 
 @dataclass
@@ -264,7 +263,7 @@ class Experiment:
         write_summaries(summaries, path)
         failed = [{"doc_id": doc, "reason": why} for doc, why in sorted(summaries.errors.items())]
         write_json(path.with_suffix(".errors.json"), {"failed_docs": failed})
-        self._write_usage(path.with_suffix(".usage.json"), summaries.request_hashes)
+        self._write_usage(path, summaries.request_hashes, "summarization", f"summ:{budget}")
         return summaries
 
     def judge(
@@ -294,7 +293,7 @@ class Experiment:
         self._held[path] = result.judgments
         ledger = {"skipped_pairs": skipped, "failed_tasks": [f._asdict() for f in result.failures]}
         write_json(path.with_suffix(".errors.json"), ledger)
-        self._write_usage(path.with_suffix(".usage.json"), result.request_hashes)
+        self._write_usage(path, result.request_hashes, "judgment", str(modality))
         return result, skipped
 
     def __enter__(self) -> Experiment:
@@ -380,9 +379,11 @@ class Experiment:
             self._held[path] = read(path)
         return self._held[path]
 
-    def _write_usage(self, path: Path, request_hashes: set[str]) -> None:
-        cache = self.gateway.cache
-        self._held[path] = write_usage(path, [cache.get(h) for h in request_hashes])
+    def _write_usage(self, path: Path, request_hashes: set[str], stage: str, modality: str) -> None:
+        """Write the usage file of stage output ``path``, with its two labels, next to it."""
+        entries = [self.gateway.cache.get(h) for h in request_hashes]
+        usage = path.with_suffix(".usage.json")
+        self._held[usage] = write_usage(usage, entries, stage, modality)
 
     # -- stages ---------------------------------------------------------------
 
@@ -424,7 +425,6 @@ class Experiment:
         stem = _cell_stem(model, modality)
         name = f"judge:{model}:{modality}"
         inputs = {
-            "qrels": self.input_digests["qrels"],
             "topics": self.input_digests["topics"],
             "corpus": self.input_digests["corpus"],
             "summaries": (
@@ -432,9 +432,9 @@ class Experiment:
                 if modality.kind == "summary"
                 else None
             ),
-            "pool": self.config.pool,
-            "pool_depth": self.config.pool_depth,
-            "runs": self.input_digests["runs"] if self.config.pool == "runs" else None,
+            "pool": self.config.pool,  # and what it is built from, and no more
+            **({"qrels": self.input_digests["qrels"]} if self.config.pool == "qrels" else
+               {"runs": self.input_digests["runs"], "pool_depth": self.config.pool_depth}),
             "model": model,
             "modality": str(modality),
             "template_sha256": template_sha256(self.judge_template),
@@ -534,15 +534,18 @@ class Experiment:
         ]
         return reports.stability_csv(config.dataset, reports_by_cell)
 
-    def cost_text(self, rows: list[tuple[str, str, list[Path]]]) -> str:
-        """``reports/cost.csv`` text: one row per ``(stage, modality, usage
-        paths)``, the files' token counts summed and priced per request."""
-        def tally(stage: str, modality: str, paths: list[Path]):
-            usages = [self._recall(path, usage_entries) for path in paths]
-            usage = [sum(lists, []) for lists in zip(*usages)]  # each file's lists, joined
-            return tally_observed(usage, self.prices, stage=stage, modality=modality)
-
-        return reports.cost_csv(self.config.dataset, [tally(*row) for row in rows])
+    def cost_text(self, paths: list[Path]) -> str:
+        """``reports/cost.csv`` text: one row per stage and modality that the
+        usage files at ``paths`` record, in order of first appearance, with
+        the token counts of its files joined and priced per request."""
+        rows: dict[tuple[str, str], list[list]] = {}
+        for path in paths:
+            stage, modality, counts = self._recall(path, usage_entries)
+            for joined, more in zip(rows.setdefault((stage, modality), [[], [], []]), counts):
+                joined += more
+        tallies = [tally_observed(counts, self.prices, stage=stage, modality=modality)
+                   for (stage, modality), counts in rows.items()]
+        return reports.cost_csv(self.config.dataset, tallies)
 
     def _distribution_texts(self) -> list[str]:
         annotators = [("human", "full", self.human)] + self._judged_cells()
@@ -566,12 +569,9 @@ class Experiment:
         return [self.stability_text(self._effectiveness, cells)]
 
     def _cost_texts(self) -> list[str]:
-        config, usage = self.config, lambda stem: self.out / f"{stem}.usage.json"
-        rows = [("summarization", f"summ:{b}", [usage(_summary_stem(b))])
-                for b in self.summary_budgets]
-        rows += [("judgment", str(mod), [usage(_cell_stem(model, mod)) for model in config.models])
-                 for mod in config.modalities]
-        return [self.cost_text(rows)]
+        stems = [_summary_stem(b) for b in self.summary_budgets]
+        stems += [_cell_stem(m, mod) for mod in self.config.modalities for m in self.config.models]
+        return [self.cost_text([self.out / f"{stem}.usage.json" for stem in stems])]
 
 
 # How each report fingerprint input that is not a config field of its name is built.

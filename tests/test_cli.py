@@ -51,7 +51,10 @@ def test_grid_and_backend_flags_are_unrecognized(toy_experiment, capsys):
         ["run", "--modality", "full"],
         ["run", "--mock"],
         ["summarize", "--budget", "80", "--out", "s.jsonl", "--mock"],
-        ["judge", "--model", "mock-judge", "--modality", "full", "--out", "j.qrels", "--mock"],
+        ["judge", "--model", "mock-judge", "--out", "j.qrels", "--mock"],
+        # judge's cell is full, or the budget of its --summaries
+        ["judge", "--model", "mock-judge", "--modality", "full", "--out", "j.qrels"],
+        ["judge", "--model", "m", "--summaries", "s.jsonl", "--modality", "summ:80", "--out", "j"],
     ]:
         with pytest.raises(SystemExit) as exc:
             main([command, "--config", str(toy_experiment), *argv])
@@ -85,7 +88,7 @@ def test_judge_rejects_a_model_named_human(toy_experiment, tmp_path, capsys):
     before = sorted(tmp_path.rglob("*"))
     argv = [
         "judge", "--config", str(toy_experiment), "--model", "human",
-        "--modality", "full", "--out", str(tmp_path / "full.qrels"),
+        "--out", str(tmp_path / "full.qrels"),
     ]
     assert main(argv) == 2
     captured = capsys.readouterr()
@@ -114,10 +117,7 @@ def test_flags_that_mirror_a_setting_default_to_it(tmp_path):
     )
     config_path.write_text(config_path.read_text().replace("models = mock-judge", "models = a, b"))
     base = load_config(config_path)
-    values = {
-        "config": str(config_path), "model": "b", "modality": "summ:80", "budget": "80",
-        "stage": "summarization",
-    }
+    values = {"config": str(config_path), "model": "b", "budget": "80"}
     (commands,) = [a.choices for a in _build_parser()._actions if a.choices and a.dest == "command"]
     changed = {}
     for command, parser in commands.items():
@@ -154,24 +154,14 @@ def test_run_follows_a_config_narrowed_to_full(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("modality", ["bogus", "summ:x", "summ:0"])
-def test_malformed_modality_is_config_error(toy_experiment, tmp_path, capsys, modality):
-    # in the config's modalities, as the cell judge is given and as cost's row label
+def test_malformed_modality_is_config_error(tmp_path, capsys, modality):
+    # in the config's modalities, the only place a modality is given
     config = _toy_config_with(
         tmp_path / "grid", "modalities = full, summ:80, summ:120", f"modalities = full, {modality}"
     )
-    judge = [
-        "judge", "--config", str(toy_experiment), "--model", "mock-judge",
-        "--modality", modality, "--out", str(tmp_path / "x.qrels"),
-    ]
-    cost = [
-        "cost", "--config", str(toy_experiment), "--usage", str(tmp_path / "x.usage.json"),
-        "--modality", modality, "--out", str(tmp_path / "x.csv"),
-    ]
-    for argv in (["run", "--config", str(config)], judge, cost):
-        assert main(argv) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("config error: ") and repr(modality) in err
-    assert not (tmp_path / "x.qrels").exists() and not (tmp_path / "x.csv").exists()
+    assert main(["run", "--config", str(config)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and repr(modality) in err
     assert not (tmp_path / "grid" / "out").exists()
 
 
@@ -252,54 +242,13 @@ def test_judge_subcommand_full_and_summary(toy_experiment, tmp_path):
         )
         == 0
     )
-    out_full = tmp_path / "full.qrels"
-    assert (
-        main(
-            [
-                "judge", "--config", str(toy_experiment),
-                "--model", "mock-judge", "--modality", "full",
-                "--out", str(out_full),
-            ]
-        )
-        == 0
-    )
-    out_summ = tmp_path / "summ.qrels"
-    assert (
-        main(
-            [
-                "judge", "--config", str(toy_experiment),
-                "--model", "mock-judge", "--modality", "summ:80",
-                "--summaries", str(summaries), "--out", str(out_summ),
-            ]
-        )
-        == 0
-    )
-    assert out_full.exists() and out_summ.exists()
-    # summary modality without --summaries is a config error
-    assert (
-        main(
-            [
-                "judge", "--config", str(toy_experiment),
-                "--model", "mock-judge", "--modality", "summ:80",
-                "--out", str(tmp_path / "x.qrels"),
-            ]
-        )
-        == 2
-    )
-
-
-def test_judge_full_modality_with_summaries_is_a_config_error(toy_experiment, tmp_path, capsys):
-    before = sorted(tmp_path.rglob("*"))
-    argv = [
-        "judge", "--config", str(toy_experiment), "--model", "mock-judge",
-        "--modality", "full", "--summaries", str(tmp_path / "missing.jsonl"),
-        "--out", str(tmp_path / "full.qrels"),
-    ]
-    assert main(argv) == 2
-    assert capsys.readouterr().err == (
-        "config error: --summaries does not apply to modality full\n"
-    )
-    assert sorted(tmp_path.rglob("*")) == before
+    # without --summaries judge judges the full cell, with them the summary cell of their budget
+    judge = ["judge", "--config", str(toy_experiment), "--model", "mock-judge"]
+    out_full, out_summ = tmp_path / "full.qrels", tmp_path / "summ.qrels"
+    assert main([*judge, "--out", str(out_full)]) == 0
+    assert main([*judge, "--summaries", str(summaries), "--out", str(out_summ)]) == 0
+    assert parse_qrels(out_full).modality == Modality("full")
+    assert parse_qrels(out_summ).modality == Modality("summary", 80)
 
 
 def _agreement_argv(root: Path, human: dict, judged: dict) -> list[str]:
@@ -311,17 +260,22 @@ def _agreement_argv(root: Path, human: dict, judged: dict) -> list[str]:
     return ["agreement", "--config", str(config), "--qrels", str(root / "judged.qrels")]
 
 
-def test_judge_rejects_summaries_of_another_budget(toy_bundle, tmp_path, capsys):
+def test_judge_rejects_summaries_with_no_records(toy_bundle, tmp_path, capsys):
+    # a summaries file without a record names no budget, so no cell to judge
+    summaries = tmp_path / "inputs" / "summ80.jsonl"
+    summaries.parent.mkdir()
+    summaries.write_text("\n")
+    out = tmp_path / "out"
+    out.mkdir()
     argv = [
         "judge", "--config", str(toy_bundle / "config.ini"), "--model", "mock-judge",
-        "--modality", "summ:80", "--summaries", str(toy_bundle / "out/summaries/summ120.jsonl"),
-        "--out", str(tmp_path / "judged.qrels"),
+        "--summaries", str(summaries), "--out", str(out / "judged.qrels"),
     ]
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "config error: summaries budget 120 does not match summ:80\n"
-    assert not any(tmp_path.iterdir())
+    assert captured.err == f"config error: no summary of a budget >= 1 in {summaries}\n"
+    assert not any(out.iterdir())
 
 
 def test_agreement_subcommand_identical_files_kappa_one(tmp_path, capsys):
@@ -393,12 +347,14 @@ def test_cost_tally_subcommand(toy_experiment, tmp_path, capsys):
     code = main(
         [
             "cost", "--config", str(toy_experiment),
-            "--usage", str(usage), "--stage", "judgment", "--modality", "full",
+            "--usage", str(usage),
         ]
     )
     assert code == 0
     row = _csv_rows(capsys.readouterr().out)[0]
     recorded = json.loads(usage.read_text())
+    assert (row["stage"], row["modality"]) == (recorded["stage"], recorded["modality"])
+    assert (recorded["stage"], recorded["modality"]) == ("judgment", "full")
     assert float(row["input_tokens_millions"]) == pytest.approx(
         recorded["input_tokens"] / 1e6, abs=1e-9
     )
@@ -444,7 +400,8 @@ def test_cost_requires_usage_and_takes_no_removed_flag(toy_bundle, capsys):
     assert "the following arguments are required: --usage" in capsys.readouterr().err
     usage = str(toy_bundle / "out" / "judgments" / "mock-judge__full.usage.json")
     for flag in [["--cache", usage], ["--extrapolate"], ["--prices", usage], ["--dataset", "toy"],
-                 ["--pairs", "10"], ["--avg-tokens", "5"], ["--overhead", "3"], ["--model", "m"]]:
+                 ["--pairs", "10"], ["--avg-tokens", "5"], ["--overhead", "3"], ["--model", "m"],
+                 ["--stage", "judgment"], ["--modality", "full"]]:
         with pytest.raises(SystemExit) as exc:
             main(["cost", "--config", config, "--usage", usage, *flag])
         assert exc.value.code == 2
@@ -453,19 +410,31 @@ def test_cost_requires_usage_and_takes_no_removed_flag(toy_bundle, capsys):
         assert f"unrecognized arguments: {' '.join(flag)}" in captured.err, flag
 
 
-@pytest.mark.parametrize("modality", [[], ["--modality", "full"]], ids=["default", "full"])
-def test_a_summarization_cost_of_a_full_modality_is_config_error(
-    toy_bundle, tmp_path, capsys, modality
+@pytest.mark.parametrize(
+    "labels",
+    [
+        {}, {"modality": "summ:80"}, {"stage": "summarization"},
+        {"stage": "summarization", "modality": "full"}, {"stage": "cost", "modality": "full"},
+        {"stage": None, "modality": "full"}, {"stage": "judgment", "modality": "summ:0"},
+        {"stage": "judgment", "modality": "bogus"}, {"stage": "judgment", "modality": 80},
+        {"stage": ["judgment"], "modality": "full"},
+    ],
+)
+def test_a_usage_file_with_bad_labels_is_a_bad_usage_file_error(
+    toy_bundle, tmp_path, capsys, labels
 ):
-    # no bundle's cost.csv holds a summarization row but a summ:<B> one
-    usage = toy_bundle / "out" / "summaries" / "summ80.usage.json"
-    out = tmp_path / "cost.csv"
+    # no bundle's cost.csv holds a row of another stage, nor a summarization row
+    # but a summ:<B> one
+    recorded = json.loads((toy_bundle / "out" / "summaries" / "summ80.usage.json").read_text())
+    usage, out = tmp_path / "usage.json", tmp_path / "cost.csv"
+    del recorded["stage"], recorded["modality"]
+    usage.write_text(json.dumps({**labels, **recorded}))
     argv = ["cost", "--config", str(toy_bundle / "config.ini"), "--usage", str(usage),
-            "--stage", "summarization", *modality, "--out", str(out)]
-    assert main(argv) == 2
-    assert capsys.readouterr().err == (
-        "config error: --stage summarization needs a summ:<B> --modality, not full\n"
-    )
+            "--out", str(out)]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {usage}: bad usage file: stage ")
     assert not out.exists()
 
 
@@ -511,6 +480,8 @@ def test_a_directory_given_as_a_file_is_config_error(
 )
 def test_bad_usage_file_is_parse_error(toy_bundle, tmp_path, capsys, content):
     usage = tmp_path / "usage.json"
+    if content.startswith('{"'):  # well labelled, so each row check is reached
+        content = '{"stage": "judgment", "modality": "full", ' + content[1:]
     usage.write_text(content)
     assert main(["cost", "--config", str(toy_bundle / "config.ini"), "--usage", str(usage)]) == 1
     err = capsys.readouterr().err
@@ -649,7 +620,7 @@ def test_summarize_and_judge_subcommands_write_the_bundle_bytes(toy_bundle, tmp_
     assert summaries.read_bytes() == (bundle / "summaries" / "summ80.jsonl").read_bytes()
     judged = tmp_path / "judged.qrels"
     argv = [
-        "judge", "--config", config, "--model", "mock-judge", "--modality", "summ:80",
+        "judge", "--config", config, "--model", "mock-judge",
         "--summaries", str(summaries), "--out", str(judged),
     ]
     assert main(argv) == 0
@@ -670,15 +641,12 @@ def test_cost_tallies_the_usage_file_of_the_judge_subcommand(toy_bundle, tmp_pat
     argv = ["summarize", "--config", config, "--budget", "80", "--out", str(summaries)]
     assert main(argv) == 0
     argv = [
-        "judge", "--config", config, "--model", "mock-judge", "--modality", "summ:80",
+        "judge", "--config", config, "--model", "mock-judge",
         "--summaries", str(summaries), "--out", str(judged),
     ]
     assert main(argv) == 0
     capsys.readouterr()
-    argv = [
-        "cost", "--config", config, "--usage", str(tmp_path / "judged.usage.json"),
-        "--stage", "judgment", "--modality", "summ:80",
-    ]
+    argv = ["cost", "--config", config, "--usage", str(tmp_path / "judged.usage.json")]
     assert main(argv) == 0
     # the toy experiment has one model, so its cell's tally is the modality's row
     expected = _bundle_lines(
@@ -697,7 +665,7 @@ def test_the_summarize_and_judge_subcommands_close_the_cache_file(toy_experiment
         argv = ["summarize", "--config", config, "--budget", "80", "--out", str(summaries)]
         assert main(argv) == 0
         argv = [
-            "judge", "--config", config, "--model", "mock-judge", "--modality", "summ:80",
+            "judge", "--config", config, "--model", "mock-judge",
             "--summaries", str(summaries), "--out", str(tmp_path / "judged.qrels"),
         ]
         assert main(argv) == 0
@@ -715,7 +683,7 @@ def test_judge_rejects_a_summary_whose_text_is_not_a_string(toy_experiment, tmp_
     summaries.write_text(json.dumps(record) + "\n")
     argv = [
         "judge", "--config", str(toy_experiment), "--model", "mock-judge",
-        "--modality", "summ:80", "--summaries", str(summaries), "--out", str(out),
+        "--summaries", str(summaries), "--out", str(out),
     ]
     assert main(argv) == 1
     assert capsys.readouterr().err.startswith(f"error: {summaries}:1: 'text' must be a str")
@@ -740,7 +708,7 @@ def test_judge_subcommand_follows_pool_runs(toy_experiment, tmp_path):
         main(
             [
                 "judge", "--config", str(toy_experiment),
-                "--model", "mock-judge", "--modality", "full", "--out", str(out),
+                "--model", "mock-judge", "--out", str(out),
             ]
         )
         == 0
@@ -820,13 +788,17 @@ def test_stage_subcommands_match_bundle_reports(toy_bundle, non_default_bundle, 
             assert len(expected) > 1
             assert _lines(got) == expected
 
-        # one model, so a judge cell's usage file gives its modality's whole cost row
+        # one model, so a judge cell's usage file gives its modality's whole cost row,
+        # labelled from the file
         for stage, usage, modality in [
             ("judgment", "judgments/mock-judge__full.usage.json", "full"),
+            ("judgment", "judgments/mock-judge__summ-80.usage.json", "summ:80"),
+            ("judgment", "judgments/mock-judge__summ-120.usage.json", "summ:120"),
             ("summarization", "summaries/summ80.usage.json", "summ:80"),
+            ("summarization", "summaries/summ120.usage.json", "summ:120"),
         ]:
             argv = ["--config", config, "--usage", str(bundle / "out" / usage), "--out", str(out)]
-            assert main(["cost", *argv, "--stage", stage, "--modality", modality]) == 0
+            assert main(["cost", *argv]) == 0
             expected = _bundle_lines(reports / "cost.csv", lambda row: row[:2] == [stage, modality])
             assert len(expected) == 2
             assert _lines(out) == expected

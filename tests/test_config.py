@@ -216,3 +216,28 @@ def test_readme_config_names_every_option_once_and_loads(tmp_path):
     (tmp_path / "config.ini").write_text(block)
     config = load_config(tmp_path / "config.ini")
     assert config.corpus == tmp_path / "corpus.jsonl"
+
+
+@pytest.mark.parametrize(
+    "section, line, named",
+    [
+        ("experiment", "binarize_treshold = 2", "option [experiment] binarize_treshold"),
+        ("metrics", "bootstrap_sample = 50", "option [metrics] bootstrap_sample"),
+        ("DEFAULT", "bogus = 1", "option [DEFAULT] bogus"),
+        ("DEFAULT", "seed = 7", "option [DEFAULT] seed"),  # an option goes in its own section
+        ("gateway", "summary_slack = 3.0", "option [gateway] summary_slack"),
+        ("Metrics", "", "section [Metrics]"),
+        ("bogus", "ndcg_k = 5", "section [bogus]"),
+    ],
+)
+def test_an_unknown_section_or_option_is_a_config_error(tmp_path, capsys, section, line, named):
+    # a misspelled option would otherwise leave its setting at its default, unseen
+    config_path = build_toy_experiment(tmp_path)
+    text, header = config_path.read_text(), f"[{section}]\n"
+    added = f"{header}{line}\n"
+    config_path.write_text(text.replace(header, added) if header in text else added + text)
+    with pytest.raises(ConfigError, match=re.escape(named)):
+        load_config(config_path)
+    assert main(["run", "--config", str(config_path)]) == 2
+    assert capsys.readouterr().err == f"config error: unknown {named} in {config_path}\n"
+    assert not (tmp_path / "out").exists()

@@ -3,7 +3,8 @@
 A run's write events are each ``Path.replace`` of an atomic write and each
 ``ResponseCache.put``. Each case kills a toy run at one of them, checks that
 every digest the manifest's stage records list still matches its file, then
-resumes with no kill and compares the bundle with a fresh run's.
+resumes with no kill and compares the bundle with a fresh run's. The cold
+run is swept at one request in flight and, at a sample of its puts, at two.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import pytest
 
 from conftest import bundle_digests
 from judgeval.config import load_config
-from judgeval.gateway import MockBackend, ResponseCache
+from judgeval.gateway import LOOKAHEAD, MockBackend, ResponseCache
 from judgeval.pipeline import run_pipeline, sha256_file
 
 
@@ -123,6 +124,29 @@ def test_a_cold_run_killed_at_any_write_resumes_to_a_fresh_runs_bundle(
         assert not list(out.rglob("*.tmp")), case
         assert len(sends) <= len(cold_sends) + 1, case  # at most the reply the kill lost
         assert bundle_digests(out) == fresh, case
+
+
+def test_a_cold_run_at_two_in_flight_killed_at_a_put_resumes_to_a_fresh_runs_bundle(
+    toy_experiment, monkeypatch
+):
+    # above one in flight the gateway sends up to LOOKAHEAD requests per slot
+    # ahead of the reply it settles, so a kill can lose each of those replies
+    config = replace(_toy_config(toy_experiment), max_in_flight=2)
+    out = config.output_dir
+    with monkeypatch.context() as patch:
+        events, cold_sends = _instrument(patch)
+        fresh = bundle_digests(run_pipeline(replace(config, output_dir=out.parent / "fresh"))
+                               .output_dir)
+    puts = [k for k, (kind, _) in enumerate(events) if kind == "put"]
+    assert len(puts) == 93
+    for k in random.Random(22).sample(puts, 6):  # each cut before its line and half-way in
+        for how in ("before", "torn"):
+            shutil.rmtree(out, ignore_errors=True)
+            stale, _, sends = _kill_and_resume(monkeypatch, config, k, how)
+            assert stale == [], (k, how)
+            assert not list(out.rglob("*.tmp")), (k, how)
+            assert len(sends) <= len(cold_sends) + LOOKAHEAD * config.max_in_flight, (k, how)
+            assert bundle_digests(out) == fresh, (k, how)
 
 
 @pytest.fixture

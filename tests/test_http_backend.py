@@ -320,7 +320,7 @@ def test_judge_subcommand_writes_the_ledger_of_its_failed_tasks(stub_server, tmp
     config_path.write_text(text)
     out = tmp_path / "judged.qrels"
     argv = [
-        "judge", "--config", str(config_path), "--model", "mock-judge", "--modality", "full",
+        "judge", "--config", str(config_path), "--model", "mock-judge",
         "--out", str(out),
     ]
     assert main(argv) == 0

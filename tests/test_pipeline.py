@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import gc
 import json
+import re
 import shutil
 import warnings
 import weakref
@@ -354,6 +355,20 @@ def test_two_fresh_runs_are_byte_identical(toy_experiment):
 # other change here means existing bundles re-run that stage, which a
 # refactor of how the fingerprint inputs are built must not cause.
 TOY_FINGERPRINTS = {
+    "summarize:80": "4ba97510c09e3d8d6e7bffe46f876723782d2989ab5f556ecd2c73cf6df6041c",
+    "summarize:120": "39a2b7e5bbd1f0a18cec24d457ee7c8a6291d85174453a1ccc145754fa0d5b8f",
+    "judge:mock-judge:full": "4b38d0f91e4a906d2f6aec3cbd9c22eec7168dd9f127c5dc7093452904808ae4",
+    "judge:mock-judge:summ:80": "04c7cc17b04edbca3a1a8fb02fbad61fcb33b3beb7f60434ceb13a33d711d413",
+    "judge:mock-judge:summ:120": "f3d7d982d66f739e3aede051070340adfedb976416e9ad99721c81cf9f44853d",
+    "distribution": "0adf5b169e811e4e612072d8d24b74e0aebf0c349028b76829eefb325ee3b0ac",
+    "agreement": "2b7d20d6afc1a102a1a02153f4a68921565e2a5dc46baedc6efc2d67afbacf6d",
+    "effectiveness": "c49cd6cc71e9ec4051430bee0550aa2657a961b37f072853a19db8d109b5d6b8",
+    "stability": "bdd168287efef9285d14d00b565c97022bb30f877638cb77240894dbba5b0717",
+    "cost": "496d6b5c7ca976ca4b8eca84e996bb3f0d8121e7bec0df8f05b661186e5b98cf",
+}
+
+# The same stages at earlier versions, as their bundles record them.
+TOY_FINGERPRINTS_0_2_0 = {
     "summarize:80": "28225762ec7fc6b37b37a9aabb656fd24d2a9d31026df94604dc1f8303fe3e0d",
     "summarize:120": "489d583fc46abe045dcfc9b482ba302de841a6c5ab73c267f63bde6bb4135350",
     "judge:mock-judge:full": "866bd50e517bf8a626ee1bb8a59175ce029be4bf25b76e686a84fbf2477b91c0",
@@ -365,8 +380,6 @@ TOY_FINGERPRINTS = {
     "stability": "f4e09d2f88842dffe5e65e4dcd7e46be825d814d0dfc141ae83c2b54aa1290bd",
     "cost": "10d1bb765e3b9d88b38706b3c6bdd80dcc563e587592d3d3df65afa077689c6a",
 }
-
-# The same stages at version 0.1.0, as its bundles record them.
 TOY_FINGERPRINTS_0_1_0 = {
     "summarize:80": "8bbd8ebef6c4a9b4f778fee55fa4319f69c299121cc453fc6b5b7bc6bce41b63",
     "summarize:120": "f6eb871c095e0f70027c220805d6e025514a010dcbe52f98ea8d13fb61ac7d0c",
@@ -387,55 +400,84 @@ def test_stage_fingerprints_are_pinned(toy_experiment):
     assert {name: record["fingerprint"] for name, record in stages.items()} == TOY_FINGERPRINTS
 
 
-def test_only_the_version_changed_the_pinned_fingerprints(toy_experiment, monkeypatch):
-    monkeypatch.setattr(pipeline, "__version__", "0.1.0")
+def test_only_the_version_changed_the_pinned_summarize_fingerprints(toy_experiment, monkeypatch):
+    # since 0.3.0 a judge stage covers only the inputs of its pool, and every
+    # report stage covers the judge fingerprints, so only those changed too
+    monkeypatch.setattr(pipeline, "__version__", "0.2.0")
     out = run_pipeline(load_config(toy_experiment)).output_dir
     stages = json.loads((out / "manifest.json").read_text())["stages"]
-    fingerprints = {name: record["fingerprint"] for name, record in stages.items()}
-    assert fingerprints == TOY_FINGERPRINTS_0_1_0
+    kept = {name for name, record in stages.items()
+            if record["fingerprint"] == TOY_FINGERPRINTS_0_2_0[name]}
+    assert kept == {"summarize:80", "summarize:120"}
 
 
-def _as_written_by_0_1_0(out: Path) -> None:
-    """Give a bundle made with the version patched to 0.1.0 the files that
-    version wrote: usage files that list request hashes and no summary
-    ledgers, with a manifest whose digests match them and whose ``files``
-    map lists every stage output and ``cache.jsonl``."""
+@pytest.mark.parametrize("pool", ["qrels", "runs"])
+def test_a_judge_stage_covers_only_the_inputs_of_its_pool(toy_experiment, pool):
+    # pool = qrels reads the qrels, and pool = runs the runs and pool_depth
+    config = replace(load_config(toy_experiment), pool=pool)
+    run_pipeline(config)
+    if pool == "qrels":
+        again = run_pipeline(replace(config, pool_depth=5))
+        assert again.stages_run() == []
+    else:
+        first, rest = config.qrels.read_text().split("\n", 1)
+        config.qrels.write_text(f"{first[:-1]}{3 - int(first[-1])}\n{rest}")  # one grade edited
+        again = run_pipeline(config)
+        assert again.stages_run() == ["distribution", "agreement", "effectiveness", "stability"]
+    assert again.backend_calls == 0
+
+
+def _as_written_by(out: Path, version: str) -> None:
+    """Give a toy bundle the files that ``version`` wrote, under a manifest of
+    that version's fingerprints whose digests match them. Both wrote usage
+    files without their stage and modality labels; 0.1.0 listed request hashes
+    in them, wrote no summary ledgers, and kept a ``files`` map of every stage
+    output and ``cache.jsonl`` in the manifest."""
     for usage in out.rglob("*.usage.json"):
-        recorded = json.loads(usage.read_text())
-        hashes = [row[0] for row in recorded.pop("rows")]
-        trec_io.write_json(usage, {"request_hashes": hashes, **recorded})
-    for ledger in (out / "summaries").glob("*.errors.json"):
-        ledger.unlink()
+        text = re.sub(r'^\{"stage": "\w+", "modality": "[\w:]+", ', "{", usage.read_text())
+        if version == "0.1.0":
+            recorded = json.loads(text)
+            hashes = [row[0] for row in recorded.pop("rows")]
+            text = json.dumps({"request_hashes": hashes, **recorded})
+        usage.write_text(text)
+    if version == "0.1.0":
+        for ledger in (out / "summaries").glob("*.errors.json"):
+            ledger.unlink()
 
     def digests(rels) -> dict[str, str]:
         return {rel: sha256_file(out / rel) for rel in rels if (out / rel).exists()}
 
+    fingerprints = {"0.1.0": TOY_FINGERPRINTS_0_1_0, "0.2.0": TOY_FINGERPRINTS_0_2_0}[version]
     manifest = json.loads((out / "manifest.json").read_text())
-    for record in manifest["stages"].values():
-        record["outputs"] = digests(record["outputs"])
-    listed = [rel for record in manifest["stages"].values() for rel in record["outputs"]]
-    manifest["files"] = digests([*listed, "cache.jsonl"])
+    manifest["version"] = version
+    for name, record in manifest["stages"].items():
+        record["fingerprint"], record["outputs"] = fingerprints[name], digests(record["outputs"])
+    if version == "0.1.0":
+        listed = [rel for record in manifest["stages"].values() for rel in record["outputs"]]
+        manifest["files"] = digests([*listed, "cache.jsonl"])
     trec_io.write_json(out / "manifest.json", manifest)
 
 
-def test_a_bundle_of_version_0_1_0_reruns_every_stage_from_the_cache(toy_experiment, monkeypatch):
-    config = load_config(toy_experiment)
+def _an_old_bundle_reruns_every_stage_from_the_cache(config_path: Path, version: str) -> None:
+    config = load_config(config_path)
     fresh = run_pipeline(replace(config, output_dir=config.output_dir.parent / "fresh")).output_dir
-    with monkeypatch.context() as patched:
-        patched.setattr(pipeline, "__version__", "0.1.0")
-        out = run_pipeline(config).output_dir
-    _as_written_by_0_1_0(out)
+    out = run_pipeline(config).output_dir
+    _as_written_by(out, version)
+    assert all(b"stage" not in usage.read_bytes() for usage in out.rglob("*.usage.json"))
     again = run_pipeline(config)
     assert again.stages_run() == list(TOY_FINGERPRINTS)
     assert again.backend_calls == 0
+    # the rerun rewrites every stage output, usage files included, and the
+    # manifest, which drops an old files map: all as a fresh run's
+    assert bundle_digests(out) == bundle_digests(fresh)
 
-    def kept(bundle: Path) -> dict[str, str]:
-        digests = bundle_digests(bundle)
-        return {rel: digests[rel] for rel in digests if rel not in ("manifest.json", "cache.jsonl")}
 
-    assert kept(out) == kept(fresh)
-    # the rerun's manifest drops the old files map, and is a fresh run's
-    assert (out / "manifest.json").read_bytes() == (fresh / "manifest.json").read_bytes()
+def test_a_bundle_of_version_0_1_0_reruns_every_stage_from_the_cache(toy_experiment):
+    _an_old_bundle_reruns_every_stage_from_the_cache(toy_experiment, "0.1.0")
+
+
+def test_a_bundle_of_version_0_2_0_reruns_every_stage_from_the_cache(toy_experiment):
+    _an_old_bundle_reruns_every_stage_from_the_cache(toy_experiment, "0.2.0")
 
 
 def _listed_outputs(stages: dict) -> dict:
