@@ -9,7 +9,8 @@ only source of its settings: the grid (``models``, ``modalities``), the
 backend, the dataset and the price table are edited there, and a flag
 overrides only ``--seed``, ``run --out`` and ``judge``'s one model. A cell
 comes from the input files: ``judge``'s from its ``--summaries`` (``full``
-without), and a report row's labels from Q's sidecar or the usage file.
+without), and a report row's labels from Q's sidecar (as the bundle's
+reports label each cell from its judgments' provenance) or the usage files.
 
 Exit codes: 0 success, 1 fatal stage error, 2 configuration error.
 """
@@ -24,7 +25,7 @@ from pathlib import Path
 from . import __version__, reports
 from .config import ExperimentConfig, load_config
 from .errors import ConfigError, JudgevalError
-from .pipeline import Experiment, run_pipeline
+from .pipeline import Experiment, cell_key, run_pipeline
 from .summarizer import read_summaries
 from .trec_io import FULL_DOCUMENT, Modality, atomic_write_text, parse_qrels
 
@@ -90,7 +91,7 @@ def _build_parser() -> argparse.ArgumentParser:
         ("agreement", "agreement of one judgment set with the human qrels"),
         ("effectiveness", "evaluate the runs under one judgment set"),
         ("stability", "ranking stability of one judgment set"),
-        ("cost", "token and dollar cost of one stage's usage file"),
+        ("cost", "token and dollar cost of stage usage files"),
     ]:
         report = sub.add_parser(name, parents=[reported], help=about)
         report.set_defaults(handler=_cmd_report, seed=None, per_topic_out=None)
@@ -98,7 +99,7 @@ def _build_parser() -> argparse.ArgumentParser:
             report.add_argument("--qrels", required=True, help="the judgments Q of one cell")
     sub.choices["effectiveness"].add_argument("--per-topic-out")
     sub.choices["stability"].add_argument("--seed", type=int, help="override the configured seed")
-    sub.choices["cost"].add_argument("--usage", required=True, help="one stage's usage JSON")
+    sub.choices["cost"].add_argument("--usage", required=True, nargs="+", help="usage JSON files")
 
     return parser
 
@@ -164,18 +165,17 @@ def _cmd_judge(args) -> int:
 
 def _cmd_report(args) -> int:
     experiment = Experiment(_load_config_with_overrides(args))  # checks the config's inputs
-    if args.command == "cost":  # U's row, labelled with the stage and modality U records
-        _emit(experiment.cost_text([Path(args.usage)]), args.out)
+    if args.command == "cost":  # a row per stage and modality the files U record, in order
+        _emit(experiment.cost_text([Path(usage) for usage in args.usage]), args.out)
         return 0
-    judged = parse_qrels(args.qrels)
-    cell = (judged.label(), str(judged.modality))  # as the bundle's reports label Q's rows
+    judged = parse_qrels(args.qrels)  # labels Q's rows, as the bundle's reports label a cell's
     if args.command == "agreement":
-        texts = [experiment.agreement_text([(*cell, judged)])]
+        texts = [experiment.agreement_text([judged])]
     elif args.command == "effectiveness":
-        texts = reports.effectiveness_csvs(experiment.score_runs([(":".join(cell), judged)]))
+        texts = reports.effectiveness_csvs(experiment.score_runs([(cell_key(judged), judged)]))
     else:
-        table = experiment.score_runs(experiment.sources([(*cell, judged)]))
-        texts = [experiment.stability_text(table, [cell])]
+        table = experiment.score_runs(experiment.sources([judged]))
+        texts = [experiment.stability_text(table, [judged])]
     _emit(texts[0], args.out)
     if args.per_topic_out:
         _emit(texts[1], args.per_topic_out)

@@ -26,7 +26,10 @@ from its files. It is also the one wiring from a config to summarizer and
 judge calls, and the one writer of their files: the ``summarize`` and
 ``judge`` subcommands call the same two methods as the stages, and the report
 subcommands (``agreement``, ``effectiveness``, ``stability``, ``cost``) build
-the rows of one cell or usage file through the stages' own methods.
+the rows of one cell or of usage files through the stages' own methods. A
+report takes each cell as its ``JudgmentSet`` and labels its rows from that
+set's provenance, as a subcommand labels Q's rows. ``run`` returns the
+``Experiment``, whose ``outcomes`` and backend counts tell what the run did.
 
 A stage hands its result on in memory: whatever a stage produced in this
 run (summaries, judgments, the token counts of its usage file) goes
@@ -48,10 +51,9 @@ from __future__ import annotations
 import hashlib
 import json
 import re
-from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import Callable, Iterable
+from typing import Callable, Iterable, NamedTuple
 
 from . import __version__, reports
 from .config import ExperimentConfig
@@ -99,25 +101,9 @@ class StageError(JudgevalError):
         super().__init__(f"stage {stage!r} failed: {cause}")
 
 
-@dataclass
-class StageOutcome:
+class StageOutcome(NamedTuple):
     name: str
     status: str  # "ran" | "skipped"
-
-
-@dataclass
-class PipelineResult:
-    outcomes: list[StageOutcome]
-    backend_calls: int
-    cache_hits: int
-    output_dir: Path
-    manifest_path: Path
-
-    def stages_run(self) -> list[str]:
-        return [o.name for o in self.outcomes if o.status == "ran"]
-
-    def stages_skipped(self) -> list[str]:
-        return [o.name for o in self.outcomes if o.status == "skipped"]
 
 
 def sha256_file(path: Path) -> str:
@@ -157,7 +143,12 @@ def _cell_stem(model: str, modality: Modality) -> str:
     return f"judgments/{_slug(model)}__{_slug(str(modality))}"
 
 
-def run_pipeline(config: ExperimentConfig, *, force: bool = False) -> PipelineResult:
+def cell_key(judged: JudgmentSet) -> str:
+    """A judged cell's score-table key, ``model:modality`` from its provenance."""
+    return f"{judged.label()}:{judged.modality}"
+
+
+def run_pipeline(config: ExperimentConfig, *, force: bool = False) -> Experiment:
     """Run summarize -> judge -> report stages for one experiment config."""
     return Experiment(config, force=force).run()
 
@@ -181,8 +172,8 @@ class Experiment:
             path = getattr(config, name)
             if not Path(path).exists():
                 raise ConfigError(f"{name} path does not exist: {path}")
-        self.out = Path(config.output_dir)
-        self.manifest_path = self.out / "manifest.json"
+        self.output_dir = Path(config.output_dir)
+        self.manifest_path = self.output_dir / "manifest.json"
         self.outcomes: list[StageOutcome] = []
 
         self.summary_template = load_summary_template(config.summary_template)
@@ -219,7 +210,7 @@ class Experiment:
             backend = HttpBackend(config.endpoint, config.api_key_env)
         return Gateway(
             backend,
-            config.cache_path or self.out / "cache.jsonl",
+            config.cache_path or self.output_dir / "cache.jsonl",
             max_attempts=config.max_attempts,
             max_in_flight=config.max_in_flight,
         )
@@ -355,7 +346,7 @@ class Experiment:
             # before any hashing, so no record makes the run open another path
             and record["outputs"].keys() == set(outputs)
             and all(
-                (self.out / rel).exists() and sha256_file(self.out / rel) == digest
+                (self.output_dir / rel).exists() and sha256_file(self.output_dir / rel) == digest
                 for rel, digest in record["outputs"].items()
             )
         ):
@@ -367,7 +358,7 @@ class Experiment:
             producer()
         except (JudgevalError, ValueError) as exc:
             raise StageError(name, exc) from exc
-        digests = {rel: sha256_file(self.out / rel) for rel in outputs}
+        digests = {rel: sha256_file(self.output_dir / rel) for rel in outputs}
         self.records[name] = {"fingerprint": fingerprint, "outputs": digests}
         self.outcomes.append(StageOutcome(name, "ran"))
         self._save_manifest()
@@ -387,7 +378,15 @@ class Experiment:
 
     # -- stages ---------------------------------------------------------------
 
-    def run(self) -> PipelineResult:
+    def stages_run(self) -> list[str]:
+        return [o.name for o in self.outcomes if o.status == "ran"]
+
+    def stages_skipped(self) -> list[str]:
+        return [o.name for o in self.outcomes if o.status == "skipped"]
+
+    def run(self) -> Experiment:
+        """Run every stage, each skipped if its outputs are intact; the outcomes,
+        the backend counts and the bundle's paths are then read off ``self``."""
         self.records = self._load_manifest()
         with self:  # the cache file is closed however the stages end
             for budget in self.summary_budgets:
@@ -399,13 +398,7 @@ class Experiment:
         # config_hash covers fields no stage fingerprint does (max_attempts),
         # and an older manifest's files map goes even when every stage skipped
         self._save_manifest()
-        return PipelineResult(
-            outcomes=self.outcomes,
-            backend_calls=self.backend_calls,
-            cache_hits=self.cache_hits,
-            output_dir=self.out,
-            manifest_path=self.manifest_path,
-        )
+        return self
 
     def _summarize_stage(self, budget: int) -> None:
         name, stem = f"summarize:{budget}", _summary_stem(budget)
@@ -419,7 +412,8 @@ class Experiment:
             "seed": self.config.seed,
         }
         outputs = [f"{stem}.jsonl", f"{stem}.errors.json", f"{stem}.usage.json"]
-        self._stage(name, inputs, outputs, lambda: self.summarize(budget, self.out / outputs[0]))
+        path = self.output_dir / outputs[0]
+        self._stage(name, inputs, outputs, lambda: self.summarize(budget, path))
 
     def _judge_stage(self, model: str, modality: Modality) -> None:
         stem = _cell_stem(model, modality)
@@ -444,12 +438,12 @@ class Experiment:
         }
         exts = (".qrels", ".qrels.meta.json", ".errors.json", ".usage.json")
         outputs = [f"{stem}{ext}" for ext in exts]
-        summaries = self.out / f"{_summary_stem(modality.budget_tokens)}.jsonl"
+        summaries = self.output_dir / f"{_summary_stem(modality.budget_tokens)}.jsonl"
         self._stage(name, inputs, outputs, lambda: self.judge(
             model,
             modality,
             self._recall(summaries, read_summaries) if modality.kind == "summary" else None,
-            self.out / outputs[0],
+            self.output_dir / outputs[0],
         ))
         if model != self.config.models[-1]:  # a later cell is judged on the same evidence
             return
@@ -462,13 +456,11 @@ class Experiment:
         config = self.config
         return [(model, modality) for model in config.models for modality in config.modalities]
 
-    def _judged_cells(self) -> list[tuple[str, str, JudgmentSet]]:
+    def _judged_cells(self) -> list[JudgmentSet]:
         """Each cell's judgments, as its judge stage made them or read from
         the file a skipped judge stage found intact."""
-        return [
-            (m, str(mod), self._recall(self.out / f"{_cell_stem(m, mod)}.qrels", parse_qrels))
-            for m, mod in self._cells()
-        ]
+        stems = [_cell_stem(model, modality) for model, modality in self._cells()]
+        return [self._recall(self.output_dir / f"{stem}.qrels", parse_qrels) for stem in stems]
 
     def _report_stage(self, name: str, outputs: list[str], inputs: tuple, texts: Callable) -> None:
         """Run one ``REPORT_STAGES`` entry. Its fingerprint inputs are built
@@ -481,14 +473,14 @@ class Experiment:
 
         def produce() -> None:
             for rel, text in zip(rels, texts(self), strict=True):
-                atomic_write_text(self.out / rel, text)
+                atomic_write_text(self.output_dir / rel, text)
 
         self._stage(name, covered, rels, produce)
 
-    def sources(self, cells: list[tuple[str, str, JudgmentSet]]) -> list[tuple[str, JudgmentSet]]:
-        """The human qrels, labelled 'human', then each ``(model, modality,
-        judgments)`` cell, labelled 'model:modality': what the reports score."""
-        return [("human", self.human)] + [(f"{m}:{mod}", judged) for m, mod, judged in cells]
+    def sources(self, cells: Iterable[JudgmentSet]) -> list[tuple[str, JudgmentSet]]:
+        """The human qrels, keyed 'human', then each judged cell, keyed
+        'model:modality' from its provenance: what the reports score."""
+        return [("human", self.human)] + [(cell_key(judged), judged) for judged in cells]
 
     def score_runs(self, sources: list[tuple[str, JudgmentSet]]) -> ScoreTable:
         """(source label, metric) -> NDCG@k and AP (binarized at the configured
@@ -512,27 +504,28 @@ class Experiment:
 
     # -- report texts: the report subcommands', then one per REPORT_STAGES entry --
 
-    def agreement_text(self, cells: list[tuple[str, str, JudgmentSet]]) -> str:
-        """``reports/agreement.csv`` text: each ``(model, modality, judgments)``
-        cell against the human qrels."""
+    def agreement_text(self, cells: Iterable[JudgmentSet]) -> str:
+        """``reports/agreement.csv`` text: each judged cell against the human qrels."""
         config = self.config
         return reports.agreement_csv(config.dataset, config.binarize_threshold, self.human, cells)
 
-    def stability_text(self, table: ScoreTable, cells: Iterable[tuple[str, str]]) -> str:
-        """``reports/stability.csv`` text: each ``(model, modality)`` cell's rows
-        of a ``score_runs`` table against its ``human`` rows under NDCG@k and
-        MAP, cell-major."""
+    def stability_text(self, table: ScoreTable, cells: Iterable[JudgmentSet]) -> str:
+        """``reports/stability.csv`` text: each judged cell's rows of a
+        ``score_runs`` table against its ``human`` rows under NDCG@k and MAP,
+        cell-major."""
         config = self.config
+        settings = {"rbo_p": config.rbo_p, "n_resamples": config.bootstrap_samples,
+                    "seed": config.seed}
         reports_by_cell = [
-            (model, modality, stability_report(
+            (judged, stability_report(
                 SystemScores.from_rows(table[("human", metric)]),
-                SystemScores.from_rows(table[(f"{model}:{modality}", metric)]),
-                rbo_p=config.rbo_p, n_resamples=config.bootstrap_samples, seed=config.seed,
+                SystemScores.from_rows(table[(cell_key(judged), metric)]),
+                **settings,
             ))
-            for model, modality in cells
+            for judged in cells
             for metric in (f"ndcg@{config.ndcg_k}", "map")
         ]
-        return reports.stability_csv(config.dataset, reports_by_cell)
+        return reports.stability_csv(config.dataset, reports_by_cell, **settings)
 
     def cost_text(self, paths: list[Path]) -> str:
         """``reports/cost.csv`` text: one row per stage and modality that the
@@ -548,30 +541,27 @@ class Experiment:
         return reports.cost_csv(self.config.dataset, tallies)
 
     def _distribution_texts(self) -> list[str]:
-        annotators = [("human", "full", self.human)] + self._judged_cells()
-        return [reports.distribution_csv(self.config.dataset, annotators)]
+        return [reports.distribution_csv(self.config.dataset, self.human, self._judged_cells())]
 
     def _agreement_texts(self) -> list[str]:
         return [self.agreement_text(self._judged_cells())]
 
     def _effectiveness_texts(self) -> list[str]:
-        table = self._effectiveness
+        table, cells = self._effectiveness, self._judged_cells()
         return [*reports.effectiveness_csvs(table)] + [
             reports.scatter_csv(
-                (model, str(mod), table[("human", metric)], table[(f"{model}:{mod}", metric)])
-                for model, mod in self._cells()
+                (table[("human", metric)], table[(cell_key(judged), metric)]) for judged in cells
             )
             for metric in (f"ndcg@{self.config.ndcg_k}", "map")
         ]
 
     def _stability_texts(self) -> list[str]:
-        cells = [(model, str(modality)) for model, modality in self._cells()]
-        return [self.stability_text(self._effectiveness, cells)]
+        return [self.stability_text(self._effectiveness, self._judged_cells())]
 
     def _cost_texts(self) -> list[str]:
         stems = [_summary_stem(b) for b in self.summary_budgets]
         stems += [_cell_stem(m, mod) for mod in self.config.modalities for m in self.config.models]
-        return [self.cost_text([self.out / f"{stem}.usage.json" for stem in stems])]
+        return [self.cost_text([self.output_dir / f"{stem}.usage.json" for stem in stems])]
 
 
 # How each report fingerprint input that is not a config field of its name is built.

@@ -2,7 +2,9 @@
 
 ``judgeval run`` and the stage subcommands both format their reports here,
 so a subcommand writes the same columns, row set and float precision as the
-matching file under a bundle's ``reports/`` directory.
+matching file under a bundle's ``reports/`` directory. A judged cell's rows
+are labelled with the model and modality of its ``JudgmentSet`` (or, in the
+scatter, of its effectiveness rows); the human qrels are ``human,full``.
 """
 
 from __future__ import annotations
@@ -38,13 +40,13 @@ def agreement_csv(
     dataset: str,
     threshold: int,
     reference: JudgmentSet,
-    cells: Iterable[tuple[str, str, JudgmentSet]],
+    cells: Iterable[JudgmentSet],
 ) -> str:
-    """Agreement of each ``(model, modality, judgments)`` cell with
-    ``reference``: quadratic-weighted kappa and ordinal alpha on grades, then
-    kappa and nominal alpha with both sides binarized at ``threshold``."""
+    """Agreement of each judged cell with ``reference``: quadratic-weighted
+    kappa and ordinal alpha on grades, then kappa and nominal alpha with both
+    sides binarized at ``threshold``."""
     rows = []
-    for model, modality, judged in cells:
+    for judged in cells:
         report = agreement_report(reference, judged, threshold)
         stats = {
             "weighted_kappa_quadratic": report.weighted_kappa,
@@ -54,7 +56,7 @@ def agreement_csv(
         }
         rows += [
             [
-                model, modality, dataset, name, _decimal(stat.value),
+                judged.label(), str(judged.modality), dataset, name, _decimal(stat.value),
                 report.n_items, report.n_missing, "degenerate" if stat.degenerate else "",
             ]
             for name, stat in stats.items()
@@ -100,30 +102,37 @@ def effectiveness_csvs(table: ScoreTable) -> tuple[str, str, str]:
     )
 
 
-def scatter_csv(
-    cells: Iterable[tuple[str, str, list[EffectivenessRow], list[EffectivenessRow]]],
-) -> str:
-    """Human against LLM mean score per run, for each ``(model, modality,
-    human_rows, llm_rows)``; both row lists hold the same runs in one order."""
+def scatter_csv(cells: Iterable[tuple[list[EffectivenessRow], list[EffectivenessRow]]]) -> str:
+    """Human against LLM mean score per run, for each cell's ``(human_rows,
+    llm_rows)``, labelled from the LLM rows; both hold the same runs in one order."""
     rows = [
-        [model, modality, llm.metric, llm.run_tag, _decimal(human.mean), _decimal(llm.mean)]
-        for model, modality, human_rows, llm_rows in cells
+        [llm.qrels_source, llm.modality, llm.metric, llm.run_tag,
+         _decimal(human.mean), _decimal(llm.mean)]
+        for human_rows, llm_rows in cells
         for human, llm in zip(human_rows, llm_rows, strict=True)
     ]
     return csv_text(["model", "modality", "metric", "run_tag", "human", "llm"], rows)
 
 
-def stability_csv(dataset: str, cells: Iterable[tuple[str, str, StabilityReport]]) -> str:
-    """Rank correlations, tau CI and RBO for each ``(model, modality, report)``."""
+def stability_csv(
+    dataset: str,
+    cells: Iterable[tuple[JudgmentSet, StabilityReport]],
+    *,
+    rbo_p: float,
+    n_resamples: int,
+    seed: int,
+) -> str:
+    """Rank correlations, tau CI and RBO for each ``(judged cell, report)``,
+    with the RBO ``p`` and the bootstrap's resample count and seed."""
     rows = [
         [
-            dataset, model, modality, report.metric,
+            dataset, judged.label(), str(judged.modality), report.metric,
             _decimal(report.kendall_tau.value), _decimal(report.tau_ci_low),
             _decimal(report.tau_ci_high), _decimal(report.spearman_rho.value),
             _decimal(report.pearson_rho.value), _decimal(report.rbo),
-            f"{report.rbo_p}", report.n_resamples, report.seed,
+            f"{rbo_p}", n_resamples, seed,
         ]
-        for model, modality, report in cells
+        for judged, report in cells
     ]
     header = [
         "dataset", "model", "modality", "metric",
@@ -132,14 +141,17 @@ def stability_csv(dataset: str, cells: Iterable[tuple[str, str, StabilityReport]
     return csv_text(header, rows)
 
 
-def distribution_csv(dataset: str, annotators: Iterable[tuple[str, str, JudgmentSet]]) -> str:
-    """Percentage of each grade per ``(annotator, modality, judgments)``;
-    empty grade fields for an annotator with no judgments."""
-    rows = []
-    for annotator, modality, judgments in annotators:
+def distribution_csv(dataset: str, reference: JudgmentSet, cells: Iterable[JudgmentSet]) -> str:
+    """Percentage of each grade of the human ``reference``, then of each
+    judged cell; empty grade fields for an annotator with no judgments."""
+
+    def row(annotator: str, modality: str, judgments: JudgmentSet) -> list:
         shares = format_percentages(label_distribution(judgments)) if len(judgments) else {}
         grades = [shares.get(g, "") for g in GRADED_LABELS]
-        rows.append([annotator, modality, dataset] + grades + [len(judgments)])
+        return [annotator, modality, dataset] + grades + [len(judgments)]
+
+    rows = [row("human", "full", reference)]
+    rows += [row(judged.label(), str(judged.modality), judged) for judged in cells]
     header = ["annotator", "modality", "dataset"] + [f"grade_{g}" for g in GRADED_LABELS]
     return csv_text(header + ["n_judgments"], rows)
 

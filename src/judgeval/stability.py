@@ -202,11 +202,8 @@ class StabilityReport:
     spearman_rho: StatValue
     pearson_rho: StatValue
     rbo: float | None
-    rbo_p: float
     tau_ci_low: float | None
     tau_ci_high: float | None
-    n_resamples: int
-    seed: int
 
 
 def ranking_from_scores(per_system: dict[str, float]) -> list[str]:
@@ -227,10 +224,8 @@ def stability_report(
     each is undefined (UNDEFINED or None)."""
     systems, topics = _shared(scores_h, scores_l)
     if len(systems) < 2 or len(topics) < 2:
-        return StabilityReport(
-            scores_h.metric, UNDEFINED, UNDEFINED, UNDEFINED, rbo=None, rbo_p=rbo_p,
-            tau_ci_low=None, tau_ci_high=None, n_resamples=n_resamples, seed=seed,
-        )
+        return StabilityReport(scores_h.metric, UNDEFINED, UNDEFINED, UNDEFINED,
+                               rbo=None, tau_ci_low=None, tau_ci_high=None)
     x, y = (
         [_mean([scores.per_topic[s][t] for t in topics]) for s in systems]
         for scores in (scores_h, scores_l)
@@ -246,9 +241,6 @@ def stability_report(
             ranking_from_scores(dict(zip(systems, y))),
             p=rbo_p,
         ),
-        rbo_p=rbo_p,
         tau_ci_low=ci_low,
         tau_ci_high=ci_high,
-        n_resamples=n_resamples,
-        seed=seed,
     )

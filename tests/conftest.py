@@ -111,6 +111,18 @@ def build_toy_experiment(root: Path, *, seed: int = 42, out_name: str = "out") -
     return config_path
 
 
+def build_two_model_experiment(root: Path) -> Path:
+    """The toy experiment judged by two models, ``mock-judge`` and ``other``,
+    each with a price. Returns the config file path."""
+    config_path = build_toy_experiment(root)
+    text = config_path.read_text().replace("models = mock-judge\n", "models = mock-judge, other\n")
+    config_path.write_text(text)
+    prices = json.loads((root / "prices.json").read_text())
+    prices["other"] = prices["mock-judge"]
+    (root / "prices.json").write_text(json.dumps(prices))
+    return config_path
+
+
 def bundle_digests(out: Path) -> dict[str, str]:
     """SHA-256 of every file of a bundle, keyed by its path inside ``out``."""
     return {str(p.relative_to(out)): sha256_file(p) for p in sorted(out.rglob("*")) if p.is_file()}

@@ -20,7 +20,7 @@ from judgeval.agreement import (
     label_distribution,
     weighted_kappa,
 )
-from judgeval.trec_io import JudgmentSet
+from judgeval.trec_io import JudgmentSet, Modality
 
 
 def _sets_from_pairs(pairs) -> tuple[JudgmentSet, JudgmentSet]:
@@ -305,9 +305,13 @@ def test_agreement_csv_makes_one_report_per_cell(monkeypatch):
 
     monkeypatch.setattr(reports, "agreement_report", counted)
     a, b = _sets_from_pairs([(0, 0), (1, 2), (3, 3)])
-    text = reports.agreement_csv("d", 2, a, [("m", "full", b), ("m", "summ:80", a)])
+    cells = [JudgmentSet(b.grades, "m"), JudgmentSet(a.grades, "m", Modality("summary", 80))]
+    text = reports.agreement_csv("d", 2, a, cells)
     assert len(calls) == 2
-    assert len(text.splitlines()) == 1 + 2 * 4
+    # each cell's rows are labelled from its provenance
+    assert [line.split(",")[:2] for line in text.splitlines()[1:]] == (
+        [["m", "full"]] * 4 + [["m", "summ:80"]] * 4
+    )
 
 
 def _skewed_grades(rng, n):

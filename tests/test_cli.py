@@ -10,13 +10,14 @@ import os
 import shlex
 import subprocess
 import sys
+import tomllib
 import warnings
 from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
-from conftest import build_toy_experiment, bundle_digests
+from conftest import build_toy_experiment, build_two_model_experiment, bundle_digests
 from judgeval.cli import _build_parser, _load_config_with_overrides, main
 from judgeval.config import load_config
 from judgeval.judge import load_judge_template
@@ -749,6 +750,15 @@ def non_default_bundle(tmp_path_factory) -> Path:
     return config.parent
 
 
+@pytest.fixture(scope="module")
+def two_model_bundle(tmp_path_factory) -> Path:
+    """Input directory of one completed ``run`` of the toy experiment judged by
+    ``mock-judge`` and ``other``, which share every modality; the bundle is under ``out/``."""
+    config = build_two_model_experiment(tmp_path_factory.mktemp("toy-two-models"))
+    assert main(["run", "--config", str(config)]) == 0
+    return config.parent
+
+
 # (report subcommand, its bundle report, the columns naming a row's cell, rows per cell)
 _CELL_REPORTS = [
     ("agreement", "agreement.csv", slice(0, 2), 4),
@@ -757,17 +767,22 @@ _CELL_REPORTS = [
 ]
 
 
-def test_stage_subcommands_match_bundle_reports(toy_bundle, non_default_bundle, tmp_path):
+def test_stage_subcommands_match_bundle_reports(
+    toy_bundle, non_default_bundle, two_model_bundle, tmp_path
+):
     # each report subcommand writes Q's rows of its bundle report, labelled from
     # Q's sidecar, with every setting from the config: first the toy config, then
-    # one with ndcg_k, gain, binarize_threshold and dataset off their defaults
+    # one with ndcg_k, gain, binarize_threshold and dataset off their defaults,
+    # then one whose two models share every modality, so only Q's sidecar tells
+    # their cells apart
     out, per_topic = tmp_path / "report.csv", tmp_path / "per_topic.csv"
-    for bundle in (toy_bundle, non_default_bundle):
+    for bundle in (toy_bundle, non_default_bundle, two_model_bundle):
         reports, config = bundle / "out" / "reports", str(bundle / "config.ini")
-        for cell in ("full", "summ-80", "summ-120"):
-            judged = bundle / "out" / "judgments" / f"mock-judge__{cell}.qrels"
+        models = load_config(config).models
+        for model, cell in [(m, c) for m in models for c in ("full", "summ-80", "summ-120")]:
+            judged = bundle / "out" / "judgments" / f"{model}__{cell}.qrels"
             argv = ["--config", config, "--qrels", str(judged), "--out", str(out)]
-            name = ["mock-judge", cell.replace("-", ":")]
+            name = [model, cell.replace("-", ":")]
             for command, report, columns, rows in _CELL_REPORTS:
                 extra = ["--per-topic-out", str(per_topic)] if command == "effectiveness" else []
                 assert main([command, *argv, *extra]) == 0
@@ -788,21 +803,32 @@ def test_stage_subcommands_match_bundle_reports(toy_bundle, non_default_bundle, 
             assert len(expected) > 1
             assert _lines(got) == expected
 
-        # one model, so a judge cell's usage file gives its modality's whole cost row,
-        # labelled from the file
-        for stage, usage, modality in [
-            ("judgment", "judgments/mock-judge__full.usage.json", "full"),
-            ("judgment", "judgments/mock-judge__summ-80.usage.json", "summ:80"),
-            ("judgment", "judgments/mock-judge__summ-120.usage.json", "summ:120"),
-            ("summarization", "summaries/summ80.usage.json", "summ:80"),
-            ("summarization", "summaries/summ120.usage.json", "summ:120"),
-        ]:
-            argv = ["--config", config, "--usage", str(bundle / "out" / usage), "--out", str(out)]
-            assert main(["cost", *argv]) == 0
+        # cost.csv has no model column: a judgment row sums every model's usage file
+        # of its modality, in the config's model order, and so does the subcommand
+        # given them; each row is labelled from its files
+        rows = [("summarization", [f"summaries/summ{b}"], f"summ:{b}") for b in (80, 120)]
+        rows += [("judgment", [f"judgments/{m}__{cell}" for m in models], cell.replace("-", ":"))
+                 for cell in ("full", "summ-80", "summ-120")]
+        for stage, stems, modality in rows:
+            usage = [str(bundle / "out" / f"{stem}.usage.json") for stem in stems]
+            assert main(["cost", "--config", config, "--usage", *usage, "--out", str(out)]) == 0
             expected = _bundle_lines(reports / "cost.csv", lambda row: row[:2] == [stage, modality])
             assert len(expected) == 2
             assert _lines(out) == expected
-            assert expected[1].split(",")[2] == ("toy" if bundle == toy_bundle else "toy-nd")
+            assert expected[1].split(",")[2] == load_config(config).dataset
+        # and every usage file, in the cost stage's order, gives the whole report
+        usage = [str(bundle / "out" / f"{s}.usage.json") for _, stems, _ in rows for s in stems]
+        assert main(["cost", "--config", config, "--usage", *usage, "--out", str(out)]) == 0
+        assert out.read_bytes() == (reports / "cost.csv").read_bytes()
+
+
+def test_the_package_version_has_one_source():
+    # pyproject.toml takes the version from the package, so the two cannot disagree
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    meta = tomllib.loads(pyproject.read_text(encoding="utf-8"))
+    assert "version" not in meta["project"]
+    assert "version" in meta["project"]["dynamic"]
+    assert meta["tool"]["setuptools"]["dynamic"]["version"] == {"attr": "judgeval.__version__"}
 
 
 @pytest.mark.parametrize(

@@ -240,9 +240,11 @@ def _row(tag, mean, metric="map"):
 
 def test_scatter_identical_tables_on_diagonal():
     rows = [_row("r1", 0.3), _row("r2", 0.6), _row("r3", 0.9)]
-    lines = csv.DictReader(io.StringIO(scatter_csv([("m", "full", rows, rows)])))
-    assert [(line["run_tag"], line["human"], line["llm"]) for line in lines] == [
-        ("r1", "0.300000", "0.300000"),
-        ("r2", "0.600000", "0.600000"),
-        ("r3", "0.900000", "0.900000"),
+    lines = csv.DictReader(io.StringIO(scatter_csv([(rows, rows)])))
+    # labelled from the LLM-side rows' qrels_source and modality
+    assert [(line["model"], line["modality"], line["run_tag"], line["human"], line["llm"])
+            for line in lines] == [
+        ("human", "full", "r1", "0.300000", "0.300000"),
+        ("human", "full", "r2", "0.600000", "0.600000"),
+        ("human", "full", "r3", "0.900000", "0.900000"),
     ]

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import EMPTY_DOC, build_toy_experiment, bundle_digests
+from conftest import EMPTY_DOC, build_toy_experiment, build_two_model_experiment, bundle_digests
 from judgeval import pipeline, trec_io
 from judgeval.cli import main
 from judgeval.config import load_config
@@ -576,20 +576,9 @@ def test_a_cold_run_hashes_each_request_once(toy_experiment, monkeypatch):
     assert calls["digest"] == calls["complete"] > result.backend_calls
 
 
-def _two_model_experiment(root: Path) -> Path:
-    """The toy experiment judged by two models, ``mock-judge`` and ``other``."""
-    config_path = build_toy_experiment(root)
-    text = config_path.read_text().replace("models = mock-judge\n", "models = mock-judge, other\n")
-    config_path.write_text(text)
-    prices = json.loads((root / "prices.json").read_text())
-    prices["other"] = prices["mock-judge"]
-    (root / "prices.json").write_text(json.dumps(prices))
-    return config_path
-
-
 def test_summaries_are_read_at_most_once_per_budget(tmp_path, monkeypatch):
     # two models, so a read per judge cell would show as two per budget
-    config = load_config(_two_model_experiment(tmp_path))
+    config = load_config(build_two_model_experiment(tmp_path))
     fresh = bundle_digests(run_pipeline(replace(config, output_dir=tmp_path / "ref")).output_dir)
 
     reads = []
@@ -611,7 +600,7 @@ def test_summaries_are_read_at_most_once_per_budget(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("pool", ["qrels", "runs"])
 def test_each_judged_cell_keys_its_grades_by_the_pools_own_tuples(tmp_path, monkeypatch, pool):
-    config = replace(load_config(_two_model_experiment(tmp_path)), pool=pool)
+    config = replace(load_config(build_two_model_experiment(tmp_path)), pool=pool)
     experiment = pipeline.Experiment(config)
     results = []
     original = pipeline.judge_pool
@@ -648,7 +637,7 @@ def test_a_run_reads_back_only_what_skipped_stages_wrote(toy_experiment, monkeyp
 
 
 def test_a_run_releases_each_input_after_its_last_reader(tmp_path, monkeypatch):
-    config = load_config(_two_model_experiment(tmp_path))
+    config = load_config(build_two_model_experiment(tmp_path))
     refs: dict[str, weakref.ref] = {}
 
     def tracked(name, fn):
@@ -710,7 +699,7 @@ def test_a_run_releases_each_input_after_its_last_reader(tmp_path, monkeypatch):
 )
 def test_a_rerun_loads_the_cache_at_most_once(tmp_path, monkeypatch, change):
     # only a summarize or judge stage that runs loads the cache; no report does
-    config = load_config(_two_model_experiment(tmp_path))
+    config = load_config(build_two_model_experiment(tmp_path))
     loads = []
     load = ResponseCache._load
     monkeypatch.setattr(ResponseCache, "_load", lambda cache: loads.append(1) or load(cache))
