@@ -4,12 +4,16 @@ Conventions follow the usual pooled-evaluation defaults: unjudged retrieved
 documents score 0 (their count at cutoff is reported so judging-pool gaps
 stay visible), and topics with no relevant documents are excluded from
 means, not averaged in as zeros; with no topic left, the mean is None.
+Each set's per-topic normalizers are computed once and memoised on the set.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
+from itertools import compress, count
+from operator import add, truediv
 from typing import Callable, Iterable
 
 from .trec_io import JudgmentSet, Run
@@ -68,7 +72,8 @@ def ndcg_at_k(
                 total += g(rel) / math.log2(rank + 1)
         return total
 
-    return _evaluate(run, qrels, f"ndcg@{k}", k, ideal, dcg)
+    norms = _normalizers(qrels, ("ndcg", k, gain), ideal)
+    return _evaluate(run, qrels, f"ndcg@{k}", k, norms, dcg)
 
 
 def average_precision(run: Run, qrels: JudgmentSet) -> EffectivenessRow:
@@ -85,22 +90,25 @@ def average_precision(run: Run, qrels: JudgmentSet) -> EffectivenessRow:
         )
 
     def precision_sum(ranked: list[int | None]) -> float:
-        hits = 0
-        total = 0.0
-        for rank, rel in enumerate(ranked, start=1):
-            if rel:  # 1; not 0 or None (unjudged)
-                hits += 1
-                total += hits / rank
-        return total
+        # hits / rank at each relevant rank (1; not 0 or None), added in rank order
+        return reduce(add, map(truediv, count(1), compress(count(1), ranked)), 0.0)
 
-    return _evaluate(run, qrels, "map", None, lambda grades: sum(grades.values()), precision_sum)
+    relevant = _normalizers(qrels, ("map",), lambda grades: sum(grades.values()))
+    return _evaluate(run, qrels, "map", None, relevant, precision_sum)
+
+
+def _normalizers(qrels: JudgmentSet, key: tuple, ideal: Callable) -> dict[str, float]:
+    """``ideal(grades)`` of each of the set's topics, computed once per set and ``key``."""
+    if key not in qrels.normalizers:
+        qrels.normalizers[key] = {topic: ideal(grades) for topic, grades in qrels.by_topic.items()}
+    return qrels.normalizers[key]
 
 
 def _evaluate(
-    run: Run, qrels: JudgmentSet, metric: str, depth: int | None, ideal: Callable, score: Callable
+    run: Run, qrels: JudgmentSet, metric: str, depth: int | None, norms: dict, score: Callable
 ) -> EffectivenessRow:
     """The per-topic loop NDCG and AP share. A judged topic with a nonzero
-    ``ideal(grades)`` scores ``score(ranked) / ideal(grades)``, where
+    normalizer ``norms[topic]`` scores ``score(ranked) / norms[topic]``, where
     ``ranked`` lists the grade at each rank of the top ``depth`` (the whole
     ranking when None), None for an unjudged document; those are counted."""
     per_topic: dict[str, float] = {}
@@ -110,7 +118,7 @@ def _evaluate(
         if topic_grades is None:
             skipped_unjudged += 1
             continue
-        norm = ideal(topic_grades)
+        norm = norms[topic_id]
         if norm == 0:
             skipped_no_relevant += 1
             continue

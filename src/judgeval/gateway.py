@@ -37,6 +37,8 @@ HTTP_TIMEOUT_S = 60.0
 # other slots to keep sending through a first backoff (0.5-1.0 s) at the head
 LOOKAHEAD = 32
 _NEVER_STOPPED = threading.Event()
+# each byte to b" " if str.split() splits on it (ten ASCII characters), else to b"x"
+_WORD_MARKS = bytes(32 if chr(c).isspace() else 120 for c in range(256))
 
 
 def count_tokens(text: str) -> int:
@@ -44,9 +46,14 @@ def count_tokens(text: str) -> int:
 
     Deterministic and monotone under text extension. The one token count
     used for corpus entries, summary budget checks, and the usage of
-    backends that report none.
+    backends that report none. ASCII text takes one C pass with no word list:
+    a word starts at a non-space mark after a space mark or at the start.
     """
-    words = len(text.split())
+    if text.isascii():
+        marks = text.encode("ascii").translate(_WORD_MARKS)
+        words = marks.count(b" x") + marks.startswith(b"x")
+    else:
+        words = len(text.split())
     return (4 * words + 2) // 3
 
 

@@ -12,8 +12,8 @@ the model did not produce.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring as _json_str  # the str encoder of ensure_ascii=False
 from pathlib import Path
 from typing import get_type_hints
 
@@ -125,10 +125,14 @@ def summarize_corpus(
 
 
 def write_summaries(summaries: SummarySet, path: str | Path) -> None:
-    """Write one summary record per line as JSON."""
+    """Write one summary record per line, in doc id order, from one fixed frame:
+    the bytes of ``json.dumps(vars(record), sort_keys=True, ensure_ascii=False)``."""
     text = "".join(
-        json.dumps(vars(summaries.records[doc_id]), sort_keys=True, ensure_ascii=False) + "\n"
-        for doc_id in sorted(summaries.records)
+        f'{{"budget_tokens": {r.budget_tokens}, "doc_id": {_json_str(r.doc_id)}, '
+        f'"flags": [{", ".join(map(_json_str, r.flags))}], "model": {_json_str(r.model)}, '
+        f'"output_token_count": {r.output_token_count}, '
+        f'"prompt_sha256": {_json_str(r.prompt_sha256)}, "text": {_json_str(r.text)}}}\n'
+        for r in map(summaries.records.get, sorted(summaries.records))
     )
     atomic_write_text(Path(path), text)
 

@@ -120,6 +120,10 @@ class JudgmentSet:
     def label_values(self) -> frozenset[int]:
         return frozenset(self.grades.values())
 
+    @cached_property
+    def normalizers(self) -> dict[tuple, dict[str, float]]:  # memo of ``effectiveness``
+        return {}
+
 
 def nonblank_lines(path: Path) -> Iterator[tuple[int, str]]:
     """Number and text, without the line ending, of each line that is not blank."""

@@ -73,6 +73,33 @@ def test_ndcg_matches_oracle_on_random_instances():
                     assert row.per_topic[topic] == pytest.approx(expected, abs=1e-12)
 
 
+def test_normalizers_are_memoised_per_set_k_and_gain():
+    # a memo keyed by the metric alone would reuse the first call's ideal DCG
+    rng = random.Random(43)
+    for _ in range(50):
+        run, qrels, by_topic, rankings = _random_instance(rng, n_topics=6)
+        settings = ((5, "linear"), (10, "exponential"), (10, "linear"), (5, "exponential"))
+        for k, gain in settings:
+            row = ndcg_at_k(run, qrels, k=k, gain=gain)
+            assert row == ndcg_at_k(run, _qrels(by_topic), k=k, gain=gain)  # a fresh set
+            for topic, grades in by_topic.items():
+                expected = oracles.ndcg_at_k(rankings[topic], grades, k, gain)
+                if expected is None:
+                    assert topic not in row.per_topic
+                else:
+                    assert row.per_topic[topic] == pytest.approx(expected, abs=1e-12)
+        assert set(qrels.normalizers) == {("ndcg", k, gain) for k, gain in settings}
+        for threshold in (1, 2):
+            row = average_precision(run, binarize(qrels, threshold))
+            for topic, grades in by_topic.items():
+                binary = {doc: int(grade >= threshold) for doc, grade in grades.items()}
+                expected = oracles.average_precision(rankings[topic], binary)
+                if expected is None:
+                    assert topic not in row.per_topic
+                else:
+                    assert row.per_topic[topic] == pytest.approx(expected, abs=1e-12)
+
+
 def test_ndcg_excludes_and_counts_unjudged_topics():
     qrels = _qrels({"t1": {"a": 1}})
     run = _run("r", {"t1": ["a"], "t9": ["a"]})

@@ -64,6 +64,30 @@ def test_count_tokens_monotone_under_extension(text, suffix):
     assert count_tokens(text + suffix) >= count_tokens(text)
 
 
+# the ten ASCII characters str.split() splits on; NUL and DEL, which it does
+# not; four non-ASCII spaces, which it does; and letters
+_SPLIT_TEST_CHARS = st.sampled_from(
+    "\t\n\x0b\x0c\r\x1c\x1d\x1e\x1f \x00\x7f\x85\xa0\u2028\u3000"
+) | st.characters(categories=["L"])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text(_SPLIT_TEST_CHARS, max_size=60))
+def test_count_tokens_is_exact_against_str_split(text):
+    assert count_tokens(text) == (4 * len(text.split()) + 2) // 3
+
+
+def test_count_tokens_is_exact_on_long_ascii_text():
+    rng = random.Random(13)
+    ascii_chars = [chr(c) for c in range(128)]
+    spaces = [c for c in ascii_chars if c.isspace()]
+    for _ in range(200):
+        space_weight = rng.uniform(0, 40)  # from mostly words to mostly whitespace
+        weights = [space_weight] * len(spaces) + [1] * len(ascii_chars)
+        text = "".join(rng.choices(spaces + ascii_chars, weights, k=rng.randint(1000, 6000)))
+        assert count_tokens(text) == (4 * len(text.split()) + 2) // 3
+
+
 # -- request digests ----------------------------------------------------------
 
 

@@ -69,10 +69,14 @@ def stub_server():
         "choices": [{"message": {"content": "grade: 2"}}],
         "usage": {"prompt_tokens": 40, "completion_tokens": 3},
     }
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    # shutdown() waits up to one poll interval (0.5 s by default) for the loop to stop
+    thread = threading.Thread(
+        target=server.serve_forever, kwargs={"poll_interval": 0.01}, daemon=True
+    )
     thread.start()
     yield server
     server.shutdown()
+    server.server_close()
 
 
 def _endpoint(server) -> str:

@@ -3,9 +3,13 @@
 from __future__ import annotations
 
 import json
+import tempfile
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from judgeval.errors import JudgevalError, ParseError
 from judgeval.gateway import (
@@ -18,6 +22,8 @@ from judgeval.gateway import (
 )
 from judgeval.summarizer import (
     NO_CONTENT,
+    SummaryRecord,
+    SummarySet,
     build_summary_prompt,
     load_summary_template,
     read_summaries,
@@ -205,6 +211,46 @@ def test_summary_file_bytes_are_pinned(tmp_path):
         '{"budget_tokens": 80, "doc_id": "d3", "flags": ["over_budget", "longer_than_source"], '
         f'"model": "m", "output_token_count": 500, "prompt_sha256": "{sha}", "text": "verbose"}}\n'
     ).encode("utf-8")
+
+
+def _json_dumps_lines(summaries: SummarySet) -> bytes:
+    # the summary file as it was written before the fixed frame
+    return "".join(
+        json.dumps(vars(summaries.records[doc_id]), sort_keys=True, ensure_ascii=False) + "\n"
+        for doc_id in sorted(summaries.records)
+    ).encode("utf-8")
+
+
+def _framed_bytes(records: list[SummaryRecord]) -> tuple[bytes, bytes]:
+    summaries = SummarySet(80, {rec.doc_id: rec for rec in records})
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "summ.jsonl"
+        write_summaries(summaries, path)
+        return path.read_bytes(), _json_dumps_lines(summaries)
+
+
+def test_framed_summary_lines_are_the_json_dumps_lines():
+    sha = "ab" * 32
+    records = [
+        SummaryRecord("d0", 80, 'say "hi"', 3, "m", sha),
+        SummaryRecord('d"1\\', 80, "back\\slash \\n", 1, 'm"x', sha, ("over_budget",)),
+        SummaryRecord("d2", 80, "tab\t nul\x00 bell\x07 del\x7f \u2028", 0, "m", sha,
+                      ("over_budget", "longer_than_source")),
+        SummaryRecord("dé", 80, "café — 東京 \U0001f600", 12, "模型", sha, ("a\u00e9", "b")),
+    ]
+    framed, expected = _framed_bytes(records)
+    assert framed == expected
+
+
+_FLAGS = st.lists(st.text(max_size=12), max_size=2).map(tuple)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.builds(SummaryRecord, st.text(), st.integers(min_value=0), st.text(),
+                          st.integers(min_value=0), st.text(), st.text(), _FLAGS), max_size=4))
+def test_framed_summary_lines_are_the_json_dumps_lines_on_any_record(records):
+    framed, expected = _framed_bytes(records)
+    assert framed == expected
 
 
 def test_template_without_markers_rejected(tmp_path):
