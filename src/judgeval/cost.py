@@ -1,8 +1,9 @@
 """Token and dollar accounting for judging stages, observed or extrapolated.
 
-Observed tallies sum the token counts of a stage's usage file, taken as
-``token_counts`` lists. The file names its stage and modality and holds one
-row per distinct request of it, so pricing a stage needs no response cache.
+Observed tallies sum the token counts of a stage's usage files, taken as
+the model, input and output tokens of each row. A usage file names its stage
+and modality and holds one row per distinct request of it, so pricing a stage
+needs no response cache, and the caller that groups tallies labels them.
 Extrapolation projects a per-pair average onto a full collection, with the
 per-call prompt overhead kept as an explicit parameter.
 """
@@ -72,20 +73,9 @@ def price_for(model: str, prices: PriceTable) -> Price:
 
 @dataclass(frozen=True)
 class CostReport:
-    stage: str  # "summarization" | "judgment"
-    modality: str
     input_tokens: int
     output_tokens: int
     usd: float
-
-
-def token_counts(entries: list[CacheEntry]) -> tuple[list[str], list[int], list[int]]:
-    """Model, input and output tokens of each entry, as three lists without its reply text."""
-    return (
-        [entry.model for entry in entries],
-        [entry.input_tokens for entry in entries],
-        [entry.output_tokens for entry in entries],
-    )
 
 
 def write_usage(path: Path, entries: list[CacheEntry], stage: str, modality: str) -> tuple:
@@ -98,7 +88,8 @@ def write_usage(path: Path, entries: list[CacheEntry], stage: str, modality: str
         f"[{_json_str(e.request_hash)}, {_json_str(e.model)}, {e.input_tokens}, {e.output_tokens}]"
         for e in entries
     )
-    usage = token_counts(entries)
+    usage = ([e.model for e in entries], [e.input_tokens for e in entries],
+             [e.output_tokens for e in entries])
     head = (f'"stage": {_json_str(stage)}, "modality": {_json_str(modality)}, '
             f'"input_tokens": {sum(usage[1])}, "output_tokens": {sum(usage[2])}')
     atomic_write_text(path, f'{{{head}, "rows": [\n' + ",\n".join(rows) + "\n]}\n")
@@ -132,30 +123,18 @@ def usage_entries(usage_path: str | Path) -> tuple[str, str, tuple[list, list, l
     return stage, str(label), (models, [row[2] for row in rows], [row[3] for row in rows])
 
 
-def tally_observed(
-    usage: tuple[list[str], list[int], list[int]],
-    prices: PriceTable,
-    *,
-    stage: str,
-    modality: str,
-) -> CostReport:
-    """Sum the recorded token counts, ``token_counts``' three lists, and price
-    each request per model, in the lists' order."""
+def tally_observed(usage: tuple[list[str], list[int], list[int]], prices: PriceTable) -> CostReport:
+    """Sum the recorded token counts, the three lists ``usage_entries`` reads,
+    and price each request per model, in the lists' order."""
     models, input_tokens, output_tokens = usage
     usd = 0.0
     for model, in_tok, out_tok in zip(models, input_tokens, output_tokens, strict=True):
         usd += price_for(model, prices).usd(in_tok, out_tok)
-    return CostReport(stage, modality, sum(input_tokens), sum(output_tokens), usd)
+    return CostReport(sum(input_tokens), sum(output_tokens), usd)
 
 
 def extrapolate(
-    pairs: int,
-    avg_tokens_per_pair: float,
-    overhead_tokens_per_call: float,
-    price: Price,
-    *,
-    stage: str = "judgment",
-    modality: str = "full",
+    pairs: int, avg_tokens_per_pair: float, overhead_tokens_per_call: float, price: Price
 ) -> CostReport:
     """Project input-token usage and cost for judging ``pairs`` pairs. The
     inputs must be non-negative, and they and the token total finite."""
@@ -169,4 +148,4 @@ def extrapolate(
     if not math.isfinite(tokens):
         raise ValueError(f"the extrapolated token total {tokens} is not finite")
     input_tokens = int(round(tokens))
-    return CostReport(stage, modality, input_tokens, 0, price.usd(input_tokens, 0))
+    return CostReport(input_tokens, 0, price.usd(input_tokens, 0))

@@ -81,7 +81,6 @@ from .summarizer import (
 )
 from .templates import template_sha256
 from .trec_io import (
-    DocCorpus,
     JudgmentSet,
     Modality,
     atomic_write_text,
@@ -195,7 +194,7 @@ class Experiment:
         self.summary_budgets = sorted(
             m.budget_tokens for m in config.modalities if m.kind == "summary"
         )
-        self._held: dict[Path, object] = {}  # bundle file -> its content, see _recall
+        self._held: dict[Path, object] = {}  # file -> its content, see _recall
         self.backend_calls = self.cache_hits = 0  # of each gateway released so far
 
     # -- inputs, each loaded on first use --------------------------------------
@@ -214,10 +213,6 @@ class Experiment:
             max_attempts=config.max_attempts,
             max_in_flight=config.max_in_flight,
         )
-
-    @cached_property
-    def corpus(self) -> DocCorpus:
-        return load_corpus(self.config.corpus)
 
     @cached_property
     def topics(self) -> dict[str, str]:
@@ -245,7 +240,7 @@ class Experiment:
         """Summarize the corpus at one budget. Writes the summaries to ``path``, and
         next to it the ``.errors.json`` ledger of failed docs and the ``.usage.json`` file."""
         summaries = self._held[path] = summarize_corpus(
-            self.corpus,
+            self._recall(self.config.corpus, load_corpus),
             budget,
             self.gateway,
             self.config.summarizer_model,
@@ -266,7 +261,8 @@ class Experiment:
         their ``.meta.json`` sidecar to ``path``, and the error ledger and the
         usage file to ``path.with_suffix(".errors.json")`` and ``".usage.json"``."""
         if modality.kind == "full":
-            evidence, missing = self.corpus.entries, "doc not in corpus"
+            corpus = self._recall(self.config.corpus, load_corpus)
+            evidence, missing = corpus.entries, "doc not in corpus"
         else:
             evidence, missing = summaries.records, "no summary available"
         tasks: list[JudgingTask] = []
@@ -364,8 +360,8 @@ class Experiment:
         self._save_manifest()
 
     def _recall(self, path: Path, read: Callable[[Path], object]):
-        """Bundle file ``path`` as this run holds it: what the stage that wrote
-        it in this run produced, else ``read(path)``, called at most once."""
+        """File ``path`` as this run holds it: what the stage that wrote it in
+        this run produced, else ``read(path)``, called at most once."""
         if path not in self._held:
             self._held[path] = read(path)
         return self._held[path]
@@ -445,12 +441,8 @@ class Experiment:
             self._recall(summaries, read_summaries) if modality.kind == "summary" else None,
             self.output_dir / outputs[0],
         ))
-        if model != self.config.models[-1]:  # a later cell is judged on the same evidence
-            return
-        if modality.kind == "full":
-            self.__dict__.pop("corpus", None)
-        else:
-            self._held.pop(summaries, None)
+        if model == self.config.models[-1]:  # no later cell is judged on the same evidence
+            self._held.pop(self.config.corpus if modality.kind == "full" else summaries, None)
 
     def _cells(self) -> list[tuple[str, Modality]]:
         config = self.config
@@ -517,7 +509,7 @@ class Experiment:
         settings = {"rbo_p": config.rbo_p, "n_resamples": config.bootstrap_samples,
                     "seed": config.seed}
         reports_by_cell = [
-            (judged, stability_report(
+            (judged, metric, stability_report(
                 SystemScores.from_rows(table[("human", metric)]),
                 SystemScores.from_rows(table[(cell_key(judged), metric)]),
                 **settings,
@@ -536,8 +528,7 @@ class Experiment:
             stage, modality, counts = self._recall(path, usage_entries)
             for joined, more in zip(rows.setdefault((stage, modality), [[], [], []]), counts):
                 joined += more
-        tallies = [tally_observed(counts, self.prices, stage=stage, modality=modality)
-                   for (stage, modality), counts in rows.items()]
+        tallies = [(key, tally_observed(counts, self.prices)) for key, counts in rows.items()]
         return reports.cost_csv(self.config.dataset, tallies)
 
     def _distribution_texts(self) -> list[str]:
@@ -560,7 +551,7 @@ class Experiment:
 
     def _cost_texts(self) -> list[str]:
         stems = [_summary_stem(b) for b in self.summary_budgets]
-        stems += [_cell_stem(m, mod) for mod in self.config.modalities for m in self.config.models]
+        stems += [_cell_stem(model, modality) for model, modality in self._cells()]
         return [self.cost_text([self.output_dir / f"{stem}.usage.json" for stem in stems])]
 
 

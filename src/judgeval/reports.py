@@ -116,23 +116,23 @@ def scatter_csv(cells: Iterable[tuple[list[EffectivenessRow], list[Effectiveness
 
 def stability_csv(
     dataset: str,
-    cells: Iterable[tuple[JudgmentSet, StabilityReport]],
+    cells: Iterable[tuple[JudgmentSet, str, StabilityReport]],
     *,
     rbo_p: float,
     n_resamples: int,
     seed: int,
 ) -> str:
-    """Rank correlations, tau CI and RBO for each ``(judged cell, report)``,
-    with the RBO ``p`` and the bootstrap's resample count and seed."""
+    """Rank correlations, tau CI and RBO for each ``(judged cell, metric,
+    report)``, with the RBO ``p`` and the bootstrap's resample count and seed."""
     rows = [
         [
-            dataset, judged.label(), str(judged.modality), report.metric,
+            dataset, judged.label(), str(judged.modality), metric,
             _decimal(report.kendall_tau.value), _decimal(report.tau_ci_low),
             _decimal(report.tau_ci_high), _decimal(report.spearman_rho.value),
             _decimal(report.pearson_rho.value), _decimal(report.rbo),
             f"{rbo_p}", n_resamples, seed,
         ]
-        for judged, report in cells
+        for judged, metric, report in cells
     ]
     header = [
         "dataset", "model", "modality", "metric",
@@ -156,10 +156,11 @@ def distribution_csv(dataset: str, reference: JudgmentSet, cells: Iterable[Judgm
     return csv_text(header + ["n_judgments"], rows)
 
 
-def cost_csv(dataset: str, tallies: Iterable[CostReport]) -> str:
-    """Input tokens (millions) and dollar cost per stage and modality."""
+def cost_csv(dataset: str, tallies: Iterable[tuple[tuple[str, str], CostReport]]) -> str:
+    """Input tokens (millions) and dollar cost of each ``((stage, modality),
+    tally)``, a row labelled from its key."""
     rows = [
-        [r.stage, r.modality, dataset, f"{r.input_tokens / 1e6:.6f}", f"{r.usd:.6f}"]
-        for r in tallies
+        [stage, modality, dataset, f"{r.input_tokens / 1e6:.6f}", f"{r.usd:.6f}"]
+        for (stage, modality), r in tallies
     ]
     return csv_text(["stage", "modality", "dataset", "input_tokens_millions", "cost_usd"], rows)

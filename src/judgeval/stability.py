@@ -197,7 +197,6 @@ def bootstrap_tau_ci(
 
 @dataclass(frozen=True)
 class StabilityReport:
-    metric: str
     kendall_tau: StatValue
     spearman_rho: StatValue
     pearson_rho: StatValue
@@ -224,7 +223,7 @@ def stability_report(
     each is undefined (UNDEFINED or None)."""
     systems, topics = _shared(scores_h, scores_l)
     if len(systems) < 2 or len(topics) < 2:
-        return StabilityReport(scores_h.metric, UNDEFINED, UNDEFINED, UNDEFINED,
+        return StabilityReport(UNDEFINED, UNDEFINED, UNDEFINED,
                                rbo=None, tau_ci_low=None, tau_ci_high=None)
     x, y = (
         [_mean([scores.per_topic[s][t] for t in topics]) for s in systems]
@@ -232,7 +231,6 @@ def stability_report(
     )
     ci_low, ci_high = bootstrap_tau_ci(scores_h, scores_l, n_resamples=n_resamples, seed=seed)
     return StabilityReport(
-        metric=scores_h.metric,
         kendall_tau=kendall_tau(x, y),
         spearman_rho=spearman_rho(x, y),
         pearson_rho=pearson_rho(x, y),

@@ -14,10 +14,11 @@ from judgeval.cost import (
     load_price_table,
     price_for,
     tally_observed,
-    token_counts,
+    write_usage,
 )
 from judgeval.errors import ParseError, PricingError
 from judgeval.gateway import CacheEntry
+from judgeval.reports import cost_csv
 
 NAN, INF = float("nan"), float("inf")
 
@@ -32,28 +33,27 @@ def _entry(model="gpt-4o", in_tok=100, out_tok=10, h="x"):
     )
 
 
-def test_tally_empty_cache():
-    report = tally_observed(token_counts([]), DEFAULT_PRICES, stage="judgment", modality="full")
+def _usage(tmp_path, entries):
+    """The model, input and output tokens that a usage file of ``entries`` records."""
+    return write_usage(tmp_path / "cell.usage.json", entries, "judgment", "full")[2]
+
+
+def test_tally_empty_cache(tmp_path):
+    report = tally_observed(_usage(tmp_path, []), DEFAULT_PRICES)
     assert (report.input_tokens, report.output_tokens, report.usd) == (0, 0, 0.0)
 
 
-def test_tally_two_entries_exact_usd():
-    entries = token_counts([_entry(h="a"), _entry(h="b")])
-    report = tally_observed(entries, DEFAULT_PRICES, stage="judgment", modality="full")
+def test_tally_two_entries_exact_usd(tmp_path):
+    report = tally_observed(_usage(tmp_path, [_entry(h="a"), _entry(h="b")]), DEFAULT_PRICES)
     assert report.input_tokens == 200
     assert report.output_tokens == 20
     # 200/1e6 * 2.50 + 20/1e6 * 10.00
     assert report.usd == pytest.approx(0.000700, abs=1e-12)
 
 
-def test_tally_missing_model_names_it():
+def test_tally_missing_model_names_it(tmp_path):
     with pytest.raises(PricingError, match="unknown-model"):
-        tally_observed(
-            token_counts([_entry(model="unknown-model")]),
-            DEFAULT_PRICES,
-            stage="judgment",
-            modality="full",
-        )
+        tally_observed(_usage(tmp_path, [_entry(model="unknown-model")]), DEFAULT_PRICES)
 
 
 def test_extrapolate_full_collection_token_figure():
@@ -135,14 +135,20 @@ def test_non_finite_prices_are_rejected(tmp_path, value):
         load_price_table(table_path)
 
 
-def test_tally_reproducible_from_cache_entries_alone():
-    entries = token_counts([_entry(h=f"h{i}", in_tok=i * 10, out_tok=i) for i in range(5)])
-    first = tally_observed(entries, DEFAULT_PRICES, stage="judgment", modality="full")
-    second = tally_observed(entries, DEFAULT_PRICES, stage="judgment", modality="full")
-    assert first == second == CostReport(
-        stage="judgment",
-        modality="full",
-        input_tokens=100,
-        output_tokens=10,
-        usd=first.usd,
-    )
+def test_tally_reproducible_from_cache_entries_alone(tmp_path):
+    usage = _usage(tmp_path, [_entry(h=f"h{i}", in_tok=i * 10, out_tok=i) for i in range(5)])
+    first = tally_observed(usage, DEFAULT_PRICES)
+    second = tally_observed(usage, DEFAULT_PRICES)
+    assert first == second == CostReport(input_tokens=100, output_tokens=10, usd=first.usd)
+
+
+def test_cost_csv_labels_each_row_from_its_key_in_key_order():
+    tallies = [
+        (("summarization", "summ:80"), CostReport(1_500_000, 20, 3.0303031)),
+        (("judgment", "full"), CostReport(7, 0, 0.0000176)),
+    ]
+    assert cost_csv("dl19", tallies).splitlines() == [
+        "stage,modality,dataset,input_tokens_millions,cost_usd",
+        "summarization,summ:80,dl19,1.500000,3.030303",
+        "judgment,full,dl19,0.000007,0.000018",
+    ]

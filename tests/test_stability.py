@@ -9,9 +9,11 @@ import pytest
 
 import oracles
 from judgeval import stability
-from judgeval.agreement import UNDEFINED
+from judgeval.agreement import UNDEFINED, StatValue
+from judgeval.reports import stability_csv
 from judgeval.stability import (
     BOOTSTRAP_BLOCK,
+    StabilityReport,
     SystemScores,
     bootstrap_tau_ci,
     kendall_tau,
@@ -21,6 +23,7 @@ from judgeval.stability import (
     spearman_rho,
     stability_report,
 )
+from judgeval.trec_io import JudgmentSet, Modality
 
 
 def _scores(metric, per_topic):
@@ -396,6 +399,23 @@ def test_stability_report_deterministic():
     a = stability_report(scores_h, scores_l, n_resamples=200, seed=9)
     b = stability_report(scores_h, scores_l, n_resamples=200, seed=9)
     assert a == b
+
+
+def test_stability_csv_labels_each_row_from_its_cell_and_metric():
+    defined = StabilityReport(StatValue(1 / 3), StatValue(0.5), StatValue(0.25, degenerate=True),
+                              rbo=0.9, tau_ci_low=0.1234567, tau_ci_high=1.0)
+    one_system = _scores("map", {"s1": {"t1": 0.5, "t2": 0.2}})
+    undefined = stability_report(one_system, one_system, n_resamples=10, seed=1)
+    cells = [
+        (JudgmentSet(model="m"), "ndcg@10", defined),
+        (JudgmentSet(model="m", modality=Modality("summary", 80)), "map", undefined),
+    ]
+    text = stability_csv("dl19", cells, rbo_p=0.9, n_resamples=200, seed=7)
+    assert text.splitlines() == [
+        "dataset,model,modality,metric,tau,tau_lo,tau_hi,spearman,pearson,rbo,p,B,seed",
+        "dl19,m,full,ndcg@10,0.333333,0.123457,1.000000,0.500000,0.250000,0.900000,0.9,200,7",
+        "dl19,m,summ:80,map,,,,,,,0.9,200,7",
+    ]
 
 
 def test_system_scores_mean_consistency():
